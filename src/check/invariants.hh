@@ -5,35 +5,44 @@
  * CoherenceChecker implements MemEventObserver: attached to a
  * MemorySystem with setObserver(), it shadows every secondary-cache
  * line state and every primary-cache residency, and machine-checks
- * the protocol invariants the simulator's miss taxonomy depends on:
+ * the protocol invariants the simulator's miss taxonomy depends on.
+ * What is checked, and when:
  *
- *  - **edge legality** (eager, on every transition): a line never
- *    takes a MESI edge the Illinois protocol cannot produce — no
- *    silent gain of exclusivity (S->E), no clean-downgrade of dirty
- *    data (M->E), and no Exclusive state at all under plain MSI;
+ *  - **per transition** (onL2Transition): the edge must be one the
+ *    protocol's verif::SchemeSpec tables can take — no silent gain of
+ *    exclusivity (S->E), no clean downgrade of dirty data (M->E), and
+ *    no Exclusive state at all under plain MSI — and its from-state
+ *    must match the shadow.
  *
- *  - **SWMR** (deferred to operation boundaries): at most one
- *    Modified/Exclusive copy of a line machine-wide, and an owner
- *    never coexists with sharers;
+ *  - **per operation end** (onOperationEnd), from the shadow alone and
+ *    only over the lines this operation's events touched (secondary
+ *    transitions, and primary fills without a covering secondary
+ *    copy): SWMR (at most one Modified/Exclusive copy machine-wide,
+ *    and an owner never coexists with sharers) in O(1) from per-line
+ *    owner and sharer counts; inclusion (every primary-resident line
+ *    is covered by a valid secondary line on the same processor) from
+ *    a per-line count of uncovered primary lines; write ownership (a
+ *    completed write leaves the writer's secondary line Modified, or
+ *    Shared on a Firefly update page); and, after the operations that
+ *    push into them (writes and bypass writes), write-buffer
+ *    consistency (both buffers drain in FIFO order and their
+ *    completion horizon never moves backwards).
  *
- *  - **inclusion** (deferred): every primary-resident line is
- *    covered by a valid secondary line on the same processor;
+ *  - **only in auditFull()**: the one pass that reads the real tag
+ *    arrays.  It compares the shadow against them in both directions
+ *    (catching missed or phantom notifications, i.e. proving the
+ *    event stream the incremental checks trusted was complete) and
+ *    re-checks SWMR and inclusion over every resident line.
  *
- *  - **write ownership**: a completed write leaves the writer's
- *    secondary line Modified (or Shared on a Firefly update page);
+ * SWMR and inclusion wait for operation ends because mid-operation
+ * the protocol legitimately passes through inconsistent intermediate
+ * states (snoop invalidation clears the secondary line before its
+ * covered primary lines).
  *
- *  - **write-buffer consistency**: both write buffers drain in FIFO
- *    order and their completion horizon never moves backwards.
- *
- * SWMR and inclusion are checked at onOperationEnd rather than per
- * transition because mid-operation the protocol legitimately passes
- * through inconsistent intermediate states (snoop invalidation
- * clears the secondary line before its covered primary lines).
- *
- * auditFull() runs a final whole-machine sweep: the shadow state is
- * compared against the real tag arrays (catching missed or phantom
- * notifications) and the global invariants are re-checked over every
- * resident line, not just recently touched ones.
+ * All state is flat and sized once from the MachineConfig: per-cpu
+ * shadows laid out set × way like the caches they mirror, and one
+ * open-addressing line table holding each line's counts and writer
+ * set.  Once the footprint is warm, checking allocates nothing.
  *
  * The checker also records which lines were written (entered
  * Modified) by more than one processor; the race detector
@@ -43,7 +52,6 @@
 #ifndef OSCACHE_CHECK_INVARIANTS_HH
 #define OSCACHE_CHECK_INVARIANTS_HH
 
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -70,6 +78,14 @@ class CoherenceChecker : public MemEventObserver
     void onOperationEnd(const MemorySystem &mem, MemOpKind op, CpuId cpu,
                         Addr addr) override;
     /** @} */
+
+    /**
+     * Replace the shadow with @p mem's current cache contents and
+     * write-buffer horizons, in one pass over its tag arrays.  For a
+     * memory system whose warm state was restored (a resumed live
+     * point) rather than built through observed events.
+     */
+    void seed(const MemorySystem &mem);
 
     /**
      * Whole-machine audit: shadow-vs-actual cross-check plus global
@@ -99,24 +115,155 @@ class CoherenceChecker : public MemEventObserver
     }
 
   private:
+    /** Coherence summary of one secondary line across all cpus. */
+    struct LineInfo
+    {
+        /** Line address; invalidAddr marks an empty table slot. */
+        Addr line = invalidAddr;
+        /**
+         * (cpu, primary line) pairs resident in a primary shadow
+         * while that cpu's secondary shadow lacks the line —
+         * inclusion violations when nonzero at an operation end.
+         */
+        std::uint32_t uncovered = 0;
+        /** Modified/Exclusive copies (at most numCpus, a CpuId). */
+        std::uint8_t owners = 0;
+        /** Shared copies. */
+        std::uint8_t sharers = 0;
+        /**
+         * The writer set, as exactly as multiWriterLines() needs it:
+         * how many distinct cpus entered Modified (saturating at 2)
+         * and, when that is one, which.
+         */
+        CpuId writer = 0;
+        std::uint8_t writers : 2 = 0;
+        /** On the touched list awaiting the next operation end. */
+        std::uint8_t queued : 1 = 0;
+
+        /** Add @p delta copies in state @p st to the counts. */
+        void
+        count(LineState st, int delta)
+        {
+            if (st == LineState::Modified || st == LineState::Exclusive)
+                owners = std::uint8_t(owners + delta);
+            else if (st == LineState::Shared)
+                sharers = std::uint8_t(sharers + delta);
+        }
+
+        /** Nothing left worth keeping (a lone writer is history). */
+        bool
+        idle() const
+        {
+            return owners == 0 && sharers == 0 && uncovered == 0 &&
+                   writers != 1;
+        }
+    };
+    static_assert(sizeof(LineInfo) == 16, "four line summaries per cache line");
+
+    /**
+     * Open-addressing line -> LineInfo table: linear probing over a
+     * power-of-two array, backward-shift deletion, doubling at three-
+     * quarter load (the checker's counterpart of mem/marks.hh's
+     * MarkTable).
+     */
+    class LineTable
+    {
+      public:
+        explicit LineTable(std::size_t min_slots);
+
+        LineInfo *find(Addr line);
+        LineInfo &findOrInsert(Addr line);
+        void erase(Addr line);
+        void clear();
+
+      private:
+        std::size_t home(Addr line) const;
+        void rebuild(std::size_t n);
+
+        std::vector<LineInfo> slots;
+        std::size_t mask = 0;
+        unsigned shift = 0;
+        std::size_t used = 0;
+    };
+
+    /** One cache level's shadow tag banks: cpu × set × way. */
+    struct ShadowTags
+    {
+        ShadowTags(unsigned cpus, std::uint32_t size,
+                   std::uint32_t line_size, std::uint32_t way_count);
+
+        static constexpr std::size_t none = ~std::size_t{0};
+
+        /** Slot of @p line's set on @p cpu holding @p tag, or none. */
+        std::size_t scan(CpuId cpu, Addr line, Addr tag) const;
+        /** Slot holding @p line on @p cpu, or none. */
+        std::size_t
+        find(CpuId cpu, Addr line) const
+        {
+            return scan(cpu, line, line);
+        }
+        /** An empty way of @p line's set on @p cpu, or none. */
+        std::size_t
+        freeWay(CpuId cpu, Addr line) const
+        {
+            return scan(cpu, line, invalidAddr);
+        }
+        /** First slot of @p line's set on @p cpu. */
+        std::size_t setBase(CpuId cpu, Addr line) const;
+        /** First slot of @p cpu's bank. */
+        std::size_t cpuBase(CpuId cpu) const { return cpu * perCpu; }
+        void clear();
+
+        unsigned lineShift;
+        std::size_t setMask;
+        std::uint32_t ways;
+        std::size_t perCpu;
+        std::vector<Addr> tags;
+    };
+
+    /** Per-processor state of the operation-end checks. */
+    struct CpuChecks
+    {
+        /** Last seen write-buffer completion horizons. */
+        Cycles l1WbHorizon = 0;
+        Cycles l2WbHorizon = 0;
+        /**
+         * A line the shadow held Modified at this cpu's last write
+         * end and that has taken no transition since: further writes
+         * to it need no shadow probe.
+         */
+        Addr ownedLine = invalidAddr;
+    };
+
     void report(CheckCode code, CpuId cpu, Addr addr, std::string message);
-    bool legalEdge(LineState from, LineState to) const;
-    /** SWMR + inclusion for one secondary line, against @p mem. */
-    void checkLine(const MemorySystem &mem, Addr l2_line);
+    /** Put @p info on the touched list unless it already is. */
+    void queue(LineInfo &info);
+    /** @p cpu's shadow state of @p l2_line. */
+    LineState shadowState(CpuId cpu, Addr l2_line) const;
+    /** Primary lines of @p l2_line resident in @p cpu's shadow. */
+    std::uint32_t residentL1Lines(CpuId cpu, Addr l2_line) const;
+    /** Install @p line in @p cpu's shadow secondary set. */
+    std::size_t allocL2(CpuId cpu, Addr line);
+    /** Remove the shadow secondary line in @p slot of @p cpu. */
+    void dropL2(CpuId cpu, std::size_t slot);
+    /** SWMR + inclusion for one touched line, from the shadow. */
+    void checkLine(const LineInfo &info);
+    void checkSwmr(const LineInfo &info);
+    void recordWriter(LineInfo &info, CpuId cpu);
 
     MachineConfig cfg;
-    /** Per-processor shadow of the secondary states (Invalid absent). */
-    std::vector<std::unordered_map<Addr, LineState>> shadowL2;
-    /** Per-processor shadow of primary residency. */
-    std::vector<std::unordered_set<Addr>> shadowL1;
-    /** Secondary lines touched since the last operation boundary. */
-    std::unordered_set<Addr> touched;
-    /** Per-line bitmask of processors that entered Modified. */
-    std::unordered_map<Addr, std::uint32_t> writerMask;
+    /** Legal from -> to edges (bit from * 4 + to), per cfg.protocol. */
+    std::uint16_t legalEdges;
+    ShadowTags l2;
+    /** MESI state per l2 slot (Invalid where the tag is empty). */
+    std::vector<LineState> l2States;
+    ShadowTags l1;
+    LineTable lines;
+    /** Lines touched since the last operation end, in first-touch order. */
+    std::vector<Addr> touched;
     std::unordered_set<Addr> multiWriter;
-    /** Last seen write-buffer completion horizons, per processor. */
-    std::vector<Cycles> lastL1WbHorizon;
-    std::vector<Cycles> lastL2WbHorizon;
+    /** Indexed by cpu. */
+    std::vector<CpuChecks> cpuChecks;
     std::vector<CheckFinding> found;
     std::uint64_t transitionCount = 0;
     std::uint64_t suppressed = 0;

@@ -1,7 +1,8 @@
 #include "check/racedetect.hh"
 
 #include <algorithm>
-#include <bit>
+#include <bitset>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <unordered_map>
@@ -26,8 +27,8 @@ struct AddrState
     /** Locks held on every write so far; meaningless until a write. */
     std::unordered_set<Addr> lockset;
     bool written = false;
-    /** Bitmask of writing processors. */
-    std::uint32_t writers = 0;
+    /** Writing processors, one bit for every CpuId. */
+    std::bitset<std::numeric_limits<CpuId>::max() + 1> writers;
     DataCategory category = DataCategory::OtherShared;
     CpuId firstCpu = 0;
     std::size_t firstIndex = 0;
@@ -41,7 +42,8 @@ detectRaces(const Trace &trace, const RaceCrossCheck &cross)
     // std::map so findings come out in a stable address order.
     std::map<Addr, AddrState> state;
 
-    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
+    for (unsigned c = 0; c < trace.numCpus(); ++c) {
+        const CpuId cpu = CpuId(c);
         const RecordStream &stream = trace.stream(cpu);
         std::unordered_set<Addr> held;
         for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -68,7 +70,7 @@ detectRaces(const Trace &trace, const RaceCrossCheck &cross)
                         return held.count(lock) == 0;
                     });
                 }
-                st.writers |= 1u << cpu;
+                st.writers.set(cpu);
                 break;
               }
               default:
@@ -81,7 +83,7 @@ detectRaces(const Trace &trace, const RaceCrossCheck &cross)
     for (const auto &[addr, st] : state) {
         // A single writer cannot race with itself, and any surviving
         // common lock makes the discipline hold.
-        if ((st.writers & (st.writers - 1)) == 0 || !st.lockset.empty())
+        if (st.writers.count() < 2 || !st.lockset.empty())
             continue;
         CheckFinding f;
         f.code = CheckCode::UnlockedSharedWrite;
@@ -93,7 +95,7 @@ detectRaces(const Trace &trace, const RaceCrossCheck &cross)
         f.index = st.firstIndex;
         std::ostringstream os;
         os << toString(st.category) << " data written by "
-           << std::popcount(st.writers)
+           << st.writers.count()
            << " processors with no common lock";
         if (cross.multiWriterLines && cross.lineSize) {
             const Addr line = alignDown(addr, cross.lineSize);

@@ -19,6 +19,7 @@
 #define OSCACHE_MEM_CONFIG_HH
 
 #include <cstdint>
+#include <limits>
 
 #include "common/log.hh"
 #include "common/types.hh"
@@ -189,6 +190,10 @@ struct MachineConfig
             panic("MachineConfig: memory latency must exceed L2 latency");
         if (numCpus == 0)
             panic("MachineConfig: need at least one cpu");
+        // Per-cpu loops count to numCpus in a CpuId.
+        if (numCpus > std::numeric_limits<CpuId>::max())
+            panic("MachineConfig: at most ",
+                  unsigned(std::numeric_limits<CpuId>::max()), " cpus");
         if (l1Ways == 0 || l2Ways == 0 || !isPowerOfTwo(l1Ways) ||
             !isPowerOfTwo(l2Ways))
             panic("MachineConfig: associativity must be a power of two");

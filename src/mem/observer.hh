@@ -93,6 +93,13 @@ struct MemEventObserver
      */
     virtual bool wantsAccessEvents() const { return false; }
 
+    /**
+     * onOperationBegin is gated the same way: it fires before every
+     * processor-side operation, hits included, so observers that do
+     * not classify transitions by initiator are spared the call.
+     */
+    virtual bool wantsOperationBegin() const { return false; }
+
     /** A processor-side data operation completed (all outcomes). */
     virtual void
     onAccess(const MemAccessEvent &event)
@@ -146,7 +153,8 @@ struct MemEventObserver
     }
 
     /**
-     * A processor-side operation is about to execute.  Fired before
+     * A processor-side operation is about to execute (gated on
+     * wantsOperationBegin()).  Fired before
      * the operation touches any cache state, so an observer that
      * classifies the L2 transitions between begin and end (the
      * conformance extractor in src/verif) knows which processor
@@ -257,6 +265,7 @@ class ObserverFanout
     clear()
     {
         count = 0;
+        beginCount = 0;
         wantsAccess = false;
     }
 
@@ -269,6 +278,8 @@ class ObserverFanout
         if (count >= maxTaps)
             panic("ObserverFanout: more than ", maxTaps, " taps");
         taps[count++] = observer;
+        if (observer->wantsOperationBegin())
+            beginTaps[beginCount++] = observer;
         wantsAccess = wantsAccess || observer->wantsAccessEvents();
     }
 
@@ -326,8 +337,8 @@ class ObserverFanout
     onOperationBegin(const MemorySystem &mem, MemOpKind op, CpuId cpu,
                      Addr addr) const
     {
-        for (unsigned i = 0; i < count; ++i)
-            taps[i]->onOperationBegin(mem, op, cpu, addr);
+        for (unsigned i = 0; i < beginCount; ++i)
+            beginTaps[i]->onOperationBegin(mem, op, cpu, addr);
     }
 
     void
@@ -369,6 +380,9 @@ class ObserverFanout
   private:
     MemEventObserver *taps[maxTaps] = {};
     unsigned count = 0;
+    /** The taps that asked for onOperationBegin. */
+    MemEventObserver *beginTaps[maxTaps] = {};
+    unsigned beginCount = 0;
     bool wantsAccess = false;
 };
 
@@ -399,6 +413,15 @@ class MemEventObserverMux : public MemEventObserver
     {
         for (MemEventObserver *o : list)
             if (o->wantsAccessEvents())
+                return true;
+        return false;
+    }
+
+    bool
+    wantsOperationBegin() const override
+    {
+        for (MemEventObserver *o : list)
+            if (o->wantsOperationBegin())
                 return true;
         return false;
     }

@@ -182,13 +182,10 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
     RunResult result;
     MemorySystem mem(machine);
 
-    // The coherence checker rebuilds shadow state from observed
-    // events, which a resumed run's warm image never replays — so
-    // resume forces it off; fresh sampled runs keep it (skipped
-    // records never touch the memory system, so shadow and real
-    // state stay consistent).
+    // Skipped records never touch the memory system, so the
+    // checker's shadow stays consistent across the whole sampled run.
     std::unique_ptr<CoherenceChecker> checker;
-    if (options.checkCoherence && resume == nullptr)
+    if (options.checkCoherence)
         checker = std::make_unique<CoherenceChecker>(machine);
 
     const ObsOptions obs_opts = effectiveObsOptions(options.obs);
@@ -223,6 +220,9 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
         if (!resume->readState(mem, system, result.stats, warm, prior,
                                &why))
             return fail("checkpoint: " + why);
+        // The warm image was restored, not observed.
+        if (checker)
+            checker->seed(mem);
     }
 
     WindowController controller(sampled, plan, result.stats, hub.get(),

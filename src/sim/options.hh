@@ -48,9 +48,12 @@ struct SimOptions
 
     /**
      * Attach the coherence invariant checker (src/check) to the
-     * memory system and panic on any violation.  On by default: the
-     * shadow state is cheap relative to simulation and turns a subtle
-     * protocol bug into an immediate, attributed failure.
+     * memory system and panic on any violation.  On by default: it
+     * turns a subtle protocol bug into an immediate, attributed
+     * failure.  Measured cost: a checked replay takes about 1.5× as
+     * long as a bare one (checker time 0.44–0.54 of replay time across
+     * the perfbench workloads; 1.3–2.0× per workload in
+     * bench/perf_simulator; Release builds on a shared 4-core Xeon VM).
      */
     bool checkCoherence = true;
 

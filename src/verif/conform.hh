@@ -83,6 +83,7 @@ class ConformanceExtractor : public MemEventObserver
     /** Point the extractor at the replay's memory system. */
     void attach(const MemorySystem &mem) { memsys = &mem; }
 
+    bool wantsOperationBegin() const override { return true; }
     void onOperationBegin(const MemorySystem &mem, MemOpKind op,
                           CpuId cpu, Addr addr) override;
     void onDmaBegin(CpuId cpu, const BlockOp &op) override;

@@ -1,16 +1,21 @@
 /**
  * @file
  * Tests of the verification subsystem (src/check): the coherence
- * invariant checker must catch seeded protocol defects and stay
- * silent on real traffic; the trace linter must catch each corrupted
- * stream; the lockset race detector must flag unlocked multi-writer
- * data and nothing else; and every seed workload must come out clean
- * under all three passes.
+ * invariant checker must catch seeded protocol defects at the next
+ * operation end, stay silent on real traffic, and reach the same
+ * verdicts as a reference that re-probes the real caches; the trace
+ * linter must catch each corrupted stream; the lockset race detector
+ * must flag unlocked multi-writer data and nothing else; and every
+ * seed workload must come out clean under all three passes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <optional>
+#include <tuple>
+#include <unordered_set>
 
 #include "check/invariants.hh"
 #include "check/racedetect.hh"
@@ -18,6 +23,7 @@
 #include "core/runner.hh"
 #include "mem/memsys.hh"
 #include "synth/generator.hh"
+#include "testutil.hh"
 
 namespace oscache
 {
@@ -133,6 +139,22 @@ TEST_F(CoherenceCheckerTest, MultiWriterLinesTracked)
     EXPECT_EQ(checker.multiWriterLines().count(0x1000), 1u);
     mem.write(0, 0x2000, 300, osCtx());
     EXPECT_EQ(checker.multiWriterLines().count(0x2000), 0u);
+
+    // Writer sets stay exact past 32 cpus: cpu 32 is not cpu 0.
+    MachineConfig wide = MachineConfig::base();
+    wide.numCpus = 33;
+    MemorySystem wide_mem(wide);
+    CoherenceChecker wide_checker(wide);
+    wide_mem.setObserver(&wide_checker);
+    wide_mem.write(0, 0x1000, 0, osCtx());
+    wide_mem.write(32, 0x1000, 100, osCtx());
+    wide_mem.write(32, 0x2000, 200, osCtx());
+    wide_mem.write(32, 0x2000, 300, osCtx());
+    EXPECT_EQ(wide_checker.multiWriterLines().count(0x1000), 1u);
+    EXPECT_EQ(wide_checker.multiWriterLines().count(0x2000), 0u);
+    wide_checker.auditFull(wide_mem);
+    EXPECT_TRUE(wide_checker.clean())
+        << format(wide_checker.findings().front());
 }
 
 TEST_F(CoherenceCheckerTest, CodeLinesNeverDoublyExclusive)
@@ -151,6 +173,333 @@ TEST_F(CoherenceCheckerTest, CodeLinesNeverDoublyExclusive)
     checker.auditFull(mem);
     EXPECT_TRUE(checker.clean())
         << format(checker.findings().front());
+}
+
+// The checks between auditFull() calls run from the shadow at each
+// operation end; a seeded defect must surface there, before any audit.
+
+/** A write to an unrelated line: an operation that always ends. */
+void
+unrelatedOperation(MemorySystem &mem)
+{
+    mem.write(3, 0x9000, 1000, osCtx());
+}
+
+TEST_F(CoherenceCheckerTest, SwmrViolationReportedAtNextOperationEnd)
+{
+    mem.read(0, 0x1000, 0, osCtx());
+    mem.read(1, 0x1000, 100, osCtx());
+    mem.debugSetL2State(0, 0x1000, LineState::Modified);
+    EXPECT_TRUE(checker.clean());
+    unrelatedOperation(mem);
+    EXPECT_TRUE(hasCode(checker.findings(), CheckCode::SwmrViolation));
+}
+
+TEST_F(CoherenceCheckerTest, InclusionViolationReportedAtNextOperationEnd)
+{
+    mem.read(0, 0x1000, 0, osCtx());
+    mem.debugSetL2State(0, 0x1000, LineState::Invalid);
+    EXPECT_TRUE(checker.clean());
+    unrelatedOperation(mem);
+    ASSERT_TRUE(hasCode(checker.findings(), CheckCode::InclusionViolation));
+    EXPECT_EQ(checker.findings().front().cpu, 0);
+    EXPECT_EQ(checker.findings().front().addr, 0x1000u);
+}
+
+TEST_F(CoherenceCheckerTest, IllegalTransitionReportedBeforeOperationEnd)
+{
+    mem.read(0, 0x1000, 0, osCtx());
+    mem.read(1, 0x1000, 100, osCtx());
+    mem.debugSetL2State(0, 0x1000, LineState::Exclusive);
+    ASSERT_FALSE(checker.clean());
+    EXPECT_EQ(checker.findings().front().code, CheckCode::IllegalTransition);
+    // The E copy beside a Shared one also breaks SWMR at the boundary.
+    unrelatedOperation(mem);
+    EXPECT_TRUE(hasCode(checker.findings(), CheckCode::SwmrViolation));
+}
+
+/** Demotes the writer's line to Shared as a write ends, once. */
+class OwnershipSaboteur : public MemEventObserver
+{
+  public:
+    explicit OwnershipSaboteur(MemorySystem &m) : mem(m) {}
+
+    void
+    onOperationEnd(const MemorySystem &, MemOpKind op, CpuId cpu,
+                   Addr addr) override
+    {
+        if (op == MemOpKind::Write && armed) {
+            armed = false;
+            mem.debugSetL2State(cpu, addr, LineState::Shared);
+        }
+    }
+
+    bool armed = false;
+
+  private:
+    MemorySystem &mem;
+};
+
+TEST_F(CoherenceCheckerTest, OwnershipViolationReportedAtWriteEnd)
+{
+    OwnershipSaboteur saboteur(mem);
+    mem.setObservers({&saboteur, &checker});
+    // A clean write first, so the second one hits a line the checker
+    // last saw owned.
+    mem.write(0, 0x1000, 0, osCtx());
+    ASSERT_TRUE(checker.clean());
+    saboteur.armed = true;
+    mem.write(0, 0x1004, 100, osCtx());
+    ASSERT_FALSE(saboteur.armed);
+    ASSERT_FALSE(checker.clean());
+    EXPECT_EQ(checker.findings().front().code,
+              CheckCode::OwnershipViolation);
+    EXPECT_EQ(checker.findings().front().cpu, 0);
+}
+
+// ---------------------------------------------------------------------
+// Incremental checker vs a re-probing reference.
+// ---------------------------------------------------------------------
+
+using FindingKey = std::tuple<CheckCode, CpuId, Addr>;
+
+/**
+ * The checker's former algorithm, kept here as a test oracle: no
+ * shadow at all, a hand-written edge rule, and at every operation end
+ * a re-probe of every cpu's real secondary and primary cache for each
+ * line the operation touched.
+ */
+class ReprobeReference : public MemEventObserver
+{
+  public:
+    ReprobeReference(const MachineConfig &config, const MemorySystem &m)
+        : cfg(config), mem(m), lastL1Wb(config.numCpus, 0),
+          lastL2Wb(config.numCpus, 0)
+    {}
+
+    void
+    onL2Transition(CpuId cpu, Addr l2_line, LineState from,
+                   LineState to) override
+    {
+        if (!legalEdge(from, to))
+            found.emplace_back(CheckCode::IllegalTransition, cpu, l2_line);
+        touched.insert(l2_line);
+    }
+
+    void
+    onL1Fill(CpuId cpu, Addr l1_line) override
+    {
+        // A covered primary fill changes no secondary state.
+        if (mem.l2State(cpu, l1_line) == LineState::Invalid)
+            touched.insert(alignDown(l1_line, Addr{cfg.l2LineSize}));
+    }
+
+    void
+    onOperationEnd(const MemorySystem &, MemOpKind op, CpuId cpu,
+                   Addr addr) override
+    {
+        for (const Addr line : touched)
+            checkLine(line);
+        touched.clear();
+        if (op == MemOpKind::Write) {
+            const LineState st = mem.l2State(cpu, addr);
+            if (st != LineState::Modified &&
+                !(st == LineState::Shared && mem.isUpdateAddr(addr)))
+                found.emplace_back(CheckCode::OwnershipViolation, cpu, addr);
+        }
+        const WriteBuffer &wb1 = mem.l1WriteBuffer(cpu);
+        const WriteBuffer &wb2 = mem.l2WriteBuffer(cpu);
+        for (const bool bad :
+             {!wb1.drainOrderConsistent(), !wb2.drainOrderConsistent(),
+              wb1.lastCompletion() < lastL1Wb[cpu],
+              wb2.lastCompletion() < lastL2Wb[cpu]})
+            if (bad)
+                found.emplace_back(CheckCode::WriteBufferInconsistency, cpu,
+                                   addr);
+        lastL1Wb[cpu] = wb1.lastCompletion();
+        lastL2Wb[cpu] = wb2.lastCompletion();
+    }
+
+    std::vector<FindingKey> found;
+
+  private:
+    bool
+    legalEdge(LineState from, LineState to) const
+    {
+        const bool msi = cfg.protocol != CoherenceProtocol::Illinois;
+        if (msi && (from == LineState::Exclusive ||
+                    to == LineState::Exclusive))
+            return false; // MSI has no Exclusive state to enter or leave.
+        if (from == to || to == LineState::Invalid)
+            return true;
+        switch (from) {
+          case LineState::Invalid:
+            return true;
+          case LineState::Shared:
+            return to == LineState::Modified;
+          case LineState::Exclusive:
+            return to == LineState::Modified || to == LineState::Shared;
+          case LineState::Modified:
+            return to == LineState::Shared;
+        }
+        return false;
+    }
+
+    void
+    checkLine(Addr line)
+    {
+        unsigned owners = 0;
+        unsigned sharers = 0;
+        for (unsigned c = 0; c < cfg.numCpus; ++c) {
+            const LineState st = mem.l2State(CpuId(c), line);
+            owners += st == LineState::Modified ||
+                      st == LineState::Exclusive;
+            sharers += st == LineState::Shared;
+            if (st != LineState::Invalid)
+                continue;
+            for (Addr off = 0; off < cfg.l2LineSize; off += cfg.l1LineSize)
+                if (mem.l1Contains(CpuId(c), line + off))
+                    found.emplace_back(CheckCode::InclusionViolation,
+                                       CpuId(c), line + off);
+        }
+        if (owners > 1 || (owners == 1 && sharers > 0))
+            found.emplace_back(CheckCode::SwmrViolation, 0, line);
+    }
+
+    MachineConfig cfg;
+    const MemorySystem &mem;
+    std::unordered_set<Addr> touched;
+    std::vector<Cycles> lastL1Wb;
+    std::vector<Cycles> lastL2Wb;
+};
+
+/** A machine with caches small enough that every op conflicts. */
+MachineConfig
+tinyMachine(MachineConfig m)
+{
+    m.l1Size = 128;
+    m.l1LineSize = 16;
+    m.l2Size = 512;
+    m.l2LineSize = 32;
+    m.l2Ways = 2;
+    m.check();
+    return m;
+}
+
+/** Stats of one differential run (so the test can prove it bit). */
+struct DifferentialTally
+{
+    std::uint64_t steps = 0;
+    std::uint64_t findings = 0;
+};
+
+/**
+ * Drive random traffic and random fault injections through @p machine
+ * with both checkers attached; after every step, the findings each
+ * one raised during that step must agree as multisets.
+ */
+void
+runDifferential(const MachineConfig &machine, bool update_pages, Rng &rng,
+                DifferentialTally &tally)
+{
+    constexpr Addr updatePage = 0x10000;
+    constexpr Addr plainPage = 0x11000;
+    const std::unordered_set<Addr> pages{updatePage};
+
+    MemorySystem mem(machine);
+    if (update_pages)
+        mem.setUpdatePages(&pages);
+    CoherenceChecker checker(machine);
+    ReprobeReference reference(machine, mem);
+    mem.setObservers({&checker, &reference});
+
+    const auto pick_addr = [&] {
+        const Addr page = rng.chance(0.5) ? updatePage : plainPage;
+        return page + rng.below(48) * 16 + rng.below(4) * 4;
+    };
+    const auto pick_state = [&] { return LineState(rng.below(4)); };
+
+    std::size_t seen_new = 0;
+    std::size_t seen_ref = 0;
+    Cycles now = 0;
+    for (int step = 0; step < 400; ++step) {
+        const CpuId cpu = CpuId(rng.below(machine.numCpus));
+        const Addr addr = pick_addr();
+        now += rng.range(1, 60);
+        const std::uint64_t dice = rng.below(100);
+        if (dice < 40) {
+            mem.read(cpu, addr, now, osCtx());
+        } else if (dice < 75) {
+            mem.write(cpu, addr, now, osCtx());
+        } else if (dice < 85) {
+            mem.prefetch(cpu, addr, now, osCtx());
+        } else if (dice < 90) {
+            if (mem.l2State(cpu, addr) == LineState::Invalid)
+                mem.writeBypassLine(cpu, alignDown(addr, 32), now, osCtx());
+        } else if (dice < 93) {
+            BlockOp op;
+            op.kind = rng.chance(0.5) ? BlockOpKind::Copy : BlockOpKind::Zero;
+            op.src = alignDown(pick_addr(), 32);
+            op.dst = alignDown(pick_addr(), 32);
+            op.size = 64;
+            mem.dmaBlockOp(cpu, op, now);
+        } else {
+            mem.debugSetL2State(cpu, addr, pick_state());
+        }
+        if (checker.suppressedFindings() != 0)
+            return; // Past the reporting cap: verdicts are truncated.
+
+        std::vector<FindingKey> got;
+        for (std::size_t i = seen_new; i < checker.findings().size(); ++i) {
+            const CheckFinding &f = checker.findings()[i];
+            got.emplace_back(f.code, f.cpu, f.addr);
+        }
+        std::vector<FindingKey> want(reference.found.begin() + seen_ref,
+                                     reference.found.end());
+        seen_new = checker.findings().size();
+        seen_ref = reference.found.size();
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        ASSERT_EQ(got, want) << "step " << step;
+        ++tally.steps;
+        tally.findings += got.size();
+    }
+    checker.auditFull(mem);
+    for (const CheckFinding &f : checker.findings())
+        ASSERT_NE(f.code, CheckCode::ShadowMismatch) << format(f);
+}
+
+TEST(CoherenceCheckerDifferential, MatchesReprobeReferenceUnderFaults)
+{
+    Rng rng = testutil::testRng(1311);
+    MachineConfig msi = tinyMachine(MachineConfig::base());
+    msi.protocol = CoherenceProtocol::Msi;
+    const struct
+    {
+        const char *name;
+        MachineConfig machine;
+        bool updatePages;
+    } variants[] = {
+        {"2-way L2", tinyMachine(MachineConfig::base()), false},
+        {"numa(2,2)", tinyMachine(MachineConfig::numa(2, 2)), false},
+        {"MSI", msi, false},
+        {"update pages", tinyMachine(MachineConfig::base()), true},
+    };
+    for (const auto &v : variants) {
+        SCOPED_TRACE(v.name);
+        DifferentialTally tally;
+        for (int trial = 0; trial < testutil::propIters(30); ++trial) {
+            SCOPED_TRACE("trial " + std::to_string(trial));
+            runDifferential(v.machine, v.updatePages, rng, tally);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        std::printf("[differential] %s: %llu steps, %llu findings\n", v.name,
+                    (unsigned long long)tally.steps,
+                    (unsigned long long)tally.findings);
+        EXPECT_GT(tally.steps, 1000u);
+        EXPECT_GT(tally.findings, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -577,6 +926,22 @@ TEST(RaceDetectTest, FreqSharedIsWarningOnly)
     const auto findings = detectRaces(t);
     ASSERT_TRUE(hasCode(findings, CheckCode::UnlockedSharedWrite));
     EXPECT_EQ(countErrors(findings), 0u);
+}
+
+TEST(RaceDetectTest, WritersPastCpu31StayDistinct)
+{
+    // cpu 32 must not alias cpu 0 in the writer set.
+    Trace t(33);
+    const Addr shared = kernelSpaceBase + 0x400;
+    for (const CpuId c : {CpuId(0), CpuId(32)})
+        t.stream(c).push_back(TraceRecord::write(
+            shared, DataCategory::OtherShared, 0, true));
+    const auto findings = detectRaces(t);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings.front().code, CheckCode::UnlockedSharedWrite);
+    EXPECT_NE(findings.front().message.find("written by 2 processors"),
+              std::string::npos)
+        << findings.front().message;
 }
 
 TEST(RaceDetectTest, CrossCheckAnnotatesFindings)

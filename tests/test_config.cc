@@ -85,6 +85,15 @@ TEST(ConfigDeathTest, RejectsZeroCpus)
     EXPECT_DEATH(cfg.check(), "cpu");
 }
 
+TEST(ConfigDeathTest, RejectsMoreCpusThanCpuIdsName)
+{
+    MachineConfig cfg = MachineConfig::base();
+    cfg.numCpus = 255;
+    cfg.check();
+    cfg.numCpus = 256;
+    EXPECT_DEATH(cfg.check(), "at most 255 cpus");
+}
+
 TEST(ConfigDeathTest, RejectsBadAssociativity)
 {
     MachineConfig cfg = MachineConfig::base();

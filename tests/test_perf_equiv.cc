@@ -13,6 +13,9 @@
  *    update protocol;
  *  - a simulation with no observers performs no observer dispatch
  *    and no heap allocation on the steady-state hit path;
+ *  - the coherence checker never perturbs the outcome (checker on
+ *    equals checker off for every scheme, on two sockets, and under
+ *    the update protocol) and, once warm, allocates nothing either;
  *  - MarkTable behaves exactly like the three unordered sets it
  *    replaced (flags, populations, sorted snapshots, class clears,
  *    probe-chain integrity across backward-shift deletions and
@@ -222,15 +225,24 @@ TEST(BatchedEquivalence, SelectiveUpdateProtocol)
 
 TEST(BatchedEquivalence, BatchedAndSteppedAgreeAcrossObserverToggle)
 {
-    // The observer must not perturb the simulated outcome: bare and
+    // The checker must not perturb the simulated outcome: bare and
     // checked replays of the same trace produce the same statistics
-    // and the same memory image.
+    // and the same memory image, for every scheme on the flat and the
+    // two-socket machine, and under the selective update protocol.
     const Trace &trace = shortTrace(CoherenceOptions::none());
-    const ReplayResult bare = replay(trace, BlockScheme::Dma, false, false);
-    const ReplayResult checked = replay(trace, BlockScheme::Dma, true, false);
-    EXPECT_TRUE(bare.stats == checked.stats);
-    EXPECT_EQ(bare.memState, checked.memState);
-    EXPECT_EQ(bare.sysState, checked.sysState);
+    for (const MachineConfig &machine :
+         {MachineConfig::base(), MachineConfig::numa(2, 2)}) {
+        for (const BlockScheme scheme : allSchemes) {
+            SCOPED_TRACE(std::string(toString(scheme)) + " on " +
+                         std::to_string(machine.numSockets) + " socket(s)");
+            expectEquivalent(replay(trace, scheme, false, false, machine),
+                             replay(trace, scheme, true, false, machine));
+        }
+    }
+    SCOPED_TRACE("selective update");
+    const Trace &update = shortTrace(CoherenceOptions::relocUpdate());
+    expectEquivalent(replay(update, BlockScheme::Base, false, false),
+                     replay(update, BlockScheme::Base, true, false));
 }
 
 // ---------------------------------------------------------------------
@@ -314,6 +326,46 @@ TEST(NullObserver, SteadyStateHitPathDoesNotAllocate)
     EXPECT_EQ(after, before)
         << "steady-state L1 hits allocated " << (after - before)
         << " times";
+}
+
+TEST(CheckedSteadyState, PingPongWritesDoNotAllocate)
+{
+    // Two processors take turns writing every line of a warmed
+    // footprint: each write invalidates the other copy, so every
+    // operation drives transitions, primary drops and fills, and an
+    // operation-end check through the checker.
+    const MachineConfig machine = MachineConfig::base();
+    MemorySystem mem(machine);
+    CoherenceChecker checker(machine);
+    mem.setObserver(&checker);
+    AccessContext ctx;
+    Cycles t = 0;
+    const Addr base = 0x10000;
+    const Addr span = 8 * 1024;
+    const auto pass = [&] {
+        for (Addr a = base; a < base + span; a += 32) {
+            t = mem.write(0, a, t, ctx).completeAt;
+            t = mem.write(1, a, t, ctx).completeAt;
+        }
+    };
+    // Warm-up sizes the touched list, the line table and the
+    // multi-writer set, and the engine's own rings and marks.
+    pass();
+    pass();
+
+    const std::uint64_t before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    for (int round = 0; round < 8; ++round)
+        pass();
+    const std::uint64_t after =
+        g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after, before)
+        << "checked ping-pong writes allocated " << (after - before)
+        << " times";
+    EXPECT_GT(checker.transitions(), 0u);
+    EXPECT_EQ(checker.multiWriterLines().size(), span / 32);
+    checker.auditFull(mem);
+    EXPECT_TRUE(checker.clean()) << format(checker.findings().front());
 }
 
 // ---------------------------------------------------------------------

@@ -21,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include "check/invariants.hh"
 #include "common/binio.hh"
+#include "core/blockop/schemes.hh"
 #include "core/runner.hh"
 #include "core/system_config.hh"
 #include "sample/checkpoint.hh"
@@ -29,6 +31,7 @@
 #include "sample/plan.hh"
 #include "sample/run.hh"
 #include "sample/stats.hh"
+#include "sim/system.hh"
 #include "synth/generator.hh"
 #include "synth/stream_source.hh"
 #include "trace/source.hh"
@@ -535,6 +538,75 @@ TEST_F(SampleCheckpointFile, TruncatedBodyFailsResume)
         *machine, profile.simOptions(), BlockScheme::Base, opts);
     EXPECT_FALSE(outcome.ok);
     fs::remove(cut);
+}
+
+TEST_F(SampleCheckpointFile, ResumedRunStaysChecked)
+{
+    // The coherence checker stays attached across a resume and panics
+    // on any finding, so finishing the rest of the stream from a
+    // mid-run live point is a clean audit of the resumed replay.
+    const WorkloadProfile profile = smallProfile();
+    const SimOptions sim = profile.simOptions();
+    ASSERT_TRUE(sim.checkCoherence);
+    const auto open = [&]() -> std::unique_ptr<TraceSource> {
+        return std::make_unique<SynthTraceSource>(profile,
+                                                  CoherenceOptions::none());
+    };
+    SampleRunOptions opts;
+    opts.plan.period = 20'000;
+    opts.plan.warmup = 4'000;
+    opts.plan.measure = 2'000;
+    opts.saveCheckpoint = scratchPath("mid_run.oslp");
+    opts.checkpointAfter = 20'000;
+    const SampleRunOutcome full =
+        runSampled(open, *machine, sim, BlockScheme::Base, opts);
+    ASSERT_TRUE(full.ok) << full.error;
+
+    SampleRunOptions resume;
+    resume.resumeCheckpoint = opts.saveCheckpoint;
+    const SampleRunOutcome resumed =
+        runSampled(open, *machine, sim, BlockScheme::Base, resume);
+    ASSERT_TRUE(resumed.ok) << resumed.error;
+    ASSERT_NE(resumed.result.sample, nullptr);
+    EXPECT_EQ(resumed.result.sample->replayedRecords,
+              full.result.sample->replayedRecords);
+    fs::remove(opts.saveCheckpoint);
+}
+
+TEST_F(SampleCheckpointFile, DefectSeededAfterResumeIsCaught)
+{
+    std::ifstream is(*path, std::ios::in | std::ios::binary);
+    CheckpointReader reader(is);
+    std::string why;
+    ASSERT_TRUE(reader.readHeader(*machine, &why)) << why;
+
+    const WorkloadProfile profile = smallProfile();
+    const SimOptions opts = profile.simOptions();
+    SynthTraceSource source(profile, CoherenceOptions::none());
+    MemorySystem mem(*machine);
+    CoherenceChecker checker(*machine);
+    mem.setObserver(&checker);
+    SimStats stats;
+    SimStats warm;
+    std::vector<WindowSample> windows;
+    auto exec = makeBlockOpExecutor(BlockScheme::Base, mem, stats, opts);
+    System system(source, mem, *exec, opts, stats);
+    ASSERT_TRUE(reader.readState(mem, system, stats, warm, windows, &why))
+        << why;
+    checker.seed(mem);
+    checker.auditFull(mem);
+    ASSERT_TRUE(checker.clean()) << format(checker.findings().front());
+
+    // Give cpu 1 a Modified copy of a line cpu 0 already holds.
+    const std::vector<Addr> resident = mem.l2Cache(0).residentLines();
+    ASSERT_FALSE(resident.empty());
+    const Addr line = resident.front();
+    mem.debugSetL2State(1, line, LineState::Modified);
+    EXPECT_TRUE(checker.clean());
+    mem.write(1, line, 0, AccessContext{});
+    ASSERT_FALSE(checker.clean());
+    for (const CheckFinding &f : checker.findings())
+        EXPECT_EQ(f.code, CheckCode::SwmrViolation) << format(f);
 }
 
 // ---------------------------------------------------------------------

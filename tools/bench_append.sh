@@ -23,8 +23,10 @@
 # The `perf` mode measures raw replay throughput: it configures a
 # Release+LTO tree if the given build-dir has none, runs the
 # bench/perf_simulator replay section (all four workloads, bare and
-# checked, min-of-2 each), and appends the accesses/sec numbers to
-# BENCH_perf.json — the series tools/run_checks.sh gates against.
+# checked, min-of-2 each) three times, keeps the best of the three per
+# workload, bare and checked alike — the statistic the tools/run_checks.sh
+# gate measures — and appends the accesses/sec numbers to
+# BENCH_perf.json, the series that gate compares against.
 set -eu
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
@@ -42,24 +44,37 @@ if [ "${1:-}" = "perf" ]; then
     cmake --build "$build" -j "$(nproc 2>/dev/null || echo 4)" \
         --target perf_simulator > /dev/null
 
-    echo "== replay throughput (4 workloads, bare + checked) =="
-    OSCACHE_BENCH_PERF_OUT="$scratch/perf.json" \
-        "$build/bench/perf_simulator" --benchmark_filter=NONE \
-        > /dev/null
+    echo "== replay throughput (4 workloads, bare + checked, best of 3) =="
+    for run in 1 2 3; do
+        OSCACHE_BENCH_PERF_OUT="$scratch/perf-$run.json" \
+            "$build/bench/perf_simulator" --benchmark_filter=NONE \
+            > /dev/null
+    done
 
-    python3 - "$bench" "$scratch/perf.json" "$label" << 'EOF'
+    python3 - "$bench" "$label" "$scratch"/perf-*.json << 'EOF'
 import json, os, sys, datetime
 
-bench_path, perf_path, label = sys.argv[1:4]
+bench_path, label = sys.argv[1:3]
 
 # The perf_simulator output is only fully valid JSON when the micro
 # benchmarks run; index-scan the replay array out instead of parsing
-# the whole document.
-text = open(perf_path).read()
-i = text.index('"replay"')
-j = text.index('[', i)
-k = text.index(']', j)
-rows = json.loads(text[j:k + 1])
+# the whole document.  Keep each workload's fastest bare and fastest
+# checked replay across the runs.
+best = {}
+for perf_path in sys.argv[3:]:
+    text = open(perf_path).read()
+    i = text.index('"replay"')
+    j = text.index('[', i)
+    k = text.index(']', j)
+    for r in json.loads(text[j:k + 1]):
+        row = best.setdefault(r["workload"], dict(r))
+        if r["bare_ms"] < row["bare_ms"]:
+            for key in ("bare_ms", "accesses_per_sec", "records_per_sec"):
+                row[key] = r[key]
+        if r["checked_ms"] < row["checked_ms"]:
+            for key in ("checked_ms", "checked_accesses_per_sec"):
+                row[key] = r[key]
+rows = list(best.values())
 
 doc = json.load(open(bench_path))
 entry = {

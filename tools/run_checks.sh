@@ -232,13 +232,15 @@ echo "== serve: fleet smoke (4 workers, 8 clients, kill -9) =="
 # Performance stage: an optimized build must (a) still pass the
 # batched-replay/MarkTable safety net (`ctest -L Perf` — the ASan
 # ctest above already ran it unoptimized) and (b) hold the replay
-# throughput recorded in BENCH_perf.json.  The replay benchmarks run
-# flat-bus machines, so this doubles as the guard that the NUMA
-# branches stayed off the single-socket fast path.  Throughput is measured as
-# the perf_simulator replay section (min-of-2 per workload) on a
-# Release+LTO tree; any workload more than 5% below the latest
-# BENCH_perf.json entry fails the sweep.  After an intentional
-# engine change, re-baseline with `tools/bench_append.sh perf`.
+# throughput recorded in BENCH_perf.json, both bare and checked (the
+# coherence checker attached, as in every default cell).  The replay
+# benchmarks run flat-bus machines, so this doubles as the guard that
+# the NUMA branches stayed off the single-socket fast path.
+# Throughput is measured as the perf_simulator replay section
+# (min-of-2 per workload) on a Release+LTO tree; any workload more
+# than 5% below the latest BENCH_perf.json entry, bare or checked,
+# fails the sweep.  After an intentional engine or checker change,
+# re-baseline with `tools/bench_append.sh perf`.
 perf_build="$build-perf"
 echo "== configure perf ($perf_build, Release+LTO) =="
 cmake -B "$perf_build" -S "$repo" -DCMAKE_BUILD_TYPE=Release \
@@ -253,7 +255,7 @@ ctest --test-dir "$perf_build" --output-on-failure -j "$jobs" -L Perf
 
 # Three full invocations, best per workload: a single run can lose
 # 15% to transient machine load, which would flake a 5% gate.
-echo "== perf gate: replay throughput vs BENCH_perf.json =="
+echo "== perf gate: bare and checked replay throughput vs BENCH_perf.json =="
 for run in 1 2 3; do
     OSCACHE_BENCH_PERF_OUT="$tracedir/perf-$run.json" \
         "$perf_build/bench/perf_simulator" --benchmark_filter=NONE \
@@ -263,6 +265,8 @@ python3 - "$repo/BENCH_perf.json" "$tracedir"/perf-*.json << 'EOF'
 import json, sys
 
 bench_path = sys.argv[1]
+metrics = ("accesses_per_sec", "checked_accesses_per_sec")
+# Best of the runs, per workload and per metric.
 measured = {}
 for perf_path in sys.argv[2:]:
     text = open(perf_path).read()
@@ -270,9 +274,9 @@ for perf_path in sys.argv[2:]:
     j = text.index('[', i)
     k = text.index(']', j)
     for r in json.loads(text[j:k + 1]):
-        best = measured.get(r["workload"])
-        if best is None or r["accesses_per_sec"] > best["accesses_per_sec"]:
-            measured[r["workload"]] = r
+        best = measured.setdefault(r["workload"], {})
+        for m in metrics:
+            best[m] = max(best.get(m, 0.0), r[m])
 
 baseline_entry = json.load(open(bench_path))["entries"][-1]
 baseline = {r["workload"]: r for r in baseline_entry["workloads"]}
@@ -284,13 +288,14 @@ for name, base in sorted(baseline.items()):
         print("perf gate: workload %s missing from run" % name)
         failed = True
         continue
-    ratio = got["accesses_per_sec"] / base["accesses_per_sec"]
-    status = "ok" if ratio >= 0.95 else "REGRESSED"
-    print("  %-11s %6.2fM acc/s vs baseline %6.2fM (%.2fx) %s"
-          % (name, got["accesses_per_sec"] / 1e6,
-             base["accesses_per_sec"] / 1e6, ratio, status))
-    if ratio < 0.95:
-        failed = True
+    for m in metrics:
+        ratio = got[m] / base[m]
+        status = "ok" if ratio >= 0.95 else "REGRESSED"
+        print("  %-11s %-7s %6.2fM acc/s vs baseline %6.2fM (%.2fx) %s"
+              % (name, "checked" if m.startswith("checked") else "bare",
+                 got[m] / 1e6, base[m] / 1e6, ratio, status))
+        if ratio < 0.95:
+            failed = True
 if failed:
     print("perf gate failed: >5%% regression vs entry dated %s (%s)"
           % (baseline_entry["date"], baseline_entry["label"]))
