@@ -21,6 +21,7 @@
 #include "core/blockop/schemes.hh"
 #include "core/hotspot/hotspot.hh"
 #include "mem/memsys.hh"
+#include "obs/hub.hh"
 #include "report/experiment.hh"
 #include "sim/system.hh"
 #include "synth/generator.hh"
@@ -185,9 +186,11 @@ workloadTimingsJson(double &total_ms)
  * Replay throughput of the engine on the four full-workload traces —
  * the accesses/sec numbers the perf regression gate tracks.  Each
  * workload is replayed twice on the bare engine (no observer; the
- * production fast path) and twice with the coherence checker attached
- * (the default experiment-cell configuration); the faster of each
- * pair is reported, so one scheduling hiccup cannot fail the gate.
+ * production fast path), twice with the coherence checker attached
+ * (the default experiment-cell configuration), and twice observed:
+ * the checker plus a metrics and profiler hub, as `oscache-bench
+ * --metrics` runs a cell.  The faster of each pair is reported, so one
+ * scheduling hiccup cannot fail the gate.
  */
 std::string
 replayThroughputJson()
@@ -201,20 +204,29 @@ replayThroughputJson()
         const SimOptions opts = p.simOptions();
         std::uint64_t accesses = 0;
 
-        const auto replay_once = [&](bool checked) {
+        const auto replay_once = [&](bool checked, bool observed) {
             SimStats stats;
             MemorySystem mem(MachineConfig::base());
             std::unique_ptr<CoherenceChecker> checker;
-            if (checked) {
+            if (checked)
                 checker = std::make_unique<CoherenceChecker>(mem.config());
-                mem.setObserver(checker.get());
+            std::unique_ptr<ObsHub> hub;
+            if (observed) {
+                ObsOptions obs;
+                obs.metrics = true;
+                obs.profiler = true;
+                hub = std::make_unique<ObsHub>(obs);
+                hub->attach(mem);
             }
+            mem.setObservers({checker.get(), hub.get()});
             auto exec =
                 makeBlockOpExecutor(BlockScheme::Base, mem, stats, opts);
             System system(trace, mem, *exec, opts, stats);
             using clock = std::chrono::steady_clock;
             const auto t0 = clock::now();
             system.run();
+            if (hub)
+                hub->finish();
             const auto t1 = clock::now();
             accesses = stats.totalReads() + stats.userWrites +
                        stats.osWrites;
@@ -223,9 +235,11 @@ replayThroughputJson()
         };
 
         const double bare_ms =
-            std::min(replay_once(false), replay_once(false));
+            std::min(replay_once(false, false), replay_once(false, false));
         const double checked_ms =
-            std::min(replay_once(true), replay_once(true));
+            std::min(replay_once(true, false), replay_once(true, false));
+        const double observed_ms =
+            std::min(replay_once(true, true), replay_once(true, true));
         const std::uint64_t records = trace.totalRecords();
         const auto per_sec = [](std::uint64_t n, double ms) {
             return ms > 0.0 ? double(n) * 1000.0 / ms : 0.0;
@@ -238,7 +252,10 @@ replayThroughputJson()
            << ",\"records_per_sec\":" << per_sec(records, bare_ms)
            << ",\"checked_ms\":" << checked_ms
            << ",\"checked_accesses_per_sec\":"
-           << per_sec(accesses, checked_ms) << "}";
+           << per_sec(accesses, checked_ms)
+           << ",\"observed_ms\":" << observed_ms
+           << ",\"observed_accesses_per_sec\":"
+           << per_sec(accesses, observed_ms) << "}";
         first = false;
     }
     js << "\n  ]";

@@ -31,17 +31,8 @@ runOnce(TraceSource &source, const MachineConfig &machine,
     std::unique_ptr<ObsHub> hub;
     if (obs_opts.any()) {
         hub = std::make_unique<ObsHub>(obs_opts);
-        hub->setMemorySystem(&mem);
-        mem.bus().setProbe(hub.get());
-        if (mem.numaActive()) {
-            for (unsigned s = 0; s < machine.numSockets; ++s)
-                mem.socketBus(s).setProbe(hub.get());
-            mem.linkBus().setProbe(hub->linkProbe());
-        }
+        hub->attach(mem);
     }
-
-    // Checker and hub tap the flat observer fan-out directly — no
-    // intermediate mux hop on the per-event path.
     mem.setObservers({checker.get(), hub.get()});
 
     auto executor = makeBlockOpExecutor(scheme, mem, result.stats, options);
@@ -59,40 +50,48 @@ runOnce(TraceSource &source, const MachineConfig &machine,
                   format(checker->findings().front()));
     }
 
-    const auto fold = [&result](const Bus &bus) {
-        result.bus.totalBytes += bus.totalBytes();
-        result.bus.totalTransactions += bus.totalTransactions();
-        result.bus.busyCycles += bus.totalBusyCycles();
-        result.bus.fillBytes += bus.bytes(BusTxn::LineFill);
-        result.bus.writebackBytes += bus.bytes(BusTxn::WriteBack);
-        result.bus.invalidateTransactions +=
-            bus.transactions(BusTxn::Invalidate);
-        result.bus.updateTransactions += bus.transactions(BusTxn::Update);
-        result.bus.updateBytes += bus.bytes(BusTxn::Update);
-        result.bus.dmaBytes += bus.bytes(BusTxn::Dma);
-    };
-    if (!mem.numaActive()) {
-        fold(mem.bus());
-        return result;
-    }
-    // Per-kind totals aggregate across the socket buses; the link and
-    // the directory-filter counters are reported on their own.
-    for (unsigned s = 0; s < machine.numSockets; ++s)
-        fold(mem.socketBus(s));
-    const Bus &link = mem.linkBus();
-    result.bus.numSockets = machine.numSockets;
-    result.bus.linkTransactions = link.totalTransactions();
-    result.bus.linkBytes = link.totalBytes();
-    result.bus.linkBusyCycles = link.totalBusyCycles();
-    const MemorySystem::NumaCounters nc = mem.numaCounters();
-    result.bus.snoopsFiltered = nc.snoopsFiltered;
-    result.bus.snoopsForwarded = nc.snoopsForwarded;
-    result.bus.localHomeReads = nc.localHomeReads;
-    result.bus.remoteHomeReads = nc.remoteHomeReads;
+    result.bus = busSnapshot(mem);
     return result;
 }
 
 } // namespace
+
+BusSnapshot
+busSnapshot(const MemorySystem &mem)
+{
+    BusSnapshot snap;
+    const auto fold = [&snap](const Bus &bus) {
+        snap.totalBytes += bus.totalBytes();
+        snap.totalTransactions += bus.totalTransactions();
+        snap.busyCycles += bus.totalBusyCycles();
+        snap.fillBytes += bus.bytes(BusTxn::LineFill);
+        snap.writebackBytes += bus.bytes(BusTxn::WriteBack);
+        snap.invalidateTransactions += bus.transactions(BusTxn::Invalidate);
+        snap.updateTransactions += bus.transactions(BusTxn::Update);
+        snap.updateBytes += bus.bytes(BusTxn::Update);
+        snap.dmaBytes += bus.bytes(BusTxn::Dma);
+    };
+    if (!mem.numaActive()) {
+        fold(mem.bus());
+        return snap;
+    }
+    // Per-kind totals aggregate across the socket buses; the link and
+    // the directory-filter counters are reported on their own.
+    const unsigned sockets = mem.config().numSockets;
+    for (unsigned s = 0; s < sockets; ++s)
+        fold(mem.socketBus(s));
+    const Bus &link = mem.linkBus();
+    snap.numSockets = sockets;
+    snap.linkTransactions = link.totalTransactions();
+    snap.linkBytes = link.totalBytes();
+    snap.linkBusyCycles = link.totalBusyCycles();
+    const MemorySystem::NumaCounters nc = mem.numaCounters();
+    snap.snoopsFiltered = nc.snoopsFiltered;
+    snap.snoopsForwarded = nc.snoopsForwarded;
+    snap.localHomeReads = nc.localHomeReads;
+    snap.remoteHomeReads = nc.remoteHomeReads;
+    return snap;
+}
 
 RunResult
 runOnTrace(const Trace &trace, const MachineConfig &machine,

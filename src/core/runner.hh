@@ -31,6 +31,8 @@
 namespace oscache
 {
 
+class MemorySystem;
+
 namespace sample
 {
 struct SampleReport;
@@ -71,6 +73,9 @@ struct BusSnapshot
     std::uint64_t remoteHomeReads = 0;
     /** @} */
 };
+
+/** The bus-level results of @p mem's buses so far. */
+BusSnapshot busSnapshot(const MemorySystem &mem);
 
 /** Everything one simulation run produces. */
 struct RunResult

@@ -51,8 +51,8 @@ namespace dft
 
 /**
  * The observer half of the differ.  Attach with mem.setObserver()
- * (or through a MemEventObserverMux) before the run, drive the run,
- * then call finish() for the end-of-run audit.
+ * (or as one tap of mem.setObservers()) before the run, drive the
+ * run, then call finish() for the end-of-run audit.
  */
 class OracleDiffer : public MemEventObserver
 {

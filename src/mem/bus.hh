@@ -84,6 +84,9 @@ class Bus
     /** Attach (or, with nullptr, detach) the observability probe. */
     void setProbe(BusProbe *p) { probe = p; }
 
+    /** The attached probe, or nullptr. */
+    BusProbe *attachedProbe() const { return probe; }
+
     /** Cycle at which the bus next becomes free. */
     Cycles nextFree() const { return freeAt; }
 

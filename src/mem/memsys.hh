@@ -231,8 +231,8 @@ class MemorySystem
 
     /**
      * Attach several observers at once (nulls are skipped) through
-     * the flat fan-out — check / obs / dft taps without the extra
-     * virtual hop a MemEventObserverMux would cost per event.
+     * the flat fan-out — check / obs / dft taps, one virtual call per
+     * interested tap and event.
      */
     void
     setObservers(std::initializer_list<MemEventObserver *> taps)

@@ -17,8 +17,6 @@
 #ifndef OSCACHE_MEM_OBSERVER_HH
 #define OSCACHE_MEM_OBSERVER_HH
 
-#include <vector>
-
 #include "common/log.hh"
 #include "common/types.hh"
 #include "mem/access.hh"
@@ -247,13 +245,14 @@ struct MemEventObserver
 
 /**
  * Flat, devirtualized observer fan-out: a fixed array of taps the
- * memory system iterates inline.  Unlike MemEventObserverMux (one
- * virtual hop into the mux, then one per child), the fan-out's
- * forwarders are non-virtual and inlined into the notify helpers, so
- * an event costs exactly one `active()` branch when nothing is
- * attached and one virtual call per tap otherwise.  The
- * wantsAccessEvents() answer is cached at attach time, collapsing the
- * per-access gate to a single flag test.
+ * memory system iterates inline.  The forwarders are non-virtual and
+ * inlined into the notify helpers, so an event costs exactly one
+ * `active()` branch when nothing is attached and one virtual call per
+ * tap otherwise.  Per-access events (and the operation-input taps
+ * gated with them) reach only the taps whose wantsAccessEvents() is
+ * true, and onOperationBegin only those whose wantsOperationBegin()
+ * is; both answers are cached at attach time, so the per-access gate
+ * is a single flag test.
  */
 class ObserverFanout
 {
@@ -265,8 +264,8 @@ class ObserverFanout
     clear()
     {
         count = 0;
+        accessCount = 0;
         beginCount = 0;
-        wantsAccess = false;
     }
 
     /** Attach @p observer (ignored when null). */
@@ -278,9 +277,10 @@ class ObserverFanout
         if (count >= maxTaps)
             panic("ObserverFanout: more than ", maxTaps, " taps");
         taps[count++] = observer;
+        if (observer->wantsAccessEvents())
+            accessTaps[accessCount++] = observer;
         if (observer->wantsOperationBegin())
             beginTaps[beginCount++] = observer;
-        wantsAccess = wantsAccess || observer->wantsAccessEvents();
     }
 
     bool active() const { return count != 0; }
@@ -288,7 +288,7 @@ class ObserverFanout
     unsigned size() const { return count; }
 
     /** Cached any-tap wantsAccessEvents() (hot-path gate). */
-    bool wantsAccessEvents() const { return wantsAccess; }
+    bool wantsAccessEvents() const { return accessCount != 0; }
 
     /** The sole tap when exactly one is attached, else nullptr. */
     MemEventObserver *
@@ -300,8 +300,8 @@ class ObserverFanout
     void
     onAccess(const MemAccessEvent &event) const
     {
-        for (unsigned i = 0; i < count; ++i)
-            taps[i]->onAccess(event);
+        for (unsigned i = 0; i < accessCount; ++i)
+            accessTaps[i]->onAccess(event);
     }
 
     void
@@ -359,156 +359,33 @@ class ObserverFanout
     void
     onCodeFill(CpuId cpu, Addr addr, std::uint32_t bytes) const
     {
-        for (unsigned i = 0; i < count; ++i)
-            taps[i]->onCodeFill(cpu, addr, bytes);
+        for (unsigned i = 0; i < accessCount; ++i)
+            accessTaps[i]->onCodeFill(cpu, addr, bytes);
     }
 
     void
     onDma(CpuId cpu, const BlockOp &op) const
     {
-        for (unsigned i = 0; i < count; ++i)
-            taps[i]->onDma(cpu, op);
+        for (unsigned i = 0; i < accessCount; ++i)
+            accessTaps[i]->onDma(cpu, op);
     }
 
     void
     onBufferPrefetchFill(CpuId cpu, Addr addr) const
     {
-        for (unsigned i = 0; i < count; ++i)
-            taps[i]->onBufferPrefetchFill(cpu, addr);
+        for (unsigned i = 0; i < accessCount; ++i)
+            accessTaps[i]->onBufferPrefetchFill(cpu, addr);
     }
 
   private:
     MemEventObserver *taps[maxTaps] = {};
     unsigned count = 0;
+    /** The taps that asked for per-access events. */
+    MemEventObserver *accessTaps[maxTaps] = {};
+    unsigned accessCount = 0;
     /** The taps that asked for onOperationBegin. */
     MemEventObserver *beginTaps[maxTaps] = {};
     unsigned beginCount = 0;
-    bool wantsAccess = false;
-};
-
-/**
- * Fan-out observer: forwards every event to each attached observer in
- * attachment order.  Used when a run wants both the coherence checker
- * and the observability hub on the same memory system.
- *
- * Retained for consumers that need a MemEventObserver-shaped bundle;
- * the memory system itself fans out through the flat ObserverFanout
- * above (setObservers()), which skips the extra virtual hop.
- */
-class MemEventObserverMux : public MemEventObserver
-{
-  public:
-    /** Attach @p observer (ignored when null). */
-    void
-    add(MemEventObserver *observer)
-    {
-        if (observer != nullptr)
-            list.push_back(observer);
-    }
-
-    bool empty() const { return list.empty(); }
-
-    bool
-    wantsAccessEvents() const override
-    {
-        for (MemEventObserver *o : list)
-            if (o->wantsAccessEvents())
-                return true;
-        return false;
-    }
-
-    bool
-    wantsOperationBegin() const override
-    {
-        for (MemEventObserver *o : list)
-            if (o->wantsOperationBegin())
-                return true;
-        return false;
-    }
-
-    void
-    onAccess(const MemAccessEvent &event) override
-    {
-        for (MemEventObserver *o : list)
-            o->onAccess(event);
-    }
-
-    void
-    onBlockOp(CpuId cpu, const BlockOp &op, Cycles start,
-              Cycles end) override
-    {
-        for (MemEventObserver *o : list)
-            o->onBlockOp(cpu, op, start, end);
-    }
-
-    void
-    onL2Transition(CpuId cpu, Addr l2_line, LineState from,
-                   LineState to) override
-    {
-        for (MemEventObserver *o : list)
-            o->onL2Transition(cpu, l2_line, from, to);
-    }
-
-    void
-    onL1Fill(CpuId cpu, Addr l1_line) override
-    {
-        for (MemEventObserver *o : list)
-            o->onL1Fill(cpu, l1_line);
-    }
-
-    void
-    onL1Drop(CpuId cpu, Addr l1_line) override
-    {
-        for (MemEventObserver *o : list)
-            o->onL1Drop(cpu, l1_line);
-    }
-
-    void
-    onOperationBegin(const MemorySystem &mem, MemOpKind op, CpuId cpu,
-                     Addr addr) override
-    {
-        for (MemEventObserver *o : list)
-            o->onOperationBegin(mem, op, cpu, addr);
-    }
-
-    void
-    onDmaBegin(CpuId cpu, const BlockOp &op) override
-    {
-        for (MemEventObserver *o : list)
-            o->onDmaBegin(cpu, op);
-    }
-
-    void
-    onOperationEnd(const MemorySystem &mem, MemOpKind op, CpuId cpu,
-                   Addr addr) override
-    {
-        for (MemEventObserver *o : list)
-            o->onOperationEnd(mem, op, cpu, addr);
-    }
-
-    void
-    onCodeFill(CpuId cpu, Addr addr, std::uint32_t bytes) override
-    {
-        for (MemEventObserver *o : list)
-            o->onCodeFill(cpu, addr, bytes);
-    }
-
-    void
-    onDma(CpuId cpu, const BlockOp &op) override
-    {
-        for (MemEventObserver *o : list)
-            o->onDma(cpu, op);
-    }
-
-    void
-    onBufferPrefetchFill(CpuId cpu, Addr addr) override
-    {
-        for (MemEventObserver *o : list)
-            o->onBufferPrefetchFill(cpu, addr);
-    }
-
-  private:
-    std::vector<MemEventObserver *> list;
 };
 
 } // namespace oscache

@@ -1,5 +1,7 @@
 #include "obs/hub.hh"
 
+#include <algorithm>
+
 #include "mem/memsys.hh"
 #include "trace/blockop.hh"
 
@@ -46,32 +48,69 @@ ObsHub::ObsHub(const ObsOptions &options)
     : opts(options), timeline(opts.timeline ? opts.timelineCapacity : 0),
       busOccupancy(opts.windowCycles), writeBufferDepth(opts.windowCycles),
       linkOccupancy(opts.windowCycles)
+{}
+
+void
+ObsHub::attach(MemorySystem &mem)
 {
-    if (!opts.metrics)
+    memsys = &mem;
+    if (!mem.numaActive()) {
+        mem.bus().setProbe(this);
+        buses.push_back(&mem.bus());
+    } else {
+        for (unsigned s = 0; s < mem.config().numSockets; ++s) {
+            mem.socketBus(s).setProbe(this);
+            buses.push_back(&mem.socketBus(s));
+        }
+        mem.linkBus().setProbe(&linkTap);
+        links.push_back(&mem.linkBus());
+    }
+    if (enabled)
+        openWindow();
+}
+
+ObsHub::Traffic
+ObsHub::trafficOf(const std::vector<const Bus *> &of)
+{
+    Traffic t;
+    for (const Bus *bus : of) {
+        t.txns += bus->totalTransactions();
+        t.bytes += bus->totalBytes();
+        t.busyCycles += bus->totalBusyCycles();
+    }
+    return t;
+}
+
+void
+ObsHub::openWindow()
+{
+    busAtOpen = trafficOf(buses);
+    linkAtOpen = trafficOf(links);
+}
+
+void
+ObsHub::closeWindow()
+{
+    const auto add = [](Traffic &seen, const Traffic &open,
+                        const Traffic &now) {
+        seen.txns += now.txns - open.txns;
+        seen.bytes += now.bytes - open.bytes;
+        seen.busyCycles += now.busyCycles - open.busyCycles;
+    };
+    add(busSeen, busAtOpen, trafficOf(buses));
+    add(linkSeen, linkAtOpen, trafficOf(links));
+}
+
+void
+ObsHub::setEnabled(bool on)
+{
+    if (on == enabled)
         return;
-    // Register everything up front: the registry freezes its layout
-    // at the first record.
-    cReads = metrics.counter("mem.reads");
-    cWrites = metrics.counter("mem.writes");
-    cPrefetchIssued = metrics.counter("mem.prefetch.issued");
-    cPrefetchDropped = metrics.counter("mem.prefetch.dropped");
-    cL1Miss = metrics.counter("mem.l1.read_miss");
-    cMissCoherence = metrics.counter("mem.miss.coherence");
-    cMissOther = metrics.counter("mem.miss.other");
-    cPartiallyHidden = metrics.counter("mem.miss.partially_hidden");
-    cL1Fills = metrics.counter("mem.l1.fills");
-    cL1Drops = metrics.counter("mem.l1.drops");
-    cL2Invalidations = metrics.counter("mem.l2.invalidations");
-    cBlockOps = metrics.counter("blockop.count");
-    cBusTxns = metrics.counter("bus.txns");
-    cBusBytes = metrics.counter("bus.bytes");
-    cBusBusyCycles = metrics.counter("bus.busy_cycles");
-    cBusWaitCycles = metrics.counter("bus.wait_cycles");
-    hReadStall = metrics.histogram("mem.read.stall_cycles");
-    hBusWait = metrics.histogram("bus.wait");
-    hBlockOpCycles = metrics.histogram("blockop.cycles");
-    hWbDepth = metrics.histogram("wb.l2.depth");
-    gLastCycle = metrics.gauge("sim.last_cycle");
+    enabled = on;
+    if (on)
+        openWindow();
+    else
+        closeWindow();
 }
 
 bool
@@ -79,8 +118,7 @@ ObsHub::wantsAccessEvents() const
 {
     // busWindows needs per-access completions too: write-buffer depth
     // is sampled at each operation end.
-    return opts.metrics || opts.timeline || opts.profiler ||
-           opts.busWindows;
+    return opts.any();
 }
 
 bool
@@ -104,34 +142,27 @@ ObsHub::onAccess(const MemAccessEvent &event)
     if (opts.metrics) {
         switch (event.kind) {
           case MemOpKind::Read:
-            cReads.add();
+            ++reads;
             break;
           case MemOpKind::Write:
           case MemOpKind::BypassWrite:
-            cWrites.add();
+            ++writes;
             break;
           case MemOpKind::Prefetch:
-            if (event.dropped)
-                cPrefetchDropped.add();
-            else
-                cPrefetchIssued.add();
+            ++(event.dropped ? prefetchDropped : prefetchIssued);
             break;
           default:
             break;
         }
         if (event.result.l1Miss && event.kind == MemOpKind::Read) {
-            cL1Miss.add();
-            if (event.result.cause == MissCause::Coherence)
-                cMissCoherence.add();
-            else
-                cMissOther.add();
-            if (event.result.partiallyHidden)
-                cPartiallyHidden.add();
-            hReadStall.record(event.result.stall);
+            missCoherence += event.result.cause == MissCause::Coherence;
+            partiallyHidden += event.result.partiallyHidden;
+            readStall.record(event.result.stall);
         }
-        if (tick)
-            gLastCycle.set(
-                static_cast<double>(event.result.completeAt));
+        if (tick) {
+            lastCycle.value = static_cast<double>(event.result.completeAt);
+            lastCycle.assigned = true;
+        }
     }
 
     const std::size_t wb_depth =
@@ -144,7 +175,7 @@ ObsHub::onAccess(const MemAccessEvent &event)
         if (opts.busWindows)
             writeBufferDepth.sample(event.result.completeAt, wb_depth);
         if (opts.metrics)
-            hWbDepth.record(wb_depth);
+            wbDepth.record(wb_depth);
     }
 
     if (opts.timeline && tick) {
@@ -174,9 +205,9 @@ ObsHub::onBlockOp(CpuId cpu, const BlockOp &op, Cycles start, Cycles end)
     if (!enabled)
         return;
     if (opts.metrics) {
-        cBlockOps.add();
-        hBlockOpCycles.record(end - start);
-        gLastCycle.set(static_cast<double>(end));
+        blockOpCycles.record(end - start);
+        lastCycle.value = static_cast<double>(end);
+        lastCycle.assigned = true;
     }
     // Block operations are rare and long: always traced, never
     // decimated.
@@ -194,7 +225,7 @@ ObsHub::onL2Transition(CpuId cpu, Addr l2_line, LineState from,
     if (to != LineState::Invalid || from == LineState::Invalid)
         return;
     if (opts.metrics)
-        cL2Invalidations.add();
+        ++l2Invalidations;
     // The transition callback carries no cycle; the grant time of the
     // bus transaction that caused it (tracked in onBusAcquire) is the
     // best available timestamp.
@@ -206,33 +237,19 @@ ObsHub::onL2Transition(CpuId cpu, Addr l2_line, LineState from,
 void
 ObsHub::onL1Fill(CpuId cpu, Addr l1_line)
 {
-    if (!enabled)
-        return;
     (void)cpu;
     (void)l1_line;
-    if (opts.metrics)
-        cL1Fills.add();
+    if (enabled && opts.metrics)
+        ++l1Fills;
 }
 
 void
 ObsHub::onL1Drop(CpuId cpu, Addr l1_line)
 {
-    if (!enabled)
-        return;
     (void)cpu;
     (void)l1_line;
-    if (opts.metrics)
-        cL1Drops.add();
-}
-
-void
-ObsHub::onOperationEnd(const MemorySystem &mem, MemOpKind op, CpuId cpu,
-                       Addr addr)
-{
-    (void)mem;
-    (void)op;
-    (void)cpu;
-    (void)addr;
+    if (enabled && opts.metrics)
+        ++l1Drops;
 }
 
 void
@@ -241,34 +258,14 @@ ObsHub::onBusAcquire(BusTxn kind, Cycles requested, Cycles grant,
 {
     if (!enabled)
         return;
-    const Cycles wait = grant - requested;
     approxNow = grant;
-    if (opts.metrics) {
-        cBusTxns.add();
-        cBusBytes.add(bytes);
-        cBusBusyCycles.add(occupancy);
-        cBusWaitCycles.add(wait);
-        hBusWait.record(wait);
-    }
+    if (opts.metrics)
+        busWait.record(grant - requested);
     if (opts.busWindows)
         busOccupancy.addSpan(grant, occupancy);
     if (opts.timeline && sampleTick())
         timeline.span(busTxnName(kind), "bus", grant, grant + occupancy,
                       busLane, "bytes", bytes);
-}
-
-BusProbe *
-ObsHub::linkProbe()
-{
-    if (opts.metrics && !linkMetricsReady) {
-        cLinkTxns = metrics.counter("link.txns");
-        cLinkBytes = metrics.counter("link.bytes");
-        cLinkBusyCycles = metrics.counter("link.busy_cycles");
-        cLinkWaitCycles = metrics.counter("link.wait_cycles");
-        hLinkWait = metrics.histogram("link.wait");
-        linkMetricsReady = true;
-    }
-    return &linkTap;
 }
 
 void
@@ -277,14 +274,8 @@ ObsHub::onLinkAcquire(BusTxn kind, Cycles requested, Cycles grant,
 {
     if (!enabled)
         return;
-    const Cycles wait = grant - requested;
-    if (opts.metrics && linkMetricsReady) {
-        cLinkTxns.add();
-        cLinkBytes.add(bytes);
-        cLinkBusyCycles.add(occupancy);
-        cLinkWaitCycles.add(wait);
-        hLinkWait.record(wait);
-    }
+    if (opts.metrics)
+        linkWait.record(grant - requested);
     if (opts.busWindows)
         linkOccupancy.addSpan(grant, occupancy);
     if (opts.timeline && sampleTick())
@@ -292,13 +283,56 @@ ObsHub::onLinkAcquire(BusTxn kind, Cycles requested, Cycles grant,
                       grant + occupancy, linkLane, "bytes", bytes);
 }
 
+MetricsSnapshot
+ObsHub::metricsSnapshot() const
+{
+    MetricsSnapshot snap;
+    snap.counters = {
+        {"mem.reads", reads},
+        {"mem.writes", writes},
+        {"mem.prefetch.issued", prefetchIssued},
+        {"mem.prefetch.dropped", prefetchDropped},
+        {"mem.l1.read_miss", readStall.count},
+        {"mem.miss.coherence", missCoherence},
+        {"mem.miss.other", readStall.count - missCoherence},
+        {"mem.miss.partially_hidden", partiallyHidden},
+        {"mem.l1.fills", l1Fills},
+        {"mem.l1.drops", l1Drops},
+        {"mem.l2.invalidations", l2Invalidations},
+        {"blockop.count", blockOpCycles.count},
+        {"bus.txns", busSeen.txns},
+        {"bus.bytes", busSeen.bytes},
+        {"bus.busy_cycles", busSeen.busyCycles},
+        {"bus.wait_cycles", busWait.sum},
+    };
+    snap.histograms = {readStall, busWait, blockOpCycles, wbDepth};
+    if (!links.empty()) {
+        snap.counters.insert(snap.counters.end(),
+                             {{"link.txns", linkSeen.txns},
+                              {"link.bytes", linkSeen.bytes},
+                              {"link.busy_cycles", linkSeen.busyCycles},
+                              {"link.wait_cycles", linkWait.sum}});
+        snap.histograms.push_back(linkWait);
+    }
+    snap.gauges = {lastCycle};
+
+    const auto byName = [](const auto &a, const auto &b) {
+        return a.name < b.name;
+    };
+    std::sort(snap.counters.begin(), snap.counters.end(), byName);
+    std::sort(snap.histograms.begin(), snap.histograms.end(), byName);
+    return snap;
+}
+
 std::shared_ptr<const ObsReport>
 ObsHub::finish()
 {
+    if (enabled)
+        closeWindow();
     auto report = std::make_shared<ObsReport>();
     report->options = opts;
     if (opts.metrics)
-        report->metrics = metrics.snapshot();
+        report->metrics = metricsSnapshot();
     if (opts.profiler)
         report->profiler = profiler;
     if (opts.busWindows) {

@@ -1,16 +1,24 @@
 /**
  * @file
- * The observability hub: one object that plugs the metrics registry,
- * event timeline, miss profiler, and bus/buffer monitors into a
+ * The observability hub: one object that plugs per-run metrics, the
+ * event timeline, the miss profiler, and bus/buffer monitors into a
  * simulation run.
  *
  * ObsHub implements both observer interfaces of the memory system —
  * MemEventObserver (per-access, coherence, and block-operation
- * events) and BusProbe (per-grant bus events) — and fans each event
- * out to whichever components the run's ObsOptions enabled.  The
- * runner attaches it next to the coherence checker through a
- * MemEventObserverMux, so verification and observation coexist on the
- * single observer slot.
+ * events) and BusProbe (per-grant bus events) — and feeds each event
+ * to whichever components the run's ObsOptions enabled.  The runner
+ * attaches it as one tap of the memory system's observer fan-out,
+ * next to the coherence checker, and attach() puts it on every bus.
+ *
+ * A run is one thread, so the hub keeps its metrics as plain
+ * single-writer fields and builds the MetricsSnapshot once, in
+ * finish().  It does not count what the engine already counts
+ * exactly: bus and link transactions, bytes and busy cycles are read
+ * off the Bus counters (as deltas over the enabled windows), and the
+ * wait-cycle totals are the wait histograms' sums.  What stays per
+ * event is what only events carry: the stall, wait and depth
+ * histograms, the mem.* counts, the timeline and the windowed series.
  *
  * When the run finishes, finish() freezes everything into an
  * immutable ObsReport that outlives the hub (RunResult carries it by
@@ -21,6 +29,7 @@
 #define OSCACHE_OBS_HUB_HH
 
 #include <memory>
+#include <vector>
 
 #include "mem/bus.hh"
 #include "mem/observer.hh"
@@ -39,7 +48,7 @@ struct ObsReport
     /** The (effective) options the run observed under. */
     ObsOptions options;
 
-    /** Merged metrics; empty unless options.metrics. */
+    /** The run's metrics; empty unless options.metrics. */
     MetricsSnapshot metrics;
 
     /** Miss-attribution tables; empty unless options.profiler. */
@@ -59,13 +68,27 @@ struct ObsReport
 
 /**
  * The hub.  Construct with *effective* options (see
- * effectiveObsOptions), attach to the memory system and bus, run,
- * then call finish() exactly once.
+ * effectiveObsOptions), attach() to the memory system, add it to the
+ * memory system's observers, run, then call finish() exactly once.
  */
 class ObsHub : public MemEventObserver, public BusProbe
 {
   public:
     explicit ObsHub(const ObsOptions &options);
+
+    /** The buses and the fan-out hold the hub's address. */
+    ObsHub(const ObsHub &) = delete;
+    ObsHub &operator=(const ObsHub &) = delete;
+
+    /**
+     * Observe @p mem: probe every bus it runs (the flat machine's
+     * bus, or each socket bus plus the inter-socket link), take the
+     * bus and link totals from those buses, and sample its write
+     * buffers.  Call once, before the run starts.  The link metrics
+     * exist only on a multi-socket machine, so flat snapshots carry
+     * none.
+     */
+    void attach(MemorySystem &mem);
 
     /** @name MemEventObserver @{ */
     bool wantsAccessEvents() const override;
@@ -76,8 +99,6 @@ class ObsHub : public MemEventObserver, public BusProbe
                         LineState to) override;
     void onL1Fill(CpuId cpu, Addr l1_line) override;
     void onL1Drop(CpuId cpu, Addr l1_line) override;
-    void onOperationEnd(const MemorySystem &mem, MemOpKind op, CpuId cpu,
-                        Addr addr) override;
     /** @} */
 
     /** @name BusProbe @{ */
@@ -86,42 +107,13 @@ class ObsHub : public MemEventObserver, public BusProbe
     /** @} */
 
     /**
-     * Probe for the inter-socket link.  A Bus carries one probe and
-     * no channel id, so the link attaches through this adapter while
-     * the socket buses attach the hub itself; link grants land in
-     * their own metrics, occupancy series, and timeline lane.  The
-     * link counters are registered on first request — call before the
-     * run starts (the registry freezes at the first record), so flat
-     * machines never see them and their snapshots stay unchanged.
-     */
-    BusProbe *linkProbe();
-
-    /** Link-grant intake (via linkProbe(); public for the adapter). */
-    void onLinkAcquire(BusTxn kind, Cycles requested, Cycles grant,
-                       Cycles occupancy, std::uint32_t bytes);
-
-    /**
-     * Point the hub at the memory system it observes, enabling
-     * write-buffer-depth sampling (the observer callbacks carry no
-     * back-pointer on the per-access path).  Optional.
-     */
-    void setMemorySystem(const MemorySystem *m) { memsys = m; }
-
-    /**
      * Gate event intake.  While disabled, every observer callback
-     * returns immediately, so a sampled run can restrict metrics,
-     * timeline, and profiler attribution to measured windows (the
-     * warm-up traffic would otherwise drown them).  finish() is
-     * unaffected.
+     * returns immediately and bus traffic goes uncounted, so a
+     * sampled run can restrict metrics, timeline, and profiler
+     * attribution to measured windows (the warm-up traffic would
+     * otherwise drown them).  finish() is unaffected.
      */
-    void setEnabled(bool on) { enabled = on; }
-
-    /** @name Mid-run inspection (tests) @{ */
-    const ObsOptions &options() const { return opts; }
-    MetricsRegistry &registry() { return metrics; }
-    Timeline &eventTimeline() { return timeline; }
-    const MissProfiler &missProfiler() const { return profiler; }
-    /** @} */
+    void setEnabled(bool on);
 
     /**
      * Freeze the run's observations into an immutable report.  The
@@ -143,21 +135,50 @@ class ObsHub : public MemEventObserver, public BusProbe
         ObsHub &hub;
     };
 
+    /** Transactions, bytes and busy cycles a set of buses carried. */
+    struct Traffic
+    {
+        std::uint64_t txns = 0;
+        std::uint64_t bytes = 0;
+        std::uint64_t busyCycles = 0;
+    };
+
+    /** Link-grant intake (via LinkTap). */
+    void onLinkAcquire(BusTxn kind, Cycles requested, Cycles grant,
+                       Cycles occupancy, std::uint32_t bytes);
+
     /** True on every samplePeriod-th call (always true for period 1). */
     bool sampleTick();
+
+    /** What the buses in @p of have carried so far. */
+    static Traffic trafficOf(const std::vector<const Bus *> &of);
+
+    /** @name Enabled-window bookkeeping of the bus counters @{ */
+    void openWindow();
+    void closeWindow();
+    /** @} */
+
+    /** The run's metrics in registry form (sorted by name). */
+    MetricsSnapshot metricsSnapshot() const;
 
     ObsOptions opts;
     bool enabled = true;
     const MemorySystem *memsys = nullptr;
-    MetricsRegistry metrics;
     Timeline timeline;
     MissProfiler profiler;
     WindowedSeries busOccupancy;
     WindowedSeries writeBufferDepth;
     WindowedSeries linkOccupancy;
     LinkTap linkTap{*this};
-    /** True once linkProbe() registered the link counters. */
-    bool linkMetricsReady = false;
+
+    /** The snooping buses observed (one flat bus, or one per socket). */
+    std::vector<const Bus *> buses;
+    /** The inter-socket link; empty on a flat machine. */
+    std::vector<const Bus *> links;
+    /** Bus and link totals when the current enabled window opened. */
+    Traffic busAtOpen, linkAtOpen;
+    /** Bus and link traffic summed over the closed enabled windows. */
+    Traffic busSeen, linkSeen;
 
     /** Rolling event count driving samplePeriod decimation. */
     std::uint64_t sampleSeq = 0;
@@ -168,16 +189,21 @@ class ObsHub : public MemEventObserver, public BusProbe
      */
     Cycles approxNow = 0;
 
-    /** @name Metric handles (registered in the constructor) @{ */
-    Counter cReads, cWrites, cPrefetchIssued, cPrefetchDropped;
-    Counter cL1Miss, cMissCoherence, cMissOther, cPartiallyHidden;
-    Counter cL1Fills, cL1Drops, cL2Invalidations;
-    Counter cBlockOps;
-    Counter cBusTxns, cBusBytes, cBusBusyCycles, cBusWaitCycles;
-    Counter cLinkTxns, cLinkBytes, cLinkBusyCycles, cLinkWaitCycles;
-    Histogram hReadStall, hBusWait, hBlockOpCycles, hWbDepth;
-    Histogram hLinkWait;
-    Gauge gLastCycle;
+    /** @name Per-run metrics (single writer) @{ */
+    std::uint64_t reads = 0, writes = 0;
+    std::uint64_t prefetchIssued = 0, prefetchDropped = 0;
+    std::uint64_t missCoherence = 0, partiallyHidden = 0;
+    std::uint64_t l1Fills = 0, l1Drops = 0, l2Invalidations = 0;
+    /** Its count is mem.l1.read_miss. */
+    HistogramSnapshot readStall{"mem.read.stall_cycles"};
+    /** Its sum is bus.wait_cycles. */
+    HistogramSnapshot busWait{"bus.wait"};
+    /** Its sum is link.wait_cycles. */
+    HistogramSnapshot linkWait{"link.wait"};
+    /** Its count is blockop.count. */
+    HistogramSnapshot blockOpCycles{"blockop.cycles"};
+    HistogramSnapshot wbDepth{"wb.l2.depth"};
+    GaugeSnapshot lastCycle{"sim.last_cycle"};
     /** @} */
 };
 

@@ -3,15 +3,21 @@
  * Metrics registry: named counters, gauges, and log-bucketed
  * histograms with a lock-free per-thread write path.
  *
+ * The registry serves metrics that several threads write: the
+ * process-wide counters (processMetrics(), e.g. the shared trace
+ * cache) and the serve daemon's fleet counters.  A simulation run is
+ * one thread, so its hub keeps plain per-run fields instead and
+ * produces the same MetricsSnapshot shape (see obs/hub.hh).
+ *
  * Components register metrics once, up front, and receive small
  * handle objects; recording through a handle touches only the calling
  * thread's shard (a flat array of relaxed atomics reached via
- * thread-local lookup), so concurrent cells of the experiment
- * scheduler never contend.  snapshot() merges all shards into an
- * order-independent, deterministic summary: counters and histogram
- * buckets add, gauges resolve by a registry-wide version clock,
- * histogram percentiles (p50/p90/p99) are interpolated linearly
- * inside their power-of-two bucket.
+ * thread-local lookup), so concurrent writers never contend.
+ * snapshot() merges all shards into an order-independent,
+ * deterministic summary: counters and histogram buckets add, gauges
+ * resolve by a registry-wide version clock, histogram percentiles
+ * (p50/p90/p99) are interpolated linearly inside their power-of-two
+ * bucket.
  *
  * Registration must finish before the first record: the shard layout
  * is frozen when the first shard is created, which keeps the write
@@ -27,8 +33,10 @@
 #ifndef OSCACHE_OBS_METRICS_HH
 #define OSCACHE_OBS_METRICS_HH
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -48,14 +56,8 @@ inline constexpr std::size_t numHistogramBuckets = 40;
 constexpr std::size_t
 histogramBucketIndex(std::uint64_t value)
 {
-    if (value == 0)
-        return 0;
-    std::size_t index = 1;
-    while (value > 1 && index + 1 < numHistogramBuckets) {
-        value >>= 1;
-        ++index;
-    }
-    return index;
+    return std::min<std::size_t>(std::bit_width(value),
+                                 numHistogramBuckets - 1);
 }
 
 /** Inclusive lower bound of bucket @p index (0, 1, 2, 4, 8, ...). */
@@ -144,6 +146,22 @@ struct HistogramSnapshot
     std::array<std::uint64_t, numHistogramBuckets> buckets{};
 
     /**
+     * Add one sample.  The single-writer form of Histogram::record,
+     * for a collector that one thread owns (an ObsHub keeps its
+     * per-run histograms this way and hands them out as they are).
+     */
+    void
+    record(std::uint64_t value)
+    {
+        ++buckets[histogramBucketIndex(value)];
+        if (count == 0 || value < min)
+            min = value;
+        max = std::max(max, value);
+        ++count;
+        sum += value;
+    }
+
+    /**
      * The @p p-th percentile (0..100), linearly interpolated inside
      * the containing bucket, clamped to the observed [min, max].
      */
@@ -169,8 +187,8 @@ struct MetricsSnapshot
 };
 
 /**
- * The registry.  Cheap to create (one per simulation run); handles
- * remain valid for the registry's lifetime only.
+ * The registry.  Handles remain valid for the registry's lifetime
+ * only.
  */
 class MetricsRegistry
 {

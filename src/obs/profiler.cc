@@ -25,6 +25,17 @@ causeIndex(MissCause cause)
     return static_cast<std::size_t>(cause);
 }
 
+/**
+ * Index hash of a block id: Fibonacci hashing spreads the kernel's
+ * dense ids (100-402) evenly and keeps arbitrary 32-bit trace ids
+ * well mixed.
+ */
+std::size_t
+slotHash(BasicBlockId bb)
+{
+    return (std::uint64_t{bb} * 0x9e3779b97f4a7c15u) >> 32;
+}
+
 } // namespace
 
 const char *
@@ -82,10 +93,39 @@ MissProfiler::record(const MemAccessEvent &event)
 
     if (event.ctx.bb == invalidBasicBlock)
         return;
-    SiteProfile &site = byBb[event.ctx.bb];
+    SiteProfile &site = siteOf(event.ctx.bb);
     site.reads += 1;
     site.byCause[cause].count += miss;
     site.byCause[cause].stall += miss != 0 ? stall : 0;
+}
+
+SiteProfile &
+MissProfiler::siteOf(BasicBlockId bb)
+{
+    if (2 * (byBb.size() + 1) > index.size())
+        rehash(std::max<std::size_t>(512, 2 * index.size()));
+    const std::size_t mask = index.size() - 1;
+    for (std::size_t i = slotHash(bb) & mask;; i = (i + 1) & mask) {
+        if (index[i].bb == bb)
+            return byBb[index[i].site].second;
+        if (index[i].bb == invalidBasicBlock) {
+            index[i] = {bb, static_cast<std::uint32_t>(byBb.size())};
+            return byBb.emplace_back(bb, SiteProfile{}).second;
+        }
+    }
+}
+
+void
+MissProfiler::rehash(std::size_t size)
+{
+    index.assign(size, Slot{});
+    const std::size_t mask = size - 1;
+    for (std::uint32_t site = 0; site < byBb.size(); ++site) {
+        std::size_t i = slotHash(byBb[site].first) & mask;
+        while (index[i].bb != invalidBasicBlock)
+            i = (i + 1) & mask;
+        index[i] = {byBb[site].first, site};
+    }
 }
 
 std::unordered_map<BasicBlockId, std::uint64_t>

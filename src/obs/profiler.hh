@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/observer.hh"
@@ -93,19 +94,12 @@ class MissProfiler
     /** Attribute one completed access. */
     void record(const MemAccessEvent &event);
 
-    /** @name Raw tables @{ */
-    const std::unordered_map<BasicBlockId, SiteProfile> &
-    perBlock() const
-    {
-        return byBb;
-    }
-
+    /** The per-DataCategory table. */
     const std::array<SiteProfile, numDataCategories> &
     perCategory() const
     {
         return byCategory;
     }
-    /** @} */
 
     /**
      * Per-block OS "other" miss counts — the same population SimStats
@@ -123,7 +117,29 @@ class MissProfiler
     void renderCategories(std::ostream &os) const;
 
   private:
-    std::unordered_map<BasicBlockId, SiteProfile> byBb;
+    /** One slot of the per-block index (bb invalid: empty). */
+    struct Slot
+    {
+        BasicBlockId bb = invalidBasicBlock;
+        /** Position of the block's profile in byBb. */
+        std::uint32_t site = 0;
+    };
+
+    /** The profile of block @p bb, inserted on first use. */
+    SiteProfile &siteOf(BasicBlockId bb);
+
+    /** Rebuild the index with @p size slots (a power of two). */
+    void rehash(std::size_t size);
+
+    /**
+     * Per-block profiles in first-seen order, found through an
+     * open-addressing index with linear probing (a power of two of
+     * 8-byte slots, at most half full), so the one lookup per OS read
+     * is a short scan of a small flat array.  Neither holds a pointer
+     * into the profiler, so copying it (ObsReport does) is safe.
+     */
+    std::vector<std::pair<BasicBlockId, SiteProfile>> byBb;
+    std::vector<Slot> index;
     std::array<SiteProfile, numDataCategories> byCategory{};
 };
 

@@ -192,15 +192,11 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
     std::unique_ptr<ObsHub> hub;
     if (obs_opts.any()) {
         hub = std::make_unique<ObsHub>(obs_opts);
-        hub->setMemorySystem(&mem);
-        mem.bus().setProbe(hub.get());
         // Observation is gated to measured windows; the controller
         // re-enables the hub whenever one opens.
         hub->setEnabled(false);
+        hub->attach(mem);
     }
-
-    // Checker and hub tap the flat observer fan-out directly — no
-    // intermediate mux hop on the per-event path.
     mem.setObservers({checker.get(), hub.get()});
 
     auto executor = makeBlockOpExecutor(scheme, mem, result.stats, options);
@@ -258,10 +254,8 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
 
     result.traceMode = sampled.mode();
 
-    if (hub) {
-        hub->setEnabled(true);
+    if (hub)
         result.obs = hub->finish();
-    }
 
     if (checker) {
         checker->auditFull(mem);
@@ -270,16 +264,7 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
                   format(checker->findings().front()));
     }
 
-    const Bus &bus = mem.bus();
-    result.bus.totalBytes = bus.totalBytes();
-    result.bus.totalTransactions = bus.totalTransactions();
-    result.bus.busyCycles = bus.totalBusyCycles();
-    result.bus.fillBytes = bus.bytes(BusTxn::LineFill);
-    result.bus.writebackBytes = bus.bytes(BusTxn::WriteBack);
-    result.bus.invalidateTransactions = bus.transactions(BusTxn::Invalidate);
-    result.bus.updateTransactions = bus.transactions(BusTxn::Update);
-    result.bus.updateBytes = bus.bytes(BusTxn::Update);
-    result.bus.dmaBytes = bus.bytes(BusTxn::Dma);
+    result.bus = busSnapshot(mem);
 
     report = SampleReport{};
     report.plan = plan;

@@ -3,15 +3,16 @@
  * Observability subsystem tests: metrics registry (buckets,
  * percentiles, thread-shard merging, saturation, determinism), event
  * timeline (ring semantics, Chrome trace export), windowed series,
- * the observer mux, and — the load-bearing one — agreement of the
- * miss-attribution profiler with the simulation engine's own
- * per-block miss statistics.
+ * and — the load-bearing one — agreement of the miss-attribution
+ * profiler with the simulation engine's own per-block miss
+ * statistics.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/version.hh"
@@ -34,6 +35,20 @@ namespace
 
 // ---------------------------------------------------------------- metrics
 
+/** Bucket index by repeated halving: the definition bit_width must meet. */
+std::size_t
+shiftLoopBucketIndex(std::uint64_t value)
+{
+    if (value == 0)
+        return 0;
+    std::size_t index = 1;
+    while (value > 1 && index + 1 < numHistogramBuckets) {
+        value >>= 1;
+        ++index;
+    }
+    return index;
+}
+
 TEST(MetricsTest, HistogramBucketBoundaries)
 {
     EXPECT_EQ(histogramBucketIndex(0), 0u);
@@ -50,6 +65,36 @@ TEST(MetricsTest, HistogramBucketBoundaries)
         EXPECT_EQ(histogramBucketIndex(histogramBucketLow(i)), i);
         EXPECT_EQ(histogramBucketIndex(histogramBucketHigh(i) - 1), i);
     }
+
+    // Every power of two and both its neighbours, up to UINT64_MAX
+    // (unsigned wrap-around covers 2^64 - 1 and 0 at the ends).
+    for (unsigned k = 0; k < 64; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        for (const std::uint64_t v : {p - 1, p, p + 1})
+            EXPECT_EQ(histogramBucketIndex(v), shiftLoopBucketIndex(v))
+                << "value " << v;
+    }
+    const std::uint64_t top = ~std::uint64_t{0};
+    EXPECT_EQ(histogramBucketIndex(top), shiftLoopBucketIndex(top));
+}
+
+TEST(MetricsTest, SingleWriterRecordMatchesTheRegistry)
+{
+    MetricsRegistry reg;
+    Histogram shared = reg.histogram("h");
+    HistogramSnapshot local{"h"};
+    for (const std::uint64_t v :
+         {std::uint64_t{9}, std::uint64_t{0}, std::uint64_t{3},
+          std::uint64_t{1} << 50, std::uint64_t{9}}) {
+        shared.record(v);
+        local.record(v);
+    }
+    const HistogramSnapshot merged = reg.snapshot().histograms.at(0);
+    EXPECT_EQ(local.count, merged.count);
+    EXPECT_EQ(local.sum, merged.sum);
+    EXPECT_EQ(local.min, merged.min);
+    EXPECT_EQ(local.max, merged.max);
+    EXPECT_EQ(local.buckets, merged.buckets);
 }
 
 TEST(MetricsTest, HistogramOverflowSaturatesLastBucket)
@@ -254,41 +299,56 @@ TEST(WindowedSeriesTest, PointSamplesAverage)
     EXPECT_DOUBLE_EQ(s.meanAt(1), 100.0);
 }
 
-// -------------------------------------------------------------- mux
+// ------------------------------------------------------- profiler
 
-struct CountingObserver : MemEventObserver
+/** An OS data read by block @p bb that missed with @p cause. */
+MemAccessEvent
+osRead(BasicBlockId bb, MissCause cause, Cycles stall)
 {
-    int accesses = 0;
-    int blockOps = 0;
-    bool wants;
-    explicit CountingObserver(bool w) : wants(w) {}
-    bool wantsAccessEvents() const override { return wants; }
-    void onAccess(const MemAccessEvent &) override { ++accesses; }
-    void onBlockOp(CpuId, const BlockOp &, Cycles, Cycles) override
-    {
-        ++blockOps;
-    }
-};
-
-TEST(ObserverMuxTest, ForwardsToAllAndOrsWants)
-{
-    CountingObserver quiet(false);
-    CountingObserver chatty(true);
-    MemEventObserverMux mux;
-    EXPECT_TRUE(mux.empty());
-    mux.add(&quiet);
-    EXPECT_FALSE(mux.wantsAccessEvents());
-    mux.add(&chatty);
-    EXPECT_TRUE(mux.wantsAccessEvents());
-
     MemAccessEvent ev;
-    mux.onAccess(ev);
-    BlockOp op;
-    mux.onBlockOp(0, op, 10, 20);
-    EXPECT_EQ(quiet.accesses, 1);
-    EXPECT_EQ(chatty.accesses, 1);
-    EXPECT_EQ(quiet.blockOps, 1);
-    EXPECT_EQ(chatty.blockOps, 1);
+    ev.kind = MemOpKind::Read;
+    ev.ctx.os = true;
+    ev.ctx.bb = bb;
+    ev.result.l1Miss = cause != MissCause::None;
+    ev.result.cause = cause;
+    ev.result.stall = stall;
+    return ev;
+}
+
+TEST(MissProfilerTest, FlatTableKeepsArbitraryIds)
+{
+    // File traces may carry any 32-bit id; the table must keep each
+    // one apart, through several rounds of growth.
+    MissProfiler profiler;
+    std::unordered_map<BasicBlockId, std::uint64_t> expected;
+    for (BasicBlockId i = 0; i < 2000; ++i) {
+        const BasicBlockId bb = i % 3 == 0   ? i
+                                : i % 3 == 1 ? 0xfffffffeu - i
+                                             : i * 2654435761u;
+        for (BasicBlockId n = 0; n <= i % 4; ++n)
+            profiler.record(osRead(bb, MissCause::Plain, 10));
+        profiler.record(osRead(bb, MissCause::Coherence, 30));
+        profiler.record(osRead(bb, MissCause::None, 0));
+        expected[bb] += i % 4 + 1;
+    }
+    EXPECT_EQ(profiler.otherMissByBb(), expected);
+}
+
+TEST(MissProfilerTest, CopiesAreIndependent)
+{
+    // ObsReport holds a copy of the run's profiler: recording into
+    // the original afterwards (even through a growth) must leave the
+    // copy as it was.
+    MissProfiler original;
+    original.record(osRead(150, MissCause::Plain, 12));
+    const MissProfiler copy = original;
+    for (BasicBlockId bb = 100; bb < 1100; ++bb)
+        original.record(osRead(bb, MissCause::Plain, 5));
+    const auto snapshot = copy.otherMissByBb();
+    ASSERT_EQ(snapshot.size(), 1u);
+    EXPECT_EQ(snapshot.at(150), 1u);
+    EXPECT_EQ(original.otherMissByBb().size(), 1000u);
+    EXPECT_EQ(original.otherMissByBb().at(150), 2u);
 }
 
 // ------------------------------------------------------- options

@@ -52,8 +52,10 @@ echo "== ctest tsan (Exp*, Stream*) =="
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
     -R '^Exp|^Stream'
 
-echo "== bench smoke (tsan) =="
-"$tsan_build/tools/oscache-bench" --smoke --jobs 4 --quiet \
+# --metrics: every cell's hub keeps plain single-writer state, which
+# holds only while each run stays on one thread.
+echo "== bench smoke (tsan, metrics on) =="
+"$tsan_build/tools/oscache-bench" --smoke --jobs 4 --quiet --metrics \
     --cache-dir "$tsan_build/bench_smoke_cache" \
     --results "$tsan_build/bench_smoke_results" all
 
@@ -232,14 +234,17 @@ echo "== serve: fleet smoke (4 workers, 8 clients, kill -9) =="
 # Performance stage: an optimized build must (a) still pass the
 # batched-replay/MarkTable safety net (`ctest -L Perf` — the ASan
 # ctest above already ran it unoptimized) and (b) hold the replay
-# throughput recorded in BENCH_perf.json, both bare and checked (the
-# coherence checker attached, as in every default cell).  The replay
-# benchmarks run flat-bus machines, so this doubles as the guard that
-# the NUMA branches stayed off the single-socket fast path.
-# Throughput is measured as the perf_simulator replay section
-# (min-of-2 per workload) on a Release+LTO tree; any workload more
-# than 5% below the latest BENCH_perf.json entry, bare or checked,
-# fails the sweep.  After an intentional engine or checker change,
+# throughput recorded in BENCH_perf.json: bare, checked (the
+# coherence checker attached, as in every default cell) and observed
+# (the checker plus a metrics and profiler hub, as `oscache-bench
+# --metrics` runs a cell).  The replay benchmarks run flat-bus
+# machines, so this doubles as the guard that the NUMA branches
+# stayed off the single-socket fast path.  Throughput is measured as
+# the perf_simulator replay section (min-of-2 per workload) on a
+# Release+LTO tree; any workload more than 5% below the latest
+# BENCH_perf.json entry, in any of the three, fails the sweep.  A
+# metric the latest entry does not record is reported as having no
+# baseline.  After an intentional engine, checker or observer change,
 # re-baseline with `tools/bench_append.sh perf`.
 perf_build="$build-perf"
 echo "== configure perf ($perf_build, Release+LTO) =="
@@ -255,7 +260,7 @@ ctest --test-dir "$perf_build" --output-on-failure -j "$jobs" -L Perf
 
 # Three full invocations, best per workload: a single run can lose
 # 15% to transient machine load, which would flake a 5% gate.
-echo "== perf gate: bare and checked replay throughput vs BENCH_perf.json =="
+echo "== perf gate: bare, checked and observed replay throughput vs BENCH_perf.json =="
 for run in 1 2 3; do
     OSCACHE_BENCH_PERF_OUT="$tracedir/perf-$run.json" \
         "$perf_build/bench/perf_simulator" --benchmark_filter=NONE \
@@ -265,7 +270,11 @@ python3 - "$repo/BENCH_perf.json" "$tracedir"/perf-*.json << 'EOF'
 import json, sys
 
 bench_path = sys.argv[1]
-metrics = ("accesses_per_sec", "checked_accesses_per_sec")
+metrics = ("accesses_per_sec", "checked_accesses_per_sec",
+           "observed_accesses_per_sec")
+labels = {"accesses_per_sec": "bare",
+          "checked_accesses_per_sec": "checked",
+          "observed_accesses_per_sec": "observed"}
 # Best of the runs, per workload and per metric.
 measured = {}
 for perf_path in sys.argv[2:]:
@@ -289,11 +298,15 @@ for name, base in sorted(baseline.items()):
         failed = True
         continue
     for m in metrics:
+        if m not in base:
+            print("  %-11s %-8s %6.2fM acc/s, no baseline"
+                  % (name, labels[m], got[m] / 1e6))
+            continue
         ratio = got[m] / base[m]
         status = "ok" if ratio >= 0.95 else "REGRESSED"
-        print("  %-11s %-7s %6.2fM acc/s vs baseline %6.2fM (%.2fx) %s"
-              % (name, "checked" if m.startswith("checked") else "bare",
-                 got[m] / 1e6, base[m] / 1e6, ratio, status))
+        print("  %-11s %-8s %6.2fM acc/s vs baseline %6.2fM (%.2fx) %s"
+              % (name, labels[m], got[m] / 1e6, base[m] / 1e6, ratio,
+                 status))
         if ratio < 0.95:
             failed = True
 if failed:
