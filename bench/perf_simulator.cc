@@ -12,16 +12,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <vector>
 
-#include "check/invariants.hh"
 #include "common/version.hh"
-#include "core/blockop/schemes.hh"
 #include "core/hotspot/hotspot.hh"
+#include "core/runner.hh"
 #include "mem/memsys.hh"
-#include "obs/hub.hh"
 #include "report/experiment.hh"
 #include "sim/system.hh"
 #include "synth/generator.hh"
@@ -116,16 +113,13 @@ void
 BM_TraceReplay(benchmark::State &state)
 {
     const Trace &trace = cachedTinyTrace();
-    const SimOptions opts =
+    SimOptions opts =
         WorkloadProfile::forKind(WorkloadKind::Trfd4).simOptions();
+    opts.checkCoherence = false;
     for (auto _ : state) {
-        SimStats stats;
-        MemorySystem mem(MachineConfig::base());
-        auto exec =
-            makeBlockOpExecutor(BlockScheme::Base, mem, stats, opts);
-        System system(trace, mem, *exec, opts, stats);
-        system.run();
-        benchmark::DoNotOptimize(stats.osMissTotal());
+        const RunResult run =
+            runOnce(trace, MachineConfig::base(), opts, BlockScheme::Base);
+        benchmark::DoNotOptimize(run.stats.osMissTotal());
     }
     state.SetItemsProcessed(std::int64_t(trace.totalRecords()) *
                             state.iterations());
@@ -204,30 +198,22 @@ replayThroughputJson()
         const SimOptions opts = p.simOptions();
         std::uint64_t accesses = 0;
 
+        // Times the replay and the hub's report; assembly and the
+        // checker's final audit stay outside the window.
         const auto replay_once = [&](bool checked, bool observed) {
-            SimStats stats;
-            MemorySystem mem(MachineConfig::base());
-            std::unique_ptr<CoherenceChecker> checker;
-            if (checked)
-                checker = std::make_unique<CoherenceChecker>(mem.config());
-            std::unique_ptr<ObsHub> hub;
-            if (observed) {
-                ObsOptions obs;
-                obs.metrics = true;
-                obs.profiler = true;
-                hub = std::make_unique<ObsHub>(obs);
-                hub->attach(mem);
-            }
-            mem.setObservers({checker.get(), hub.get()});
-            auto exec =
-                makeBlockOpExecutor(BlockScheme::Base, mem, stats, opts);
-            System system(trace, mem, *exec, opts, stats);
+            SimOptions run_opts = opts;
+            run_opts.checkCoherence = checked;
+            run_opts.obs.metrics = observed;
+            run_opts.obs.profiler = observed;
+            MaterializedTraceSource source(trace);
+            RunAssembly run(source, MachineConfig::base(), run_opts,
+                            BlockScheme::Base);
             using clock = std::chrono::steady_clock;
             const auto t0 = clock::now();
-            system.run();
-            if (hub)
-                hub->finish();
+            run.engine().run();
+            run.finishObservers();
             const auto t1 = clock::now();
+            const SimStats stats = run.finish().stats;
             accesses = stats.totalReads() + stats.userWrites +
                        stats.osWrites;
             return std::chrono::duration<double, std::milli>(t1 - t0)

@@ -14,8 +14,7 @@
 #include <cstdio>
 
 #include "core/blockop/schemes.hh"
-#include "mem/memsys.hh"
-#include "sim/system.hh"
+#include "core/runner.hh"
 #include "trace/trace.hh"
 
 using namespace oscache;
@@ -70,12 +69,8 @@ main()
             emitForkChain(trace, cpu, 0x0100'0000 + Addr{cpu} * 0x20'0000,
                           24);
 
-        SimStats stats;
-        MemorySystem mem(MachineConfig::base());
-        SimOptions opts;
-        auto exec = makeBlockOpExecutor(scheme, mem, stats, opts);
-        System system(trace, mem, *exec, opts, stats);
-        system.run();
+        const SimStats stats =
+            runOnce(trace, MachineConfig::base(), SimOptions{}, scheme).stats;
 
         if (scheme == BlockScheme::Base)
             base_time = double(stats.osTime());

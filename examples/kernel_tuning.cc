@@ -13,10 +13,9 @@
 #include <cstdio>
 #include <map>
 
-#include "core/blockop/schemes.hh"
 #include "core/hotspot/hotspot.hh"
+#include "core/runner.hh"
 #include "report/figures.hh"
-#include "sim/system.hh"
 #include "synth/bbids.hh"
 #include "synth/generator.hh"
 
@@ -57,12 +56,8 @@ blockName(BasicBlockId bb)
 SimStats
 simulate(const Trace &trace, const SimOptions &opts)
 {
-    SimStats stats;
-    MemorySystem mem(MachineConfig::base());
-    auto exec = makeBlockOpExecutor(BlockScheme::Dma, mem, stats, opts);
-    System system(trace, mem, *exec, opts, stats);
-    system.run();
-    return stats;
+    return runOnce(trace, MachineConfig::base(), opts, BlockScheme::Dma)
+        .stats;
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #define OSCACHE_CORE_BLOCKOP_ANALYZER_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "mem/memsys.hh"
 #include "sim/blockop_executor.hh"
@@ -70,16 +71,16 @@ struct BlockOpCensus
 class AnalyzingExecutor : public BlockOpExecutor
 {
   public:
-    AnalyzingExecutor(BlockOpExecutor &wrapped, MemorySystem &memory,
-                      BlockOpCensus &sink)
-        : inner(wrapped), mem(memory), census(sink)
+    AnalyzingExecutor(std::unique_ptr<BlockOpExecutor> wrapped,
+                      MemorySystem &memory, BlockOpCensus &sink)
+        : inner(std::move(wrapped)), mem(memory), census(sink)
     {}
 
     Cycles
     execute(CpuId cpu, const BlockOp &op, Cycles now, bool os) override
     {
         sample(cpu, op);
-        return inner.execute(cpu, op, now, os);
+        return inner->execute(cpu, op, now, os);
     }
 
   private:
@@ -127,7 +128,7 @@ class AnalyzingExecutor : public BlockOpExecutor
         }
     }
 
-    BlockOpExecutor &inner;
+    std::unique_ptr<BlockOpExecutor> inner;
     MemorySystem &mem;
     BlockOpCensus &census;
 };

@@ -11,50 +11,84 @@
 namespace oscache
 {
 
-namespace
+RunAssembly::RunAssembly(TraceSource &trace_source,
+                         const MachineConfig &machine,
+                         const SimOptions &options, BlockScheme scheme,
+                         const ExecutorWrap &wrap)
+    : source(trace_source), mem(std::make_unique<MemorySystem>(machine))
 {
-
-/** One plain simulation pass (no hot-spot rewriting). */
-RunResult
-runOnce(TraceSource &source, const MachineConfig &machine,
-        const SimOptions &options, BlockScheme scheme)
-{
-    RunResult result;
-    MemorySystem mem(machine);
-    std::unique_ptr<CoherenceChecker> checker;
     if (options.checkCoherence)
-        checker = std::make_unique<CoherenceChecker>(machine);
+        check = std::make_unique<CoherenceChecker>(machine);
 
     // Observability: the run-level opt-ins merged with the
     // process-wide default (oscache-bench --metrics).
     const ObsOptions obs_opts = effectiveObsOptions(options.obs);
-    std::unique_ptr<ObsHub> hub;
     if (obs_opts.any()) {
-        hub = std::make_unique<ObsHub>(obs_opts);
-        hub->attach(mem);
+        obsHub = std::make_unique<ObsHub>(obs_opts);
+        obsHub->attach(*mem);
     }
-    mem.setObservers({checker.get(), hub.get()});
+    mem->setObservers({check.get(), obsHub.get()});
 
-    auto executor = makeBlockOpExecutor(scheme, mem, result.stats, options);
-    System system(source, mem, *executor, options, result.stats);
-    system.run();
-    result.traceMode = source.mode();
-
-    if (hub)
-        result.obs = hub->finish();
-
-    if (checker) {
-        checker->auditFull(mem);
-        if (!checker->clean())
-            panic("coherence invariant violated: ",
-                  format(checker->findings().front()));
-    }
-
-    result.bus = busSnapshot(mem);
-    return result;
+    executor = makeBlockOpExecutor(scheme, *mem, result.stats, options);
+    if (wrap)
+        executor = wrap(std::move(executor), *mem, result.stats);
+    system = std::make_unique<System>(source, *mem, *executor, options,
+                                      result.stats);
 }
 
-} // namespace
+RunAssembly::~RunAssembly() = default;
+
+void
+RunAssembly::attachTap(MemEventObserver &tap)
+{
+    mem->setObservers({check.get(), obsHub.get(), &tap});
+}
+
+RunResult
+RunAssembly::run()
+{
+    system->run();
+    return finish();
+}
+
+void
+RunAssembly::finishObservers()
+{
+    if (obsHub && !result.obs)
+        result.obs = obsHub->finish();
+}
+
+RunResult
+RunAssembly::finish()
+{
+    finishObservers();
+    if (check) {
+        check->auditFull(*mem);
+        if (!check->clean())
+            panic("coherence invariant violated: ",
+                  format(check->findings().front()));
+    }
+    result.bus = busSnapshot(*mem);
+    result.traceMode = source.mode();
+    return std::move(result);
+}
+
+RunResult
+runOnce(TraceSource &source, const MachineConfig &machine,
+        const SimOptions &options, BlockScheme scheme,
+        const ExecutorWrap &wrap)
+{
+    return RunAssembly(source, machine, options, scheme, wrap).run();
+}
+
+RunResult
+runOnce(const Trace &trace, const MachineConfig &machine,
+        const SimOptions &options, BlockScheme scheme,
+        const ExecutorWrap &wrap)
+{
+    MaterializedTraceSource source(trace);
+    return runOnce(source, machine, options, scheme, wrap);
+}
 
 BusSnapshot
 busSnapshot(const MemorySystem &mem)
@@ -97,18 +131,16 @@ RunResult
 runOnTrace(const Trace &trace, const MachineConfig &machine,
            const SimOptions &options, const SystemSetup &setup)
 {
-    MaterializedTraceSource source(trace);
     if (!setup.hotspotPrefetch)
-        return runOnce(source, machine, options, setup.blockScheme);
+        return runOnce(trace, machine, options, setup.blockScheme);
 
     // Two-phase hot-spot methodology: profile, select, rewrite, rerun.
-    RunResult profile = runOnce(source, machine, options,
-                                setup.blockScheme);
+    const RunResult profile =
+        runOnce(trace, machine, options, setup.blockScheme);
     HotspotPlan plan = selectHotspots(profile.stats, paperHotspotCount);
     const double coverage = oscache::hotspotCoverage(profile.stats, plan);
-    Trace rewritten = insertPrefetches(trace, plan);
-    MaterializedTraceSource rewrittenSource(rewritten);
-    RunResult result = runOnce(rewrittenSource, machine, options,
+    const Trace rewritten = insertPrefetches(trace, plan);
+    RunResult result = runOnce(rewritten, machine, options,
                                setup.blockScheme);
     result.hotspots = std::move(plan);
     result.hotspotCoverage = coverage;
@@ -119,19 +151,14 @@ RunResult
 runOnSource(const TraceSourceFactory &open, const MachineConfig &machine,
             const SimOptions &options, const SystemSetup &setup)
 {
-    if (!setup.hotspotPrefetch) {
-        auto source = open();
-        return runOnce(*source, machine, options, setup.blockScheme);
-    }
+    if (!setup.hotspotPrefetch)
+        return runOnce(*open(), machine, options, setup.blockScheme);
 
     // Two-phase hot-spot methodology, streaming flavor: the profile
     // pass consumes one source; the prefetch pass re-opens and
     // inserts the prefetches on the fly.
-    RunResult profile;
-    {
-        auto source = open();
-        profile = runOnce(*source, machine, options, setup.blockScheme);
-    }
+    const RunResult profile =
+        runOnce(*open(), machine, options, setup.blockScheme);
     HotspotPlan plan = selectHotspots(profile.stats, paperHotspotCount);
     const double coverage = oscache::hotspotCoverage(profile.stats, plan);
     PrefetchStreamSource prefetching(open(), plan);

@@ -1,14 +1,16 @@
 /**
  * @file
- * Convenience runner: assemble a memory system, scheme executor, and
- * simulation engine for one SystemSetup and run a trace through it.
+ * The run assembly: the one way to build a simulated machine for a
+ * trace and replay it.  RunAssembly builds the memory system, attaches
+ * the coherence checker and observability hub the SimOptions ask for
+ * (plus at most one caller tap), builds the block scheme's executor
+ * and the System, and ends every pass the same way.  runOnTrace() and
+ * runOnSource() layer the two-phase hot-spot prefetch methodology on
+ * top: profile, select the top blocks, rewrite the trace, re-run.
  *
  * Note that a SystemSetup's coherence options act at trace-generation
  * time (they are kernel-layout changes); the caller must have
- * generated @p trace with the matching CoherenceOptions.  The runner
- * applies the block scheme and, when requested, the two-phase
- * hot-spot prefetch methodology: profile, select the top blocks,
- * rewrite the trace, re-run.
+ * generated the trace with the matching CoherenceOptions.
  */
 
 #ifndef OSCACHE_CORE_RUNNER_HH
@@ -31,7 +33,11 @@
 namespace oscache
 {
 
+class BlockOpExecutor;
+class CoherenceChecker;
+class MemEventObserver;
 class MemorySystem;
+class System;
 
 namespace sample
 {
@@ -101,6 +107,89 @@ struct RunResult
     /** TraceSource::mode() of the source replayed. */
     std::string traceMode = "materialized";
 };
+
+/**
+ * Wraps a pass's scheme executor (Table 3's census, Table 4's
+ * deferred copies): receives the executor built for the block scheme
+ * and returns the one the engine drives.
+ */
+using ExecutorWrap = std::function<std::unique_ptr<BlockOpExecutor>(
+    std::unique_ptr<BlockOpExecutor> scheme_executor, MemorySystem &mem,
+    SimStats &stats)>;
+
+/**
+ * One simulation pass, assembled: the memory system for @p machine,
+ * the coherence checker (options.checkCoherence) and observability
+ * hub (options.obs merged with the process-wide default) attached to
+ * it, the executor for @p scheme (optionally wrapped), and the System
+ * replaying @p source.
+ *
+ * Most callers want runOnce().  Callers that drive the engine
+ * themselves (sampled replay ticks, resumes and checkpoints) or add a
+ * tap (the dft differ, the verif extractor) construct one, use
+ * memory() and engine(), and end the pass with finish().
+ */
+class RunAssembly
+{
+  public:
+    RunAssembly(TraceSource &source, const MachineConfig &machine,
+                const SimOptions &options, BlockScheme scheme,
+                const ExecutorWrap &wrap = {});
+    ~RunAssembly();
+
+    RunAssembly(const RunAssembly &) = delete;
+    RunAssembly &operator=(const RunAssembly &) = delete;
+
+    /**
+     * Attach @p tap beside the checker and hub, replacing an earlier
+     * tap.  Call before the run starts.
+     */
+    void attachTap(MemEventObserver &tap);
+
+    MemorySystem &memory() { return *mem; }
+    System &engine() { return *system; }
+    /** The statistics sink the executor and engine record into. */
+    SimStats &stats() { return result.stats; }
+    /** The observability hub; null when no observation was asked for. */
+    ObsHub *hub() { return obsHub.get(); }
+    /** The coherence checker; null when checking is off. */
+    CoherenceChecker *checker() { return check.get(); }
+
+    /** Replay the whole source, then finish(). */
+    RunResult run();
+
+    /**
+     * Freeze the hub's report.  finish() does it first; calling it
+     * earlier lets a timer stop before the full audit.
+     */
+    void finishObservers();
+
+    /**
+     * End the pass: finishObservers(), the checker's full audit
+     * (panics on a violation), the bus snapshot, and the source's
+     * trace mode.  The assembly is spent afterwards.
+     */
+    RunResult finish();
+
+  private:
+    TraceSource &source;
+    RunResult result;
+    std::unique_ptr<MemorySystem> mem;
+    std::unique_ptr<CoherenceChecker> check;
+    std::unique_ptr<ObsHub> obsHub;
+    std::unique_ptr<BlockOpExecutor> executor;
+    std::unique_ptr<System> system;
+};
+
+/** One plain pass (no hot-spot rewriting) of @p source. */
+RunResult runOnce(TraceSource &source, const MachineConfig &machine,
+                  const SimOptions &options, BlockScheme scheme,
+                  const ExecutorWrap &wrap = {});
+
+/** As above, replaying a materialized trace. */
+RunResult runOnce(const Trace &trace, const MachineConfig &machine,
+                  const SimOptions &options, BlockScheme scheme,
+                  const ExecutorWrap &wrap = {});
 
 /**
  * Run @p trace on the machine described by @p machine under

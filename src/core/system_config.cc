@@ -1,6 +1,7 @@
 #include "core/system_config.hh"
 
 #include "common/log.hh"
+#include "common/names.hh"
 
 namespace oscache
 {
@@ -19,6 +20,15 @@ toString(SystemKind kind)
       case SystemKind::BCPref:    return "BCPref";
     }
     panic("unknown SystemKind");
+}
+
+std::optional<SystemKind>
+parseSystemKind(std::string_view name)
+{
+    for (SystemKind kind : allSystems)
+        if (matchesDisplayName(name, toString(kind)))
+            return kind;
+    return std::nullopt;
 }
 
 SystemSetup

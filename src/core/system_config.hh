@@ -11,6 +11,8 @@
 #define OSCACHE_CORE_SYSTEM_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "core/blockop/schemes.hh"
 #include "core/cohopt.hh"
@@ -33,6 +35,20 @@ enum class SystemKind : std::uint8_t
 
 /** Paper-style name of a system. */
 const char *toString(SystemKind kind);
+
+/** Every system, in the paper's presentation order. */
+inline constexpr SystemKind allSystems[] = {
+    SystemKind::Base,      SystemKind::BlkPref,   SystemKind::BlkBypass,
+    SystemKind::BlkByPref, SystemKind::BlkDma,    SystemKind::BCohReloc,
+    SystemKind::BCohRelUp, SystemKind::BCPref,
+};
+
+/**
+ * The system whose toString() name is @p name, matched ignoring case
+ * and optionally without its '_' ("blk_dma", "BlkDma", "bcpref");
+ * nullopt when none is.
+ */
+std::optional<SystemKind> parseSystemKind(std::string_view name);
 
 /** Full recipe for assembling one simulated system. */
 struct SystemSetup

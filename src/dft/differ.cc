@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/log.hh"
+#include "core/runner.hh"
 #include "sim/system.hh"
 
 namespace oscache
@@ -384,17 +385,19 @@ runDiff(TraceSource &source, const MachineConfig &machine,
     if (options.modelICache)
         panic("runDiff: detailed instruction-cache model unsupported");
 
-    DiffResult result;
-    MemorySystem mem(machine);
-    OracleDiffer differ(mem, &source.updatePages());
-    mem.setObserver(&differ);
-
-    auto executor = makeBlockOpExecutor(scheme, mem, result.stats, options);
-    System system(source, mem, *executor, options, result.stats);
+    // The differ reports the first divergence itself; a checker panic
+    // would pre-empt it.
+    SimOptions unchecked = options;
+    unchecked.checkCoherence = false;
+    RunAssembly run(source, machine, unchecked, scheme);
+    OracleDiffer differ(run.memory(), &source.updatePages());
+    run.attachTap(differ);
     SimStats warm;
     if (sampler != nullptr)
-        system.setSampling(sampler, &warm);
-    system.run();
+        run.engine().setSampling(sampler, &warm);
+
+    DiffResult result;
+    result.stats = run.run().stats;
     differ.finish();
 
     result.diverged = differ.diverged();

@@ -22,8 +22,8 @@
  * line is in the reference buffer; a dropped prefetch (busy MSHRs) is
  * accepted verbatim since neither machine changes state.
  *
- * runDiff() wires a complete engine run — MemorySystem, block-scheme
- * executor, System — around the differ for a given trace source.
+ * runDiff() attaches the differ to a run assembly (core/runner) for a
+ * given trace source.
  * Restrictions: direct-mapped caches (l1Ways == l2Ways == 1) and the
  * statistical instruction-miss model (modelICache == false); both are
  * enforced fatally, since the reference model supports nothing else.
@@ -112,9 +112,9 @@ struct DiffResult
 };
 
 /**
- * Run @p source through a freshly assembled engine (MemorySystem +
- * @p scheme block-operation executor + System) with an OracleDiffer
- * attached, and report the first divergence if any.  Fatal on
+ * Run @p source through a run assembly for @p scheme with an
+ * OracleDiffer attached (and the coherence checker off), and report
+ * the first divergence if any.  Fatal on
  * configurations the reference model cannot mirror (associativity
  * above 1, detailed instruction-cache model).
  *

@@ -1,22 +1,23 @@
 /**
  * @file
- * The experiment registry: every paper figure, table, and ablation
- * expressed as data the scheduler can consume.
- *
- * Historically each bench binary ran its slice of the evaluation
- * grid serially.  Here an Experiment is split into:
+ * The experiment registry: every paper figure and table, ablation,
+ * extension study and diagnostic, expressed as data the scheduler can
+ * consume.  It is the only experiment front end: oscache-bench, the
+ * fleet (oscache-served) and the golden cells all run its cells.
+ * An Experiment is split into:
  *
  *  - cells: the independent (workload × system × machine) simulation
  *    units, each a closed function returning a CellOutcome.  Most
  *    are plain runWorkload() calls described declaratively; a few
  *    (Table 3's census, the update-set ablation, ...) carry custom
- *    bodies.  Cells with equal `sharedKey` are identical work — the
- *    driver runs one and shares the outcome, so e.g. the Base runs
- *    that five different figures need happen once per sweep.
+ *    bodies, which run their passes through the same run assembly
+ *    (core/runner).  Cells with equal `sharedKey` are identical work —
+ *    the driver runs one and shares the outcome, so e.g. the Base
+ *    runs that five different figures need happen once per sweep.
  *  - render: turns the completed cells into the experiment's text
- *    output (same tables and bar charts the standalone binaries
- *    print).  Renders are graph nodes depending on their cells, so
- *    one experiment can be rendering while another still simulates.
+ *    output (tables and bar charts).  Renders are graph nodes
+ *    depending on their cells, so one experiment can be rendering
+ *    while another still simulates.
  */
 
 #ifndef OSCACHE_EXP_REGISTRY_HH
@@ -107,8 +108,13 @@ const Experiment *findExperiment(const std::string &name);
  * Expand user-supplied names into registry entries.  Accepts
  * experiment names plus the groups "figures", "tables", "ablations",
  * "numa", and "all"; preserves registry order and drops duplicates.
- * fatal()s on an unknown name.
+ * An unknown name sets @p error and yields no experiments.
  */
+std::vector<const Experiment *>
+tryResolveExperiments(const std::vector<std::string> &names,
+                      std::string &error);
+
+/** As tryResolveExperiments(), but fatal()s on an unknown name. */
 std::vector<const Experiment *>
 resolveExperiments(const std::vector<std::string> &names);
 

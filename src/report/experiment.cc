@@ -247,45 +247,34 @@ runWorkload(WorkloadKind workload, const SystemSetup &setup,
         sample::globalSamplingPlan();
     const bool sampled = plan.has_value() && !setup.hotspotPrefetch;
 
-    if (mode == TraceSourceMode::Streamed) {
-        const auto open = [&]() -> std::unique_ptr<TraceSource> {
-            if (hook) {
-                if (auto source = hook(workload, setup.coherence,
-                                       machine.numCpus))
-                    return source;
-            }
-            return std::make_unique<SynthTraceSource>(
-                profile, setup.coherence, machine.numCpus);
-        };
-        if (sampled) {
-            sample::SampleRunOptions sample_options;
-            sample_options.plan = *plan;
-            sample::SampleRunOutcome outcome = sample::runSampled(
-                open, machine, profile.simOptions(), setup.blockScheme,
-                sample_options);
-            if (!outcome.ok)
-                fatal("sampled run failed: ", outcome.error);
-            return std::move(outcome.result);
-        }
-        return runOnSource(open, machine, profile.simOptions(), setup);
-    }
+    const TracePtr trace = mode == TraceSourceMode::Materialized
+        ? cachedWorkloadTrace(workload, setup.coherence, machine.numCpus)
+        : nullptr;
+    if (trace && !sampled)
+        return runOnTrace(*trace, machine, profile.simOptions(), setup);
 
-    const TracePtr trace =
-        cachedWorkloadTrace(workload, setup.coherence, machine.numCpus);
-    if (sampled) {
-        const auto open = [trace]() -> std::unique_ptr<TraceSource> {
+    const auto open = [&]() -> std::unique_ptr<TraceSource> {
+        if (trace)
             return std::make_unique<MaterializedTraceSource>(*trace);
-        };
-        sample::SampleRunOptions sample_options;
-        sample_options.plan = *plan;
-        sample::SampleRunOutcome outcome = sample::runSampled(
-            open, machine, profile.simOptions(), setup.blockScheme,
-            sample_options);
-        if (!outcome.ok)
-            fatal("sampled run failed: ", outcome.error);
-        return std::move(outcome.result);
-    }
-    return runOnTrace(*trace, machine, profile.simOptions(), setup);
+        if (hook) {
+            if (auto source = hook(workload, setup.coherence,
+                                   machine.numCpus))
+                return source;
+        }
+        return std::make_unique<SynthTraceSource>(profile, setup.coherence,
+                                                  machine.numCpus);
+    };
+    if (!sampled)
+        return runOnSource(open, machine, profile.simOptions(), setup);
+
+    sample::SampleRunOptions sample_options;
+    sample_options.plan = *plan;
+    sample::SampleRunOutcome outcome = sample::runSampled(
+        open, machine, profile.simOptions(), setup.blockScheme,
+        sample_options);
+    if (!outcome.ok)
+        fatal("sampled run failed: ", outcome.error);
+    return std::move(outcome.result);
 }
 
 RunResult

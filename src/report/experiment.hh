@@ -1,6 +1,6 @@
 /**
  * @file
- * High-level experiment driver shared by the benchmark binaries:
+ * High-level experiment driver behind the registry's cells:
  * generate (and cache) the synthetic trace a named system needs,
  * run it, and return the results.
  *

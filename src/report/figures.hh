@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared helpers for the figure-regenerating benchmark binaries.
+ * Shared helpers for the registry experiments' figure renders.
  */
 
 #ifndef OSCACHE_REPORT_FIGURES_HH

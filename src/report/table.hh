@@ -1,8 +1,8 @@
 /**
  * @file
- * Fixed-width ASCII table and bar-chart rendering for the benchmark
- * harness: every bench binary prints the rows/series of the paper's
- * table or figure it regenerates, alongside the paper's numbers.
+ * Fixed-width ASCII table and bar-chart rendering for the experiment
+ * registry: every render prints the rows/series of the paper's table
+ * or figure it regenerates, alongside the paper's numbers.
  */
 
 #ifndef OSCACHE_REPORT_TABLE_HH

@@ -7,7 +7,6 @@
 
 #include "check/invariants.hh"
 #include "common/log.hh"
-#include "core/blockop/schemes.hh"
 #include "mem/memsys.hh"
 #include "sample/checkpoint.hh"
 #include "sample/cursor.hh"
@@ -179,28 +178,15 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
     auto inner = open();
     SampledTraceSource sampled(*inner, plan);
 
-    RunResult result;
-    MemorySystem mem(machine);
-
     // Skipped records never touch the memory system, so the
     // checker's shadow stays consistent across the whole sampled run.
-    std::unique_ptr<CoherenceChecker> checker;
-    if (options.checkCoherence)
-        checker = std::make_unique<CoherenceChecker>(machine);
-
-    const ObsOptions obs_opts = effectiveObsOptions(options.obs);
-    std::unique_ptr<ObsHub> hub;
-    if (obs_opts.any()) {
-        hub = std::make_unique<ObsHub>(obs_opts);
-        // Observation is gated to measured windows; the controller
-        // re-enables the hub whenever one opens.
+    RunAssembly run(sampled, machine, options, scheme);
+    MemorySystem &mem = run.memory();
+    System &system = run.engine();
+    // Observation is gated to measured windows; the controller
+    // enables the hub whenever one opens.
+    if (ObsHub *hub = run.hub())
         hub->setEnabled(false);
-        hub->attach(mem);
-    }
-    mem.setObservers({checker.get(), hub.get()});
-
-    auto executor = makeBlockOpExecutor(scheme, mem, result.stats, options);
-    System system(sampled, mem, *executor, options, result.stats);
 
     SimStats warm;
     std::vector<WindowSample> prior;
@@ -213,15 +199,15 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
             cursor->restoreProgress(at.measured, at.skipped);
         }
         std::string why;
-        if (!resume->readState(mem, system, result.stats, warm, prior,
+        if (!resume->readState(mem, system, run.stats(), warm, prior,
                                &why))
             return fail("checkpoint: " + why);
         // The warm image was restored, not observed.
-        if (checker)
+        if (CoherenceChecker *checker = run.checker())
             checker->seed(mem);
     }
 
-    WindowController controller(sampled, plan, result.stats, hub.get(),
+    WindowController controller(sampled, plan, run.stats(), run.hub(),
                                 std::move(prior));
     system.setSampling(&controller, &warm);
 
@@ -233,7 +219,7 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
             if (!os)
                 return fail("cannot write checkpoint '" + save_path + "'");
             writeCheckpoint(os, machine, plan, cursorProgress(sampled),
-                            mem, system, result.stats, warm,
+                            mem, system, run.stats(), warm,
                             controller.collected());
             if (!os)
                 return fail("error writing checkpoint '" + save_path + "'");
@@ -247,24 +233,12 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
         if (!os)
             return fail("cannot write checkpoint '" + save_path + "'");
         writeCheckpoint(os, machine, plan, cursorProgress(sampled), mem,
-                        system, result.stats, warm, controller.collected());
+                        system, run.stats(), warm, controller.collected());
         if (!os)
             return fail("error writing checkpoint '" + save_path + "'");
     }
 
-    result.traceMode = sampled.mode();
-
-    if (hub)
-        result.obs = hub->finish();
-
-    if (checker) {
-        checker->auditFull(mem);
-        if (!checker->clean())
-            panic("coherence invariant violated: ",
-                  format(checker->findings().front()));
-    }
-
-    result.bus = busSnapshot(mem);
+    RunResult result = run.finish();
 
     report = SampleReport{};
     report.plan = plan;

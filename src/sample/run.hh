@@ -1,8 +1,8 @@
 /**
  * @file
- * Sampled-replay driver: assembles the same machine as
- * core/runner.cc's full pass, but replays through SamplingCursors
- * under a window-collecting controller, escalates the plan until the
+ * Sampled-replay driver: builds the machine through the run assembly
+ * (core/runner), but replays through SamplingCursors under a
+ * window-collecting controller, escalates the plan until the
  * requested confidence is met, and can take or resume live-points
  * checkpoints between measured windows.
  *

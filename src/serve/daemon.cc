@@ -54,41 +54,6 @@ makeToken()
     return os.str();
 }
 
-/**
- * Non-exiting twin of resolveExperiments(): same names and group
- * semantics, but an unknown name sets @p error instead of fatal()ing
- * — a daemon must never die on a bad client request.
- */
-std::vector<const Experiment *>
-tryResolveExperiments(const std::vector<std::string> &names,
-                      std::string &error)
-{
-    std::vector<const Experiment *> out;
-    const auto add = [&out](const Experiment *e) {
-        if (std::find(out.begin(), out.end(), e) == out.end())
-            out.push_back(e);
-    };
-    for (const std::string &name : names) {
-        if (name == "all") {
-            for (const Experiment &e : experimentRegistry())
-                add(&e);
-        } else if (name == "figures" || name == "tables" ||
-                   name == "ablations") {
-            const std::string prefix =
-                name.substr(0, name.size() - 1); // drop plural 's'
-            for (const Experiment &e : experimentRegistry())
-                if (e.name.rfind(prefix, 0) == 0)
-                    add(&e);
-        } else if (const Experiment *e = findExperiment(name)) {
-            add(e);
-        } else {
-            error = "unknown experiment '" + name + "'";
-            return {};
-        }
-    }
-    return out;
-}
-
 } // namespace
 
 Daemon::Daemon(DaemonOptions options)

@@ -18,16 +18,6 @@ System::System(TraceSource &source_, MemorySystem &mem_,
     attach();
 }
 
-System::System(const Trace &trace_, MemorySystem &mem_,
-               BlockOpExecutor &executor_, const SimOptions &options,
-               SimStats &stats)
-    : ownedSource(std::make_unique<MaterializedTraceSource>(trace_)),
-      source(*ownedSource), mem(mem_), executor(executor_), opts(options),
-      simStats(stats), cur(&stats), cpus(trace_.numCpus())
-{
-    attach();
-}
-
 void
 System::setSampling(SampleController *controller, SimStats *warm_sink)
 {

@@ -60,10 +60,6 @@ class System
            BlockOpExecutor &executor, const SimOptions &options,
            SimStats &stats);
 
-    /** Convenience: replay a materialized trace. */
-    System(const Trace &trace, MemorySystem &mem, BlockOpExecutor &executor,
-           const SimOptions &options, SimStats &stats);
-
     /** Run the trace to completion. */
     void run();
 
@@ -184,8 +180,6 @@ class System
     /** Break a sampled spin that outlived the controller's budget. */
     bool maybeBreakSpin(CpuId cpu);
 
-    /** Backing source of the convenience Trace constructor. */
-    std::unique_ptr<MaterializedTraceSource> ownedSource;
     TraceSource &source;
     MemorySystem &mem;
     BlockOpExecutor &executor;

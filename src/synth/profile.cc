@@ -1,6 +1,7 @@
 #include "synth/profile.hh"
 
 #include "common/log.hh"
+#include "common/names.hh"
 
 namespace oscache
 {
@@ -19,6 +20,18 @@ toString(WorkloadKind kind)
       case WorkloadKind::ForkChurn:      return "ForkChurn";
     }
     panic("unknown WorkloadKind");
+}
+
+std::optional<WorkloadKind>
+parseWorkloadKind(std::string_view name)
+{
+    for (WorkloadKind kind : allWorkloads)
+        if (matchesDisplayName(name, toString(kind)))
+            return kind;
+    for (WorkloadKind kind : serverWorkloads)
+        if (matchesDisplayName(name, toString(kind)))
+            return kind;
+    return std::nullopt;
 }
 
 WorkloadProfile

@@ -26,6 +26,8 @@
 #define OSCACHE_SYNTH_PROFILE_HH
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "sim/options.hh"
 
@@ -72,6 +74,13 @@ inline constexpr WorkloadKind serverWorkloads[] = {
 
 /** Paper-style workload name. */
 const char *toString(WorkloadKind kind);
+
+/**
+ * The workload whose toString() name is @p name, matched ignoring
+ * case and optionally without its '_'/'+' ("trfd4", "Trfd+Make",
+ * "syscallstorm"); nullopt when none is.
+ */
+std::optional<WorkloadKind> parseWorkloadKind(std::string_view name);
 
 /** Style of the user-level computation between OS activities. */
 enum class UserStyle : std::uint8_t

@@ -5,8 +5,8 @@
 
 #include "common/log.hh"
 #include "core/cohopt.hh"
+#include "core/runner.hh"
 #include "mem/memsys.hh"
-#include "sim/system.hh"
 #include "synth/generator.hh"
 #include "synth/profile.hh"
 
@@ -281,20 +281,33 @@ ConformanceExtractor::report() const
     return rep;
 }
 
+namespace
+{
+
+/** Replay @p trace with @p extractor attached to the run's machine. */
+void
+replayInto(ConformanceExtractor &extractor, const Trace &trace,
+           const MachineConfig &machine, BlockScheme blockScheme)
+{
+    // The extractor reports forbidden edges itself; a checker panic
+    // would pre-empt them.
+    SimOptions options;
+    options.checkCoherence = false;
+    MaterializedTraceSource source(trace);
+    RunAssembly run(source, machine, options, blockScheme);
+    extractor.attach(run.memory());
+    run.attachTap(extractor);
+    run.run();
+}
+
+} // namespace
+
 ConformReport
 conformTrace(const SchemeSpec &spec, const Trace &trace,
              const MachineConfig &machine, BlockScheme blockScheme)
 {
     ConformanceExtractor extractor(spec);
-    MemorySystem mem(machine);
-    extractor.attach(mem);
-    mem.setObserver(&extractor);
-    SimStats stats;
-    SimOptions options;
-    auto executor =
-        makeBlockOpExecutor(blockScheme, mem, stats, options);
-    System system(trace, mem, *executor, options, stats);
-    system.run();
+    replayInto(extractor, trace, machine, blockScheme);
     return extractor.report();
 }
 
@@ -352,17 +365,8 @@ runConformance(ProtoScheme scheme, unsigned quanta, unsigned sockets)
             profile.quanta = quanta;
         const Trace trace = generateTrace(profile, options);
         const MachineConfig *machines[] = {&machine, &small};
-        for (const MachineConfig *m : machines) {
-            MemorySystem mem(*m);
-            extractor.attach(mem);
-            mem.setObserver(&extractor);
-            SimStats stats;
-            SimOptions simOptions;
-            auto executor = makeBlockOpExecutor(blockScheme, mem, stats,
-                                                simOptions);
-            System system(trace, mem, *executor, simOptions, stats);
-            system.run();
-        }
+        for (const MachineConfig *m : machines)
+            replayInto(extractor, trace, *m, blockScheme);
     }
     return extractor.report();
 }

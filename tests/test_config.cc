@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests of the machine configuration: derived values and the
- * validation that rejects malformed configurations.
+ * validation that rejects malformed configurations; and of the one
+ * workload/system name table the CLIs parse names with.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "core/system_config.hh"
 #include "mem/config.hh"
+#include "synth/profile.hh"
 
 namespace oscache
 {
@@ -108,6 +113,66 @@ TEST(ConfigDeathTest, RejectsMoreWaysThanLines)
     cfg.l1LineSize = 16;
     cfg.l1Ways = 8;
     EXPECT_DEATH(cfg.check(), "ways");
+}
+
+TEST(NameTable, EveryWorkloadRoundTrips)
+{
+    for (WorkloadKind kind : allWorkloads)
+        EXPECT_EQ(parseWorkloadKind(toString(kind)), kind) << toString(kind);
+    for (WorkloadKind kind : serverWorkloads)
+        EXPECT_EQ(parseWorkloadKind(toString(kind)), kind) << toString(kind);
+}
+
+TEST(NameTable, EverySystemRoundTrips)
+{
+    for (SystemKind kind : allSystems)
+        EXPECT_EQ(parseSystemKind(toString(kind)), kind) << toString(kind);
+}
+
+TEST(NameTable, AcceptsEveryHistoricalAlias)
+{
+    // The spellings the CLIs' private tables accepted.
+    const std::pair<const char *, WorkloadKind> workloads[] = {
+        {"trfd4", WorkloadKind::Trfd4},
+        {"trfd_4", WorkloadKind::Trfd4},
+        {"trfd+make", WorkloadKind::TrfdMake},
+        {"trfdmake", WorkloadKind::TrfdMake},
+        {"arc2d+fsck", WorkloadKind::Arc2dFsck},
+        {"arc2dfsck", WorkloadKind::Arc2dFsck},
+        {"shell", WorkloadKind::Shell},
+    };
+    for (const auto &[name, kind] : workloads)
+        EXPECT_EQ(parseWorkloadKind(name), kind) << name;
+
+    const std::pair<const char *, SystemKind> systems[] = {
+        {"base", SystemKind::Base},
+        {"blk_pref", SystemKind::BlkPref},
+        {"blk_bypass", SystemKind::BlkBypass},
+        {"blk_bypref", SystemKind::BlkByPref},
+        {"blk_dma", SystemKind::BlkDma},
+        {"bcoh_reloc", SystemKind::BCohReloc},
+        {"bcoh_relup", SystemKind::BCohRelUp},
+        {"bcpref", SystemKind::BCPref},
+    };
+    for (const auto &[name, kind] : systems)
+        EXPECT_EQ(parseSystemKind(name), kind) << name;
+}
+
+TEST(NameTable, NamesTheServerMixes)
+{
+    EXPECT_EQ(parseWorkloadKind("syscallstorm"), WorkloadKind::SyscallStorm);
+    EXPECT_EQ(parseWorkloadKind("IntrFlood"), WorkloadKind::IntrFlood);
+    EXPECT_EQ(parseWorkloadKind("pagecachechurn"),
+              WorkloadKind::PageCacheChurn);
+    EXPECT_EQ(parseWorkloadKind("FORKCHURN"), WorkloadKind::ForkChurn);
+}
+
+TEST(NameTable, RejectsUnknownNames)
+{
+    for (const char *name : {"", "trfd", "trfd-4", "trfd4x", "base "})
+        EXPECT_FALSE(parseWorkloadKind(name).has_value()) << name;
+    for (const char *name : {"", "dma", "blk-dma", "bcpref2", "bc_pref"})
+        EXPECT_FALSE(parseSystemKind(name).has_value()) << name;
 }
 
 } // namespace

@@ -347,6 +347,46 @@ TEST(ExpRegistry, ResolvesGroupsAndDeduplicates)
     EXPECT_EQ(figs.size(), 7u);
 }
 
+TEST(ExpRegistry, TryResolveAgreesWithResolve)
+{
+    std::vector<std::string> names = {"figures", "tables", "ablations",
+                                      "numa", "all"};
+    for (const Experiment &e : experimentRegistry())
+        names.push_back(e.name);
+    for (const std::string &name : names) {
+        std::string error;
+        const auto tried = tryResolveExperiments({name}, error);
+        EXPECT_TRUE(error.empty()) << name << ": " << error;
+        EXPECT_FALSE(tried.empty()) << name;
+        EXPECT_EQ(tried, resolveExperiments({name})) << name;
+    }
+
+    std::string error;
+    const auto numa = tryResolveExperiments({"numa"}, error);
+    ASSERT_EQ(numa.size(), 1u);
+    EXPECT_EQ(numa.front()->name, "numa_server");
+}
+
+TEST(ExpRegistry, ResolvesInRegistryOrder)
+{
+    std::string error;
+    const auto out = tryResolveExperiments({"table2", "figure1"}, error);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0]->name, "figure1");
+    EXPECT_EQ(out[1]->name, "table2");
+}
+
+TEST(ExpRegistry, UnknownNameYieldsErrorAndNoExperiments)
+{
+    std::string error;
+    const auto out =
+        tryResolveExperiments({"figure1", "no_such_experiment"}, error);
+    EXPECT_TRUE(out.empty());
+    EXPECT_NE(error.find("unknown experiment 'no_such_experiment'"),
+              std::string::npos)
+        << error;
+}
+
 TEST(ExpRegistry, EveryExperimentIsWellFormed)
 {
     for (const Experiment &e : experimentRegistry()) {

@@ -90,7 +90,8 @@ TEST(ICacheTest, SystemUsesDetailedModelWhenEnabled)
         opts.modelICache = detailed;
         auto exec = makeBlockOpExecutor(BlockScheme::Base, mem, stats,
                                         opts);
-        System system(trace, mem, *exec, opts, stats);
+        MaterializedTraceSource source(trace);
+        System system(source, mem, *exec, opts, stats);
         system.run();
         if (detailed) {
             // 100 instructions = 800 modeled code bytes = 50 cold
@@ -115,7 +116,8 @@ TEST(ICacheTest, HotLoopCheapUnderDetailedModel)
     SimOptions opts;
     opts.modelICache = true;
     auto exec = makeBlockOpExecutor(BlockScheme::Base, mem, stats, opts);
-    System system(trace, mem, *exec, opts, stats);
+    MaterializedTraceSource source(trace);
+    System system(source, mem, *exec, opts, stats);
     system.run();
     // First execution fetches ~5 lines; the other 99 are free.
     EXPECT_LT(stats.osImiss, 6 * MachineConfig::base().memLatency);

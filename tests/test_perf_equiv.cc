@@ -133,7 +133,8 @@ replay(const Trace &trace, BlockScheme scheme, bool checked, bool stepped,
     }
     std::unique_ptr<BlockOpExecutor> exec =
         makeBlockOpExecutor(scheme, mem, out.stats, opts);
-    System system(trace, mem, *exec, opts, out.stats);
+    MaterializedTraceSource source(trace);
+    System system(source, mem, *exec, opts, out.stats);
     if (stepped) {
         while (system.tick()) {
         }

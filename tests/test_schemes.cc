@@ -275,8 +275,8 @@ TEST_F(SchemeTest, AnalyzerSamplesPreOpState)
 {
     warm(0, 0x100000, 2048); // Half the source.
     BlockOpCensus census;
-    BaseExecutor base(mem, stats, opts);
-    AnalyzingExecutor analyzer(base, mem, census);
+    AnalyzingExecutor analyzer(
+        std::make_unique<BaseExecutor>(mem, stats, opts), mem, census);
     analyzer.execute(0, pageCopy(), 100000, true);
     EXPECT_EQ(census.operations, 1u);
     EXPECT_EQ(census.copies, 1u);
@@ -287,8 +287,8 @@ TEST_F(SchemeTest, AnalyzerSamplesPreOpState)
 TEST_F(SchemeTest, AnalyzerSizeClasses)
 {
     BlockOpCensus census;
-    BaseExecutor base(mem, stats, opts);
-    AnalyzingExecutor analyzer(base, mem, census);
+    AnalyzingExecutor analyzer(
+        std::make_unique<BaseExecutor>(mem, stats, opts), mem, census);
     BlockOp small = pageCopy();
     small.size = 256;
     BlockOp medium = pageCopy();
@@ -311,8 +311,8 @@ TEST_F(SchemeTest, AnalyzerDstDirtyDetection)
     for (Addr a = 0x204000; a < 0x205000; a += 32)
         t = mem.write(0, a, t, ctx).completeAt;
     BlockOpCensus census;
-    BaseExecutor base(mem, stats, opts);
-    AnalyzingExecutor analyzer(base, mem, census);
+    AnalyzingExecutor analyzer(
+        std::make_unique<BaseExecutor>(mem, stats, opts), mem, census);
     analyzer.execute(0, pageCopy(), t + 1000, true);
     EXPECT_NEAR(census.dstDirtyExclPct(), 100.0, 1.0);
 }

@@ -40,7 +40,8 @@ struct SimHarness
     void
     run()
     {
-        System system(trace, mem, *executor, options, stats);
+        MaterializedTraceSource source(trace);
+        System system(source, mem, *executor, options, stats);
         system.run();
     }
 
@@ -305,8 +306,9 @@ TEST(SystemTest, MismatchedCpuCountIsFatal)
     SimOptions options;
     auto exec = makeBlockOpExecutor(BlockScheme::Base, mem, stats,
                                     options);
+    MaterializedTraceSource source(trace);
     EXPECT_DEATH(
-        { System system(trace, mem, *exec, options, stats); }, "cpus");
+        { System system(source, mem, *exec, options, stats); }, "cpus");
 }
 
 TEST(SystemTest, DoubleAcquirePanics)

@@ -43,10 +43,10 @@ usage()
     std::printf(
         "usage: oscache-bench [options] <experiment|group>...\n"
         "\n"
-        "Experiments are registry names (figure1..figure7, "
-        "table1..table5,\n"
-        "ablation_*, numa_server) or the groups: figures, tables,\n"
-        "ablations, numa, all.\n"
+        "Experiments are registry names (--list shows each with its\n"
+        "title): figure1..figure7, table1..table5, ablation_*,\n"
+        "numa_server, extension_*, robustness_seeds, calibrate; or the\n"
+        "groups figures, tables, ablations, numa, all.\n"
         "\n"
         "options:\n"
         "  --jobs N        worker threads (default 1)\n"

@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,27 +34,6 @@ using namespace oscache;
 namespace
 {
 
-const std::map<std::string, WorkloadKind> workloadNames = {
-    {"trfd4", WorkloadKind::Trfd4},
-    {"trfd_4", WorkloadKind::Trfd4},
-    {"trfd+make", WorkloadKind::TrfdMake},
-    {"trfdmake", WorkloadKind::TrfdMake},
-    {"arc2d+fsck", WorkloadKind::Arc2dFsck},
-    {"arc2dfsck", WorkloadKind::Arc2dFsck},
-    {"shell", WorkloadKind::Shell},
-};
-
-const std::map<std::string, SystemKind> systemNames = {
-    {"base", SystemKind::Base},
-    {"blk_pref", SystemKind::BlkPref},
-    {"blk_bypass", SystemKind::BlkBypass},
-    {"blk_bypref", SystemKind::BlkByPref},
-    {"blk_dma", SystemKind::BlkDma},
-    {"bcoh_reloc", SystemKind::BCohReloc},
-    {"bcoh_relup", SystemKind::BCohRelUp},
-    {"bcpref", SystemKind::BCPref},
-};
-
 void
 usage()
 {
@@ -69,7 +47,8 @@ usage()
         "  list      list workloads and systems\n"
         "\n"
         "options:\n"
-        "  --workload <name>    trfd4 | trfd+make | arc2d+fsck | shell\n"
+        "  --workload <name>    trfd4 | trfd+make | arc2d+fsck | shell |\n"
+        "                       a server mix such as syscallstorm\n"
         "  --system <name>      base | blk_pref | blk_bypass | blk_bypref\n"
         "                       | blk_dma | bcoh_reloc | bcoh_relup |"
         " bcpref\n"
@@ -123,16 +102,16 @@ parse(int argc, char **argv)
         };
         if (flag == "--workload") {
             const std::string name = value();
-            const auto it = workloadNames.find(name);
-            if (it == workloadNames.end())
+            const auto kind = parseWorkloadKind(name);
+            if (!kind)
                 fatal("unknown workload '", name, "'");
-            args.workload = it->second;
+            args.workload = *kind;
         } else if (flag == "--system") {
             const std::string name = value();
-            const auto it = systemNames.find(name);
-            if (it == systemNames.end())
+            const auto kind = parseSystemKind(name);
+            if (!kind)
                 fatal("unknown system '", name, "'");
-            args.system = it->second;
+            args.system = *kind;
         } else if (flag == "--l1-size") {
             args.machine.l1Size = std::stoul(value());
         } else if (flag == "--l1-line") {
@@ -336,12 +315,15 @@ cmdReplay(const Args &args)
 int
 cmdList()
 {
+    // Names match ignoring case, with or without their '_'/'+'.
     std::printf("workloads:\n");
     for (WorkloadKind kind : allWorkloads)
         std::printf("  %s\n", toString(kind));
+    for (WorkloadKind kind : serverWorkloads)
+        std::printf("  %s (server mix)\n", toString(kind));
     std::printf("systems:\n");
-    for (const auto &[name, kind] : systemNames)
-        std::printf("  %-12s (%s)\n", name.c_str(), toString(kind));
+    for (SystemKind kind : allSystems)
+        std::printf("  %s\n", toString(kind));
     return 0;
 }
 

@@ -20,7 +20,6 @@
  */
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -41,16 +40,6 @@ using namespace oscache;
 namespace
 {
 
-const std::map<std::string, WorkloadKind> workloadNames = {
-    {"trfd4", WorkloadKind::Trfd4},
-    {"trfd_4", WorkloadKind::Trfd4},
-    {"trfd+make", WorkloadKind::TrfdMake},
-    {"trfdmake", WorkloadKind::TrfdMake},
-    {"arc2d+fsck", WorkloadKind::Arc2dFsck},
-    {"arc2dfsck", WorkloadKind::Arc2dFsck},
-    {"shell", WorkloadKind::Shell},
-};
-
 void
 usage()
 {
@@ -65,7 +54,8 @@ usage()
         "\n"
         "options:\n"
         "  --trace <file>       trace file (trace)\n"
-        "  --workload <name>    trfd4 | trfd+make | arc2d+fsck | shell\n"
+        "  --workload <name>    trfd4 | trfd+make | arc2d+fsck | shell |\n"
+        "                       a server mix such as syscallstorm\n"
         "  --quanta <n>         scheduling quanta to synthesize\n"
         "  --seed <n>           workload random seed\n"
         "  --simulate           also run the simulator with the\n"
@@ -116,10 +106,10 @@ parse(int argc, char **argv)
             args.traceFile = value();
         } else if (flag == "--workload") {
             const std::string name = value();
-            const auto it = workloadNames.find(name);
-            if (it == workloadNames.end())
+            const auto kind = parseWorkloadKind(name);
+            if (!kind)
                 fatal("unknown workload '", name, "'");
-            args.workload = it->second;
+            args.workload = *kind;
         } else if (flag == "--quanta") {
             args.quanta = unsigned(std::stoul(value()));
         } else if (flag == "--seed") {

@@ -21,7 +21,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -38,27 +37,6 @@ using namespace oscache;
 namespace
 {
 
-const std::map<std::string, WorkloadKind> workloadNames = {
-    {"trfd4", WorkloadKind::Trfd4},
-    {"trfd_4", WorkloadKind::Trfd4},
-    {"trfd+make", WorkloadKind::TrfdMake},
-    {"trfdmake", WorkloadKind::TrfdMake},
-    {"arc2d+fsck", WorkloadKind::Arc2dFsck},
-    {"arc2dfsck", WorkloadKind::Arc2dFsck},
-    {"shell", WorkloadKind::Shell},
-};
-
-const std::map<std::string, SystemKind> systemNames = {
-    {"base", SystemKind::Base},
-    {"blk_pref", SystemKind::BlkPref},
-    {"blk_bypass", SystemKind::BlkBypass},
-    {"blk_bypref", SystemKind::BlkByPref},
-    {"blk_dma", SystemKind::BlkDma},
-    {"bcoh_reloc", SystemKind::BCohReloc},
-    {"bcoh_relup", SystemKind::BCohRelUp},
-    {"bcpref", SystemKind::BCPref},
-};
-
 void
 usage()
 {
@@ -70,7 +48,8 @@ usage()
         "text sections are enabled.\n"
         "\n"
         "options:\n"
-        "  --workload <name>   trfd4 | trfd+make | arc2d+fsck | shell\n"
+        "  --workload <name>   trfd4 | trfd+make | arc2d+fsck | shell |\n"
+        "                      a server mix such as syscallstorm\n"
         "                      (required)\n"
         "  --system <name>     base (default) | blk_* | bcoh_* | bcpref\n"
         "  --quanta <n>        scheduling quanta to synthesize\n"
@@ -119,16 +98,16 @@ parse(int argc, char **argv)
         };
         if (flag == "--workload") {
             const std::string name = value();
-            const auto it = workloadNames.find(name);
-            if (it == workloadNames.end())
+            const auto kind = parseWorkloadKind(name);
+            if (!kind)
                 fatal("unknown workload '", name, "'");
-            args.workload = it->second;
+            args.workload = *kind;
         } else if (flag == "--system") {
             const std::string name = value();
-            const auto it = systemNames.find(name);
-            if (it == systemNames.end())
+            const auto kind = parseSystemKind(name);
+            if (!kind)
                 fatal("unknown system '", name, "'");
-            args.system = it->second;
+            args.system = *kind;
         } else if (flag == "--quanta") {
             args.quanta = unsigned(std::stoul(value()));
         } else if (flag == "--seed") {

@@ -24,7 +24,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -47,26 +46,6 @@ using namespace oscache;
 namespace
 {
 
-const std::map<std::string, WorkloadKind> workloadNames = {
-    {"trfd4", WorkloadKind::Trfd4},
-    {"trfd_4", WorkloadKind::Trfd4},
-    {"trfd+make", WorkloadKind::TrfdMake},
-    {"trfdmake", WorkloadKind::TrfdMake},
-    {"arc2d+fsck", WorkloadKind::Arc2dFsck},
-    {"arc2dfsck", WorkloadKind::Arc2dFsck},
-    {"shell", WorkloadKind::Shell},
-};
-
-const std::map<std::string, SystemKind> systemNames = {
-    {"base", SystemKind::Base},
-    {"blk_pref", SystemKind::BlkPref},
-    {"blk_bypass", SystemKind::BlkBypass},
-    {"blk_bypref", SystemKind::BlkByPref},
-    {"blk_dma", SystemKind::BlkDma},
-    {"bcoh_reloc", SystemKind::BCohReloc},
-    {"bcoh_relup", SystemKind::BCohRelUp},
-};
-
 void
 usage()
 {
@@ -87,10 +66,12 @@ usage()
         "                     spinbreak), e.g.\n"
         "                     period=100k,measure=2k,warmup=8k,error=0.05\n"
         "  --records <n>      stream length for 'plan' arithmetic\n"
-        "  --workload <name>  trfd4 | trfd+make | arc2d+fsck | shell\n"
+        "  --workload <name>  trfd4 | trfd+make | arc2d+fsck | shell |\n"
+        "                     a server mix such as syscallstorm\n"
         "  --system <name>    base | blk_pref | blk_bypass | blk_bypref\n"
         "                     | blk_dma | bcoh_reloc | bcoh_relup\n"
-        "                     (bcpref needs full profiles; unsupported)\n"
+        "                     (bcpref's hot-spot profile pass needs\n"
+        "                     complete miss counts; rejected)\n"
         "  --trace <file>     replay a saved trace instead of a workload\n"
         "  --quanta <n>       scheduling quanta to synthesize\n"
         "  --seed <n>         workload random seed\n"
@@ -143,16 +124,21 @@ parse(int argc, char **argv)
             args.records = sample::parseCount(value());
         } else if (flag == "--workload") {
             const std::string name = value();
-            const auto it = workloadNames.find(name);
-            if (it == workloadNames.end())
+            const auto kind = parseWorkloadKind(name);
+            if (!kind)
                 fatal("unknown workload '", name, "'");
-            args.workload = it->second;
+            args.workload = *kind;
         } else if (flag == "--system") {
             const std::string name = value();
-            const auto it = systemNames.find(name);
-            if (it == systemNames.end())
-                fatal("unknown or unsupported system '", name, "'");
-            args.system = it->second;
+            const auto kind = parseSystemKind(name);
+            if (!kind)
+                fatal("unknown system '", name, "'");
+            // Same exemption as sampled experiment cells.
+            if (SystemSetup::forKind(*kind).hotspotPrefetch)
+                fatal("system '", name, "' cannot be sampled: its "
+                      "hot-spot profile pass needs complete per-block "
+                      "miss counts, which sampling decimates");
+            args.system = *kind;
         } else if (flag == "--quanta") {
             args.quanta = unsigned(std::stoul(value()));
         } else if (flag == "--seed") {

@@ -59,11 +59,11 @@ done
 
 # 8 concurrent clients, overlapping sweeps: every distinct cell is
 # requested by several clients, so claim/scheduler dedup is on the
-# critical path, and client 1's "all" makes the union the full smoke
-# suite.
+# critical path, client 1's "all" makes the union the full smoke
+# suite; client 8 adds the numa group.
 i=1
 for names in "all" "figures" "tables" "ablations" "figures" \
-             "tables" "all" "figures tables"; do
+             "tables" "all" "figures tables numa"; do
     # shellcheck disable=SC2086
     "$SERVECTL" --socket "$SOCK" --quiet --smoke \
         --out "$SCRATCH/client$i.jsonl" submit $names &
