@@ -22,13 +22,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "synth/generator.hh"
@@ -105,30 +105,24 @@ main(int argc, char **argv)
     std::string convert_out;
     TraceFormat convert_format = TraceFormat::Text;
     std::size_t buffer_records = defaultStreamReadAhead;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--convert") == 0) {
-            if (i + 1 >= argc)
-                fatal("--convert needs an output path");
-            convert_out = argv[++i];
-        } else if (std::strcmp(argv[i], "--binary") == 0) {
-            convert_format = TraceFormat::Binary;
-        } else if (std::strcmp(argv[i], "--chunked") == 0) {
+    FlagReader flags(argc, argv);
+    while (flags.next()) {
+        const std::string &flag = flags.flag();
+        if (flag == "--convert") {
+            convert_out = flags.value();
+        } else if (flag == "--chunked") {
             convert_format = TraceFormat::Chunked;
-        } else if (std::strcmp(argv[i], "--text") == 0) {
+        } else if (flag == "--text") {
             convert_format = TraceFormat::Text;
-        } else if (std::strcmp(argv[i], "--version") == 0) {
+        } else if (flag == "--version") {
             std::printf("%s\n", versionString().c_str());
             return 0;
-        } else if (std::strcmp(argv[i], "--buffer") == 0) {
-            if (i + 1 >= argc)
-                fatal("--buffer needs a record count");
-            buffer_records = std::strtoul(argv[++i], nullptr, 10);
-            if (buffer_records == 0)
-                fatal("--buffer must be >= 1");
-        } else if (argv[i][0] == '-') {
-            fatal("unknown flag '", argv[i], "'");
+        } else if (flag == "--buffer") {
+            buffer_records = flags.number<std::size_t>(1);
+        } else if (!flag.empty() && flag[0] == '-') {
+            fatal("unknown flag '", flag, "'");
         } else {
-            input = argv[i];
+            input = flag;
         }
     }
 
@@ -157,14 +151,12 @@ main(int argc, char **argv)
                         total, convert_out.c_str(), buffer_records);
             return 0;
         }
-        // Text and binary v2 carry whole-trace counts in their
-        // headers, so the output (not the input) must materialize.
+        // The text writer takes a whole Trace, so the output (not
+        // the input) must materialize.
         const Trace trace = materialize(*source);
-        writeTraceFile(convert_out, trace, convert_format);
-        std::printf("wrote %zu records to %s (%s format)\n",
-                    trace.totalRecords(), convert_out.c_str(),
-                    convert_format == TraceFormat::Binary ? "binary"
-                                                          : "text");
+        writeTraceFile(convert_out, trace, TraceFormat::Text);
+        std::printf("wrote %zu records to %s (text format)\n",
+                    trace.totalRecords(), convert_out.c_str());
         return 0;
     }
 

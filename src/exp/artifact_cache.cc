@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -12,6 +13,7 @@
 
 #include "common/log.hh"
 #include "exp/hash.hh"
+#include "report/experiment.hh"
 #include "synth/generator.hh"
 #include "trace/io.hh"
 
@@ -42,6 +44,40 @@ tempNameFor(const std::string &path)
     return name.str();
 }
 
+/**
+ * Write an artifact through @p write to a unique temp name next to
+ * @p path, then rename it into place.  The rename is atomic within
+ * the directory, so concurrent stores of the same key, even from
+ * other processes, never expose a half-written file.
+ */
+void
+writeArtifact(const std::string &path,
+              const std::function<void(std::ostream &)> &write)
+{
+    const std::string tmp = tempNameFor(path);
+    {
+        std::ofstream os(tmp, std::ios::out | std::ios::binary |
+                                  std::ios::trunc);
+        if (!os) {
+            warn("artifact cache: cannot write '", tmp, "'");
+            return;
+        }
+        write(os);
+        if (!os) {
+            warn("artifact cache: error writing '", tmp, "'");
+            std::error_code ec;
+            fs::remove(tmp, ec);
+            return;
+        }
+    }
+    std::error_code ec;
+    fs::rename(tmp, path, ec);
+    if (ec) {
+        warn("artifact cache: cannot rename '", tmp, "': ", ec.message());
+        fs::remove(tmp, ec);
+    }
+}
+
 } // namespace
 
 TraceStore::TraceStore(std::string directory) : root(std::move(directory))
@@ -58,7 +94,7 @@ TraceStore::keyFor(const WorkloadProfile &profile,
                    const CoherenceOptions &options, unsigned num_cpus)
 {
     ContentHash h;
-    h.mix(traceBinaryVersion);
+    h.mix(traceFormatVersion);
     h.mix(num_cpus);
     mixProfile(h, profile);
     mixCoherence(h, options);
@@ -125,15 +161,7 @@ TraceStore::storeStreaming(const std::string &key,
                            const CoherenceOptions &options,
                            unsigned num_cpus)
 {
-    const std::string path = pathFor(key);
-    const std::string tmp = tempNameFor(path);
-    {
-        std::ofstream os(tmp, std::ios::out | std::ios::binary |
-                                  std::ios::trunc);
-        if (!os) {
-            warn("artifact cache: cannot write '", tmp, "'");
-            return;
-        }
+    writeArtifact(pathFor(key), [&](std::ostream &os) {
         TraceGenerator gen(profile, options, num_cpus);
         ChunkedTraceWriter writer(os, num_cpus, gen.updatePages());
         std::vector<RecordStream> chunk(num_cpus);
@@ -148,51 +176,49 @@ TraceStore::storeStreaming(const std::string &key,
             }
         }
         writer.finish(gen.blockOps());
-        if (!os) {
-            warn("artifact cache: error writing '", tmp, "'");
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return;
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        warn("artifact cache: cannot rename '", tmp, "': ", ec.message());
-        fs::remove(tmp, ec);
-    }
+    });
 }
 
 void
 TraceStore::store(const std::string &key, const Trace &trace)
 {
-    const std::string path = pathFor(key);
-    // Unique temp name per writer so concurrent stores of different
-    // keys (or even a racing store of the same key, possibly from
-    // another process) never collide; the final rename is atomic
-    // within the directory.
-    const std::string tmp = tempNameFor(path);
-    {
-        std::ofstream os(tmp, std::ios::out | std::ios::binary |
-                                  std::ios::trunc);
-        if (!os) {
-            warn("artifact cache: cannot write '", tmp, "'");
-            return;
-        }
-        writeTraceBinary(os, trace);
-        if (!os) {
-            warn("artifact cache: error writing '", tmp, "'");
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return;
-        }
+    writeArtifact(pathFor(key),
+                  [&](std::ostream &os) { writeTraceChunked(os, trace); });
+}
+
+void
+installTraceStore(TraceStore *store, bool stream, std::size_t read_ahead)
+{
+    if (store == nullptr) {
+        setTraceCacheHooks({}, {});
+        setTraceSourceHook({});
+        return;
     }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        warn("artifact cache: cannot rename '", tmp, "': ", ec.message());
-        fs::remove(tmp, ec);
+    const auto key = [](WorkloadKind w, const CoherenceOptions &o,
+                        unsigned cpus) {
+        return TraceStore::keyFor(WorkloadProfile::forKind(w), o, cpus);
+    };
+    setTraceCacheHooks(
+        [store, key](WorkloadKind w, const CoherenceOptions &o,
+                     unsigned cpus) { return store->load(key(w, o, cpus)); },
+        [store, key](WorkloadKind w, const CoherenceOptions &o,
+                     unsigned cpus, const Trace &t) {
+            store->store(key(w, o, cpus), t);
+        });
+    if (!stream) {
+        setTraceSourceHook({});
+        return;
     }
+    setTraceSourceHook(
+        [store, key, read_ahead](WorkloadKind w, const CoherenceOptions &o,
+                                 unsigned cpus)
+            -> std::unique_ptr<TraceSource> {
+            const std::string k = key(w, o, cpus);
+            if (auto source = store->openSource(k, read_ahead))
+                return source;
+            store->storeStreaming(k, WorkloadProfile::forKind(w), o, cpus);
+            return store->openSource(k, read_ahead);
+        });
 }
 
 } // namespace oscache

@@ -7,8 +7,10 @@
  * coherence options on the same workload replays it).  The store
  * maps a content key — a hash of every generation input: the full
  * workload profile, the coherence options, the cpu count, and the
- * binary trace-format version — to a file in the compact binary
- * format (trace/io v2).  A warm directory turns a sweep's
+ * binary trace-format version — to a file in the chunked binary
+ * format (trace/io v3), whether the trace was materialized (store())
+ * or generated straight to disk (storeStreaming()), so load() and
+ * openSource() read either.  A warm directory turns a sweep's
  * generation phase into pure reloads; the acceptance bar is a rerun
  * with zero regenerations.
  *
@@ -61,7 +63,10 @@ class TraceStore
      */
     std::optional<Trace> load(const std::string &key);
 
-    /** Store @p trace under @p key (atomic rename into place). */
+    /**
+     * Store @p trace under @p key in the chunked format (atomic
+     * rename into place).
+     */
     void store(const std::string &key, const Trace &trace);
 
     /**
@@ -104,6 +109,17 @@ class TraceStore
     std::atomic<std::uint64_t> missCount{0};
     std::atomic<std::uint64_t> rejectCount{0};
 };
+
+/**
+ * Put @p store under the in-memory trace cache (report/experiment.hh):
+ * materialized runs load from and store to it, and with @p stream a
+ * missing trace is generated straight to a chunked artifact, then
+ * streamed from disk with @p read_ahead records of buffer per
+ * processor.  A null @p store removes the hooks again.  The store
+ * must outlive its installation.
+ */
+void installTraceStore(TraceStore *store, bool stream = false,
+                       std::size_t read_ahead = defaultStreamReadAhead);
 
 } // namespace oscache
 

@@ -34,15 +34,12 @@ struct Unit
 /** Uninstalls the persistence hooks even when a cell throws. */
 struct HookGuard
 {
-    bool active = false;
-    bool sourceActive = false;
+    bool storeActive = false;
     bool samplingActive = false;
     ~HookGuard()
     {
-        if (active)
-            setTraceCacheHooks({}, {});
-        if (sourceActive)
-            setTraceSourceHook({});
+        if (storeActive)
+            installTraceStore(nullptr);
         if (samplingActive)
             sample::setGlobalSamplingPlan(std::nullopt);
     }
@@ -72,7 +69,6 @@ runExperiments(const std::vector<const Experiment *> &experiments,
     setTraceCacheCapacity(options.traceCacheBytes);
     setTraceSourceMode(options.stream ? TraceSourceMode::Streamed
                                       : TraceSourceMode::Materialized);
-    setStreamReadAhead(options.streamBufferRecords);
 
     HookGuard hooks;
     if (options.samplePlan.has_value()) {
@@ -80,40 +76,9 @@ runExperiments(const std::vector<const Experiment *> &experiments,
         hooks.samplingActive = true;
     }
     if (options.store != nullptr) {
-        TraceStore *store = options.store;
-        setTraceCacheHooks(
-            [store](WorkloadKind w, const CoherenceOptions &o,
-                    unsigned cpus) {
-                return store->load(TraceStore::keyFor(
-                    WorkloadProfile::forKind(w), o, cpus));
-            },
-            [store](WorkloadKind w, const CoherenceOptions &o,
-                    unsigned cpus, const Trace &t) {
-                store->store(TraceStore::keyFor(
-                                 WorkloadProfile::forKind(w), o, cpus),
-                             t);
-            });
-        hooks.active = true;
-        if (options.stream) {
-            // Streamed + store: generate straight to a chunked
-            // artifact on miss, then replay from disk either way.
-            const std::size_t read_ahead = options.streamBufferRecords;
-            setTraceSourceHook(
-                [store, read_ahead](WorkloadKind w,
-                                    const CoherenceOptions &o,
-                                    unsigned cpus)
-                    -> std::unique_ptr<TraceSource> {
-                    const WorkloadProfile profile =
-                        WorkloadProfile::forKind(w);
-                    const std::string key =
-                        TraceStore::keyFor(profile, o, cpus);
-                    if (auto source = store->openSource(key, read_ahead))
-                        return source;
-                    store->storeStreaming(key, profile, o, cpus);
-                    return store->openSource(key, read_ahead);
-                });
-            hooks.sourceActive = true;
-        }
+        installTraceStore(options.store, options.stream,
+                          options.streamBufferRecords);
+        hooks.storeActive = true;
     }
     resetTraceCacheStats();
 

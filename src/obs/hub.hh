@@ -158,7 +158,7 @@ class ObsHub : public MemEventObserver, public BusProbe
     void closeWindow();
     /** @} */
 
-    /** The run's metrics in registry form (sorted by name). */
+    /** The run's metrics as one snapshot (sorted by name). */
     MetricsSnapshot metricsSnapshot() const;
 
     ObsOptions opts;

@@ -1,153 +1,10 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <bit>
 #include <ostream>
-
-#include "common/log.hh"
 
 namespace oscache
 {
-
-namespace
-{
-
-std::atomic<std::uint64_t> nextRegistrySerial{1};
-
-/** TLS map from registry serial to that registry's local shard. */
-struct TlsEntry
-{
-    std::uint64_t serial;
-    std::shared_ptr<void> shard; // Actually MetricsRegistry::Shard.
-    void *raw;
-};
-
-thread_local std::vector<TlsEntry> tlsShards;
-
-/** Find-or-register @p name in @p names; returns its slot index. */
-std::size_t
-slotFor(std::vector<std::string> &names, const std::string &name)
-{
-    const auto it = std::find(names.begin(), names.end(), name);
-    if (it != names.end())
-        return static_cast<std::size_t>(it - names.begin());
-    names.push_back(name);
-    return names.size() - 1;
-}
-
-} // namespace
-
-MetricsRegistry::Shard::Shard(std::size_t n_counters, std::size_t n_gauges,
-                              std::size_t n_histograms)
-    : counters(n_counters), gauges(n_gauges), histograms(n_histograms)
-{}
-
-MetricsRegistry::MetricsRegistry()
-    : serial(nextRegistrySerial.fetch_add(1, std::memory_order_relaxed))
-{}
-
-MetricsRegistry::~MetricsRegistry()
-{
-    std::lock_guard<std::mutex> lock(shardMutex);
-    for (const auto &shard : shards)
-        shard->retired.store(true, std::memory_order_release);
-}
-
-void
-MetricsRegistry::checkOpen(const char *what) const
-{
-    if (frozen.load(std::memory_order_acquire))
-        panic("MetricsRegistry: registering ", what,
-              " after recording started (layout is frozen)");
-}
-
-Counter
-MetricsRegistry::counter(const std::string &name)
-{
-    checkOpen("counter");
-    return Counter(this, slotFor(counterNames, name));
-}
-
-Gauge
-MetricsRegistry::gauge(const std::string &name)
-{
-    checkOpen("gauge");
-    return Gauge(this, slotFor(gaugeNames, name));
-}
-
-Histogram
-MetricsRegistry::histogram(const std::string &name)
-{
-    checkOpen("histogram");
-    return Histogram(this, slotFor(histogramNames, name));
-}
-
-MetricsRegistry::Shard &
-MetricsRegistry::localShard() const
-{
-    // Purge entries of registries that have been destroyed while
-    // scanning for ours; serials are never reused.
-    for (std::size_t i = 0; i < tlsShards.size();) {
-        auto *shard = static_cast<Shard *>(tlsShards[i].raw);
-        if (shard->retired.load(std::memory_order_acquire)) {
-            tlsShards[i] = tlsShards.back();
-            tlsShards.pop_back();
-            continue;
-        }
-        if (tlsShards[i].serial == serial)
-            return *shard;
-        ++i;
-    }
-
-    auto shard = std::make_shared<Shard>(
-        counterNames.size(), gaugeNames.size(), histogramNames.size());
-    {
-        std::lock_guard<std::mutex> lock(shardMutex);
-        frozen.store(true, std::memory_order_release);
-        shards.push_back(shard);
-    }
-    tlsShards.push_back({serial, shard, shard.get()});
-    return *shard;
-}
-
-void
-Counter::add(std::uint64_t delta) const
-{
-    auto &slot = registry->localShard().counters[index];
-    slot.fetch_add(delta, std::memory_order_relaxed);
-}
-
-void
-Gauge::set(double value) const
-{
-    auto &cell = registry->localShard().gauges[index];
-    const std::uint64_t version =
-        registry->gaugeClock.fetch_add(1, std::memory_order_relaxed) + 1;
-    cell.bits.store(std::bit_cast<std::uint64_t>(value),
-                    std::memory_order_relaxed);
-    cell.version.store(version, std::memory_order_release);
-}
-
-void
-Histogram::record(std::uint64_t value) const
-{
-    auto &cell = registry->localShard().histograms[index];
-    cell.buckets[histogramBucketIndex(value)].fetch_add(
-        1, std::memory_order_relaxed);
-    cell.count.fetch_add(1, std::memory_order_relaxed);
-    cell.sum.fetch_add(value, std::memory_order_relaxed);
-
-    std::uint64_t seen = cell.min.load(std::memory_order_relaxed);
-    while (value < seen &&
-           !cell.min.compare_exchange_weak(seen, value,
-                                           std::memory_order_relaxed)) {
-    }
-    seen = cell.max.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !cell.max.compare_exchange_weak(seen, value,
-                                           std::memory_order_relaxed)) {
-    }
-}
 
 double
 HistogramSnapshot::percentile(double p) const
@@ -185,75 +42,6 @@ HistogramSnapshot::percentile(double p) const
     return static_cast<double>(max);
 }
 
-MetricsSnapshot
-MetricsRegistry::snapshot() const
-{
-    std::vector<std::shared_ptr<Shard>> local;
-    {
-        std::lock_guard<std::mutex> lock(shardMutex);
-        local = shards;
-    }
-
-    MetricsSnapshot snap;
-    snap.counters.resize(counterNames.size());
-    for (std::size_t i = 0; i < counterNames.size(); ++i)
-        snap.counters[i].name = counterNames[i];
-    snap.gauges.resize(gaugeNames.size());
-    for (std::size_t i = 0; i < gaugeNames.size(); ++i)
-        snap.gauges[i].name = gaugeNames[i];
-    snap.histograms.resize(histogramNames.size());
-    for (std::size_t i = 0; i < histogramNames.size(); ++i)
-        snap.histograms[i].name = histogramNames[i];
-
-    std::vector<std::uint64_t> gaugeVersions(gaugeNames.size(), 0);
-    for (const auto &shard : local) {
-        for (std::size_t i = 0; i < shard->counters.size(); ++i)
-            snap.counters[i].value +=
-                shard->counters[i].load(std::memory_order_relaxed);
-
-        for (std::size_t i = 0; i < shard->gauges.size(); ++i) {
-            const std::uint64_t version =
-                shard->gauges[i].version.load(std::memory_order_acquire);
-            if (version == 0 || version < gaugeVersions[i])
-                continue;
-            gaugeVersions[i] = version;
-            snap.gauges[i].assigned = true;
-            snap.gauges[i].value = std::bit_cast<double>(
-                shard->gauges[i].bits.load(std::memory_order_relaxed));
-        }
-
-        for (std::size_t i = 0; i < shard->histograms.size(); ++i) {
-            const HistogramCell &cell = shard->histograms[i];
-            HistogramSnapshot &out = snap.histograms[i];
-            const std::uint64_t n =
-                cell.count.load(std::memory_order_relaxed);
-            if (n == 0)
-                continue;
-            const std::uint64_t cell_min =
-                cell.min.load(std::memory_order_relaxed);
-            const std::uint64_t cell_max =
-                cell.max.load(std::memory_order_relaxed);
-            if (out.count == 0 || cell_min < out.min)
-                out.min = cell_min;
-            if (cell_max > out.max)
-                out.max = cell_max;
-            out.count += n;
-            out.sum += cell.sum.load(std::memory_order_relaxed);
-            for (std::size_t b = 0; b < numHistogramBuckets; ++b)
-                out.buckets[b] +=
-                    cell.buckets[b].load(std::memory_order_relaxed);
-        }
-    }
-
-    const auto byName = [](const auto &a, const auto &b) {
-        return a.name < b.name;
-    };
-    std::sort(snap.counters.begin(), snap.counters.end(), byName);
-    std::sort(snap.gauges.begin(), snap.gauges.end(), byName);
-    std::sort(snap.histograms.begin(), snap.histograms.end(), byName);
-    return snap;
-}
-
 void
 MetricsSnapshot::render(std::ostream &os) const
 {
@@ -281,13 +69,6 @@ MetricsSnapshot::render(std::ostream &os) const
                << " p99=" << h.percentile(99);
         os << "\n";
     }
-}
-
-MetricsRegistry &
-processMetrics()
-{
-    static MetricsRegistry registry;
-    return registry;
 }
 
 } // namespace oscache

@@ -31,7 +31,7 @@ namespace oscache
 /** Opt-in switches and rates for the observability subsystem. */
 struct ObsOptions
 {
-    /** Collect named counters/gauges/histograms into a registry. */
+    /** Collect named counters, gauges and histograms (a MetricsSnapshot). */
     bool metrics = false;
     /** Record ring-buffered trace events (Chrome trace_event). */
     bool timeline = false;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "exp/hash.hh"
-#include "obs/metrics.hh"
 #include "sample/run.hh"
 #include "synth/generator.hh"
 #include "synth/stream_source.hh"
@@ -21,29 +20,6 @@ namespace
 {
 
 using TracePtr = std::shared_ptr<const Trace>;
-
-/**
- * Process-wide trace-cache counters, registered on first use.  The
- * registry freezes its layout at the first record, so all three are
- * created together.
- */
-struct CacheCounters
-{
-    Counter hits;
-    Counter misses;
-    Counter evictions;
-};
-
-CacheCounters &
-cacheCounters()
-{
-    static CacheCounters counters{
-        processMetrics().counter("trace_cache.hit"),
-        processMetrics().counter("trace_cache.miss"),
-        processMetrics().counter("trace_cache.eviction"),
-    };
-    return counters;
-}
 
 /** Approximate in-memory footprint of a materialized trace. */
 std::size_t
@@ -98,7 +74,6 @@ struct CacheState
     TraceStoreHook store;
 
     TraceSourceMode sourceMode = TraceSourceMode::Materialized;
-    std::size_t readAhead = defaultStreamReadAhead;
     TraceSourceHook sourceHook;
 };
 
@@ -146,7 +121,6 @@ cachedTrace(WorkloadKind workload, const CoherenceOptions &options,
 {
     const std::string key = traceKey(workload, options, num_cpus);
     CacheState &state = cacheState();
-    CacheCounters &counters = cacheCounters();
 
     std::promise<TracePtr> promise;
     std::shared_ptr<Entry> entry;
@@ -170,7 +144,6 @@ cachedTrace(WorkloadKind workload, const CoherenceOptions &options,
             store = state.store;
         }
     }
-    (creator ? counters.misses : counters.hits).add();
 
     if (creator) {
         try {
@@ -196,7 +169,6 @@ cachedTrace(WorkloadKind workload, const CoherenceOptions &options,
                     evictLocked(state, entry, evicted);
                 }
             }
-            counters.evictions.add(evicted.size());
             if (fresh && store)
                 store(workload, options, num_cpus, *ptr);
             promise.set_value(std::move(ptr));
@@ -309,7 +281,6 @@ setTraceCacheCapacity(std::size_t bytes)
         state.capacityBytes = bytes;
         evictLocked(state, nullptr, evicted);
     }
-    cacheCounters().evictions.add(evicted.size());
 }
 
 std::size_t
@@ -351,30 +322,6 @@ setTraceSourceMode(TraceSourceMode mode)
     CacheState &state = cacheState();
     std::lock_guard<std::mutex> lock(state.mutex);
     state.sourceMode = mode;
-}
-
-TraceSourceMode
-traceSourceMode()
-{
-    CacheState &state = cacheState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    return state.sourceMode;
-}
-
-void
-setStreamReadAhead(std::size_t records)
-{
-    CacheState &state = cacheState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.readAhead = records == 0 ? 1 : records;
-}
-
-std::size_t
-streamReadAhead()
-{
-    CacheState &state = cacheState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    return state.readAhead;
 }
 
 void

@@ -147,16 +147,8 @@ enum class TraceSourceMode
     Streamed,
 };
 
-/** Set/get the process-wide trace-source mode.  Thread-safe. */
+/** Set the process-wide trace-source mode.  Thread-safe. */
 void setTraceSourceMode(TraceSourceMode mode);
-TraceSourceMode traceSourceMode();
-
-/**
- * Read-ahead (in records, per processor) for streamed file sources
- * opened by the hook; forwarded so tools can expose a knob.
- */
-void setStreamReadAhead(std::size_t records);
-std::size_t streamReadAhead();
 
 /**
  * Opens a streamed source for (workload, options, cpu count), or

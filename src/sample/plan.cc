@@ -1,8 +1,9 @@
 #include "sample/plan.hh"
 
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 
+#include "common/flags.hh"
 #include "common/log.hh"
 
 namespace oscache
@@ -10,33 +11,38 @@ namespace oscache
 namespace sample
 {
 
+std::optional<std::uint64_t>
+tryParseCount(std::string_view text)
+{
+    std::uint64_t scale = 1;
+    switch (text.empty() ? '\0' : text.back()) {
+      case 'k': case 'K': scale = 1'000; break;
+      case 'm': case 'M': scale = 1'000'000; break;
+      case 'g': case 'G': scale = 1'000'000'000; break;
+      default: break;
+    }
+    if (scale != 1)
+        text.remove_suffix(1);
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    if (const auto n = tryParseNumber<std::uint64_t>(text)) {
+        if (*n > max / scale)
+            return std::nullopt;
+        return *n * scale;
+    }
+    const auto value = tryParseNumber<double>(text);
+    // 2^64, the first double past the largest count.
+    if (!value || *value < 0 || *value * double(scale) >= 0x1p64)
+        return std::nullopt;
+    return std::uint64_t(*value * double(scale));
+}
+
 std::uint64_t
 parseCount(const std::string &text)
 {
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || value < 0)
+    const auto count = tryParseCount(text);
+    if (!count)
         fatal("sampling plan: bad count '", text, "'");
-    double scale = 1;
-    switch (*end) {
-      case '\0':
-        break;
-      case 'k':
-      case 'K':
-        scale = 1e3;
-        break;
-      case 'm':
-      case 'M':
-        scale = 1e6;
-        break;
-      case 'g':
-      case 'G':
-        scale = 1e9;
-        break;
-      default:
-        fatal("sampling plan: bad suffix in '", text, "'");
-    }
-    return std::uint64_t(value * scale);
+    return *count;
 }
 
 namespace
@@ -76,25 +82,6 @@ SamplingPlan::tryParse(const std::string &text, std::string *error)
             *error = std::move(why);
         return std::nullopt;
     };
-    // Non-exiting twin of parseCount(): same grammar, error out-param.
-    const auto try_count = [](const std::string &t,
-                              std::uint64_t &out) -> bool {
-        char *end = nullptr;
-        const double value = std::strtod(t.c_str(), &end);
-        if (end == t.c_str() || value < 0)
-            return false;
-        double scale = 1;
-        switch (*end) {
-          case '\0': break;
-          case 'k': case 'K': scale = 1e3; break;
-          case 'm': case 'M': scale = 1e6; break;
-          case 'g': case 'G': scale = 1e9; break;
-          default: return false;
-        }
-        out = std::uint64_t(value * scale);
-        return true;
-    };
-
     SamplingPlan plan;
     std::istringstream is(text);
     std::string item;
@@ -106,16 +93,18 @@ SamplingPlan::tryParse(const std::string &text, std::string *error)
             return reject("expected key=value, got '" + item + "'");
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
-        std::uint64_t count = 0;
         if (key == "error") {
-            char *end = nullptr;
-            plan.targetError = std::strtod(value.c_str(), &end);
-            if (end == value.c_str())
+            const auto error_bound = tryParseNumber<double>(value);
+            if (!error_bound || *error_bound < 0)
                 return reject("bad value '" + value + "' for error");
+            plan.targetError = *error_bound;
             continue;
         }
-        if (!try_count(value, count))
+        const auto parsed = tryParseCount(value);
+        if (!parsed || (key == "rounds" &&
+                        *parsed > std::numeric_limits<unsigned>::max()))
             return reject("bad count '" + value + "' for " + key);
+        const std::uint64_t count = *parsed;
         if (key == "period")
             plan.period = count;
         else if (key == "measure")

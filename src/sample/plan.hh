@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/sampling.hh"
 
@@ -35,8 +36,16 @@ namespace oscache
 namespace sample
 {
 
-/** "100k"/"2m"/"1g" → count; plain digits pass through.  fatal()s on
- *  malformed input.  Shared by plan parsing and the CLIs. */
+/**
+ * "100k"/"2m"/"1g" → count.  Plain digits pass through exactly; a
+ * decimal or exponent form ("1.5k", "2e6") is scaled as a double and
+ * truncated.  nullopt on anything else: a sign, NaN, inf, trailing
+ * characters, or a count beyond uint64.  Shared by plan parsing and
+ * the CLIs.
+ */
+std::optional<std::uint64_t> tryParseCount(std::string_view text);
+
+/** As tryParseCount(), but fatal() on malformed input. */
 std::uint64_t parseCount(const std::string &text);
 
 /** One U-of-N systematic sampling plan. */

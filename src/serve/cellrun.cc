@@ -26,7 +26,7 @@ std::string
 workKeyFor(const CellRef &ref, const std::string &sample_plan)
 {
     ContentHash h;
-    h.mix(traceBinaryVersion);
+    h.mix(traceFormatVersion);
     if (!ref.spec->sharedKey.empty()) {
         h.mix(std::string("shared"));
         h.mix(ref.spec->sharedKey);

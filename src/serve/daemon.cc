@@ -62,24 +62,8 @@ Daemon::Daemon(DaemonOptions options)
       scheduler(SchedulerConfig{opts.maxAttempts, opts.backoffMs,
                                 opts.backoffCapMs, opts.maxQueuedCells}),
       claims(opts.storeDir + "/claims"),
-      respawnsLeft(opts.respawnBudget),
-      fleetMetrics(std::make_unique<MetricsRegistry>())
-{
-    // Register everything up front: a registry's layout freezes at
-    // the first record.
-    cellsSimulated = fleetMetrics->counter("serve.cells.simulated");
-    cellsFromCache = fleetMetrics->counter("serve.cells.from_cache");
-    cellsShared = fleetMetrics->counter("serve.cells.shared");
-    cellsFailed = fleetMetrics->counter("serve.cells.failed");
-    jobsSubmitted = fleetMetrics->counter("serve.jobs.submitted");
-    jobsCompleted = fleetMetrics->counter("serve.jobs.completed");
-    backpressureRejects =
-        fleetMetrics->counter("serve.backpressure.rejects");
-    framesIn = fleetMetrics->counter("serve.frames.in");
-    framesOut = fleetMetrics->counter("serve.frames.out");
-    workersRespawned = fleetMetrics->counter("serve.workers.respawned");
-    malformedFrames = fleetMetrics->counter("serve.frames.malformed");
-}
+      respawnsLeft(opts.respawnBudget)
+{}
 
 Daemon::~Daemon()
 {
@@ -193,7 +177,7 @@ Daemon::reapChildren()
         --respawnsLeft;
         if (!spawnWorker())
             break;
-        workersRespawned.add();
+        ++workersRespawned;
     }
 }
 
@@ -253,7 +237,7 @@ Daemon::dispatch(std::uint64_t now_ms)
         frame.set("cell", assignment->cell);
         frame.set("sample", assignment->samplePlan);
         frame.set("attempt", std::int64_t(assignment->attempt));
-        framesOut.add();
+        ++framesOut;
         if (!peer.conn.sendJson(frame)) {
             declareWorkerGone(id, "send failed");
             continue;
@@ -276,7 +260,7 @@ Daemon::applyEffects(const SchedulerEffects &effects)
         const auto it = peers.find(jc->second);
         if (it == peers.end())
             return;
-        framesOut.add();
+        ++framesOut;
         if (!it->second.conn.sendJson(frame))
             dead.push_back(jc->second);
     };
@@ -307,7 +291,7 @@ Daemon::applyEffects(const SchedulerEffects &effects)
             frame.set("cached", emission.cached);
             frame.set("shared", emission.shared);
             if (emission.shared)
-                cellsShared.add();
+                ++cellsShared;
         }
         sendTo(emission.job, frame);
     }
@@ -320,7 +304,7 @@ Daemon::applyEffects(const SchedulerEffects &effects)
         frame.set("failed", std::int64_t(summary.failed));
         sendTo(summary.job, frame);
         jobClients.erase(summary.job);
-        jobsCompleted.add();
+        ++jobsCompleted;
     }
 
     // A quarantined key's claim may be an orphan of the crash that
@@ -431,18 +415,18 @@ Daemon::handleSubmit(int peer_id, const Json &message)
     const std::uint64_t job = nextJobId++;
     SchedulerEffects effects;
     if (!scheduler.submit(job, cells, effects)) {
-        backpressureRejects.add();
+        ++backpressureRejects;
         sendRetryAfter(peer_id, "cell queue full");
         return;
     }
-    jobsSubmitted.add();
+    ++jobsSubmitted;
     jobClients[job] = peer_id;
 
     Json accepted = Json::object();
     accepted.set("type", "accepted");
     accepted.set("job", std::int64_t(job));
     accepted.set("cells", std::int64_t(cells.size()));
-    framesOut.add();
+    ++framesOut;
     const auto it = peers.find(peer_id);
     if (it != peers.end() && !it->second.conn.sendJson(accepted)) {
         dropPeer(peer_id);
@@ -458,7 +442,7 @@ Daemon::handleStatus(int peer_id)
     const auto it = peers.find(peer_id);
     if (it == peers.end())
         return;
-    framesOut.add();
+    ++framesOut;
     if (!it->second.conn.sendJson(statusJson(nowMs())))
         dropPeer(peer_id);
 }
@@ -476,7 +460,7 @@ Daemon::handleDrain(int peer_id)
 void
 Daemon::handleFrame(int peer_id, const Json &message)
 {
-    framesIn.add();
+    ++framesIn;
     const auto it = peers.find(peer_id);
     if (it == peers.end())
         return;
@@ -506,12 +490,12 @@ Daemon::handleFrame(int peer_id, const Json &message)
             if (ok) {
                 ++peer.cellsDone;
                 if (cached)
-                    cellsFromCache.add();
+                    ++cellsFromCache;
                 else
-                    cellsSimulated.add();
+                    ++cellsSimulated;
             } else {
                 ++peer.cellsFailed;
-                cellsFailed.add();
+                ++cellsFailed;
             }
             applyEffects(scheduler.onResult(
                 peer.workerName, key, ok,
@@ -533,7 +517,7 @@ Daemon::handleFrame(int peer_id, const Json &message)
     else if (type == "ping") {
         Json pong = Json::object();
         pong.set("type", "pong");
-        framesOut.add();
+        ++framesOut;
         if (!peer.conn.sendJson(pong))
             dropPeer(peer_id);
     } else {
@@ -550,7 +534,7 @@ Daemon::sendError(int peer_id, const std::string &message)
     Json frame = Json::object();
     frame.set("type", "error");
     frame.set("error", message);
-    framesOut.add();
+    ++framesOut;
     if (!it->second.conn.sendJson(frame))
         dropPeer(peer_id);
 }
@@ -565,7 +549,7 @@ Daemon::sendRetryAfter(int peer_id, const std::string &reason)
     frame.set("type", "retry-after");
     frame.set("seconds", std::int64_t(opts.retryAfterSeconds));
     frame.set("reason", reason);
-    framesOut.add();
+    ++framesOut;
     if (!it->second.conn.sendJson(frame))
         dropPeer(peer_id);
 }
@@ -603,7 +587,7 @@ Daemon::maybeFinishDrain()
     for (const int id : worker_ids) {
         const auto it = peers.find(id);
         if (it != peers.end()) {
-            framesOut.add();
+            ++framesOut;
             it->second.conn.sendJson(shutdown);
         }
     }
@@ -612,7 +596,7 @@ Daemon::maybeFinishDrain()
     for (const int id : waiters) {
         const auto it = peers.find(id);
         if (it != peers.end()) {
-            framesOut.add();
+            ++framesOut;
             it->second.conn.sendJson(drained);
         }
     }
@@ -661,9 +645,23 @@ Daemon::statusJson(std::uint64_t now_ms) const
     claim_stats.set("broken", std::int64_t(claims.broken()));
     reply.set("claims", std::move(claim_stats));
 
+    // In name order, as the status reply has always listed them.
+    const std::pair<const char *, std::uint64_t> fleet_counters[] = {
+        {"serve.backpressure.rejects", backpressureRejects},
+        {"serve.cells.failed", cellsFailed},
+        {"serve.cells.from_cache", cellsFromCache},
+        {"serve.cells.shared", cellsShared},
+        {"serve.cells.simulated", cellsSimulated},
+        {"serve.frames.in", framesIn},
+        {"serve.frames.malformed", malformedFrames},
+        {"serve.frames.out", framesOut},
+        {"serve.jobs.completed", jobsCompleted},
+        {"serve.jobs.submitted", jobsSubmitted},
+        {"serve.workers.respawned", workersRespawned},
+    };
     Json counters = Json::object();
-    for (const CounterSnapshot &c : fleetMetrics->snapshot().counters)
-        counters.set(c.name, std::int64_t(c.value));
+    for (const auto &[name, value] : fleet_counters)
+        counters.set(name, std::int64_t(value));
     reply.set("counters", std::move(counters));
 
     reply.set("cells_per_sec",
@@ -774,12 +772,12 @@ Daemon::run()
                 } else {
                     // Well-framed, bad payload: answer, keep the
                     // connection.
-                    malformedFrames.add();
+                    ++malformedFrames;
                     sendError(id, "invalid JSON: " + parse_error);
                 }
                 break;
               case FrameResult::Oversized:
-                malformedFrames.add();
+                ++malformedFrames;
                 sendError(id, "frame exceeds limit");
                 dropPeer(id);
                 break;

@@ -30,12 +30,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/ipc.hh"
-#include "obs/metrics.hh"
 #include "serve/claims.hh"
 #include "serve/scheduler.hh"
 
@@ -151,23 +149,20 @@ class Daemon
     std::uint64_t startedMs = 0;
 
     /**
-     * Fleet counters (src/obs metrics, exported in the status
-     * reply).  A private registry, not processMetrics(): the daemon
-     * can be constructed in a test process whose global registry
-     * already froze, and its counters are nobody else's business.
+     * Fleet counters, exported in the status reply.  Only the poll()
+     * loop writes them.
      */
-    std::unique_ptr<MetricsRegistry> fleetMetrics;
-    Counter cellsSimulated;
-    Counter cellsFromCache;
-    Counter cellsShared;
-    Counter cellsFailed;
-    Counter jobsSubmitted;
-    Counter jobsCompleted;
-    Counter backpressureRejects;
-    Counter framesIn;
-    Counter framesOut;
-    Counter workersRespawned;
-    Counter malformedFrames;
+    std::uint64_t cellsSimulated = 0;
+    std::uint64_t cellsFromCache = 0;
+    std::uint64_t cellsShared = 0;
+    std::uint64_t cellsFailed = 0;
+    std::uint64_t jobsSubmitted = 0;
+    std::uint64_t jobsCompleted = 0;
+    std::uint64_t backpressureRejects = 0;
+    std::uint64_t framesIn = 0;
+    std::uint64_t framesOut = 0;
+    std::uint64_t workersRespawned = 0;
+    std::uint64_t malformedFrames = 0;
 };
 
 } // namespace oscache::serve

@@ -130,41 +130,11 @@ runWorker(const WorkerOptions &options)
     ClaimStore claims(options.storeDir + "/claims");
     ResultCache results(options.storeDir + "/results");
 
-    // Same hook wiring as the in-process driver: the shared on-disk
-    // artifact cache sits under the in-memory trace cache, and in
-    // stream mode misses generate straight to chunked artifacts.
+    // The shared on-disk artifact cache sits under the in-memory
+    // trace cache, as in the in-process driver.
     setTraceSourceMode(options.stream ? TraceSourceMode::Streamed
                                       : TraceSourceMode::Materialized);
-    setStreamReadAhead(options.streamBufferRecords);
-    TraceStore *store_ptr = &store;
-    setTraceCacheHooks(
-        [store_ptr](WorkloadKind w, const CoherenceOptions &o,
-                    unsigned cpus) {
-            return store_ptr->load(TraceStore::keyFor(
-                WorkloadProfile::forKind(w), o, cpus));
-        },
-        [store_ptr](WorkloadKind w, const CoherenceOptions &o,
-                    unsigned cpus, const Trace &t) {
-            store_ptr->store(TraceStore::keyFor(
-                                 WorkloadProfile::forKind(w), o, cpus),
-                             t);
-        });
-    if (options.stream) {
-        const std::size_t read_ahead = options.streamBufferRecords;
-        setTraceSourceHook(
-            [store_ptr, read_ahead](WorkloadKind w,
-                                    const CoherenceOptions &o,
-                                    unsigned cpus)
-                -> std::unique_ptr<TraceSource> {
-                const WorkloadProfile profile = WorkloadProfile::forKind(w);
-                const std::string key =
-                    TraceStore::keyFor(profile, o, cpus);
-                if (auto source = store_ptr->openSource(key, read_ahead))
-                    return source;
-                store_ptr->storeStreaming(key, profile, o, cpus);
-                return store_ptr->openSource(key, read_ahead);
-            });
-    }
+    installTraceStore(&store, options.stream, options.streamBufferRecords);
 
     SharedConn shared;
     std::string error;

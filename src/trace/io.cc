@@ -205,6 +205,35 @@ getBlockOps(BinaryReader &r, BlockOpTable &ops, const char **why)
     return true;
 }
 
+bool
+getHeader(BinaryReader &r, std::uint32_t &cpus,
+          std::unordered_set<Addr> &pages, const char **why)
+{
+    std::uint32_t version = 0;
+    if (!r.get(version) || version != traceFormatVersion) {
+        *why = "unsupported version";
+        return false;
+    }
+    if (!r.get(cpus) || cpus == 0 || cpus > 64) {
+        *why = "bad cpu count";
+        return false;
+    }
+    std::uint64_t page_count = 0;
+    if (!r.get(page_count) || page_count > (1u << 20)) {
+        *why = "bad update-page count";
+        return false;
+    }
+    for (std::uint64_t i = 0; i < page_count; ++i) {
+        Addr page = 0;
+        if (!r.get(page)) {
+            *why = "truncated update pages";
+            return false;
+        }
+        pages.insert(page);
+    }
+    return true;
+}
+
 } // namespace iodetail
 
 using iodetail::BinaryReader;
@@ -340,33 +369,8 @@ putChecksum(std::ostream &os, std::uint64_t sum)
 
 } // namespace
 
-void
-writeTraceBinary(std::ostream &os, const Trace &trace)
-{
-    os.write(binaryMagic, sizeof(binaryMagic));
-    BinaryWriter w(os);
-    w.put(traceBinaryVersion);
-    w.put(std::uint32_t(trace.numCpus()));
-    putUpdatePages(w, trace.updatePages());
-    putBlockOps(w, trace.blockOps());
-
-    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
-        const RecordStream &stream = trace.stream(cpu);
-        w.put(std::uint64_t(stream.size()));
-        for (const TraceRecord &rec : stream)
-            iodetail::putRecord(w, rec);
-    }
-
-    // The checksum itself is excluded from the checksummed range.
-    putChecksum(os, w.checksum());
-}
-
-namespace
-{
-
 bool
-readBinaryV2Body(std::istream &is, BinaryReader &r, std::uint32_t cpus,
-                 Trace &out, std::string *error)
+tryReadTraceBinary(std::istream &is, Trace &out, std::string *error)
 {
     const auto fail = [error](const char *why) {
         if (error != nullptr)
@@ -374,86 +378,26 @@ readBinaryV2Body(std::istream &is, BinaryReader &r, std::uint32_t cpus,
         return false;
     };
 
-    Trace trace(cpus);
+    char magic[sizeof(binaryMagic)];
+    is.read(magic, sizeof(magic));
+    if (is.gcount() != std::streamsize(sizeof(magic)) ||
+        std::memcmp(magic, binaryMagic, sizeof(magic)) != 0)
+        return fail("bad magic");
 
-    std::uint64_t page_count = 0;
-    if (!r.get(page_count) || page_count > (1u << 20))
-        return fail("bad update-page count");
-    for (std::uint64_t i = 0; i < page_count; ++i) {
-        Addr page = 0;
-        if (!r.get(page))
-            return fail("truncated update pages");
-        trace.updatePages().insert(page);
-    }
-
+    BinaryReader r(is);
+    std::uint32_t cpus = 0;
+    std::unordered_set<Addr> pages;
     const char *why = nullptr;
-    if (!getBlockOps(r, trace.blockOps(), &why))
+    if (!iodetail::getHeader(r, cpus, pages, &why))
         return fail(why);
-
-    for (CpuId cpu = 0; cpu < cpus; ++cpu) {
-        std::uint64_t count = 0;
-        if (!r.get(count))
-            return fail("truncated stream header");
-        RecordStream &stream = trace.stream(cpu);
-        stream.reserve(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            TraceRecord rec;
-            if (!iodetail::getRecord(r, rec, &why))
-                return fail(why);
-            if ((rec.type == RecordType::BlockOpBegin ||
-                 rec.type == RecordType::BlockOpEnd) &&
-                rec.aux >= trace.blockOps().size())
-                return fail("record references unknown block op");
-            stream.push_back(rec);
-        }
-    }
-
-    const std::uint64_t expected = r.checksum();
-    std::uint64_t stored = 0;
-    {
-        char buf[sizeof(stored)];
-        is.read(buf, sizeof(buf));
-        if (is.gcount() != std::streamsize(sizeof(buf)))
-            return fail("missing checksum");
-        std::memcpy(&stored, buf, sizeof(stored));
-    }
-    if (stored != expected)
-        return fail("checksum mismatch");
-    if (is.peek() != std::istream::traits_type::eof())
-        return fail("trailing garbage");
-
-    out = std::move(trace);
-    return true;
-}
-
-bool
-readChunkedV3Body(std::istream &is, BinaryReader &r, std::uint32_t cpus,
-                  Trace &out, std::string *error)
-{
-    const auto fail = [error](const char *why) {
-        if (error != nullptr)
-            *error = why;
-        return false;
-    };
-
     Trace trace(cpus);
-
-    std::uint64_t page_count = 0;
-    if (!r.get(page_count) || page_count > (1u << 20))
-        return fail("bad update-page count");
-    for (std::uint64_t i = 0; i < page_count; ++i) {
-        Addr page = 0;
-        if (!r.get(page))
-            return fail("truncated update pages");
-        trace.updatePages().insert(page);
-    }
+    trace.updatePages() = std::move(pages);
 
     // Record chunks first; the table only arrives afterwards, so
     // block-op references are bounds-checked at the end via the
     // largest id seen.
     std::uint64_t max_op_ref = 0;
     bool any_op_ref = false;
-    const char *why = nullptr;
     while (true) {
         std::uint32_t cpu = 0;
         if (!r.get(cpu))
@@ -500,37 +444,6 @@ readChunkedV3Body(std::istream &is, BinaryReader &r, std::uint32_t cpus,
     return true;
 }
 
-} // namespace
-
-bool
-tryReadTraceBinary(std::istream &is, Trace &out, std::string *error)
-{
-    const auto fail = [error](const char *why) {
-        if (error != nullptr)
-            *error = why;
-        return false;
-    };
-
-    char magic[sizeof(binaryMagic)];
-    is.read(magic, sizeof(magic));
-    if (is.gcount() != std::streamsize(sizeof(magic)) ||
-        std::memcmp(magic, binaryMagic, sizeof(magic)) != 0)
-        return fail("bad magic");
-
-    BinaryReader r(is);
-    std::uint32_t version = 0;
-    std::uint32_t cpus = 0;
-    if (!r.get(version) ||
-        (version != traceBinaryVersion && version != traceChunkedVersion))
-        return fail("unsupported version");
-    if (!r.get(cpus) || cpus == 0 || cpus > 64)
-        return fail("bad cpu count");
-
-    return version == traceBinaryVersion
-               ? readBinaryV2Body(is, r, cpus, out, error)
-               : readChunkedV3Body(is, r, cpus, out, error);
-}
-
 Trace
 readTraceBinary(std::istream &is)
 {
@@ -560,7 +473,7 @@ ChunkedTraceWriter::ChunkedTraceWriter(
         fatal("chunked trace: bad cpu count ", num_cpus);
     impl->cpus = num_cpus;
     os.write(binaryMagic, sizeof(binaryMagic));
-    impl->w.put(traceChunkedVersion);
+    impl->w.put(traceFormatVersion);
     impl->w.put(std::uint32_t(num_cpus));
     putUpdatePages(impl->w, update_pages);
 }
@@ -620,22 +533,15 @@ void
 writeTraceFile(const std::string &path, const Trace &trace,
                TraceFormat format)
 {
-    std::ofstream os(path, format == TraceFormat::Text
-                               ? std::ios::out
-                               : std::ios::out | std::ios::binary);
+    const bool text = format == TraceFormat::Text;
+    std::ofstream os(path, text ? std::ios::out
+                                : std::ios::out | std::ios::binary);
     if (!os)
         fatal("cannot open '", path, "' for writing");
-    switch (format) {
-      case TraceFormat::Text:
+    if (text)
         writeTrace(os, trace);
-        break;
-      case TraceFormat::Binary:
-        writeTraceBinary(os, trace);
-        break;
-      case TraceFormat::Chunked:
+    else
         writeTraceChunked(os, trace);
-        break;
-    }
     if (!os)
         fatal("error writing trace to '", path, "'");
 }

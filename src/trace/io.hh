@@ -27,24 +27,21 @@
  *   U <hex-addr>                 # LockRelease
  *   A <hex-addr> <parties>       # BarrierArrive
  *
- * Version 2 is a compact binary encoding of the same data for fast
- * reload by the experiment harness's artifact cache: the magic
- * "OSTR" + a version word, the cpu count, the update pages (sorted,
- * so identical traces serialize to identical bytes), the block-op
- * table, the per-cpu record streams as packed fixed-width records,
- * and a trailing FNV-1a checksum of everything after the magic.
- * readTraceFile() auto-detects the format from the leading bytes.
- *
- * Version 3 is the *chunked* binary layout, designed so a trace can
- * be written while it is being generated, without ever materializing
- * it: after the same magic/version/cpus/update-pages header come
- * interleaved record chunks — [u32 cpu][u32 count][count packed
- * records] — terminated by a cpu sentinel of 0xffffffff, and only
- * then the block-op table (it grows during generation, so it must
- * trail the records) and the same trailing FNV-1a checksum.
- * Because nothing is back-patched, the checksum streams, and a
- * reader can index the chunks in one O(1)-memory pass
- * (FileTraceSource in source.hh does exactly that).
+ * The one binary encoding, format version 3, is *chunked*, so a
+ * trace can be written while it is being generated, without ever
+ * materializing it: the magic "OSTR" + a version word, the cpu
+ * count, the update pages (sorted, so identical traces serialize to
+ * identical bytes), then interleaved record chunks — [u32 cpu]
+ * [u32 count][count packed fixed-width records] — terminated by a
+ * cpu sentinel of 0xffffffff, and only then the block-op table (it
+ * grows during generation, so it must trail the records) and a
+ * trailing FNV-1a checksum of everything after the magic.  Because
+ * nothing is back-patched, the checksum streams, and a reader can
+ * index the chunks in one O(1)-memory pass (FileTraceSource in
+ * source.hh does exactly that).  The artifact cache stores it, and
+ * readTraceFile() auto-detects text or binary from the leading
+ * bytes.  Version 2, an earlier unchunked layout, is rejected as an
+ * unsupported version.
  */
 
 #ifndef OSCACHE_TRACE_IO_HH
@@ -63,19 +60,16 @@ namespace oscache
 enum class TraceFormat
 {
     Text,    ///< Line-oriented, greppable (format version 1).
-    Binary,  ///< Packed records + checksum (format version 2).
     Chunked, ///< Streamable interleaved chunks (format version 3).
 };
 
 /**
- * Current binary format version.  Bump whenever the record layout or
- * any serialized structure changes; the artifact cache mixes this
- * into its content keys so stale files are never misread.
+ * Version word of the binary format, the only one the readers
+ * accept.  Bump whenever the record layout or any serialized
+ * structure changes; the artifact cache and the serve work keys mix
+ * this in, so stale files are never opened.
  */
-inline constexpr std::uint32_t traceBinaryVersion = 2;
-
-/** Version word of the chunked (streamable) binary layout. */
-inline constexpr std::uint32_t traceChunkedVersion = 3;
+inline constexpr std::uint32_t traceFormatVersion = 3;
 
 /** Serialize @p trace to @p os in the text format above. */
 void writeTrace(std::ostream &os, const Trace &trace);
@@ -86,12 +80,8 @@ void writeTrace(std::ostream &os, const Trace &trace);
  */
 Trace readTrace(std::istream &is);
 
-/** Serialize @p trace to @p os in the binary v2 format. */
-void writeTraceBinary(std::ostream &os, const Trace &trace);
-
 /**
- * Parse a binary-format trace (v2 or chunked v3, selected by the
- * version word) from @p is into @p out.
+ * Parse a binary-format (chunked v3) trace from @p is into @p out.
  *
  * Unlike readTrace() this never exits: a truncated, corrupt, or
  * wrong-version stream returns false (with the reason in @p error

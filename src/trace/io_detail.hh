@@ -18,6 +18,7 @@
 #include <ostream>
 #include <string>
 #include <type_traits>
+#include <unordered_set>
 
 #include "common/binio.hh"
 #include "trace/blockop.hh"
@@ -28,13 +29,13 @@ namespace oscache
 namespace iodetail
 {
 
-/** Leading bytes of a binary trace file (v2 and v3 alike). */
+/** Leading bytes of a binary trace file. */
 inline constexpr char binaryMagic[4] = {'O', 'S', 'T', 'R'};
 
 /** Bytes of one packed TraceRecord on the wire. */
 inline constexpr std::size_t recordWireBytes = 8 + 4 + 4 + 1 + 1 + 1 + 1;
 
-/** Chunk header sentinel terminating a v3 chunk sequence. */
+/** Chunk header sentinel terminating the chunk sequence. */
 inline constexpr std::uint32_t chunkEndMarker = 0xffffffffu;
 
 // The checksummed stream primitives grew a second client (the
@@ -112,10 +113,19 @@ bool tryParseRecordLine(const std::string &line, TraceRecord &rec,
 TraceRecord parseRecordLine(const std::string &line);
 
 /**
- * Parse the serialized block-op table (layout shared by v2 and v3).
- * False with the reason in @p why on malformed input.
+ * Parse the serialized block-op table.  False with the reason in
+ * @p why on malformed input.
  */
 bool getBlockOps(BinaryReader &r, BlockOpTable &ops, const char **why);
+
+/**
+ * Parse a binary trace's header after the magic: the version word
+ * (only traceFormatVersion is accepted; anything else is an
+ * "unsupported version"), the cpu count and the update pages.  False
+ * with the reason in @p why on malformed input.
+ */
+bool getHeader(BinaryReader &r, std::uint32_t &cpus,
+               std::unordered_set<Addr> &pages, const char **why);
 
 } // namespace iodetail
 } // namespace oscache

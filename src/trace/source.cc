@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/log.hh"
-#include "trace/io.hh"
 #include "trace/io_detail.hh"
 
 namespace oscache
@@ -301,7 +300,7 @@ FileTraceSource::cursor(CpuId cpu)
 {
     if (cpu >= numCpus())
         panic("FileTraceSource::cursor: bad cpu ", int(cpu));
-    if (fileFormat == Format::Text)
+    if (text)
         return std::make_unique<TextCursor>(*this, cpu);
     return std::make_unique<BinaryCursor>(*this, cpu);
 }
@@ -349,105 +348,55 @@ FileTraceSource::scanBinary(std::istream &is, std::string *error)
     is.seekg(std::streamoff(sizeof(binaryMagic)));
     BinaryReader r(is);
 
-    std::uint32_t version = 0;
     std::uint32_t cpus = 0;
-    if (!r.get(version) ||
-        (version != traceBinaryVersion && version != traceChunkedVersion))
-        return fail("unsupported version");
-    if (!r.get(cpus) || cpus == 0 || cpus > 64)
-        return fail("bad cpu count");
-    fileFormat = version == traceBinaryVersion ? Format::BinaryV2
-                                               : Format::ChunkedV3;
+    const char *why = nullptr;
+    if (!iodetail::getHeader(r, cpus, pages, &why))
+        return fail(why);
     segments.assign(cpus, {});
     recordCounts.assign(cpus, 0);
 
-    std::uint64_t page_count = 0;
-    if (!r.get(page_count) || page_count > (1u << 20))
-        return fail("bad update-page count");
-    for (std::uint64_t i = 0; i < page_count; ++i) {
-        Addr page = 0;
-        if (!r.get(page))
-            return fail("truncated update pages");
-        pages.insert(page);
-    }
-
-    const char *why = nullptr;
-    if (fileFormat == Format::BinaryV2) {
-        if (!iodetail::getBlockOps(r, table, &why))
-            return fail(why);
-        for (CpuId cpu = 0; cpu < cpus; ++cpu) {
-            std::uint64_t count = 0;
-            if (!r.get(count))
-                return fail("truncated stream header");
-            Segment seg;
-            seg.offset = std::uint64_t(is.tellg());
-            seg.records = count;
-            if (depth == ScanDepth::Index) {
-                is.seekg(std::streamoff(count * recordWireBytes),
-                         std::ios::cur);
-                if (!is || is.peek() == std::istream::traits_type::eof())
-                    return fail("truncated record stream");
-            } else {
-                for (std::uint64_t i = 0; i < count; ++i) {
-                    TraceRecord rec;
-                    if (!iodetail::getRecord(r, rec, &why))
-                        return fail(why);
-                    if ((rec.type == RecordType::BlockOpBegin ||
-                         rec.type == RecordType::BlockOpEnd) &&
-                        rec.aux >= table.size())
-                        return fail("record references unknown block op");
+    // The table trails the records, so block-op references are
+    // bounds-checked afterwards via the largest id seen.
+    std::uint64_t max_op_ref = 0;
+    bool any_op_ref = false;
+    while (true) {
+        std::uint32_t cpu = 0;
+        if (!r.get(cpu))
+            return fail("truncated chunk header");
+        if (cpu == chunkEndMarker)
+            break;
+        std::uint32_t count = 0;
+        if (cpu >= cpus || !r.get(count))
+            return fail("bad chunk header");
+        Segment seg;
+        seg.offset = std::uint64_t(is.tellg());
+        seg.records = count;
+        if (depth == ScanDepth::Index) {
+            is.seekg(std::streamoff(std::uint64_t(count) * recordWireBytes),
+                     std::ios::cur);
+            if (!is || is.peek() == std::istream::traits_type::eof())
+                return fail("truncated record stream");
+        } else {
+            for (std::uint32_t i = 0; i < count; ++i) {
+                TraceRecord rec;
+                if (!iodetail::getRecord(r, rec, &why))
+                    return fail(why);
+                if (rec.type == RecordType::BlockOpBegin ||
+                    rec.type == RecordType::BlockOpEnd) {
+                    any_op_ref = true;
+                    max_op_ref =
+                        std::max<std::uint64_t>(max_op_ref, rec.aux);
                 }
             }
-            recordCounts[cpu] = count;
-            if (count > 0)
-                segments[cpu].push_back(seg);
         }
-    } else {
-        // Chunked: the table trails the records, so block-op
-        // references are bounds-checked afterwards via the largest
-        // id seen.
-        std::uint64_t max_op_ref = 0;
-        bool any_op_ref = false;
-        while (true) {
-            std::uint32_t cpu = 0;
-            if (!r.get(cpu))
-                return fail("truncated chunk header");
-            if (cpu == chunkEndMarker)
-                break;
-            std::uint32_t count = 0;
-            if (cpu >= cpus || !r.get(count))
-                return fail("bad chunk header");
-            Segment seg;
-            seg.offset = std::uint64_t(is.tellg());
-            seg.records = count;
-            if (depth == ScanDepth::Index) {
-                is.seekg(std::streamoff(std::uint64_t(count) *
-                                        recordWireBytes),
-                         std::ios::cur);
-                if (!is || is.peek() == std::istream::traits_type::eof())
-                    return fail("truncated record stream");
-            } else {
-                for (std::uint32_t i = 0; i < count; ++i) {
-                    TraceRecord rec;
-                    if (!iodetail::getRecord(r, rec, &why))
-                        return fail(why);
-                    if (rec.type == RecordType::BlockOpBegin ||
-                        rec.type == RecordType::BlockOpEnd) {
-                        any_op_ref = true;
-                        max_op_ref =
-                            std::max<std::uint64_t>(max_op_ref, rec.aux);
-                    }
-                }
-            }
-            recordCounts[cpu] += count;
-            if (count > 0)
-                segments[cpu].push_back(seg);
-        }
-        if (!iodetail::getBlockOps(r, table, &why))
-            return fail(why);
-        if (any_op_ref && max_op_ref >= table.size())
-            return fail("record references unknown block op");
+        recordCounts[cpu] += count;
+        if (count > 0)
+            segments[cpu].push_back(seg);
     }
+    if (!iodetail::getBlockOps(r, table, &why))
+        return fail(why);
+    if (any_op_ref && max_op_ref >= table.size())
+        return fail("record references unknown block op");
 
     const std::uint64_t expected = r.checksum();
     std::uint64_t stored = 0;
@@ -477,7 +426,7 @@ FileTraceSource::scanText(std::istream &is, std::string *error)
         return false;
     };
 
-    fileFormat = Format::Text;
+    text = true;
 
     std::string line;
     if (!std::getline(is, line) || line != "oscache-trace 1")

@@ -14,9 +14,9 @@
  *
  *  - MaterializedTraceSource wraps an existing Trace (tests, small
  *    runs, trace-rewriting passes);
- *  - FileTraceSource (this header) reads the text, binary-v2, and
- *    chunked-v3 on-disk formats incrementally with a bounded
- *    read-ahead buffer per processor;
+ *  - FileTraceSource (this header) reads the text and chunked
+ *    binary on-disk formats incrementally with a bounded read-ahead
+ *    buffer per processor;
  *  - SynthTraceSource (src/synth/stream_source.hh) generates records
  *    on demand, quantum by quantum, so generation overlaps
  *    simulation and no full trace is ever built.
@@ -246,11 +246,11 @@ class MaterializedTraceSource final : public TraceSource
 inline constexpr std::size_t defaultStreamReadAhead = 4096;
 
 /**
- * Streaming reader of on-disk traces in any supported format (text
- * v1, binary v2, chunked v3 — detected from the leading bytes).
+ * Streaming reader of on-disk traces in either format (text v1 or
+ * chunked binary v3, detected from the leading bytes).
  *
  * Construction performs one O(1)-memory validation pass over the
- * whole file — structure, record bounds, and (binary formats) the
+ * whole file — structure, record bounds, and (binary format) the
  * trailing checksum — and indexes where each processor's records
  * live, so a truncated or corrupted file fails up front rather than
  * mid-simulation.  Each cursor then re-reads its processor's byte
@@ -266,7 +266,7 @@ class FileTraceSource final : public TraceSource
      * trailing checksum — the right default, and what the artifact
      * cache relies on to discard corrupt artifacts.
      *
-     * Index walks the binary formats' structure by seek arithmetic:
+     * Index walks the binary format's structure by seek arithmetic:
      * headers, chunk boundaries, the block-op table, and the end
      * sentinel are validated, but record payloads are skipped on
      * disk and the trailing checksum is not recomputed (verifying it
@@ -318,20 +318,8 @@ class FileTraceSource final : public TraceSource
     std::optional<std::size_t> knownRecords(CpuId cpu) const override;
     const char *mode() const override { return "file"; }
 
-    /** On-disk format the open file turned out to be in. */
-    enum class Format
-    {
-        Text,
-        BinaryV2,
-        ChunkedV3,
-    };
-    Format format() const { return fileFormat; }
-
     /** Cursor read-ahead, in records. */
     std::size_t readAhead() const { return bufferRecords; }
-
-    /** Scan depth the file was opened with. */
-    ScanDepth scanDepth() const { return depth; }
 
   private:
     FileTraceSource() = default;
@@ -340,7 +328,7 @@ class FileTraceSource final : public TraceSource
     struct Segment
     {
         std::uint64_t offset = 0; ///< Absolute file offset.
-        std::uint64_t records = 0; ///< Record count (binary formats).
+        std::uint64_t records = 0; ///< Record count (binary format).
         std::uint64_t end = 0;     ///< End offset (text format).
     };
 
@@ -355,7 +343,7 @@ class FileTraceSource final : public TraceSource
     std::string path;
     std::size_t bufferRecords = defaultStreamReadAhead;
     ScanDepth depth = ScanDepth::Full;
-    Format fileFormat = Format::Text;
+    bool text = false; ///< Text format (else chunked binary).
     BlockOpTable table;
     std::unordered_set<Addr> pages;
     std::vector<std::vector<Segment>> segments; ///< Per cpu.

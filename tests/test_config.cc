@@ -1,16 +1,22 @@
 /**
  * @file
  * Tests of the machine configuration: derived values and the
- * validation that rejects malformed configurations; and of the one
- * workload/system name table the CLIs parse names with.
+ * validation that rejects malformed configurations; of the one
+ * workload/system name table the CLIs parse names with; and of the
+ * one number grammar they parse flag values with.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
 
+#include "common/flags.hh"
 #include "core/system_config.hh"
 #include "mem/config.hh"
+#include "sample/plan.hh"
 #include "synth/profile.hh"
 
 namespace oscache
@@ -173,6 +179,89 @@ TEST(NameTable, RejectsUnknownNames)
         EXPECT_FALSE(parseWorkloadKind(name).has_value()) << name;
     for (const char *name : {"", "dma", "blk-dma", "bcpref2", "bc_pref"})
         EXPECT_FALSE(parseSystemKind(name).has_value()) << name;
+}
+
+/** Inputs no number grammar accepts, whatever the target type. */
+const char *const malformedNumbers[] = {
+    "", "abc", "2x", "-1", "nan", "1.5kq", " 1", "1 ", "+1", "0x10",
+};
+
+TEST(FlagNumbers, UnsignedAcceptsWholeNumbersInRange)
+{
+    EXPECT_EQ(tryParseNumber<unsigned>("0"), 0u);
+    EXPECT_EQ(tryParseNumber<unsigned>("4096"), 4096u);
+    EXPECT_EQ(tryParseNumber<unsigned>("4294967295"),
+              std::numeric_limits<unsigned>::max());
+    EXPECT_EQ(tryParseNumber<std::uint64_t>("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(FlagNumbers, UnsignedRejectsEverythingElse)
+{
+    for (const char *text : malformedNumbers) {
+        EXPECT_FALSE(tryParseNumber<unsigned>(text)) << text;
+        EXPECT_FALSE(tryParseNumber<std::uint64_t>(text)) << text;
+    }
+    // Overflow, fractions and exponents.
+    EXPECT_FALSE(tryParseNumber<unsigned>("4294967296"));
+    EXPECT_FALSE(tryParseNumber<std::uint64_t>("18446744073709551616"));
+    EXPECT_FALSE(tryParseNumber<std::uint64_t>("99999999999999999999999"));
+    EXPECT_FALSE(tryParseNumber<unsigned>("1e30"));
+    EXPECT_FALSE(tryParseNumber<unsigned>("1.5"));
+}
+
+TEST(FlagNumbers, DoubleAcceptsOnlyFiniteNumbers)
+{
+    EXPECT_EQ(tryParseNumber<double>("0"), 0.0);
+    EXPECT_EQ(tryParseNumber<double>("4096"), 4096.0);
+    EXPECT_EQ(tryParseNumber<double>("0.05"), 0.05);
+    EXPECT_EQ(tryParseNumber<double>("1e30"), 1e30);
+    for (const char *text : {"", "abc", "2x", "nan", "inf", "-inf", "1.5kq",
+                             "1e999"})
+        EXPECT_FALSE(tryParseNumber<double>(text)) << text;
+}
+
+TEST(FlagNumbers, CountAcceptsSuffixesAndTheFullRange)
+{
+    EXPECT_EQ(sample::tryParseCount("0"), 0u);
+    EXPECT_EQ(sample::tryParseCount("4096"), 4096u);
+    EXPECT_EQ(sample::tryParseCount("100k"), 100'000u);
+    EXPECT_EQ(sample::tryParseCount("1.5k"), 1'500u);
+    EXPECT_EQ(sample::tryParseCount("2M"), 2'000'000u);
+    EXPECT_EQ(sample::tryParseCount("2g"), 2'000'000'000u);
+    EXPECT_EQ(sample::tryParseCount("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(FlagNumbers, CountRejectsEverythingElse)
+{
+    for (const char *text : malformedNumbers)
+        EXPECT_FALSE(sample::tryParseCount(text)) << text;
+    for (const char *text :
+         {"k", "18446744073709551616", "18446744073709552k", "1e30",
+          "inf", "nan", "-0.5k", "2kk"})
+        EXPECT_FALSE(sample::tryParseCount(text)) << text;
+    EXPECT_FALSE(sample::SamplingPlan::tryParse(
+        "period=nan,measure=2k,warmup=8k"));
+    EXPECT_FALSE(sample::SamplingPlan::tryParse("error=nan"));
+    EXPECT_FALSE(sample::SamplingPlan::tryParse("error=0.05x"));
+    EXPECT_FALSE(sample::SamplingPlan::tryParse("rounds=4294967296"));
+}
+
+TEST(FlagNumbers, ReaderNamesTheFlagOnABadValue)
+{
+    const auto read = [](std::string value) {
+        std::string flag = "--count";
+        char *argv[] = {flag.data(), value.data()};
+        FlagReader flags(2, argv, 0);
+        flags.next();
+        return flags.number<std::uint64_t>();
+    };
+    EXPECT_EQ(read("4096"), 4096u);
+    for (const char *bad : {"abc", "", "-1", "1e30"})
+        EXPECT_EXIT(read(bad), ::testing::ExitedWithCode(1),
+                    "flag --count wants a whole number")
+            << bad;
 }
 
 } // namespace

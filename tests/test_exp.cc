@@ -182,6 +182,20 @@ TEST(ExpArtifactCache, StoreLoadRoundTrip)
     EXPECT_EQ(loaded->numCpus(), trace.numCpus());
     EXPECT_EQ(store.hits(), 1u);
     EXPECT_EQ(store.misses(), 1u);
+
+    // store() writes the same chunked encoding storeStreaming() does,
+    // so a streamed run can replay it from disk.
+    auto source = store.openSource(key, 64);
+    ASSERT_NE(source, nullptr);
+    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
+        auto cursor = source->cursor(cpu);
+        for (const TraceRecord &rec : trace.stream(cpu)) {
+            ASSERT_NE(cursor->peek(), nullptr);
+            ASSERT_EQ(*cursor->peek(), rec);
+            cursor->advance();
+        }
+        EXPECT_EQ(cursor->peek(), nullptr);
+    }
 }
 
 TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
@@ -207,6 +221,20 @@ TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
     EXPECT_FALSE(fs::exists(path)) << "corrupt artifact must be deleted";
 
     // A fresh store regenerates transparently.
+    store.store(key, trace);
+    EXPECT_TRUE(store.load(key).has_value());
+
+    // So does an artifact of the retired binary version 2.
+    {
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        const std::uint32_t retired = 2;
+        f.seekp(4); // The version word follows the 4-byte magic.
+        f.write(reinterpret_cast<const char *>(&retired), sizeof(retired));
+    }
+    EXPECT_FALSE(store.load(key).has_value());
+    EXPECT_EQ(store.rejected(), 2u);
+    EXPECT_FALSE(fs::exists(path));
     store.store(key, trace);
     EXPECT_TRUE(store.load(key).has_value());
 }

@@ -1,17 +1,15 @@
 /**
  * @file
- * Observability subsystem tests: metrics registry (buckets,
- * percentiles, thread-shard merging, saturation, determinism), event
- * timeline (ring semantics, Chrome trace export), windowed series,
- * and — the load-bearing one — agreement of the miss-attribution
- * profiler with the simulation engine's own per-block miss
- * statistics.
+ * Observability subsystem tests: metric histograms (buckets,
+ * percentiles, saturation), event timeline (ring semantics, Chrome
+ * trace export), windowed series, and — the load-bearing one —
+ * agreement of the miss-attribution profiler with the simulation
+ * engine's own per-block miss statistics.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -78,25 +76,6 @@ TEST(MetricsTest, HistogramBucketBoundaries)
     EXPECT_EQ(histogramBucketIndex(top), shiftLoopBucketIndex(top));
 }
 
-TEST(MetricsTest, SingleWriterRecordMatchesTheRegistry)
-{
-    MetricsRegistry reg;
-    Histogram shared = reg.histogram("h");
-    HistogramSnapshot local{"h"};
-    for (const std::uint64_t v :
-         {std::uint64_t{9}, std::uint64_t{0}, std::uint64_t{3},
-          std::uint64_t{1} << 50, std::uint64_t{9}}) {
-        shared.record(v);
-        local.record(v);
-    }
-    const HistogramSnapshot merged = reg.snapshot().histograms.at(0);
-    EXPECT_EQ(local.count, merged.count);
-    EXPECT_EQ(local.sum, merged.sum);
-    EXPECT_EQ(local.min, merged.min);
-    EXPECT_EQ(local.max, merged.max);
-    EXPECT_EQ(local.buckets, merged.buckets);
-}
-
 TEST(MetricsTest, HistogramOverflowSaturatesLastBucket)
 {
     // Values beyond the bucket range land in the last bucket instead
@@ -104,12 +83,8 @@ TEST(MetricsTest, HistogramOverflowSaturatesLastBucket)
     EXPECT_EQ(histogramBucketIndex(~std::uint64_t{0}),
               numHistogramBuckets - 1);
 
-    MetricsRegistry reg;
-    Histogram h = reg.histogram("big");
-    h.record(std::uint64_t{1000000000000000000});
-    const MetricsSnapshot snap = reg.snapshot();
-    ASSERT_EQ(snap.histograms.size(), 1u);
-    const HistogramSnapshot &hs = snap.histograms[0];
+    HistogramSnapshot hs{"big"};
+    hs.record(std::uint64_t{1000000000000000000});
     EXPECT_EQ(hs.count, 1u);
     EXPECT_EQ(hs.buckets[numHistogramBuckets - 1], 1u);
     EXPECT_EQ(hs.max, std::uint64_t{1000000000000000000});
@@ -119,27 +94,22 @@ TEST(MetricsTest, HistogramOverflowSaturatesLastBucket)
 
 TEST(MetricsTest, HistogramPercentiles)
 {
-    MetricsRegistry reg;
-    Histogram h = reg.histogram("stall");
-
     // A single repeated value: interpolation is clamped to the unit
     // interval [v, v+1), with the extremes exact.
+    HistogramSnapshot stall{"stall"};
     for (int i = 0; i < 100; ++i)
-        h.record(7);
-    MetricsSnapshot snap = reg.snapshot();
-    EXPECT_DOUBLE_EQ(snap.histograms[0].percentile(0), 7.0);
-    EXPECT_DOUBLE_EQ(snap.histograms[0].percentile(100), 7.0);
-    EXPECT_GE(snap.histograms[0].percentile(50), 7.0);
-    EXPECT_LT(snap.histograms[0].percentile(50), 8.0);
-    EXPECT_GE(snap.histograms[0].percentile(99), 7.0);
-    EXPECT_LT(snap.histograms[0].percentile(99), 8.0);
-    EXPECT_DOUBLE_EQ(snap.histograms[0].mean(), 7.0);
+        stall.record(7);
+    EXPECT_DOUBLE_EQ(stall.percentile(0), 7.0);
+    EXPECT_DOUBLE_EQ(stall.percentile(100), 7.0);
+    EXPECT_GE(stall.percentile(50), 7.0);
+    EXPECT_LT(stall.percentile(50), 8.0);
+    EXPECT_GE(stall.percentile(99), 7.0);
+    EXPECT_LT(stall.percentile(99), 8.0);
+    EXPECT_DOUBLE_EQ(stall.mean(), 7.0);
 
-    MetricsRegistry reg2;
-    Histogram h2 = reg2.histogram("mixed");
+    HistogramSnapshot hs{"mixed"};
     for (std::uint64_t v = 1; v <= 1000; ++v)
-        h2.record(v);
-    const HistogramSnapshot hs = reg2.snapshot().histograms[0];
+        hs.record(v);
     EXPECT_EQ(hs.count, 1000u);
     EXPECT_EQ(hs.min, 1u);
     EXPECT_EQ(hs.max, 1000u);
@@ -153,69 +123,6 @@ TEST(MetricsTest, HistogramPercentiles)
     // (the bucket holding the true median, 500).
     EXPECT_GE(p50, 256.0);
     EXPECT_GE(p99, 512.0);
-}
-
-TEST(MetricsTest, ThreadShardsMergeOnSnapshot)
-{
-    MetricsRegistry reg;
-    Counter c = reg.counter("ops");
-    Histogram h = reg.histogram("lat");
-    Gauge g = reg.gauge("last");
-
-    constexpr int threads = 4;
-    constexpr int per_thread = 10000;
-    std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-            for (int i = 0; i < per_thread; ++i) {
-                c.add();
-                h.record(std::uint64_t(t + 1));
-            }
-            g.set(double(t));
-        });
-    }
-    for (std::thread &t : pool)
-        t.join();
-
-    const MetricsSnapshot snap = reg.snapshot();
-    ASSERT_EQ(snap.counters.size(), 1u);
-    EXPECT_EQ(snap.counters[0].value,
-              std::uint64_t(threads) * per_thread);
-    ASSERT_EQ(snap.histograms.size(), 1u);
-    EXPECT_EQ(snap.histograms[0].count,
-              std::uint64_t(threads) * per_thread);
-    EXPECT_EQ(snap.histograms[0].min, 1u);
-    EXPECT_EQ(snap.histograms[0].max, std::uint64_t(threads));
-    ASSERT_EQ(snap.gauges.size(), 1u);
-    EXPECT_TRUE(snap.gauges[0].assigned);
-    // Last-writer-wins across shards: some thread's value.
-    EXPECT_GE(snap.gauges[0].value, 0.0);
-    EXPECT_LT(snap.gauges[0].value, double(threads));
-}
-
-TEST(MetricsTest, ReregistrationReturnsSameSlot)
-{
-    MetricsRegistry reg;
-    Counter a = reg.counter("shared.by.name");
-    Counter b = reg.counter("shared.by.name");
-    a.add(2);
-    b.add(3);
-    const MetricsSnapshot snap = reg.snapshot();
-    ASSERT_EQ(snap.counters.size(), 1u);
-    EXPECT_EQ(snap.counters[0].value, 5u);
-}
-
-TEST(MetricsTest, SnapshotSortedByName)
-{
-    MetricsRegistry reg;
-    reg.counter("zebra");
-    reg.counter("alpha");
-    reg.counter("milk");
-    const MetricsSnapshot snap = reg.snapshot();
-    ASSERT_EQ(snap.counters.size(), 3u);
-    EXPECT_EQ(snap.counters[0].name, "alpha");
-    EXPECT_EQ(snap.counters[1].name, "milk");
-    EXPECT_EQ(snap.counters[2].name, "zebra");
 }
 
 // --------------------------------------------------------------- timeline

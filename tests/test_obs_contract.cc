@@ -5,8 +5,8 @@
  * ObsHub keeps each run's metrics in plain fields and takes the bus
  * and link totals from the engine's Bus counters.  These tests pin
  * its snapshots to a reference observer that counts every event
- * itself through a MetricsRegistry, attached beside the hub through
- * the observer fan-out's spare tap; to snapshots of sampled runs
+ * itself into plain maps, attached beside the hub through the
+ * observer fan-out's spare tap; to snapshots of sampled runs
  * recorded from that per-event counting
  * (tests/golden/obs_sampled_metrics.txt); and check that a sampled
  * multi-socket cell reports what its full run does.
@@ -44,45 +44,43 @@ namespace
 {
 
 /**
- * Counts every metric event through a MetricsRegistry: each access,
+ * Counts every metric event into plain name-keyed maps: each access,
  * transition, block operation and bus grant adds to a counter or
  * histogram as it happens, including the bus and link totals the hub
- * reads off the engine.  Attach with attach(), which puts it on every
- * bus beside the probe already there.
+ * reads off the engine.  Every metric is registered up front, so one
+ * that never fires still appears with zero.  Attach with attach(),
+ * which puts it on every bus beside the probe already there.
  */
 class PerEventReference : public MemEventObserver, public BusProbe
 {
   public:
     PerEventReference(const ObsOptions &options, MemorySystem &mem)
-        : opts(options), memsys(&mem)
+        : opts(options), memsys(&mem),
+          cReads(counter("mem.reads")), cWrites(counter("mem.writes")),
+          cPrefetchIssued(counter("mem.prefetch.issued")),
+          cPrefetchDropped(counter("mem.prefetch.dropped")),
+          cL1Miss(counter("mem.l1.read_miss")),
+          cMissCoherence(counter("mem.miss.coherence")),
+          cMissOther(counter("mem.miss.other")),
+          cPartiallyHidden(counter("mem.miss.partially_hidden")),
+          cL1Fills(counter("mem.l1.fills")),
+          cL1Drops(counter("mem.l1.drops")),
+          cL2Invalidations(counter("mem.l2.invalidations")),
+          cBlockOps(counter("blockop.count")),
+          cBusTxns(counter("bus.txns")), cBusBytes(counter("bus.bytes")),
+          cBusBusyCycles(counter("bus.busy_cycles")),
+          cBusWaitCycles(counter("bus.wait_cycles")),
+          hReadStall(histogram("mem.read.stall_cycles")),
+          hBusWait(histogram("bus.wait")),
+          hBlockOpCycles(histogram("blockop.cycles")),
+          hWbDepth(histogram("wb.l2.depth"))
     {
-        cReads = reg.counter("mem.reads");
-        cWrites = reg.counter("mem.writes");
-        cPrefetchIssued = reg.counter("mem.prefetch.issued");
-        cPrefetchDropped = reg.counter("mem.prefetch.dropped");
-        cL1Miss = reg.counter("mem.l1.read_miss");
-        cMissCoherence = reg.counter("mem.miss.coherence");
-        cMissOther = reg.counter("mem.miss.other");
-        cPartiallyHidden = reg.counter("mem.miss.partially_hidden");
-        cL1Fills = reg.counter("mem.l1.fills");
-        cL1Drops = reg.counter("mem.l1.drops");
-        cL2Invalidations = reg.counter("mem.l2.invalidations");
-        cBlockOps = reg.counter("blockop.count");
-        cBusTxns = reg.counter("bus.txns");
-        cBusBytes = reg.counter("bus.bytes");
-        cBusBusyCycles = reg.counter("bus.busy_cycles");
-        cBusWaitCycles = reg.counter("bus.wait_cycles");
-        hReadStall = reg.histogram("mem.read.stall_cycles");
-        hBusWait = reg.histogram("bus.wait");
-        hBlockOpCycles = reg.histogram("blockop.cycles");
-        hWbDepth = reg.histogram("wb.l2.depth");
-        gLastCycle = reg.gauge("sim.last_cycle");
         if (mem.numaActive()) {
-            cLinkTxns = reg.counter("link.txns");
-            cLinkBytes = reg.counter("link.bytes");
-            cLinkBusyCycles = reg.counter("link.busy_cycles");
-            cLinkWaitCycles = reg.counter("link.wait_cycles");
-            hLinkWait = reg.histogram("link.wait");
+            cLinkTxns = &counter("link.txns");
+            cLinkBytes = &counter("link.bytes");
+            cLinkBusyCycles = &counter("link.busy_cycles");
+            cLinkWaitCycles = &counter("link.wait_cycles");
+            hLinkWait = &histogram("link.wait");
         }
     }
 
@@ -99,7 +97,18 @@ class PerEventReference : public MemEventObserver, public BusProbe
         tee(mem.linkBus(), &linkTap);
     }
 
-    MetricsSnapshot snapshot() const { return reg.snapshot(); }
+    /** Everything counted so far, each list sorted by name. */
+    MetricsSnapshot
+    snapshot() const
+    {
+        MetricsSnapshot snap;
+        for (const auto &[name, value] : counters)
+            snap.counters.push_back({name, value});
+        snap.gauges.push_back(gLastCycle);
+        for (const auto &[name, h] : histograms)
+            snap.histograms.push_back(h);
+        return snap;
+    }
 
     bool wantsAccessEvents() const override { return true; }
 
@@ -109,42 +118,42 @@ class PerEventReference : public MemEventObserver, public BusProbe
         const bool tick = sampleTick();
         switch (event.kind) {
           case MemOpKind::Read:
-            cReads.add();
+            ++cReads;
             break;
           case MemOpKind::Write:
           case MemOpKind::BypassWrite:
-            cWrites.add();
+            ++cWrites;
             break;
           case MemOpKind::Prefetch:
             if (event.dropped)
-                cPrefetchDropped.add();
+                ++cPrefetchDropped;
             else
-                cPrefetchIssued.add();
+                ++cPrefetchIssued;
             break;
           default:
             break;
         }
         if (event.result.l1Miss && event.kind == MemOpKind::Read) {
-            cL1Miss.add();
+            ++cL1Miss;
             if (event.result.cause == MissCause::Coherence)
-                cMissCoherence.add();
+                ++cMissCoherence;
             else
-                cMissOther.add();
+                ++cMissOther;
             if (event.result.partiallyHidden)
-                cPartiallyHidden.add();
+                ++cPartiallyHidden;
             hReadStall.record(event.result.stall);
         }
         if (tick)
-            gLastCycle.set(static_cast<double>(event.result.completeAt));
+            setLastCycle(event.result.completeAt);
         hWbDepth.record(memsys->l2WriteBuffer(event.cpu).size());
     }
 
     void
     onBlockOp(CpuId, const BlockOp &, Cycles start, Cycles end) override
     {
-        cBlockOps.add();
+        ++cBlockOps;
         hBlockOpCycles.record(end - start);
-        gLastCycle.set(static_cast<double>(end));
+        setLastCycle(end);
     }
 
     void
@@ -152,7 +161,7 @@ class PerEventReference : public MemEventObserver, public BusProbe
     {
         if (to != LineState::Invalid || from == LineState::Invalid)
             return;
-        cL2Invalidations.add();
+        ++cL2Invalidations;
         if (opts.timeline)
             sampleTick();
     }
@@ -160,23 +169,23 @@ class PerEventReference : public MemEventObserver, public BusProbe
     void
     onL1Fill(CpuId, Addr) override
     {
-        cL1Fills.add();
+        ++cL1Fills;
     }
 
     void
     onL1Drop(CpuId, Addr) override
     {
-        cL1Drops.add();
+        ++cL1Drops;
     }
 
     void
     onBusAcquire(BusTxn, Cycles requested, Cycles grant, Cycles occupancy,
                  std::uint32_t bytes) override
     {
-        cBusTxns.add();
-        cBusBytes.add(bytes);
-        cBusBusyCycles.add(occupancy);
-        cBusWaitCycles.add(grant - requested);
+        ++cBusTxns;
+        cBusBytes += bytes;
+        cBusBusyCycles += occupancy;
+        cBusWaitCycles += grant - requested;
         hBusWait.record(grant - requested);
         if (opts.timeline)
             sampleTick();
@@ -207,11 +216,11 @@ class PerEventReference : public MemEventObserver, public BusProbe
         onBusAcquire(BusTxn, Cycles requested, Cycles grant,
                      Cycles occupancy, std::uint32_t bytes) override
         {
-            ref.cLinkTxns.add();
-            ref.cLinkBytes.add(bytes);
-            ref.cLinkBusyCycles.add(occupancy);
-            ref.cLinkWaitCycles.add(grant - requested);
-            ref.hLinkWait.record(grant - requested);
+            ++*ref.cLinkTxns;
+            *ref.cLinkBytes += bytes;
+            *ref.cLinkBusyCycles += occupancy;
+            *ref.cLinkWaitCycles += grant - requested;
+            ref.hLinkWait->record(grant - requested);
             if (ref.opts.timeline)
                 ref.sampleTick();
         }
@@ -236,21 +245,45 @@ class PerEventReference : public MemEventObserver, public BusProbe
         return sampleSeq++ % opts.samplePeriod == 0;
     }
 
+    /** Register (at zero) and return the counter named @p name. */
+    std::uint64_t &counter(const std::string &name) { return counters[name]; }
+
+    /** Register (empty) and return the histogram named @p name. */
+    HistogramSnapshot &
+    histogram(const std::string &name)
+    {
+        HistogramSnapshot &h = histograms[name];
+        h.name = name;
+        return h;
+    }
+
+    /** The gauge keeps the last value written. */
+    void
+    setLastCycle(Cycles cycle)
+    {
+        gLastCycle.value = static_cast<double>(cycle);
+        gLastCycle.assigned = true;
+    }
+
     ObsOptions opts;
     MemorySystem *memsys;
     std::uint64_t sampleSeq = 0;
-    MetricsRegistry reg;
+    std::map<std::string, std::uint64_t> counters;
+    std::map<std::string, HistogramSnapshot> histograms;
+    GaugeSnapshot gLastCycle{"sim.last_cycle"};
     LinkTap linkTap{*this};
     std::vector<std::unique_ptr<Tee>> tees;
 
-    Counter cReads, cWrites, cPrefetchIssued, cPrefetchDropped;
-    Counter cL1Miss, cMissCoherence, cMissOther, cPartiallyHidden;
-    Counter cL1Fills, cL1Drops, cL2Invalidations;
-    Counter cBlockOps;
-    Counter cBusTxns, cBusBytes, cBusBusyCycles, cBusWaitCycles;
-    Counter cLinkTxns, cLinkBytes, cLinkBusyCycles, cLinkWaitCycles;
-    Histogram hReadStall, hBusWait, hBlockOpCycles, hWbDepth, hLinkWait;
-    Gauge gLastCycle;
+    std::uint64_t &cReads, &cWrites, &cPrefetchIssued, &cPrefetchDropped;
+    std::uint64_t &cL1Miss, &cMissCoherence, &cMissOther, &cPartiallyHidden;
+    std::uint64_t &cL1Fills, &cL1Drops, &cL2Invalidations;
+    std::uint64_t &cBlockOps;
+    std::uint64_t &cBusTxns, &cBusBytes, &cBusBusyCycles, &cBusWaitCycles;
+    HistogramSnapshot &hReadStall, &hBusWait, &hBlockOpCycles, &hWbDepth;
+    /** Registered on multi-socket machines only. */
+    std::uint64_t *cLinkTxns = nullptr, *cLinkBytes = nullptr;
+    std::uint64_t *cLinkBusyCycles = nullptr, *cLinkWaitCycles = nullptr;
+    HistogramSnapshot *hLinkWait = nullptr;
 };
 
 /**

@@ -1,8 +1,8 @@
 /**
  * @file
  * Streaming trace pipeline tests: streamed synthesis must reproduce
- * materialized generation bit-for-bit, file sources must replay all
- * three on-disk formats through bounded cursors, corrupted chunked
+ * materialized generation bit-for-bit, file sources must replay both
+ * on-disk formats through bounded cursors, corrupted chunked
  * artifacts must fail cleanly, the streaming prefetch adapter must
  * match the materializing rewrite, and the in-memory trace cache
  * must evict by LRU under its byte cap.
@@ -212,7 +212,7 @@ TEST(StreamPrefetch, AdapterMatchesInsertPrefetches)
 }
 
 // ---------------------------------------------------------------------
-// File sources: all three formats round-trip through cursors.
+// File sources: both formats round-trip through cursors.
 
 TEST(StreamFile, AllFormatsRoundTrip)
 {
@@ -227,7 +227,6 @@ TEST(StreamFile, AllFormatsRoundTrip)
         const char *name;
     } cases[] = {
         {TraceFormat::Text, "roundtrip.trace"},
-        {TraceFormat::Binary, "roundtrip.otb"},
         {TraceFormat::Chunked, "roundtrip.otc"},
     };
     for (const auto &c : cases) {
@@ -320,7 +319,6 @@ TEST(StreamSkip, FileCursorSkipsExactlyAllFormats)
         const char *name;
     } cases[] = {
         {TraceFormat::Text, "skip.trace"},
-        {TraceFormat::Binary, "skip.otb"},
         {TraceFormat::Chunked, "skip.otc"},
     };
     for (const auto &c : cases) {
@@ -476,6 +474,11 @@ TEST(StreamStore, StreamedArtifactMatchesMaterialized)
     EXPECT_EQ(source->updatePages(), trace.updatePages());
     EXPECT_GE(store.hits(), 1u);
     EXPECT_GE(store.misses(), 1u);
+
+    // A materialized run loads the same artifact whole.
+    const auto loaded = store.load(key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(streamsOf(*loaded), streamsOf(trace));
 
     // A corrupt artifact is deleted and reported as a miss.
     {

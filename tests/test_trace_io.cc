@@ -191,13 +191,20 @@ TEST(TraceIoTest, FileRoundTrip)
     expectTracesEqual(original, restored);
 }
 
-// ------------------------------------------------- binary format (v2)
+// ----------------------------------------- binary format (chunked v3)
+
+std::string
+chunkedBytes(const Trace &trace)
+{
+    std::stringstream buffer;
+    writeTraceChunked(buffer, trace, 3);
+    return buffer.str();
+}
 
 TEST(TraceIoBinaryTest, RoundTripsSampleTrace)
 {
     const Trace original = sampleTrace();
-    std::stringstream buffer;
-    writeTraceBinary(buffer, original);
+    std::stringstream buffer(chunkedBytes(original));
     const Trace restored = readTraceBinary(buffer);
     expectTracesEqual(original, restored);
 }
@@ -209,7 +216,7 @@ TEST(TraceIoBinaryTest, RoundTripsSyntheticWorkload)
     const Trace original =
         generateTrace(p, CoherenceOptions::relocUpdate());
     std::stringstream buffer;
-    writeTraceBinary(buffer, original);
+    writeTraceChunked(buffer, original);
     const Trace restored = readTraceBinary(buffer);
     expectTracesEqual(original, restored);
 }
@@ -217,22 +224,20 @@ TEST(TraceIoBinaryTest, RoundTripsSyntheticWorkload)
 TEST(TraceIoBinaryTest, MatchesTextSemantics)
 {
     const Trace original = sampleTrace();
-    std::stringstream text, binary;
+    std::stringstream text, binary(chunkedBytes(original));
     writeTrace(text, original);
-    writeTraceBinary(binary, original);
     expectTracesEqual(readTrace(text), readTraceBinary(binary));
 }
 
 TEST(TraceIoBinaryTest, StartsWithMagicAndVersion)
 {
-    std::stringstream buffer;
-    writeTraceBinary(buffer, Trace(1));
-    const std::string bytes = buffer.str();
+    const std::string bytes = chunkedBytes(Trace(1));
     ASSERT_GE(bytes.size(), 8u);
     EXPECT_EQ(bytes.substr(0, 4), "OSTR");
     std::uint32_t version = 0;
     std::memcpy(&version, bytes.data() + 4, sizeof(version));
-    EXPECT_EQ(version, traceBinaryVersion);
+    EXPECT_EQ(version, traceFormatVersion);
+    EXPECT_EQ(version, 3u);
 }
 
 TEST(TraceIoBinaryTest, TryReadRejectsBadMagic)
@@ -246,9 +251,7 @@ TEST(TraceIoBinaryTest, TryReadRejectsBadMagic)
 
 TEST(TraceIoBinaryTest, TryReadRejectsTruncation)
 {
-    std::stringstream buffer;
-    writeTraceBinary(buffer, sampleTrace());
-    const std::string bytes = buffer.str();
+    const std::string bytes = chunkedBytes(sampleTrace());
     std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
     Trace trace(1);
     std::string why;
@@ -257,10 +260,9 @@ TEST(TraceIoBinaryTest, TryReadRejectsTruncation)
 
 TEST(TraceIoBinaryTest, TryReadRejectsBitFlip)
 {
-    std::stringstream buffer;
-    writeTraceBinary(buffer, sampleTrace());
-    std::string bytes = buffer.str();
-    // Flip a payload byte past the header; the checksum must notice.
+    std::string bytes = chunkedBytes(sampleTrace());
+    // Flip a payload byte past the header; the checksum (or the
+    // structure it lands in) must notice.
     bytes[bytes.size() / 2] ^= 0x40;
     std::stringstream corrupt(bytes);
     Trace trace(1);
@@ -270,10 +272,7 @@ TEST(TraceIoBinaryTest, TryReadRejectsBitFlip)
 
 TEST(TraceIoBinaryTest, TryReadRejectsTrailingGarbage)
 {
-    std::stringstream buffer;
-    writeTraceBinary(buffer, sampleTrace());
-    std::string bytes = buffer.str() + "x";
-    std::stringstream in(bytes);
+    std::stringstream in(chunkedBytes(sampleTrace()) + "x");
     Trace trace(1);
     EXPECT_FALSE(tryReadTraceBinary(in, trace, nullptr));
 }
@@ -285,10 +284,7 @@ TEST(TraceIoBinaryTest, DeterministicBytes)
     Trace trace = sampleTrace();
     trace.updatePages().insert(0x1000);
     trace.updatePages().insert(0x7000);
-    std::stringstream a, b;
-    writeTraceBinary(a, trace);
-    writeTraceBinary(b, trace);
-    EXPECT_EQ(a.str(), b.str());
+    EXPECT_EQ(chunkedBytes(trace), chunkedBytes(trace));
 }
 
 TEST(TraceIoBinaryTest, FileRoundTripAutodetects)
@@ -296,20 +292,12 @@ TEST(TraceIoBinaryTest, FileRoundTripAutodetects)
     const Trace original = sampleTrace();
     const std::string bin_path = "/tmp/oscache_trace_io_test.otb";
     const std::string txt_path = "/tmp/oscache_trace_io_test2.trace";
-    writeTraceFile(bin_path, original, TraceFormat::Binary);
+    writeTraceFile(bin_path, original, TraceFormat::Chunked);
     writeTraceFile(txt_path, original, TraceFormat::Text);
     expectTracesEqual(readTraceFile(bin_path), readTraceFile(txt_path));
 }
 
-// ------------------------------------------------ error paths (v2/v3)
-
-std::string
-chunkedBytes(const Trace &trace)
-{
-    std::stringstream buffer;
-    writeTraceChunked(buffer, trace, 3);
-    return buffer.str();
-}
+// ------------------------------------------------------- error paths
 
 std::string
 writeCorruptFile(const std::string &name, const std::string &bytes)
@@ -320,52 +308,60 @@ writeCorruptFile(const std::string &name, const std::string &bytes)
     return path;
 }
 
-TEST(TraceIoErrorTest, RejectsCorruptV2VersionWord)
-{
-    std::stringstream buffer;
-    writeTraceBinary(buffer, sampleTrace());
-    std::string bytes = buffer.str();
-    bytes[4] = char(0x7f); // Version word follows the 4-byte magic.
-    std::stringstream in(bytes);
-    Trace trace(1);
-    std::string why;
-    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
-    EXPECT_NE(why.find("version"), std::string::npos) << why;
-}
-
 TEST(TraceIoErrorTest, RejectsCorruptV3VersionWord)
 {
     std::string bytes = chunkedBytes(sampleTrace());
-    bytes[4] = char(0x7f);
+    bytes[4] = char(0x7f); // Version word follows the 4-byte magic.
     const std::string path = writeCorruptFile("v3_badver.otb", bytes);
     std::string why;
     EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
     EXPECT_NE(why.find("version"), std::string::npos) << why;
+
+    std::stringstream in(bytes);
+    Trace trace(1);
+    why.clear();
+    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
+    EXPECT_NE(why.find("version"), std::string::npos) << why;
 }
 
-TEST(TraceIoErrorTest, RejectsBadChecksumV2)
+TEST(TraceIoErrorTest, RejectsRetiredVersion2)
 {
-    std::stringstream buffer;
-    writeTraceBinary(buffer, sampleTrace());
-    std::string bytes = buffer.str();
-    // The trailing 8 bytes are the FNV-1a checksum; corrupt only them
-    // so every payload byte is intact and the mismatch is
-    // unambiguously the checksum's.
-    bytes[bytes.size() - 1] ^= 0x01;
+    // Files of the retired unchunked encoding carry version word 2;
+    // every reader refuses them before looking past the header.
+    std::string bytes = chunkedBytes(sampleTrace());
+    const std::uint32_t retired = 2;
+    std::memcpy(bytes.data() + 4, &retired, sizeof(retired));
+    const std::string path = writeCorruptFile("v2.otb", bytes);
+
     std::stringstream in(bytes);
     Trace trace(1);
     std::string why;
     EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
-    EXPECT_NE(why.find("checksum"), std::string::npos) << why;
+    EXPECT_EQ(why, "unsupported version");
+
+    why.clear();
+    EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
+    EXPECT_EQ(why, "unsupported version");
+
+    EXPECT_DEATH(readTraceFile(path), "unsupported version");
 }
 
 TEST(TraceIoErrorTest, RejectsBadChecksumV3)
 {
     std::string bytes = chunkedBytes(sampleTrace());
+    // The trailing 8 bytes are the FNV-1a checksum; corrupt only them
+    // so every payload byte is intact and the mismatch is
+    // unambiguously the checksum's.
     bytes[bytes.size() - 1] ^= 0x01;
     const std::string path = writeCorruptFile("v3_badsum.otb", bytes);
     std::string why;
     EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
+    EXPECT_NE(why.find("checksum"), std::string::npos) << why;
+
+    std::stringstream in(bytes);
+    Trace trace(1);
+    why.clear();
+    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
     EXPECT_NE(why.find("checksum"), std::string::npos) << why;
 }
 

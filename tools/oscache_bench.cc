@@ -16,13 +16,13 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "exp/artifact_cache.hh"
@@ -111,35 +111,26 @@ main(int argc, char **argv)
     std::string results_base = "oscache_results";
     std::vector<std::string> names;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for ", arg);
-            return argv[++i];
-        };
+    FlagReader flags(argc, argv);
+    while (flags.next()) {
+        const std::string &arg = flags.flag();
         if (arg == "--jobs" || arg == "-j") {
-            jobs = unsigned(std::strtoul(value().c_str(), nullptr, 10));
-            if (jobs == 0)
-                fatal("--jobs must be >= 1");
+            jobs = flags.number<unsigned>(1);
         } else if (arg == "--smoke") {
             smoke = true;
         } else if (arg == "--cache-dir") {
-            cache_dir = value();
+            cache_dir = flags.value();
         } else if (arg == "--no-cache") {
             cache_dir.clear();
         } else if (arg == "--stream") {
             stream = true;
         } else if (arg == "--stream-buffer") {
-            stream_buffer = std::strtoul(value().c_str(), nullptr, 10);
-            if (stream_buffer == 0)
-                fatal("--stream-buffer must be >= 1");
+            stream_buffer = flags.number<std::size_t>(1);
         } else if (arg == "--trace-cache-mb") {
             trace_cache_bytes =
-                std::strtoul(value().c_str(), nullptr, 10) *
-                std::size_t{1024} * 1024;
+                flags.number<std::uint32_t>() * std::size_t{1024} * 1024;
         } else if (arg == "--results") {
-            results_base = value();
+            results_base = flags.value();
             if (results_base == "-")
                 results_base.clear();
         } else if (arg == "--quiet") {
@@ -149,9 +140,9 @@ main(int argc, char **argv)
         } else if (arg == "--canonical-results") {
             canonical = true;
         } else if (arg == "--sample") {
-            sample_plan = value();
+            sample_plan = flags.value();
         } else if (arg == "--timeline") {
-            timeline_file = value();
+            timeline_file = flags.value();
         } else if (arg == "--list") {
             listExperiments();
             return 0;

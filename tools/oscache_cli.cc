@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/version.hh"
 #include "core/blockop/schemes.hh"
 #include "report/experiment.hh"
@@ -61,9 +62,9 @@ usage()
         "  --icache             model the instruction cache in detail\n"
         "  --trace <file>       trace file (replay)\n"
         "  --out <file>         output trace file (generate)\n"
-        "  --format <f>         generate output format: text | binary |\n"
-        "                       chunked (chunked streams to disk with\n"
-        "                       bounded memory)\n"
+        "  --format <f>         generate output format: text | chunked\n"
+        "                       (chunked streams to disk with bounded\n"
+        "                       memory)\n"
         "  --stream             run/replay through streaming cursors\n"
         "                       instead of materializing the trace\n"
         "  --stream-buffer <n>  cursor read-ahead in records per cpu\n"
@@ -93,59 +94,51 @@ parse(int argc, char **argv)
     if (argc < 2)
         fatal("missing command; try 'oscache list'");
     args.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("flag ", flag, " needs a value");
-            return argv[++i];
-        };
+    FlagReader flags(argc, argv, 2);
+    while (flags.next()) {
+        const std::string &flag = flags.flag();
         if (flag == "--workload") {
-            const std::string name = value();
+            const std::string name = flags.value();
             const auto kind = parseWorkloadKind(name);
             if (!kind)
                 fatal("unknown workload '", name, "'");
             args.workload = *kind;
         } else if (flag == "--system") {
-            const std::string name = value();
+            const std::string name = flags.value();
             const auto kind = parseSystemKind(name);
             if (!kind)
                 fatal("unknown system '", name, "'");
             args.system = *kind;
         } else if (flag == "--l1-size") {
-            args.machine.l1Size = std::stoul(value());
+            args.machine.l1Size = flags.number<std::uint32_t>();
         } else if (flag == "--l1-line") {
-            args.machine.l1LineSize = std::stoul(value());
+            args.machine.l1LineSize = flags.number<std::uint32_t>();
         } else if (flag == "--l2-size") {
-            args.machine.l2Size = std::stoul(value());
+            args.machine.l2Size = flags.number<std::uint32_t>();
         } else if (flag == "--l2-line") {
-            args.machine.l2LineSize = std::stoul(value());
+            args.machine.l2LineSize = flags.number<std::uint32_t>();
         } else if (flag == "--quanta") {
-            args.quanta = unsigned(std::stoul(value()));
+            args.quanta = flags.number<unsigned>();
         } else if (flag == "--seed") {
-            args.seed = std::stoull(value());
+            args.seed = flags.number<std::uint64_t>();
         } else if (flag == "--icache") {
             args.icache = true;
         } else if (flag == "--trace") {
-            args.traceFile = value();
+            args.traceFile = flags.value();
         } else if (flag == "--out") {
-            args.outFile = value();
+            args.outFile = flags.value();
         } else if (flag == "--format") {
-            const std::string name = value();
+            const std::string name = flags.value();
             if (name == "text")
                 args.format = TraceFormat::Text;
-            else if (name == "binary")
-                args.format = TraceFormat::Binary;
             else if (name == "chunked")
                 args.format = TraceFormat::Chunked;
             else
-                fatal("unknown format '", name, "'");
+                fatal("unknown format '", name, "' (text or chunked)");
         } else if (flag == "--stream") {
             args.stream = true;
         } else if (flag == "--stream-buffer") {
-            args.streamBuffer = std::stoul(value());
-            if (args.streamBuffer == 0)
-                fatal("--stream-buffer must be >= 1");
+            args.streamBuffer = flags.number<std::size_t>(1);
         } else if (flag == "--version") {
             std::printf("%s\n", versionString().c_str());
             std::exit(0);

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <mutex>
@@ -30,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "core/blockop/schemes.hh"
@@ -352,24 +352,18 @@ main(int argc, char **argv)
     std::string scratch = "oscache_dft_golden";
     std::string plan_text = "period=50k,measure=2k,warmup=6k";
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for ", arg);
-            return argv[++i];
-        };
+    FlagReader flags(argc, argv, 2);
+    while (flags.next()) {
+        const std::string &arg = flags.flag();
         if (arg == "--count") {
-            count = std::strtoull(value().c_str(), nullptr, 10);
+            count = flags.number<std::uint64_t>();
         } else if (arg == "--seconds") {
-            seconds = std::strtod(value().c_str(), nullptr);
+            seconds = flags.number<double>();
         } else if (arg == "--seed-base") {
-            seed_base = std::strtoull(value().c_str(), nullptr, 10);
+            seed_base = flags.number<std::uint64_t>();
             seed_base_set = true;
         } else if (arg == "--jobs" || arg == "-j") {
-            jobs = unsigned(std::strtoul(value().c_str(), nullptr, 10));
-            if (jobs == 0)
-                fatal("--jobs must be >= 1");
+            jobs = flags.number<unsigned>(1);
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--bless") {
@@ -377,11 +371,11 @@ main(int argc, char **argv)
         } else if (arg == "--check") {
             check = true;
         } else if (arg == "--file") {
-            file = value();
+            file = flags.value();
         } else if (arg == "--scratch") {
-            scratch = value();
+            scratch = flags.value();
         } else if (arg == "--plan") {
-            plan_text = value();
+            plan_text = flags.value();
         } else {
             usage();
             fatal("unknown option ", arg);

@@ -27,6 +27,7 @@
 
 #include "check/invariants.hh"
 #include "check/racedetect.hh"
+#include "common/flags.hh"
 #include "common/version.hh"
 #include "check/tracelint.hh"
 #include "core/runner.hh"
@@ -95,33 +96,27 @@ parse(int argc, char **argv)
         std::printf("%s\n", versionString().c_str());
         std::exit(0);
     }
-    for (int i = 2; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("flag ", flag, " needs a value");
-            return argv[++i];
-        };
+    FlagReader flags(argc, argv, 2);
+    while (flags.next()) {
+        const std::string &flag = flags.flag();
         if (flag == "--trace") {
-            args.traceFile = value();
+            args.traceFile = flags.value();
         } else if (flag == "--workload") {
-            const std::string name = value();
+            const std::string name = flags.value();
             const auto kind = parseWorkloadKind(name);
             if (!kind)
                 fatal("unknown workload '", name, "'");
             args.workload = *kind;
         } else if (flag == "--quanta") {
-            args.quanta = unsigned(std::stoul(value()));
+            args.quanta = flags.number<unsigned>();
         } else if (flag == "--seed") {
-            args.seed = std::stoull(value());
+            args.seed = flags.number<std::uint64_t>();
         } else if (flag == "--simulate") {
             args.simulate = true;
         } else if (flag == "--stream") {
             args.stream = true;
         } else if (flag == "--stream-buffer") {
-            args.streamBuffer = std::stoul(value());
-            if (args.streamBuffer == 0)
-                fatal("--stream-buffer must be >= 1");
+            args.streamBuffer = flags.number<std::size_t>(1);
         } else if (flag == "--help" || flag == "-h") {
             usage();
             std::exit(0);

@@ -25,6 +25,7 @@
 #include <optional>
 #include <string>
 
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "core/hotspot/hotspot.hh"
@@ -89,29 +90,25 @@ Args
 parse(int argc, char **argv)
 {
     Args args;
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("flag ", flag, " needs a value");
-            return argv[++i];
-        };
+    FlagReader flags(argc, argv);
+    while (flags.next()) {
+        const std::string &flag = flags.flag();
         if (flag == "--workload") {
-            const std::string name = value();
+            const std::string name = flags.value();
             const auto kind = parseWorkloadKind(name);
             if (!kind)
                 fatal("unknown workload '", name, "'");
             args.workload = *kind;
         } else if (flag == "--system") {
-            const std::string name = value();
+            const std::string name = flags.value();
             const auto kind = parseSystemKind(name);
             if (!kind)
                 fatal("unknown system '", name, "'");
             args.system = *kind;
         } else if (flag == "--quanta") {
-            args.quanta = unsigned(std::stoul(value()));
+            args.quanta = flags.number<unsigned>();
         } else if (flag == "--seed") {
-            args.seed = std::stoull(value());
+            args.seed = flags.number<std::uint64_t>();
         } else if (flag == "--hotspots") {
             args.hotspots = true;
         } else if (flag == "--metrics") {
@@ -119,17 +116,13 @@ parse(int argc, char **argv)
         } else if (flag == "--bus") {
             args.bus = true;
         } else if (flag == "--timeline") {
-            args.timelineFile = value();
+            args.timelineFile = flags.value();
         } else if (flag == "--window") {
-            args.window = std::stoull(value());
-            if (args.window == 0)
-                fatal("--window must be >= 1");
+            args.window = flags.number<Cycles>(1);
         } else if (flag == "--sample") {
-            args.sample = std::uint32_t(std::stoul(value()));
-            if (args.sample == 0)
-                fatal("--sample must be >= 1");
+            args.sample = flags.number<std::uint32_t>(1);
         } else if (flag == "--top") {
-            args.top = unsigned(std::stoul(value()));
+            args.top = flags.number<unsigned>();
         } else if (flag == "--stream") {
             args.stream = true;
         } else if (flag == "--version") {

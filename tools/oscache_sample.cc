@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/version.hh"
 #include "core/runner.hh"
 #include "core/system_config.hh"
@@ -111,25 +112,25 @@ parse(int argc, char **argv)
     if (argc < 2)
         fatal("missing command; try 'oscache-sample --help'");
     args.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("flag ", flag, " needs a value");
-            return argv[++i];
-        };
+    FlagReader flags(argc, argv, 2);
+    const auto count = [&flags] {
+        return flags.parsed(sample::tryParseCount,
+                            "a count such as 4096 or 100k");
+    };
+    while (flags.next()) {
+        const std::string &flag = flags.flag();
         if (flag == "--plan") {
-            args.planText = value();
+            args.planText = flags.value();
         } else if (flag == "--records") {
-            args.records = sample::parseCount(value());
+            args.records = count();
         } else if (flag == "--workload") {
-            const std::string name = value();
+            const std::string name = flags.value();
             const auto kind = parseWorkloadKind(name);
             if (!kind)
                 fatal("unknown workload '", name, "'");
             args.workload = *kind;
         } else if (flag == "--system") {
-            const std::string name = value();
+            const std::string name = flags.value();
             const auto kind = parseSystemKind(name);
             if (!kind)
                 fatal("unknown system '", name, "'");
@@ -140,25 +141,23 @@ parse(int argc, char **argv)
                       "miss counts, which sampling decimates");
             args.system = *kind;
         } else if (flag == "--quanta") {
-            args.quanta = unsigned(std::stoul(value()));
+            args.quanta = flags.number<unsigned>();
         } else if (flag == "--seed") {
-            args.seed = std::stoull(value());
+            args.seed = flags.number<std::uint64_t>();
         } else if (flag == "--trace") {
-            args.traceFile = value();
+            args.traceFile = flags.value();
         } else if (flag == "--compare-full") {
             args.compareFull = true;
         } else if (flag == "--json") {
             args.json = true;
         } else if (flag == "--save") {
-            args.savePath = value();
+            args.savePath = flags.value();
         } else if (flag == "--at") {
-            args.saveAt = sample::parseCount(value());
+            args.saveAt = count();
         } else if (flag == "--checkpoint") {
-            args.checkpointPath = value();
+            args.checkpointPath = flags.value();
         } else if (flag == "--stream-buffer") {
-            args.streamBuffer = std::stoul(value());
-            if (args.streamBuffer == 0)
-                fatal("--stream-buffer must be >= 1");
+            args.streamBuffer = flags.number<std::size_t>(1);
         } else if (flag == "--version") {
             std::printf("%s\n", versionString().c_str());
             std::exit(0);

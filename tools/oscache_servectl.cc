@@ -17,13 +17,13 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "serve/client.hh"
@@ -147,19 +147,15 @@ main(int argc, char **argv)
     SubmitRequest request;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for ", arg);
-            return argv[++i];
-        };
+    FlagReader flags(argc, argv);
+    while (flags.next()) {
+        const std::string &arg = flags.flag();
         if (arg == "--socket") {
-            socket_path = value();
+            socket_path = flags.value();
         } else if (arg == "--out") {
-            out_file = value();
+            out_file = flags.value();
         } else if (arg == "--cell") {
-            const std::string spec = value();
+            const std::string spec = flags.value();
             const std::size_t colon = spec.find(':');
             if (colon == std::string::npos)
                 fatal("--cell wants experiment:cell, got '", spec, "'");
@@ -168,10 +164,9 @@ main(int argc, char **argv)
         } else if (arg == "--smoke") {
             request.smoke = true;
         } else if (arg == "--sample") {
-            request.samplePlan = value();
+            request.samplePlan = flags.value();
         } else if (arg == "--retries") {
-            retries = unsigned(
-                std::strtoul(value().c_str(), nullptr, 10));
+            retries = flags.number<unsigned>();
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--version") {

@@ -13,10 +13,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "serve/daemon.hh"
@@ -75,45 +75,34 @@ main(int argc, char **argv)
     DaemonOptions daemon;
     daemon.socketPath = "./oscache-served.sock";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for ", arg);
-            return argv[++i];
-        };
-        auto number = [&]() -> unsigned long {
-            return std::strtoul(value().c_str(), nullptr, 10);
-        };
+    FlagReader flags(argc, argv);
+    while (flags.next()) {
+        const std::string &arg = flags.flag();
         if (arg == "--worker") {
             worker_mode = true;
         } else if (arg == "--socket") {
-            daemon.socketPath = worker.socketPath = value();
+            daemon.socketPath = worker.socketPath = flags.value();
         } else if (arg == "--token") {
-            worker.token = value();
+            worker.token = flags.value();
         } else if (arg == "--store") {
-            daemon.storeDir = worker.storeDir = value();
+            daemon.storeDir = worker.storeDir = flags.value();
         } else if (arg == "--name") {
-            worker.name = value();
+            worker.name = flags.value();
         } else if (arg == "--workers") {
-            daemon.workers = unsigned(number());
-            if (daemon.workers == 0)
-                fatal("--workers must be >= 1");
+            daemon.workers = flags.number<unsigned>(1);
         } else if (arg == "--stream") {
             daemon.stream = worker.stream = true;
         } else if (arg == "--max-queue") {
-            daemon.maxQueuedCells = number();
+            daemon.maxQueuedCells = flags.number<std::size_t>();
         } else if (arg == "--max-attempts") {
-            daemon.maxAttempts = unsigned(number());
-            if (daemon.maxAttempts == 0)
-                fatal("--max-attempts must be >= 1");
+            daemon.maxAttempts = flags.number<unsigned>(1);
         } else if (arg == "--heartbeat-timeout-ms") {
-            daemon.heartbeatTimeoutMs = number();
+            daemon.heartbeatTimeoutMs = flags.number<std::uint64_t>();
         } else if (arg == "--cell-timeout-ms") {
-            daemon.cellTimeoutMs = number();
+            daemon.cellTimeoutMs = flags.number<std::uint64_t>();
             worker.claimWaitMs = daemon.cellTimeoutMs;
         } else if (arg == "--respawn-budget") {
-            daemon.respawnBudget = unsigned(number());
+            daemon.respawnBudget = flags.number<unsigned>();
         } else if (arg == "--quiet") {
             daemon.quiet = true;
         } else if (arg == "--version") {

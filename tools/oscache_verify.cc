@@ -26,11 +26,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "common/version.hh"
 #include "trace/io.hh"
@@ -189,34 +189,27 @@ main(int argc, char **argv)
     unsigned quanta = 0;
     double min_coverage = 90.0;
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for ", arg);
-            return argv[++i];
-        };
+    FlagReader flags(argc, argv, 2);
+    while (flags.next()) {
+        const std::string &arg = flags.flag();
         if (arg == "--scheme") {
-            scheme = value();
+            scheme = flags.value();
         } else if (arg == "--cpus") {
-            cfg.cpus = unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            cfg.cpus = flags.number<unsigned>();
         } else if (arg == "--addrs") {
-            cfg.addrs =
-                unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            cfg.addrs = flags.number<unsigned>();
         } else if (arg == "--sets") {
-            cfg.sets = unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            cfg.sets = flags.number<unsigned>();
         } else if (arg == "--wb") {
-            cfg.wbDepth =
-                unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            cfg.wbDepth = flags.number<unsigned>();
         } else if (arg == "--sockets") {
-            cfg.sockets =
-                unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            cfg.sockets = flags.number<unsigned>();
         } else if (arg == "--counterexample") {
-            cex_path = value();
+            cex_path = flags.value();
         } else if (arg == "--quanta") {
-            quanta = unsigned(std::strtoul(value().c_str(), nullptr, 10));
+            quanta = flags.number<unsigned>();
         } else if (arg == "--min-coverage") {
-            min_coverage = std::strtod(value().c_str(), nullptr);
+            min_coverage = flags.number<double>();
         } else {
             usage();
             fatal("unknown option ", arg);

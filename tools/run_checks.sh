@@ -142,7 +142,7 @@ done
 # fuzz corpus (reproducible: seeds 0..1999; ~40% of the cases draw a
 # multi-socket NUMA geometry), and on a short fresh-seed run whose
 # base seed is printed so any divergence can be replayed with
-# `oscache-dft fuzz --seed-base N --count 1`.  The 19 golden
+# `oscache-dft fuzz --seed-base N --count 1`.  The 24 golden
 # experiment cells must match the blessed snapshot
 # (tests/golden/cells.jsonl; re-bless with `oscache-dft golden
 # --bless` after an intentional behaviour change).

@@ -103,6 +103,16 @@ counter()
     printf '%s' "$status" | grep -o "\"$1\":[0-9]*" | head -1 |
         cut -d: -f2
 }
+# The reply lists all eleven fleet counters, sorted by name.
+expected="serve.backpressure.rejects serve.cells.failed
+serve.cells.from_cache serve.cells.shared serve.cells.simulated
+serve.frames.in serve.frames.malformed serve.frames.out
+serve.jobs.completed serve.jobs.submitted serve.workers.respawned"
+listed=$(printf '%s' "$status" | grep -o '"serve\.[a-z_.]*":[0-9]*' |
+    cut -d'"' -f2)
+[ "$(echo $listed)" = "$(echo $expected)" ] \
+    || fail "status counters are not the eleven serve.* names in" \
+            "order: $(echo $listed)"
 simulated=$(counter "serve.cells.simulated")
 retries=$(counter "retries")
 respawned=$(counter "serve.workers.respawned")
