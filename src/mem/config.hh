@@ -134,6 +134,8 @@ struct MachineConfig
      */
     /** Sockets; 1 = the paper's single snooping bus. */
     unsigned numSockets = 1;
+    /** Most sockets check() accepts (socket sets are 32-bit masks). */
+    static constexpr unsigned maxSockets = 32;
     /** Extra cycles for a line serviced by a remote home memory. */
     Cycles remoteMemPenalty = 40;
     /** Link occupancy of a full line transfer across sockets. */
@@ -201,6 +203,10 @@ struct MachineConfig
             panic("MachineConfig: more ways than lines");
         if (numSockets == 0)
             panic("MachineConfig: need at least one socket");
+        // The directory filter and DMA paths keep socket sets in
+        // 32-bit masks.
+        if (numSockets > maxSockets)
+            panic("MachineConfig: at most ", maxSockets, " sockets");
         if (numCpus % numSockets != 0)
             panic("MachineConfig: cpus must divide evenly into "
                   "sockets");

@@ -7,15 +7,23 @@
  * The cursor tracks its absolute record position; before every
  * peek() it "settles" — while the position falls in a skip stretch,
  * the remainder of the stretch is fast-forwarded with the inner
- * cursor's skip() (seek arithmetic on chunked files).  The replay
- * engine therefore only ever sees warm and measured records, and
- * phase() tells the controller which of the two the current record
- * is.
+ * cursor's skip() (seek arithmetic on chunked files and synthesized
+ * streams).  The replay engine therefore only ever sees warm and
+ * measured records, and phase() tells the controller which of the
+ * two the current record is.
+ *
+ * peekRun() spans never cross a phase boundary, so the engine asks
+ * for the phase once per span and still opens and closes windows at
+ * the same records as a record-at-a-time replay.  At construction
+ * the cursor makes the inner cursor the skip promise for its plan's
+ * skip stretches (RecordCursor::promiseSkips), so a synthesized
+ * stream never buffers them.
  */
 
 #ifndef OSCACHE_SAMPLE_CURSOR_HH
 #define OSCACHE_SAMPLE_CURSOR_HH
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -34,19 +42,23 @@ class SamplingCursor final : public RecordCursor
     SamplingCursor(std::unique_ptr<RecordCursor> wrapped,
                    const SamplingPlan &sampling_plan)
         : inner(std::move(wrapped)), plan(sampling_plan)
-    {}
+    {
+        inner->promiseSkips(plan.period, plan.replayedPerWindow());
+    }
 
     const TraceRecord *
     peek() override
     {
         settle();
-        return exhausted ? nullptr : inner->peek();
+        const TraceRecord *rec = exhausted ? nullptr : inner->peek();
+        exhausted = rec == nullptr;
+        return rec;
     }
 
     void
     advance() override
     {
-        if (plan.classify(pos).phase == SamplePhase::Measure)
+        if (phaseAt() == SamplePhase::Measure)
             ++measured;
         ++pos;
         inner->advance();
@@ -67,12 +79,35 @@ class SamplingCursor final : public RecordCursor
         return done;
     }
 
+    /** The inner span, clipped to the end of the current phase. */
+    std::size_t
+    peekRun(const TraceRecord *&first) override
+    {
+        settle();
+        const std::size_t n = exhausted ? 0 : inner->peekRun(first);
+        if (n == 0) {
+            exhausted = true;
+            first = nullptr;
+            return 0;
+        }
+        return std::size_t(std::min<std::uint64_t>(n, phaseEnd - pos));
+    }
+
+    void
+    advanceRun(std::size_t n) override
+    {
+        if (phaseAt() == SamplePhase::Measure)
+            measured += n;
+        pos += n;
+        inner->advanceRun(n);
+    }
+
     /** Phase of the record peek() currently exposes. */
     SamplePhase
     phase()
     {
         settle();
-        return plan.classify(pos).phase;
+        return phaseAt();
     }
 
     /** Window index of the current position. */
@@ -97,22 +132,34 @@ class SamplingCursor final : public RecordCursor
     }
 
   private:
+    /**
+     * Phase at the current position.  The phase is constant up to
+     * phaseEnd and the position only grows, so the plan is consulted
+     * once per phase stretch rather than once per record.
+     */
+    SamplePhase
+    phaseAt()
+    {
+        if (pos >= phaseEnd) {
+            const SamplingPlan::Position at = plan.classify(pos);
+            phaseNow = at.phase;
+            phaseEnd = pos + at.remaining;
+        }
+        return phaseNow;
+    }
+
+    /** Fast-forward over any skip stretch the position is in. */
     void
     settle()
     {
-        while (!exhausted) {
-            const SamplingPlan::Position at = plan.classify(pos);
-            if (at.phase != SamplePhase::Skip)
-                break;
-            const std::size_t want = std::size_t(at.remaining);
+        while (!exhausted && phaseAt() == SamplePhase::Skip) {
+            const std::size_t want = std::size_t(phaseEnd - pos);
             const std::size_t done = inner->skip(want);
             pos += done;
             skipped += done;
             if (done < want)
                 exhausted = true;
         }
-        if (!exhausted && inner->peek() == nullptr)
-            exhausted = true;
     }
 
     std::unique_ptr<RecordCursor> inner;
@@ -120,6 +167,9 @@ class SamplingCursor final : public RecordCursor
     std::uint64_t pos = 0;
     std::uint64_t measured = 0;
     std::uint64_t skipped = 0;
+    /** Cached phase of [.., phaseEnd); refreshed by phaseAt(). */
+    SamplePhase phaseNow = SamplePhase::Warm;
+    std::uint64_t phaseEnd = 0;
     bool exhausted = false;
 };
 

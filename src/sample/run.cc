@@ -1,7 +1,9 @@
 #include "sample/run.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -211,9 +213,11 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
                                 std::move(prior));
     system.setSampling(&controller, &warm);
 
+    // A mid-run live point is taken between steps, so step until it
+    // is; the batched loop replays the rest.
     bool saved = save_path.empty() || checkpoint_after == 0;
-    while (system.tick()) {
-        if (!saved && controller.idle() &&
+    while (!saved && system.tick()) {
+        if (controller.idle() &&
             allCursorsPast(sampled, checkpoint_after)) {
             std::ofstream os(save_path, std::ios::binary);
             if (!os)
@@ -226,6 +230,24 @@ runRound(const TraceSourceFactory &open, const MachineConfig &machine,
             saved = true;
         }
     }
+    if (!saved) {
+        std::uint64_t shortest = ~std::uint64_t{0};
+        for (CpuId cpu = 0; cpu < CpuId(sampled.numCpus()); ++cpu)
+            shortest = std::min(shortest,
+                                sampled.cursorFor(cpu)->position());
+        const std::string why =
+            shortest < checkpoint_after
+                ? "the stream ends after " + std::to_string(shortest) +
+                      " records on its shortest processor"
+                : "no step after every processor passed it had all "
+                  "measured windows closed (the stream ends after " +
+                      std::to_string(shortest) +
+                      " records on its shortest processor)";
+        return fail("live point after record " +
+                    std::to_string(checkpoint_after) +
+                    " was never taken: " + why);
+    }
+    system.run();
     controller.finish();
 
     if (!save_path.empty() && checkpoint_after == 0) {

@@ -10,6 +10,13 @@
  * scratch sink).  The policy — window geometry, skipping, confidence
  * intervals, checkpointing — lives in src/sample.
  *
+ * The batched loop (System::run()) asks once per cursor span, so a
+ * sampled cursor must end its spans at phase boundaries
+ * (sample::SamplingCursor does); tick() asks once per step.  Either
+ * way phaseFor() is called before the records it classifies are
+ * replayed, and asking again while a processor's cursor is parked
+ * on a synchronization record (spinning) must have no side effect.
+ *
  * Sampling also relaxes the engine's synchronization retiming.  A
  * sampled replay enters the stream mid-way and leaps over unmeasured
  * stretches, so lock/barrier pairings that a full replay could rely
@@ -19,7 +26,10 @@
  * the lock, a re-acquire is treated as re-entry, and a spin that
  * outlives spinBreakCycles() is force-broken.  Each repair is
  * counted (System::syncBreaks()) so the statistics layer can report
- * how much retiming fidelity a given plan gave up.
+ * how much retiming fidelity a given plan gave up.  When every live
+ * processor is such a stranded spinner, run() advances them all to
+ * the earliest forced break in one step instead of quantum by
+ * quantum, with identical results.
  */
 
 #ifndef OSCACHE_SIM_SAMPLING_HH

@@ -54,13 +54,6 @@ System::attach()
 void
 System::run()
 {
-    // Sampling interleaves phase queries and live-point checkpoints
-    // between records, so it keeps the step-at-a-time loop.
-    if (sampler != nullptr) {
-        while (tick()) {
-        }
-        return;
-    }
     if (opts.modelICache)
         runBatched<true>();
     else
@@ -108,7 +101,8 @@ System::runBatched()
         if (cpus[best].state != CpuRunState::Running) {
             // Spinning on a lock or barrier: the retiming logic and
             // its spin bookkeeping live in step().
-            step(best);
+            if (sampler == nullptr || !spinToNextBreak())
+                step(best);
             continue;
         }
         if (!has_rival) {
@@ -122,6 +116,13 @@ System::runBatched()
         RecordCursor &cursor = *cursors[best];
         bool yield = false;
         while (!yield) {
+            // A sampled span never crosses a phase boundary, so one
+            // query routes the whole span's statistics and opens or
+            // closes windows where tick() would.
+            if (sampler != nullptr)
+                cur = sampler->phaseFor(best) == SamplePhase::Measure
+                          ? &simStats
+                          : warmSink;
             const TraceRecord *span = nullptr;
             const std::size_t n = cursor.peekRun(span);
             if (n == 0) {
@@ -257,6 +258,96 @@ System::maybeBreakSpin(CpuId cpu)
     cs.state = CpuRunState::Running;
     cursors[cpu]->advance();
     consecutiveSpins = 0;
+    return true;
+}
+
+bool
+System::spinToNextBreak()
+{
+    const Cycles quantum = opts.spinQuantum;
+    const Cycles budget = sampler->spinBreakCycles();
+    if (quantum == 0)
+        return false;
+
+    // Rounded-up quotient that cannot overflow near the Cycles limit.
+    const auto quanta_in = [quantum](Cycles span) -> std::uint64_t {
+        return span / quantum + (span % quantum != 0 ? 1 : 0);
+    };
+
+    // Applies only while no processor can move: every live one spins
+    // on a lock that stays held or a barrier episode that stays open.
+    // The next event is then the earliest forced break, keyed like
+    // the scheduler by (time, id).
+    bool found = false;
+    CpuId breaker = 0;
+    Cycles break_at = 0;
+    for (CpuId c = 0; c < cpus.size(); ++c) {
+        const CpuState &cs = cpus[c];
+        if (cs.state == CpuRunState::Done)
+            continue;
+        if (cs.state == CpuRunState::Running)
+            return false;
+        if (cs.state == CpuRunState::SpinLock) {
+            const auto lock = locks.find(cs.waitAddr);
+            if (lock == locks.end() || !lock->second.held)
+                return false;
+        } else {
+            const auto bar = barriers.find(cs.waitAddr);
+            if (bar == barriers.end() ||
+                bar->second.episode > cs.waitEpisode)
+                return false;
+        }
+        // Its break step is the first k with
+        // time + quantum·k − spinStart ≥ budget.
+        const Cycles waited = cs.time - cs.spinStart;
+        const Cycles k = waited >= budget ? 0 : quanta_in(budget - waited);
+        // Beyond the panic budget it cannot break first without
+        // the step-at-a-time path panicking on the way.
+        if (k > spinLimit || k > (~Cycles{0} - cs.time) / quantum)
+            continue;
+        const Cycles at = cs.time + quantum * k;
+        if (!found || at < break_at) {
+            found = true;
+            breaker = c;
+            break_at = at;
+        }
+    }
+    if (!found)
+        return false;
+
+    // Spin quanta each processor runs before the breaker's step, i.e.
+    // steps at (time + quantum·j, c) ordered before (break_at, breaker).
+    const auto quanta_before = [&](CpuId c) -> std::uint64_t {
+        const Cycles t = cpus[c].time;
+        if (t > break_at)
+            return 0;
+        const Cycles gap = break_at - t;
+        return quanta_in(gap) + (gap % quantum == 0 && c < breaker ? 1 : 0);
+    };
+    // Keep the deadlock panic exactly where the stepped path has it.
+    std::uint64_t total = consecutiveSpins;
+    for (CpuId c = 0; c < cpus.size(); ++c) {
+        if (cpus[c].state != CpuRunState::Done)
+            total += quanta_before(c);
+        if (total > spinLimit)
+            return false;
+    }
+
+    for (CpuId c = 0; c < cpus.size(); ++c) {
+        if (cpus[c].state == CpuRunState::Done)
+            continue;
+        const std::uint64_t n = quanta_before(c);
+        if (n == 0)
+            continue;
+        // A parked cursor's phase query has no side effect.
+        SimStats *sink = sampler->phaseFor(c) == SamplePhase::Measure
+                             ? &simStats
+                             : warmSink;
+        cpus[c].time += quantum * n;
+        sink->osSpin += quantum * n;
+    }
+    consecutiveSpins = total;
+    step(breaker);
     return true;
 }
 

@@ -16,7 +16,10 @@
  * incrementally, or a generator producing records on demand.  A
  * side effect of min-time scheduling is that the consumers stay
  * within about one synchronization interval of each other, which is
- * what keeps streamed sources' buffering bounded.
+ * what keeps streamed sources' buffering bounded in a full replay.
+ * A sampled replay leaps single processors over skipped stretches;
+ * there the skip promise (RecordCursor::promiseSkips) keeps it
+ * bounded.
  */
 
 #ifndef OSCACHE_SIM_SYSTEM_HH
@@ -60,14 +63,27 @@ class System
            BlockOpExecutor &executor, const SimOptions &options,
            SimStats &stats);
 
-    /** Run the trace to completion. */
+    /**
+     * Run the trace to completion: the batched loop, for full and
+     * sampled replay alike.  It pulls whole cursor spans and keeps
+     * the scheduled processor consuming records until another
+     * processor's local time takes over.  Under a sampler it asks for
+     * the phase once per span (sampled spans end at phase
+     * boundaries), and when every live processor spins on a lock or
+     * barrier nothing can release, it advances them all to the next
+     * forced spin break in one step.  Statistics, windows and final
+     * state are byte-identical to calling tick() until it returns
+     * false.
+     */
     void run();
 
     /**
      * Replay one scheduling step (one record or spin quantum on the
      * processor with the smallest local time); false once every
-     * processor is done.  run() is tick() in a loop — sampled replay
-     * drives tick() directly so it can checkpoint between steps.
+     * processor is done.  Sampled replay ticks while a mid-run live
+     * point is pending, so it can checkpoint between steps, then
+     * calls run(); tick() is also the reference run() is tested
+     * against.
      */
     bool tick();
 
@@ -141,14 +157,26 @@ class System
     void step(CpuId cpu);
 
     /**
-     * The batched replay loop behind run() when no sampler is
-     * attached: pulls whole cursor spans via peekRun() and keeps the
-     * scheduled processor consuming simple records until another
-     * processor's local time takes over, with the I-cache model
-     * branch hoisted out of the inner loop as a template parameter.
-     * Produces byte-identical results to tick() in a loop.
+     * The batched replay loop behind run(): pulls whole cursor spans
+     * via peekRun() and keeps the scheduled processor consuming
+     * simple records until another processor's local time takes
+     * over, with the I-cache model branch hoisted out of the inner
+     * loop as a template parameter.  Produces byte-identical results
+     * to tick() in a loop.
      */
     template <bool ModelICache> void runBatched();
+
+    /**
+     * Spin breaks in closed form (sampled replay only).  When every
+     * live processor is a spinner that cannot progress, advance each
+     * by the spin quanta it would run before the earliest forced
+     * break — time, osSpin in its phase's sink and the deadlock
+     * counter — then step the breaking processor.  False, with
+     * nothing changed, when some processor could move or the quanta
+     * would reach the deadlock panic (the stepped path then panics
+     * exactly as before).
+     */
+    bool spinToNextBreak();
 
     /**
      * @name Non-consuming record appliers

@@ -8,63 +8,92 @@ namespace oscache
 {
 
 /**
- * Pulls from one processor's lane, asking the source to generate
- * more quanta when the lane runs dry.
+ * Reads one processor's lane, asking the source to generate more
+ * quanta when the lane runs dry.
  */
 class SynthTraceSource::Cursor final : public RecordCursor
 {
   public:
-    Cursor(SynthTraceSource &source, CpuId c) : src(&source), cpu(c) {}
+    Cursor(SynthTraceSource &source, CpuId cpu)
+        : src(&source), lane(&source.lanes[cpu])
+    {}
 
     const TraceRecord *
     peek() override
     {
-        auto &lane = src->lanes[cpu];
-        if (lane.empty())
-            src->refill(cpu);
-        return lane.empty() ? nullptr : &lane.front();
+        Lane &l = *lane;
+        while (l.runs.empty() && !src->gen.done())
+            src->generateQuantum();
+        if (l.runs.empty() && l.pos >= l.produced)
+            return nullptr;
+        if (l.runs.empty() || l.runs.front().first != l.pos)
+            panic("SynthTraceSource: read at position ", l.pos,
+                  ", which the skip promise excluded");
+        return &l.blocks.front()->records[l.head];
     }
 
     void
     advance() override
     {
-        auto &lane = src->lanes[cpu];
-        if (lane.empty())
+        Lane &l = *lane;
+        if (l.runs.empty() || l.runs.front().first != l.pos)
             panic("SynthTraceSource: advance past end of stream");
-        lane.pop_front();
-        src->buffered -= 1;
+        src->popFront(l, 1);
+        l.pos += 1;
     }
 
     /**
-     * Bulk lane discard.  Generation cannot be leapt over (every
-     * record comes from shared RNG draws, so skipping a quantum
-     * would change every other processor's stream), but the skipped
-     * records are dropped a buffered run at a time instead of one
-     * pop_front per record.
+     * Position arithmetic: buffered records before the target are
+     * dropped, and quanta generated to reach it buffer nothing
+     * before it.
      */
     std::size_t
     skip(std::size_t n) override
     {
-        std::size_t done = 0;
-        auto &lane = src->lanes[cpu];
-        while (done < n) {
-            if (lane.empty()) {
-                src->refill(cpu);
-                if (lane.empty())
-                    break;
-            }
-            const std::size_t step = std::min(n - done, lane.size());
-            lane.erase(lane.begin(),
-                       lane.begin() + std::ptrdiff_t(step));
-            src->buffered -= step;
-            done += step;
-        }
-        return done;
+        Lane &l = *lane;
+        const std::uint64_t from = l.pos;
+        const std::uint64_t to =
+            from + std::min<std::uint64_t>(n, ~std::uint64_t{0} - from);
+        src->dropBefore(l, to);
+        l.pos = to;
+        while (l.produced < to && !src->gen.done())
+            src->generateQuantum();
+        if (l.produced < to)
+            l.pos = l.produced;
+        return std::size_t(l.pos - from);
+    }
+
+    /** The rest of the front run that lies in the front block. */
+    std::size_t
+    peekRun(const TraceRecord *&first) override
+    {
+        first = peek();
+        if (first == nullptr)
+            return 0;
+        return std::size_t(std::min<std::uint64_t>(
+            lane->runs.front().count, blockRecords - lane->head));
+    }
+
+    void
+    advanceRun(std::size_t n) override
+    {
+        src->popFront(*lane, n);
+        lane->pos += n;
+    }
+
+    void
+    promiseSkips(std::uint64_t period, std::uint64_t keep) override
+    {
+        Lane &l = *lane;
+        if (l.produced > 0 || period == 0 || keep >= period)
+            return;
+        l.period = period;
+        l.keep = keep;
     }
 
   private:
     SynthTraceSource *src;
-    CpuId cpu;
+    Lane *lane;
 };
 
 SynthTraceSource::SynthTraceSource(const WorkloadProfile &profile,
@@ -97,17 +126,99 @@ SynthTraceSource::cursor(CpuId cpu)
 }
 
 void
-SynthTraceSource::refill(CpuId cpu)
+SynthTraceSource::generateQuantum()
 {
-    while (lanes[cpu].empty() && !gen.done()) {
-        gen.nextQuantum(scratchPtrs);
-        for (CpuId c = 0; c < numCpus(); ++c) {
-            lanes[c].insert(lanes[c].end(), scratch[c].begin(),
-                            scratch[c].end());
-            buffered += scratch[c].size();
-            scratch[c].clear();
+    gen.nextQuantum(scratchPtrs);
+    for (CpuId c = 0; c < numCpus(); ++c) {
+        append(lanes[c], scratch[c]);
+        scratch[c].clear();
+    }
+    peakBuffered = std::max(peakBuffered, buffered);
+}
+
+void
+SynthTraceSource::append(Lane &lane, const RecordStream &records)
+{
+    const std::uint64_t begin = lane.produced;
+    const std::uint64_t end = begin + records.size();
+    lane.produced = end;
+    const auto keep = [&](std::uint64_t from, std::uint64_t to) {
+        pushBack(lane, records.data() + (from - begin),
+                 std::size_t(to - from));
+        if (!lane.runs.empty() &&
+            lane.runs.back().first + lane.runs.back().count == from)
+            lane.runs.back().count += to - from;
+        else
+            lane.runs.push_back({from, to - from});
+    };
+    // Nothing before the cursor is ever read again.
+    std::uint64_t at = std::max(begin, lane.pos);
+    if (at >= end)
+        return;
+    if (lane.period == 0) {
+        keep(at, end);
+        return;
+    }
+    // Walk the windows the new records overlap, keeping the head of
+    // each: one division per append, none per record.
+    std::uint64_t window = at - at % lane.period;
+    while (at < end) {
+        const std::uint64_t kept_end = std::min(end, window + lane.keep);
+        if (at < kept_end)
+            keep(at, kept_end);
+        window += lane.period;
+        at = window;
+    }
+}
+
+void
+SynthTraceSource::pushBack(Lane &lane, const TraceRecord *records,
+                           std::size_t n)
+{
+    while (n > 0) {
+        if (lane.blocks.empty() || lane.tail == blockRecords) {
+            lane.blocks.push_back(std::make_unique<Block>());
+            lane.tail = 0;
         }
-        peakBuffered = std::max(peakBuffered, buffered);
+        const std::size_t k = std::min(n, blockRecords - lane.tail);
+        std::copy_n(records, k, lane.blocks.back()->records + lane.tail);
+        lane.tail += k;
+        records += k;
+        n -= k;
+        buffered += k;
+    }
+}
+
+void
+SynthTraceSource::popFront(Lane &lane, std::size_t n)
+{
+    if (n == 0)
+        return;
+    Run &run = lane.runs.front();
+    run.first += n;
+    run.count -= n;
+    if (run.count == 0)
+        lane.runs.pop_front();
+    buffered -= n;
+    if (lane.runs.empty()) {
+        lane.blocks.clear();
+        lane.head = 0;
+        lane.tail = 0;
+        return;
+    }
+    lane.head += n;
+    while (lane.head >= blockRecords) {
+        lane.blocks.pop_front();
+        lane.head -= blockRecords;
+    }
+}
+
+void
+SynthTraceSource::dropBefore(Lane &lane, std::uint64_t at)
+{
+    while (!lane.runs.empty() && lane.runs.front().first < at) {
+        const Run &run = lane.runs.front();
+        popFront(lane, std::size_t(std::min(run.count, at - run.first)));
     }
 }
 

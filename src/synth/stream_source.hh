@@ -9,11 +9,21 @@
  * Because all processors of one quantum are planned from shared
  * draws of the master RNG, the generator always advances every
  * processor together; records a consumer has not reached yet are
- * buffered per processor.  Under the replay engine's min-time
- * scheduler the consumers stay within about one quantum of each
- * other, so the buffer holds O(cpus × quantum) records regardless of
- * trace length — peakBufferedRecords() reports the observed high
- * water mark so tests can pin that bound.
+ * buffered per processor, in a lane of fixed-size blocks.  Appending
+ * never moves a buffered record, so a peek() pointer or peekRun()
+ * span stays valid while other processors' lanes refill.
+ *
+ * The buffer holds O(cpus × quantum) records regardless of trace
+ * length.  In a full replay that holds because the min-time
+ * scheduler keeps the consumers within about one quantum of each
+ * other.  A sampled replay leaps one processor over a whole skipped
+ * stretch while the others wait, so there it holds through the skip
+ * promise (RecordCursor::promiseSkips): a lane that got the promise
+ * before producing anything appends only the positions its cursor
+ * may read, and skip() is position arithmetic — records in a skipped
+ * stretch are generated (the RNG cannot leap) but never buffered.
+ * peakBufferedRecords() reports the observed high-water mark so
+ * tests can pin the bound.
  */
 
 #ifndef OSCACHE_SYNTH_STREAM_SOURCE_HH
@@ -63,11 +73,65 @@ class SynthTraceSource final : public TraceSource
   private:
     class Cursor;
 
-    /** Generate quanta until @p cpu has a buffered record or done. */
-    void refill(CpuId cpu);
+    /**
+     * Records per lane block (6 KB).  A lane holds up to two partly
+     * filled blocks, and emptied blocks go back to the allocator, so
+     * small blocks keep a full replay's footprint at what its
+     * buffered records need.
+     */
+    static constexpr std::size_t blockRecords = 256;
+
+    struct Block
+    {
+        TraceRecord records[blockRecords];
+    };
+
+    /** Stream positions [first, first + count) buffered back to back. */
+    struct Run
+    {
+        std::uint64_t first = 0;
+        std::uint64_t count = 0;
+    };
+
+    /** One processor's buffered records and stream positions. */
+    struct Lane
+    {
+        /** Storage: reading starts at head of the front block. */
+        std::deque<std::unique_ptr<Block>> blocks;
+        std::size_t head = 0;
+        /** Records written into the back block. */
+        std::size_t tail = 0;
+        /** Positions of the buffered records, oldest first. */
+        std::deque<Run> runs;
+        /** Records generated for this processor so far. */
+        std::uint64_t produced = 0;
+        /** The cursor's position; nothing before it is buffered. */
+        std::uint64_t pos = 0;
+        /** Skip promise: buffer only p % period < keep (0 = all). */
+        std::uint64_t period = 0;
+        std::uint64_t keep = 0;
+    };
+
+    /** Generate one quantum into every lane. */
+    void generateQuantum();
+
+    /** Buffer the part of @p records (this lane's next) it may read. */
+    void append(Lane &lane, const RecordStream &records);
+
+    /** Copy @p n records to the back of @p lane's storage. */
+    void pushBack(Lane &lane, const TraceRecord *records, std::size_t n);
+
+    /**
+     * Drop the @p n oldest records of @p lane; they are the head of
+     * its front run.
+     */
+    void popFront(Lane &lane, std::size_t n);
+
+    /** Drop every buffered record of @p lane before position @p at. */
+    void dropBefore(Lane &lane, std::uint64_t at);
 
     TraceGenerator gen;
-    std::vector<std::deque<TraceRecord>> lanes;
+    std::vector<Lane> lanes;
     std::vector<RecordStream> scratch;
     std::vector<RecordStream *> scratchPtrs;
     std::vector<bool> cursorOpen;

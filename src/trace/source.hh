@@ -19,7 +19,8 @@
  *    buffer per processor;
  *  - SynthTraceSource (src/synth/stream_source.hh) generates records
  *    on demand, quantum by quantum, so generation overlaps
- *    simulation and no full trace is ever built.
+ *    simulation and no full trace is ever built; under a skip
+ *    promise it never buffers the records a sampled replay skips.
  *
  * Contract notes:
  *  - cursor() may be called at most once per cpu on streaming
@@ -87,7 +88,10 @@ class RecordCursor
      * points at the span's first record; the return value is the span
      * length (0 at end of stream, with @p first null).  The span is
      * invalidated by advance()/advanceRun()/skip(), exactly like a
-     * peek() pointer.  The base implementation degrades to a span of
+     * peek() pointer.  Reading another processor's cursor of the
+     * same source does not invalidate it: streamed sources append to
+     * every processor's buffer as they refill one, but never move a
+     * buffered record.  The base implementation degrades to a span of
      * one record; buffered implementations override to hand out their
      * whole read-ahead window so the replay engine can consume
      * record-batch-at-a-time with two virtual calls per batch instead
@@ -109,6 +113,22 @@ class RecordCursor
     {
         for (std::size_t i = 0; i < n; ++i)
             advance();
+    }
+
+    /**
+     * Skip promise: the caller will never read a record at a stream
+     * position p (counted from the stream's first record) with
+     * p % @p period >= @p keep; it only skips over those.  A cursor
+     * may then avoid buffering them.  Sampled replay makes this
+     * promise for the stretches its plan skips.  The default ignores
+     * it, which is always correct, and so may a cursor that has
+     * already produced records when the promise arrives.
+     */
+    virtual void
+    promiseSkips(std::uint64_t period, std::uint64_t keep)
+    {
+        (void)period;
+        (void)keep;
     }
 };
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests of the machine configuration: derived values and the
- * validation that rejects malformed configurations; of the one
+ * Tests of the machine configuration: derived values, the
+ * validation that rejects malformed configurations, and a checked
+ * run of the widest socket count it accepts; of the one
  * workload/system name table the CLIs parse names with; and of the
  * one number grammar they parse flag values with.
  */
@@ -14,9 +15,11 @@
 #include <utility>
 
 #include "common/flags.hh"
+#include "core/runner.hh"
 #include "core/system_config.hh"
 #include "mem/config.hh"
 #include "sample/plan.hh"
+#include "synth/generator.hh"
 #include "synth/profile.hh"
 
 namespace oscache
@@ -103,6 +106,34 @@ TEST(ConfigDeathTest, RejectsMoreCpusThanCpuIdsName)
     cfg.check();
     cfg.numCpus = 256;
     EXPECT_DEATH(cfg.check(), "at most 255 cpus");
+}
+
+TEST(ConfigDeathTest, RejectsMoreSocketsThanSocketMasksHold)
+{
+    // Socket sets are 32-bit masks: a 33rd socket would alias the
+    // first in the directory filter.
+    MachineConfig::numa(32, 1).check();
+    EXPECT_DEATH(MachineConfig::numa(33, 1).check(), "at most 32 sockets");
+    EXPECT_DEATH(MachineConfig::numa(40, 1).check(), "at most 32 sockets");
+}
+
+TEST(ConfigTest, ThirtyTwoSocketsRunCheckedAndClean)
+{
+    // The widest accepted shape replays with the coherence checker
+    // on; RunAssembly panics on any violation.
+    const MachineConfig machine = MachineConfig::numa(32, 1);
+    WorkloadProfile profile =
+        WorkloadProfile::forKind(WorkloadKind::SyscallStorm);
+    profile.quanta = 2;
+    const SimOptions options = profile.simOptions();
+    ASSERT_TRUE(options.checkCoherence);
+    const Trace trace =
+        generateTrace(profile, CoherenceOptions::none(), machine.numCpus);
+    const RunResult r = runOnTrace(trace, machine, options,
+                                   SystemSetup::forKind(SystemKind::Base));
+    EXPECT_EQ(r.bus.numSockets, 32u);
+    EXPECT_GT(r.stats.osReads, 0u);
+    EXPECT_GT(r.bus.linkTransactions, 0u);
 }
 
 TEST(ConfigDeathTest, RejectsBadAssociativity)

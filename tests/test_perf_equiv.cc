@@ -11,6 +11,10 @@
  *    tick() one step at a time, for every block-operation scheme,
  *    with and without observers attached, including the selective
  *    update protocol;
+ *  - sampled replay through run() — phase-clipped spans and spin
+ *    breaks in closed form — reports exactly what a run that ticks
+ *    almost to the end reports, bare, checked and with metrics, on
+ *    Base and Blk_Dma, at the default and a short spin-break budget;
  *  - a simulation with no observers performs no observer dispatch
  *    and no heap allocation on the steady-state hit path;
  *  - the coherence checker never perturbs the outcome (checker on
@@ -24,8 +28,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <new>
 #include <random>
@@ -37,11 +45,15 @@
 #include "check/invariants.hh"
 #include "common/binio.hh"
 #include "core/blockop/schemes.hh"
+#include "core/runner.hh"
+#include "core/system_config.hh"
 #include "mem/marks.hh"
 #include "mem/memsys.hh"
+#include "sample/run.hh"
 #include "sim/system.hh"
 #include "synth/generator.hh"
 #include "synth/profile.hh"
+#include "synth/stream_source.hh"
 
 // ---------------------------------------------------------------------
 // Global allocation counter for the zero-allocation test.  Counting
@@ -109,19 +121,22 @@ namespace
 struct ReplayResult
 {
     SimStats stats;
+    SimStats warm;
     std::string memState;
     std::string sysState;
 };
 
 /**
  * Replay @p trace under @p scheme.  @p stepped drives tick() one
- * record at a time (the path sampling uses); otherwise run() takes
- * the batched fast path.  @p checked attaches the coherence checker
- * so the observer-notification schedule is exercised too.
+ * record at a time; otherwise run() takes the batched fast path.
+ * @p checked attaches the coherence checker so the
+ * observer-notification schedule is exercised too.  A @p sampler
+ * routes statistics to the measured and warm sinks per its phases.
  */
 ReplayResult
 replay(const Trace &trace, BlockScheme scheme, bool checked, bool stepped,
-       const MachineConfig &machine = MachineConfig::base())
+       const MachineConfig &machine = MachineConfig::base(),
+       SampleController *sampler = nullptr)
 {
     ReplayResult out;
     SimOptions opts;
@@ -135,6 +150,8 @@ replay(const Trace &trace, BlockScheme scheme, bool checked, bool stepped,
         makeBlockOpExecutor(scheme, mem, out.stats, opts);
     MaterializedTraceSource source(trace);
     System system(source, mem, *exec, opts, out.stats);
+    if (sampler != nullptr)
+        system.setSampling(sampler, &out.warm);
     if (stepped) {
         while (system.tick()) {
         }
@@ -172,6 +189,7 @@ void
 expectEquivalent(const ReplayResult &batched, const ReplayResult &stepped)
 {
     EXPECT_TRUE(batched.stats == stepped.stats);
+    EXPECT_TRUE(batched.warm == stepped.warm);
     EXPECT_EQ(batched.memState, stepped.memState);
     EXPECT_EQ(batched.sysState, stepped.sysState);
 }
@@ -244,6 +262,241 @@ TEST(BatchedEquivalence, BatchedAndSteppedAgreeAcrossObserverToggle)
     const Trace &update = shortTrace(CoherenceOptions::relocUpdate());
     expectEquivalent(replay(update, BlockScheme::Base, false, false),
                      replay(update, BlockScheme::Base, true, false));
+}
+
+// ---------------------------------------------------------------------
+// Sampled replay: batched run() vs stepped tick()
+// ---------------------------------------------------------------------
+
+/** A TRFD_4 stream long enough for a dozen windows per processor. */
+WorkloadProfile
+sampledProfile()
+{
+    WorkloadProfile p = WorkloadProfile::forKind(WorkloadKind::Trfd4);
+    p.quanta = 24;
+    return p;
+}
+
+sample::SamplingPlan
+sampledPlan(std::uint64_t period, Cycles spin_break)
+{
+    sample::SamplingPlan plan;
+    plan.period = period;
+    plan.warmup = period / 5;
+    plan.measure = period / 20;
+    plan.spinBreak = spin_break;
+    return plan;
+}
+
+/**
+ * A live point late in the last window: the start of the last skip
+ * stretch the shortest processor stream reaches.  runSampled() ticks
+ * until it takes the live point, so a run given it replays almost
+ * all of the stream through tick().
+ */
+std::uint64_t
+lateLivePoint(const WorkloadProfile &profile,
+              const CoherenceOptions &coherence,
+              const sample::SamplingPlan &plan)
+{
+    const Trace trace = generateTrace(profile, coherence);
+    std::size_t shortest = trace.stream(0).size();
+    for (CpuId cpu = 1; cpu < trace.numCpus(); ++cpu)
+        shortest = std::min(shortest, trace.stream(cpu).size());
+    const std::uint64_t keep = plan.replayedPerWindow();
+    EXPECT_GT(shortest, 4 * plan.period);
+    return (shortest - keep) / plan.period * plan.period + keep;
+}
+
+sample::SampleRunOutcome
+sampledRun(const WorkloadProfile &profile, const SystemSetup &setup,
+           const SimOptions &options, const sample::SamplingPlan &plan,
+           std::uint64_t live_point)
+{
+    sample::SampleRunOptions run;
+    run.plan = plan;
+    if (live_point != 0) {
+        run.saveCheckpoint =
+            (std::filesystem::temp_directory_path() /
+             ("oscache_perf_equiv_" + std::to_string(getpid()) + ".oslp"))
+                .string();
+        run.checkpointAfter = live_point;
+    }
+    sample::SampleRunOutcome out = sample::runSampled(
+        [&]() -> std::unique_ptr<TraceSource> {
+            return std::make_unique<SynthTraceSource>(profile,
+                                                      setup.coherence);
+        },
+        MachineConfig::base(), options, setup.blockScheme, run);
+    if (!run.saveCheckpoint.empty()) {
+        EXPECT_TRUE(std::filesystem::remove(run.saveCheckpoint))
+            << "the live point was never written";
+    }
+    return out;
+}
+
+std::string
+metricsText(const RunResult &r)
+{
+    std::ostringstream os;
+    if (r.obs != nullptr)
+        r.obs->metrics.render(os);
+    return os.str();
+}
+
+/** Every result a sampled run reports. */
+void
+expectSameSampledRun(const sample::SampleRunOutcome &batched,
+                     const sample::SampleRunOutcome &stepped)
+{
+    ASSERT_TRUE(batched.ok) << batched.error;
+    ASSERT_TRUE(stepped.ok) << stepped.error;
+    EXPECT_TRUE(batched.result.stats == stepped.result.stats);
+    EXPECT_TRUE(batched.warmStats == stepped.warmStats);
+    EXPECT_EQ(metricsText(batched.result), metricsText(stepped.result));
+    ASSERT_NE(batched.result.sample, nullptr);
+    ASSERT_NE(stepped.result.sample, nullptr);
+    const sample::SampleReport &a = *batched.result.sample;
+    const sample::SampleReport &b = *stepped.result.sample;
+    EXPECT_GT(a.windows.size(), 10u);
+    EXPECT_TRUE(a.windows == b.windows);
+    EXPECT_EQ(a.syncBreaks, b.syncBreaks);
+    EXPECT_EQ(a.totalRecords, b.totalRecords);
+    EXPECT_EQ(a.replayedRecords, b.replayedRecords);
+    EXPECT_EQ(a.measuredRecords, b.measuredRecords);
+    EXPECT_EQ(a.skippedRecords, b.skippedRecords);
+}
+
+void
+expectSampledBatchedEqualsStepped(const sample::SamplingPlan &plan,
+                                  std::uint64_t min_breaks)
+{
+    const WorkloadProfile profile = sampledProfile();
+    for (const SystemKind system : {SystemKind::Base, SystemKind::BlkDma}) {
+        const SystemSetup setup = SystemSetup::forKind(system);
+        const std::uint64_t live_point =
+            lateLivePoint(profile, setup.coherence, plan);
+        for (const bool checked : {false, true}) {
+            for (const bool metrics : {false, true}) {
+                SCOPED_TRACE(std::string(toString(system)) +
+                             (checked ? " checked" : " bare") +
+                             (metrics ? " with metrics" : ""));
+                SimOptions opts = profile.simOptions();
+                opts.checkCoherence = checked;
+                opts.obs.metrics = metrics;
+                const sample::SampleRunOutcome batched =
+                    sampledRun(profile, setup, opts, plan, 0);
+                const sample::SampleRunOutcome stepped =
+                    sampledRun(profile, setup, opts, plan, live_point);
+                expectSameSampledRun(batched, stepped);
+                if (batched.result.sample != nullptr) {
+                    EXPECT_GE(batched.result.sample->syncBreaks,
+                              min_breaks);
+                }
+            }
+        }
+    }
+}
+
+TEST(SampledBatchedEquivalence, DefaultSpinBreak)
+{
+    expectSampledBatchedEqualsStepped(
+        sampledPlan(20'000, sample::SamplingPlan{}.spinBreak), 1);
+}
+
+TEST(SampledBatchedEquivalence, ShortSpinBreakFiresOften)
+{
+    // Dense windows skip many releases, and a short budget breaks
+    // each wait they strand: the closed form fires at well over a
+    // hundred breaks per run here.
+    expectSampledBatchedEqualsStepped(sampledPlan(2'000, 20'000), 100);
+}
+
+/**
+ * Phases by cpu parity, nothing skipped: odd cpus measured, even
+ * ones warming, and every spin broken after @p budget cycles.
+ */
+class ParityController final : public SampleController
+{
+  public:
+    explicit ParityController(Cycles budget) : breakAfter(budget) {}
+
+    SamplePhase
+    phaseFor(CpuId cpu) override
+    {
+        return cpu % 2 != 0 ? SamplePhase::Measure : SamplePhase::Warm;
+    }
+
+    Cycles spinBreakCycles() const override { return breakAfter; }
+
+  private:
+    Cycles breakAfter;
+};
+
+/**
+ * Processor 0 takes a lock and finishes holding it; the others keep
+ * contending for it and arriving at a barrier no episode completes,
+ * separated by idle stretches of random length.  Every wait ends in a
+ * forced break, mostly with all live processors blocked, and the
+ * random gaps make break steps coincide in time now and then.
+ */
+Trace
+strandedSpinTrace()
+{
+    constexpr Addr lock = 0x40'0000;
+    constexpr Addr bar = 0x40'1000;
+    Trace trace(4);
+    trace.stream(0).push_back(TraceRecord::idle(3));
+    TraceRecord acquire;
+    acquire.type = RecordType::LockAcquire;
+    acquire.addr = lock;
+    acquire.flags = flagOs;
+    TraceRecord release = acquire;
+    release.type = RecordType::LockRelease;
+    TraceRecord arrive;
+    arrive.type = RecordType::BarrierArrive;
+    arrive.addr = bar;
+    arrive.aux = 5; // One more party than processors.
+    arrive.flags = flagOs;
+    trace.stream(0).push_back(acquire);
+    trace.stream(0).push_back(TraceRecord::exec(40, 1, true));
+    std::mt19937 rng(7);
+    std::uniform_int_distribution<std::uint32_t> gap(1, 90);
+    for (CpuId cpu = 1; cpu < 4; ++cpu) {
+        RecordStream &s = trace.stream(cpu);
+        for (int i = 0; i < 150; ++i) {
+            s.push_back(TraceRecord::idle(gap(rng)));
+            s.push_back(acquire);
+            s.push_back(TraceRecord::exec(gap(rng), 2, true));
+            if (i % 3 == 0)
+                s.push_back(release);
+            s.push_back(TraceRecord::idle(gap(rng)));
+            s.push_back(arrive);
+        }
+    }
+    return trace;
+}
+
+TEST(SampledBatchedEquivalence, StrandedSpinsBreakInClosedForm)
+{
+    // Batched replay collapses each all-blocked stretch to its next
+    // break: per-processor times, osSpin in each phase's sink, break
+    // order and tie-breaks must match the quantum-by-quantum replay.
+    const Trace trace = strandedSpinTrace();
+    for (const Cycles budget : {Cycles{500}, Cycles{1'337}}) {
+        SCOPED_TRACE("spin break after " + std::to_string(budget));
+        ParityController batched_ctl(budget);
+        ParityController stepped_ctl(budget);
+        const ReplayResult batched =
+            replay(trace, BlockScheme::Base, true, false,
+                   MachineConfig::base(), &batched_ctl);
+        const ReplayResult stepped =
+            replay(trace, BlockScheme::Base, true, true,
+                   MachineConfig::base(), &stepped_ctl);
+        expectEquivalent(batched, stepped);
+        EXPECT_GT(batched.stats.osSpin, 0u);
+        EXPECT_GT(batched.warm.osSpin, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -573,6 +573,36 @@ TEST_F(SampleCheckpointFile, ResumedRunStaysChecked)
     fs::remove(opts.saveCheckpoint);
 }
 
+TEST_F(SampleCheckpointFile, LivePointPastTheEndFails)
+{
+    // A live point no step reaches used to report success without
+    // writing a file; it must fail, naming the position and how long
+    // the stream was.
+    const WorkloadProfile profile = smallProfile();
+    SampleRunOptions opts;
+    opts.plan.period = 20'000;
+    opts.plan.warmup = 4'000;
+    opts.plan.measure = 2'000;
+    opts.saveCheckpoint = scratchPath("past_end.oslp");
+    opts.checkpointAfter = 100'000'000;
+    const SampleRunOutcome outcome = runSampled(
+        [&]() -> std::unique_ptr<TraceSource> {
+            return std::make_unique<SynthTraceSource>(
+                profile, CoherenceOptions::none());
+        },
+        *machine, profile.simOptions(), BlockScheme::Base, opts);
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_NE(outcome.error.find("live point after record 100000000 "
+                                 "was never taken: the stream ends "
+                                 "after "),
+              std::string::npos)
+        << outcome.error;
+    EXPECT_NE(outcome.error.find(" records on its shortest processor"),
+              std::string::npos)
+        << outcome.error;
+    EXPECT_FALSE(fs::exists(opts.saveCheckpoint));
+}
+
 TEST_F(SampleCheckpointFile, DefectSeededAfterResumeIsCaught)
 {
     std::ifstream is(*path, std::ios::in | std::ios::binary);

@@ -3,11 +3,14 @@
  * Streaming trace pipeline tests: streamed synthesis must reproduce
  * materialized generation bit-for-bit, file sources must replay both
  * on-disk formats through bounded cursors, corrupted chunked
- * artifacts must fail cleanly, the streaming prefetch adapter must
- * match the materializing rewrite, and the in-memory trace cache
- * must evict by LRU under its byte cap.
+ * artifacts must fail cleanly, every cursor's skip() must be exact
+ * (a synthesized cursor under the skip promise too, which must also
+ * keep the sampled benchmark stream's buffer small), the streaming
+ * prefetch adapter must match the materializing rewrite, and the
+ * in-memory trace cache must evict by LRU under its byte cap.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +24,7 @@
 #include "core/runner.hh"
 #include "exp/artifact_cache.hh"
 #include "report/experiment.hh"
+#include "sample/run.hh"
 #include "synth/generator.hh"
 #include "synth/stream_source.hh"
 #include "trace/io.hh"
@@ -334,15 +338,171 @@ TEST(StreamSkip, FileCursorSkipsExactlyAllFormats)
     }
 }
 
+/** Odd window sizes, so kept runs straddle quanta and lane blocks. */
+constexpr std::uint64_t promisePeriod = 1'531;
+constexpr std::uint64_t promiseKeep = 389;
+
+/**
+ * Read every position @p cursor may read under the skip promise and
+ * skip the rest window by window; every kept record must equal the
+ * materialized one, and the stream must end where it does.
+ */
+void
+expectKeptRecordsExact(RecordCursor &cursor,
+                       const std::vector<TraceRecord> &expected)
+{
+    std::uint64_t pos = 0;
+    for (;;) {
+        const std::uint64_t off = pos % promisePeriod;
+        if (off >= promiseKeep) {
+            const std::uint64_t want = promisePeriod - off;
+            const std::size_t done = cursor.skip(want);
+            pos += done;
+            if (done < want)
+                break;
+            continue;
+        }
+        const TraceRecord *first = nullptr;
+        const std::size_t n = cursor.peekRun(first);
+        if (n == 0)
+            break;
+        // Spans may be clipped short, never past the stream's end.
+        ASSERT_LE(pos + n, expected.size());
+        const std::size_t used =
+            std::min<std::uint64_t>(n, promiseKeep - off);
+        for (std::size_t i = 0; i < used; ++i)
+            ASSERT_EQ(first[i], expected[pos + i]) << "position " << pos + i;
+        cursor.advanceRun(used);
+        pos += used;
+    }
+    EXPECT_EQ(pos, expected.size());
+    EXPECT_EQ(cursor.peek(), nullptr);
+    EXPECT_EQ(cursor.skip(10), 0u);
+}
+
 TEST(StreamSkip, SynthCursorSkipsExactly)
 {
     const WorkloadProfile profile = smallProfile(WorkloadKind::Arc2dFsck, 3);
     const Trace trace = generateTrace(profile, CoherenceOptions::none());
-    SynthTraceSource source(profile, CoherenceOptions::none());
-    for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu) {
-        auto cursor = source.cursor(cpu);
-        expectSkipExact(*cursor, trace.stream(cpu));
+    {
+        SynthTraceSource source(profile, CoherenceOptions::none());
+        for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu) {
+            auto cursor = source.cursor(cpu);
+            expectSkipExact(*cursor, trace.stream(cpu));
+        }
     }
+
+    // Under the skip promise, made before any read: the kept records
+    // are exactly the materialized ones at kept positions, and the
+    // stream ends at the same count.
+    {
+        SynthTraceSource source(profile, CoherenceOptions::none());
+        std::vector<std::unique_ptr<RecordCursor>> cursors;
+        for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu) {
+            cursors.push_back(source.cursor(cpu));
+            cursors.back()->promiseSkips(promisePeriod, promiseKeep);
+        }
+        for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu)
+            expectKeptRecordsExact(*cursors[cpu], trace.stream(cpu));
+    }
+
+    // A raw skip() across kept records (what checkpoint resume does)
+    // lands exactly, under the promise too.
+    {
+        SynthTraceSource source(profile, CoherenceOptions::none());
+        auto cursor = source.cursor(0);
+        cursor->promiseSkips(promisePeriod, promiseKeep);
+        const std::vector<TraceRecord> &expected = trace.stream(0);
+        ASSERT_GT(expected.size(), 4 * promisePeriod);
+        EXPECT_EQ(cursor->skip(5), 5u);
+        ASSERT_NE(cursor->peek(), nullptr);
+        EXPECT_EQ(*cursor->peek(), expected[5]);
+        // Into the skipped tail of window 2, then on to window 3.
+        const std::uint64_t tail = 2 * promisePeriod + promiseKeep + 7;
+        EXPECT_EQ(cursor->skip(tail - 5), tail - 5);
+        EXPECT_EQ(cursor->skip(promisePeriod - promiseKeep - 7),
+                  promisePeriod - promiseKeep - 7);
+        ASSERT_NE(cursor->peek(), nullptr);
+        EXPECT_EQ(*cursor->peek(), expected[3 * promisePeriod]);
+        const std::uint64_t at = 3 * promisePeriod;
+        EXPECT_EQ(cursor->skip(expected.size()), expected.size() - at);
+        EXPECT_EQ(cursor->peek(), nullptr);
+        EXPECT_EQ(cursor->skip(10), 0u);
+    }
+
+    // A promise made after the first read is ignored, by the lane
+    // read and by lanes the read already filled: every record of the
+    // stream stays readable and exact.
+    {
+        SynthTraceSource source(profile, CoherenceOptions::none());
+        auto first = source.cursor(0);
+        ASSERT_NE(first->peek(), nullptr);
+        first->promiseSkips(promisePeriod, promiseKeep);
+        auto second = source.cursor(1);
+        second->promiseSkips(promisePeriod, promiseKeep);
+        for (const auto &[cursor, cpu] :
+             {std::pair{first.get(), 0}, std::pair{second.get(), 1}}) {
+            std::vector<TraceRecord> all;
+            while (const TraceRecord *rec = cursor->peek()) {
+                all.push_back(*rec);
+                cursor->advance();
+            }
+            EXPECT_EQ(all, trace.stream(CpuId(cpu))) << "cpu " << cpu;
+        }
+    }
+}
+
+/** Forwards to a SynthTraceSource the caller keeps, to read its peak. */
+class KeptSynthSource final : public TraceSource
+{
+  public:
+    explicit KeptSynthSource(SynthTraceSource &source) : inner(source) {}
+
+    unsigned numCpus() const override { return inner.numCpus(); }
+    const BlockOpTable &blockOps() const override
+    {
+        return inner.blockOps();
+    }
+    const std::unordered_set<Addr> &updatePages() const override
+    {
+        return inner.updatePages();
+    }
+    std::unique_ptr<RecordCursor> cursor(CpuId cpu) override
+    {
+        return inner.cursor(cpu);
+    }
+    const char *mode() const override { return inner.mode(); }
+
+  private:
+    SynthTraceSource &inner;
+};
+
+TEST(StreamSkip, SampledLongStreamBuffersOnlyKeptRecords)
+{
+    // The 12M-record TRFD_4 stream and plan of the repository
+    // benchmark's sampled_long workload.  Without the skip promise a
+    // processor's leap over a skipped stretch left the others'
+    // records from every quantum it generated buffered: 1.61M at
+    // peak.  With it the lanes hold only kept records.
+    WorkloadProfile profile = WorkloadProfile::forKind(WorkloadKind::Trfd4);
+    profile.quanta = 280;
+    const SystemSetup setup = SystemSetup::forKind(SystemKind::Base);
+    SynthTraceSource source(profile, setup.coherence);
+    SimOptions opts = profile.simOptions();
+    opts.checkCoherence = false;
+    sample::SampleRunOptions run;
+    run.plan = sample::SamplingPlan::parse(
+        "period=200k,measure=2k,warmup=12k");
+    const sample::SampleRunOutcome outcome = sample::runSampled(
+        [&]() -> std::unique_ptr<TraceSource> {
+            return std::make_unique<KeptSynthSource>(source);
+        },
+        MachineConfig::base(), opts, setup.blockScheme, run);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    ASSERT_NE(outcome.result.sample, nullptr);
+    EXPECT_GT(outcome.result.sample->totalRecords, 11'000'000u);
+    EXPECT_LT(source.peakBufferedRecords(), 200'000u);
+    EXPECT_GT(source.peakBufferedRecords(), 0u);
 }
 
 TEST(StreamFile, ChunkedReplayMatchesMaterializedSim)

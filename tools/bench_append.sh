@@ -27,9 +27,62 @@
 # the three per workload for each of the three — the statistic the
 # tools/run_checks.sh gate measures — and appends the accesses/sec
 # numbers to BENCH_perf.json, the series that gate compares against.
+#
+# Every mode stamps its entry's "host" with the fingerprint perfbench
+# prints on its host: line — nproc, CPU model, compiler and version,
+# build type and LTO — read from this machine and the build tree's
+# CMake files, so entries from different hosts or builds can be told
+# apart.
 set -eu
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
+
+# host_fingerprint BUILD-DIR: the host object, as one line of JSON.
+host_fingerprint() {
+    python3 - "$1" << 'PY'
+import glob, json, os, re, sys
+
+build = sys.argv[1]
+cache = {}
+try:
+    with open(os.path.join(build, "CMakeCache.txt")) as f:
+        for line in f:
+            key, sep, value = line.rstrip("\n").partition("=")
+            if sep and not line.startswith(("#", "//")):
+                cache[key.split(":")[0]] = value
+except OSError:
+    pass
+compiler = "unknown"
+for path in glob.glob(os.path.join(build, "CMakeFiles", "*",
+                                   "CMakeCXXCompiler.cmake")):
+    text = open(path).read()
+    ident = re.search(r'CMAKE_CXX_COMPILER_ID "([^"]*)"', text)
+    version = re.search(r'CMAKE_CXX_COMPILER_VERSION "([^"]*)"', text)
+    if ident and version:
+        name = {"GNU": "gcc", "Clang": "clang"}.get(ident.group(1),
+                                                    ident.group(1))
+        compiler = name + " " + version.group(1)
+cpu = "unknown"
+try:
+    with open("/proc/cpuinfo") as f:
+        for line in f:
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+except OSError:
+    pass
+print(json.dumps({
+    "nproc": os.cpu_count(),
+    "cpu": cpu,
+    "compiler": compiler,
+    # The top-level CMakeLists defaults an empty build type.
+    "build_type": (cache.get("CMAKE_BUILD_TYPE") or "RelWithDebInfo")
+    if cache else "unknown",
+    "lto": cache.get("CMAKE_INTERPROCEDURAL_OPTIMIZATION", "").upper()
+    in ("ON", "TRUE", "YES", "1"),
+}))
+PY
+}
 
 if [ "${1:-}" = "perf" ]; then
     build=${2:-"$repo/build-rel"}
@@ -51,17 +104,18 @@ if [ "${1:-}" = "perf" ]; then
             > /dev/null
     done
 
-    python3 - "$bench" "$label" "$scratch"/perf-*.json << 'EOF'
+    python3 - "$bench" "$label" "$(host_fingerprint "$build")" \
+        "$scratch"/perf-*.json << 'EOF'
 import json, os, sys, datetime
 
-bench_path, label = sys.argv[1:3]
+bench_path, label, host = sys.argv[1:4]
 
 # The perf_simulator output is only fully valid JSON when the micro
 # benchmarks run; index-scan the replay array out instead of parsing
 # the whole document.  Keep each workload's fastest bare, fastest
 # checked and fastest observed replay across the runs.
 best = {}
-for perf_path in sys.argv[3:]:
+for perf_path in sys.argv[4:]:
     text = open(perf_path).read()
     i = text.index('"replay"')
     j = text.index('[', i)
@@ -82,7 +136,7 @@ rows = list(best.values())
 doc = json.load(open(bench_path))
 entry = {
     "date": datetime.date.today().isoformat(),
-    "host": os.uname().sysname.lower() + "-" + os.uname().machine,
+    "host": json.loads(host),
     "build": "Release+LTO",
     "label": label,
     "workloads": rows,
@@ -141,16 +195,16 @@ if [ "${1:-}" = "serve" ]; then
     done
     rows="$rows]"
 
-    python3 - "$bench" "$rows" << 'EOF'
+    python3 - "$bench" "$rows" "$(host_fingerprint "$build")" << 'EOF'
 import json, os, sys, datetime
 
-bench_path, runs_json = sys.argv[1:3]
+bench_path, runs_json, host = sys.argv[1:4]
 runs = json.loads(runs_json)
 doc = json.load(open(bench_path))
 
 entry = {
     "date": datetime.date.today().isoformat(),
-    "host": os.uname().sysname.lower() + "-" + os.uname().machine,
+    "host": json.loads(host),
     "suite": "smoke (all experiments)",
     "runs": [
         {
@@ -196,10 +250,11 @@ echo "== sampled vs full ($plan) =="
 "$build/tools/oscache-sample" run --trace "$trace" --system base \
     --plan "$plan" --compare-full --json > "$scratch/result.json"
 
-python3 - "$bench" "$scratch/result.json" "$trace" << 'EOF'
+python3 - "$bench" "$scratch/result.json" "$trace" \
+    "$(host_fingerprint "$build")" << 'EOF'
 import json, os, sys, datetime
 
-bench_path, result_path, trace_path = sys.argv[1:4]
+bench_path, result_path, trace_path, host = sys.argv[1:5]
 result = json.load(open(result_path))
 doc = json.load(open(bench_path))
 
@@ -208,7 +263,7 @@ full_s = result["wall_ms_full"] / 1000.0
 sampled_s = result["wall_ms_sampled"] / 1000.0
 entry = {
     "date": datetime.date.today().isoformat(),
-    "host": os.uname().sysname.lower() + "-" + os.uname().machine,
+    "host": json.loads(host),
     "trace_records": records,
     "trace_bytes": os.path.getsize(trace_path),
     "workload": "shell",
