@@ -68,6 +68,10 @@ enum : unsigned
 };
 } // namespace fsid
 
+static_assert(fsid::cpievents0 + KernelLayout::maxCpus <=
+                  KernelLayout::numFreqShared,
+              "every processor needs its own cross-interrupt slot");
+
 /** Well-known event-counter ids (the vmmeter family). */
 namespace ctrid
 {

@@ -5,10 +5,27 @@
  * An Emitter wraps one processor's record stream plus the shared
  * block-operation table, providing terse, correctly-annotated
  * append operations.
+ *
+ * Staging.  Each append builds its record once, in place, in a small
+ * per-emitter staging array; a full array moves to the stream with
+ * one bulk insert.  retarget() and flush() publish whatever is
+ * staged, so a stream is complete only after one of them: a reader
+ * that looks at the stream while the emitter is live calls flush()
+ * first.  Records still staged when an emitter is destroyed are
+ * dropped.  The generator retargets every emitter at the end of each
+ * processor's quantum, so its callers see whole quanta.
+ *
+ * Why.  Generation is the largest cost of a sampled replay, and
+ * storing the records used to cost more than deciding them: an
+ * out-of-line vector append per record, copying a stack temporary.
+ * A staged record is a few inline stores into memory the emitter
+ * owns, and a batch costs one bulk copy.
  */
 
 #ifndef OSCACHE_SYNTH_EMITTER_HH
 #define OSCACHE_SYNTH_EMITTER_HH
+
+#include <array>
 
 #include "trace/trace.hh"
 
@@ -21,6 +38,9 @@ namespace oscache
 class Emitter
 {
   public:
+    /** Records staged before a bulk insert (the lane block size). */
+    static constexpr std::size_t stagingRecords = 256;
+
     /**
      * @param os_exec_scale Multiplier applied to OS instruction
      *        counts: the activity bodies state their data footprint
@@ -34,12 +54,27 @@ class Emitter
     {}
 
     /**
-     * Redirect emission to @p new_stream.  The streaming generator
-     * points each emitter at a fresh per-quantum chunk while the
-     * cumulative instruction/reference state (which sizes the idle
-     * tails) carries across quanta untouched.
+     * Publish the staged records, then redirect emission to
+     * @p new_stream.  The streaming generator points each emitter at
+     * a fresh per-quantum chunk while the cumulative
+     * instruction/reference state (which sizes the idle tails)
+     * carries across quanta untouched.
      */
-    void retarget(RecordStream &new_stream) { stream = &new_stream; }
+    void
+    retarget(RecordStream &new_stream)
+    {
+        flush();
+        stream = &new_stream;
+    }
+
+    /** Append the staged records to the stream. */
+    void
+    flush()
+    {
+        stream->insert(stream->end(), staged.begin(),
+                       staged.begin() + fill);
+        fill = 0;
+    }
 
     /** Execute @p count (scaled) OS instructions in block @p bb. */
     void
@@ -48,7 +83,7 @@ class Emitter
         const auto scaled =
             std::uint32_t(double(count) * execScale + 0.5);
         instrCount += scaled;
-        stream->push_back(TraceRecord::exec(scaled, bb, true));
+        put(TraceRecord::exec(scaled, bb, true));
     }
 
     /** Execute @p count user instructions in basic block @p bb. */
@@ -56,13 +91,13 @@ class Emitter
     userExec(std::uint32_t count, BasicBlockId bb)
     {
         instrCount += count;
-        stream->push_back(TraceRecord::exec(count, bb, false));
+        put(TraceRecord::exec(count, bb, false));
     }
 
     /** Sit idle for @p cycles cycles. */
     void idle(std::uint32_t cycles)
     {
-        stream->push_back(TraceRecord::idle(cycles));
+        put(TraceRecord::idle(cycles));
     }
 
     /** OS data read. */
@@ -70,7 +105,7 @@ class Emitter
     read(Addr addr, DataCategory cat, BasicBlockId bb)
     {
         refCount += 1;
-        stream->push_back(TraceRecord::read(addr, cat, bb, true));
+        put(TraceRecord::read(addr, cat, bb, true));
     }
 
     /** OS data write. */
@@ -78,7 +113,7 @@ class Emitter
     write(Addr addr, DataCategory cat, BasicBlockId bb)
     {
         refCount += 1;
-        stream->push_back(TraceRecord::write(addr, cat, bb, true));
+        put(TraceRecord::write(addr, cat, bb, true));
     }
 
     /** User data read. */
@@ -86,8 +121,7 @@ class Emitter
     userRead(Addr addr, BasicBlockId bb)
     {
         refCount += 1;
-        stream->push_back(
-            TraceRecord::read(addr, DataCategory::User, bb, false));
+        put(TraceRecord::read(addr, DataCategory::User, bb, false));
     }
 
     /** User data write. */
@@ -95,8 +129,7 @@ class Emitter
     userWrite(Addr addr, BasicBlockId bb)
     {
         refCount += 1;
-        stream->push_back(
-            TraceRecord::write(addr, DataCategory::User, bb, false));
+        put(TraceRecord::write(addr, DataCategory::User, bb, false));
     }
 
     /**
@@ -119,13 +152,13 @@ class Emitter
         begin.type = RecordType::BlockOpBegin;
         begin.aux = id;
         begin.flags = flagOs;
-        stream->push_back(begin);
+        put(begin);
 
         TraceRecord end;
         end.type = RecordType::BlockOpEnd;
         end.aux = id;
         end.flags = flagOs;
-        stream->push_back(end);
+        put(end);
         return id;
     }
 
@@ -138,7 +171,7 @@ class Emitter
         r.addr = addr;
         r.category = DataCategory::Lock;
         r.flags = flagOs;
-        stream->push_back(r);
+        put(r);
     }
 
     /** Release a kernel lock. */
@@ -150,7 +183,7 @@ class Emitter
         r.addr = addr;
         r.category = DataCategory::Lock;
         r.flags = flagOs;
-        stream->push_back(r);
+        put(r);
     }
 
     /** Arrive at a gang-scheduling barrier of @p parties processors. */
@@ -163,7 +196,7 @@ class Emitter
         r.aux = parties;
         r.category = DataCategory::Barrier;
         r.flags = flagOs;
-        stream->push_back(r);
+        put(r);
     }
 
     BlockOpTable &blockOpTable() { return blockOps; }
@@ -181,12 +214,27 @@ class Emitter
     }
 
   private:
+    /**
+     * The one append path: store @p r in the next staging slot (the
+     * calls above are inline, so the record is built there, not
+     * copied from a temporary) and publish the batch once it is full.
+     */
+    void
+    put(const TraceRecord &r)
+    {
+        staged[fill] = r;
+        if (++fill == stagingRecords) [[unlikely]]
+            flush();
+    }
+
     RecordStream *stream;
     BlockOpTable &blockOps;
     double execScale = 1.0;
     std::uint64_t instrCount = 0;
     std::uint64_t refCount = 0;
     std::uint64_t blockWords = 0;
+    std::size_t fill = 0;
+    std::array<TraceRecord, stagingRecords> staged;
 };
 
 } // namespace oscache

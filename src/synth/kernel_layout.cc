@@ -24,6 +24,10 @@ KernelLayout::KernelLayout(unsigned num_cpus,
 {
     if (cpus == 0)
         panic("KernelLayout: zero cpus");
+    if (cpus > maxCpus)
+        panic("KernelLayout: ", cpus, " cpus, but the synthetic kernel "
+              "holds at most ", maxCpus,
+              " (one cross-interrupt slot per processor)");
 
     Addr cursor = kernelBase;
     auto take = [&cursor](Addr bytes) {

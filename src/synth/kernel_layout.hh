@@ -54,6 +54,12 @@ class KernelLayout
      * no other base address.
      */
     static constexpr unsigned numFreqShared = 40;
+    /**
+     * Most processors the layout holds: slot 0 is freelist.size and
+     * each processor needs one cross-interrupt slot after it.  The
+     * constructor rejects more.
+     */
+    static constexpr unsigned maxCpus = numFreqShared - 1;
     static constexpr unsigned numLocks = 24;
     static constexpr unsigned numUpdateLocks = 10; ///< Most active locks.
     static constexpr unsigned numBarriers = 3;

@@ -3,6 +3,7 @@
  * Tests of the OS activity generators: every activity's emissions
  * carry the right structure categories, locks pair, counters follow
  * the privatization option, and the chained-copy machinery behaves.
+ * Each test flushes the emitter before it reads a stream.
  */
 
 #include <gtest/gtest.h>
@@ -65,6 +66,7 @@ struct ActivityFixture : ::testing::Test
 TEST_F(ActivityFixture, PageFaultTouchesTheRightStructures)
 {
     acts.pageFault(em, rng, 0, 3);
+    em.flush();
     EXPECT_GT(countCategory(DataCategory::PageTable), 0u);
     EXPECT_GT(countCategory(DataCategory::OtherShared), 0u); // Freelist.
     EXPECT_GT(countCategory(DataCategory::InfreqComm), 0u);  // Counters.
@@ -96,6 +98,7 @@ TEST_F(ActivityFixture, PageFaultBurstChainsCopies)
 TEST_F(ActivityFixture, ForkCopiesProcAndPageTables)
 {
     acts.fork(em, rng, 0, 1, 2);
+    em.flush();
     EXPECT_GT(countCategory(DataCategory::PageTable), 0u);
     EXPECT_GT(countCategory(DataCategory::KernelOther), 0u);
     unsigned page_copies = 0;
@@ -110,6 +113,7 @@ TEST_F(ActivityFixture, SyscallReadsSyscallTable)
     // Syscall-table reads are tagged with the dispatch block.
     for (int i = 0; i < 5; ++i)
         acts.syscall(em, rng, 0, 3);
+    em.flush();
     bool dispatch_seen = false;
     for (const auto &rec : trace.stream(0))
         if (rec.type == RecordType::Read && rec.bb == bb::syscallDispatch)
@@ -121,6 +125,7 @@ TEST_F(ActivityFixture, SyscallReadsSyscallTable)
 TEST_F(ActivityFixture, TimerTickWalksCalloutsUnderTimerLock)
 {
     acts.timerTick(em, rng, 0, 3);
+    em.flush();
     bool timer_lock_taken = false;
     for (const auto &rec : trace.stream(0))
         if (rec.type == RecordType::LockAcquire &&
@@ -135,6 +140,8 @@ TEST_F(ActivityFixture, CpiPairTouchesSharedSlot)
     acts.cpiSend(em, rng, 0, 2);
     Emitter em2(trace.stream(2), trace.blockOps());
     acts.cpiReceive(em2, rng, 2);
+    em.flush();
+    em2.flush();
     // The sender writes and the receiver reads the same cpievents
     // slot.
     Addr written = invalidAddr;
@@ -153,6 +160,7 @@ TEST_F(ActivityFixture, CpiPairTouchesSharedSlot)
 TEST_F(ActivityFixture, PagerReadsEveryCounterOnce)
 {
     acts.pagerRun(em, rng, 0);
+    em.flush();
     std::set<Addr> counter_reads;
     for (const auto &rec : trace.stream(0))
         if (rec.type == RecordType::Read &&
@@ -166,6 +174,7 @@ TEST_F(ActivityFixture, PagerReadsEveryCounterOnce)
 TEST_F(ActivityFixture, GangBarrierArrives)
 {
     acts.gangBarrier(em, rng, 0, 5, 4);
+    em.flush();
     bool arrived = false;
     for (const auto &rec : trace.stream(0))
         if (rec.type == RecordType::BarrierArrive) {
@@ -180,6 +189,7 @@ TEST_F(ActivityFixture, DirScanIsLockBalancedAndReadHeavy)
 {
     for (int i = 0; i < 4; ++i)
         acts.dirScan(em, rng, 0);
+    em.flush();
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     for (const auto &rec : trace.stream(0)) {
@@ -200,6 +210,7 @@ TEST(ActivityPrivatizationTest, PagerReadsSubCountersWhenPrivatized)
     Emitter em(trace.stream(0), trace.blockOps());
     Rng rng = testutil::testRng(42);
     acts.pagerRun(em, rng, 0);
+    em.flush();
     std::set<Addr> counter_reads;
     for (const auto &rec : trace.stream(0))
         if (rec.type == RecordType::Read &&
@@ -220,6 +231,7 @@ TEST(ActivityUserTest, UserComputeEmitsOnlyUserRecords)
         Emitter em(trace.stream(0), trace.blockOps());
         Rng rng = testutil::testRng(7);
         acts.userCompute(em, rng, 0, 2);
+        em.flush();
         for (const auto &rec : trace.stream(0)) {
             EXPECT_FALSE(rec.isOs()) << toString(kind);
             if (rec.isData()) {
@@ -242,6 +254,7 @@ TEST(ActivityUserTest, UserAddressesStayInTheProcessRegion)
     const unsigned proc = 5;
     for (int i = 0; i < 20; ++i)
         acts.userCompute(em, rng, 0, proc);
+    em.flush();
     const Addr lo = layout.userRegion(proc);
     const Addr hi = lo + KernelLayout::userRegionBytes;
     for (const auto &rec : trace.stream(0))

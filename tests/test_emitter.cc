@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests of the trace emission helper: annotations, counters, the
- * OS-instruction scale, and the cycle estimate the generator sizes
- * idle periods with.
+ * OS-instruction scale, the cycle estimate the generator sizes idle
+ * periods with, and the staging that publishes records in batches
+ * (a test flushes before it reads the stream).
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@ TEST_F(EmitterFixture, ExecRecordsAnnotated)
 {
     em.exec(10, 42);
     em.userExec(20, 7);
+    em.flush();
     const auto &s = trace.stream(0);
     ASSERT_EQ(s.size(), 2u);
     EXPECT_TRUE(s[0].isOs());
@@ -38,6 +40,7 @@ TEST_F(EmitterFixture, DataRecordsAnnotated)
     em.write(0x2000, DataCategory::InfreqComm, 4);
     em.userRead(0x3000, 5);
     em.userWrite(0x4000, 6);
+    em.flush();
     const auto &s = trace.stream(0);
     ASSERT_EQ(s.size(), 4u);
     EXPECT_EQ(s[0].category, DataCategory::PageTable);
@@ -51,6 +54,7 @@ TEST_F(EmitterFixture, BlockOpEmitsBracket)
 {
     const BlockOpId id =
         em.blockOp(0x1000, 0x2000, 4096, BlockOpKind::Copy);
+    em.flush();
     const auto &s = trace.stream(0);
     ASSERT_EQ(s.size(), 2u);
     EXPECT_EQ(s[0].type, RecordType::BlockOpBegin);
@@ -64,6 +68,7 @@ TEST_F(EmitterFixture, SyncRecords)
     em.lockAcquire(0x5000);
     em.lockRelease(0x5000);
     em.barrierArrive(0x6000, 4);
+    em.flush();
     const auto &s = trace.stream(0);
     ASSERT_EQ(s.size(), 3u);
     EXPECT_EQ(s[0].type, RecordType::LockAcquire);
@@ -82,12 +87,36 @@ TEST_F(EmitterFixture, CycleEstimateGrows)
     EXPECT_GT(em.cycleEstimate(), after_exec);
 }
 
+TEST_F(EmitterFixture, StagedRecordsPublishInBatches)
+{
+    // A full staging batch publishes by itself; the rest waits for
+    // flush() or retarget(), and the order never changes.
+    const std::size_t batch = Emitter::stagingRecords;
+    for (std::size_t i = 0; i < batch + 3; ++i)
+        em.idle(std::uint32_t(i));
+    const auto &s = trace.stream(0);
+    ASSERT_EQ(s.size(), batch);
+    RecordStream next;
+    em.retarget(next);
+    ASSERT_EQ(s.size(), batch + 3);
+    for (std::size_t i = 0; i < s.size(); ++i)
+        EXPECT_EQ(s[i], TraceRecord::idle(std::uint32_t(i))) << i;
+    em.exec(5, 9);
+    EXPECT_TRUE(next.empty());
+    em.flush();
+    ASSERT_EQ(next.size(), 1u);
+    EXPECT_EQ(next[0], TraceRecord::exec(5, 9, true));
+    EXPECT_EQ(s.size(), batch + 3);
+}
+
 TEST(EmitterScaleTest, OsExecScaled)
 {
     Trace trace(1);
     Emitter em(trace.stream(0), trace.blockOps(), 3.0);
     em.exec(10, 1);
     em.userExec(10, 2);
+    em.flush();
+    ASSERT_EQ(trace.stream(0).size(), 2u);
     EXPECT_EQ(trace.stream(0)[0].aux, 30u); // OS instructions scale.
     EXPECT_EQ(trace.stream(0)[1].aux, 10u); // User instructions don't.
 }
@@ -97,6 +126,8 @@ TEST(EmitterScaleTest, RoundsToNearest)
     Trace trace(1);
     Emitter em(trace.stream(0), trace.blockOps(), 2.5);
     em.exec(3, 1); // 7.5 -> 8.
+    em.flush();
+    ASSERT_EQ(trace.stream(0).size(), 1u);
     EXPECT_EQ(trace.stream(0)[0].aux, 8u);
 }
 

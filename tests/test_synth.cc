@@ -11,6 +11,8 @@
 #include <map>
 #include <set>
 
+#include "exp/hash.hh"
+#include "synth/activities.hh"
 #include "synth/generator.hh"
 #include "synth/kernel_layout.hh"
 #include "synth/profile.hh"
@@ -127,6 +129,20 @@ TEST(KernelLayoutTest, BadIndicesPanic)
     EXPECT_DEATH(layout.counterAddr(KernelLayout::numCounters, 0), "bad");
     EXPECT_DEATH(layout.lockAddr(KernelLayout::numLocks), "bad");
     EXPECT_DEATH(layout.procEntry(KernelLayout::numProcs), "bad");
+}
+
+TEST(KernelLayoutTest, RejectsMoreCpusThanCrossInterruptSlots)
+{
+    // Every processor owns a cpievents slot; the layout refuses a
+    // machine it cannot hold before any record is generated.
+    EXPECT_EQ(KernelLayout::maxCpus, 39u);
+    EXPECT_DEATH(KernelLayout(40, CoherenceOptions::none()), "at most 39");
+    EXPECT_DEATH(KernelLayout(45, CoherenceOptions::relocUpdate()),
+                 "at most 39");
+    EXPECT_DEATH(generateTrace(tinyProfile(), CoherenceOptions::none(), 40),
+                 "at most 39");
+    EXPECT_DEATH(generateTrace(tinyProfile(), CoherenceOptions::none(), 45),
+                 "at most 39");
 }
 
 // ---------------------------------------------------------------
@@ -294,6 +310,90 @@ TEST(GeneratorTest, AllWorkloadProfilesGenerate)
         const auto p = tinyProfile(kind);
         const Trace trace = generateTrace(p, CoherenceOptions::none());
         EXPECT_GT(trace.totalRecords(), 1000u) << toString(kind);
+    }
+}
+
+TEST(GeneratorTest, ThirtyNineCpusGenerate)
+{
+    // The largest machine the layout holds: the last processor's
+    // cross-interrupt slot is the region's last id.
+    KernelLayout layout(KernelLayout::maxCpus, CoherenceOptions::reloc());
+    EXPECT_NE(layout.freqSharedAddr(fsid::cpievents0 +
+                                    KernelLayout::maxCpus - 1),
+              invalidAddr);
+    const Trace trace = generateTrace(tinyProfile(), CoherenceOptions::none(),
+                                      KernelLayout::maxCpus);
+    ASSERT_EQ(trace.numCpus(), KernelLayout::maxCpus);
+    for (CpuId c = 0; c < trace.numCpus(); ++c)
+        EXPECT_FALSE(trace.stream(c).empty()) << "cpu " << int(c);
+}
+
+/**
+ * Field-wise FNV-1a digest of a whole trace: every record of every
+ * stream, then the block-op table.  Fields only, never raw bytes:
+ * TraceRecord's padding is not initialized on every path.
+ */
+std::uint64_t
+traceDigest(const Trace &trace)
+{
+    ContentHash h;
+    h.mix(trace.numCpus());
+    for (CpuId c = 0; c < trace.numCpus(); ++c) {
+        const RecordStream &s = trace.stream(c);
+        h.mix(std::uint64_t(s.size()));
+        for (const TraceRecord &r : s)
+            h.mix(r.addr).mix(r.aux).mix(r.bb).mix(r.type).mix(r.category)
+                .mix(r.size).mix(r.flags);
+    }
+    h.mix(std::uint64_t(trace.blockOps().size()));
+    for (const BlockOp &op : trace.blockOps())
+        h.mix(op.src).mix(op.dst).mix(op.size).mix(op.kind)
+            .mix(op.readOnlyAfter);
+    return h.value();
+}
+
+TEST(GeneratorTest, PinnedRecordSequence)
+{
+    // The generator's exact output.  A change here changes every
+    // golden cell and perfbench digest, so it must be deliberate and
+    // re-record them together.
+    struct Pin
+    {
+        WorkloadKind kind;
+        bool relocUpdate;
+        unsigned cpus;
+        std::uint64_t digest;
+    };
+    static constexpr Pin pins[] = {
+        {WorkloadKind::Trfd4, false, 4, 0x325a3e0ca889d586ull},
+        {WorkloadKind::Trfd4, false, 8, 0xca70f8000f5ed545ull},
+        {WorkloadKind::Trfd4, true, 4, 0xc9068eea7e45bb6bull},
+        {WorkloadKind::Trfd4, true, 8, 0xa694267e72eb1045ull},
+        {WorkloadKind::TrfdMake, false, 4, 0xc8efaefe8ac5bcd2ull},
+        {WorkloadKind::TrfdMake, false, 8, 0xf895c128f5526282ull},
+        {WorkloadKind::TrfdMake, true, 4, 0x6c52c200ef18c67bull},
+        {WorkloadKind::TrfdMake, true, 8, 0x3dcec78fbf056bc7ull},
+        {WorkloadKind::Arc2dFsck, false, 4, 0xda20294931f525ddull},
+        {WorkloadKind::Arc2dFsck, false, 8, 0x0988b75fe50cb450ull},
+        {WorkloadKind::Arc2dFsck, true, 4, 0xe8def05dc88bcf8eull},
+        {WorkloadKind::Arc2dFsck, true, 8, 0x48445ff9ba4e2c86ull},
+        {WorkloadKind::Shell, false, 4, 0x3573da5005c66a68ull},
+        {WorkloadKind::Shell, false, 8, 0xa9a96fa618423442ull},
+        {WorkloadKind::Shell, true, 4, 0xa7aeba919392620eull},
+        {WorkloadKind::Shell, true, 8, 0xdb687cec9e294cfaull},
+    };
+    for (const Pin &pin : pins) {
+        const Trace trace = generateTrace(
+            tinyProfile(pin.kind),
+            pin.relocUpdate ? CoherenceOptions::relocUpdate()
+                            : CoherenceOptions::none(),
+            pin.cpus);
+        const std::uint64_t digest = traceDigest(trace);
+        EXPECT_EQ(digest, pin.digest)
+            << std::hex << "0x" << digest << std::dec << " "
+            << toString(pin.kind)
+            << (pin.relocUpdate ? " BCoh_RelUp" : " Base") << " at "
+            << pin.cpus << " cpus";
     }
 }
 
