@@ -86,6 +86,17 @@ class BinaryReader
         return true;
     }
 
+    /** Read @p size raw bytes into @p data. */
+    bool
+    getBytes(char *data, std::size_t size)
+    {
+        is.read(data, std::streamsize(size));
+        if (is.gcount() != std::streamsize(size))
+            return false;
+        sum.mix(data, size);
+        return true;
+    }
+
     std::uint64_t checksum() const { return sum.value(); }
 
   private:

@@ -1,7 +1,6 @@
 #include "core/hotspot/hotspot.hh"
 
 #include <algorithm>
-#include <deque>
 #include <ostream>
 #include <utility>
 
@@ -120,79 +119,95 @@ insertPrefetches(const Trace &trace, const HotspotPlan &plan)
 }
 
 /**
- * Sliding-window insertion.  With lookahead L, the prefetch for a
- * hot read at input index i lands at max(i - L, 0), so knowing
- * every prefetch due before input index j only requires having
- * scanned through index j + L.  The cursor keeps exactly that
- * window: priming scans indices 0..L (their prefetches all land at
- * 0, in scan order — the same order the materialized rewriter
- * emits), and each consumed input record pulls one more record in,
- * queueing its prefetch L records ahead.
+ * Block-wise insertion.  With lookahead L, the prefetch for a hot
+ * read at input index i lands before input index max(i - L, 0), so
+ * emitting input index j needs only the input through j + L.  Each
+ * refill tops a window of unemitted input up to block + L records
+ * from the inner cursor's spans and emits the next block of input
+ * records, each preceded by the prefetch its lookahead brings to it,
+ * into a bounded output block the replay engine reads as one span.
+ * The first block leads with the prefetches of every hot read among
+ * input indices 0..L, in scan order, as the materialized rewriter
+ * does.
  */
 class PrefetchStreamSource::Cursor final : public RecordCursor
 {
   public:
-    Cursor(std::unique_ptr<RecordCursor> input, const HotspotPlan &p)
-        : in(std::move(input)), plan(&p)
-    {
-        // Prime the window with input indices 0..lookahead.
-        for (unsigned i = 0; i <= p.lookahead; ++i)
-            if (!pullOne(0))
-                break;
-    }
+    Cursor(std::unique_ptr<RecordCursor> input, const HotspotPlan &p,
+           std::uint64_t &inserted_count)
+        : in(std::move(input)), plan(&p), inserted(&inserted_count)
+    {}
 
     const TraceRecord *
     peek() override
     {
-        if (!pending.empty() && pending.front().at == outIndex)
-            return &pending.front().rec;
-        return window.empty() ? nullptr : &window.front();
+        if (outPos == out.size())
+            refill();
+        return outPos < out.size() ? &out[outPos] : nullptr;
+    }
+
+    void advance() override { ++outPos; }
+
+    /** The unread tail of the output block is one span. */
+    std::size_t
+    peekRun(const TraceRecord *&first) override
+    {
+        first = peek();
+        return first != nullptr ? out.size() - outPos : 0;
+    }
+
+    void advanceRun(std::size_t n) override { outPos += n; }
+
+  private:
+    /** Input records emitted per refill. */
+    static constexpr std::size_t block = 256;
+
+    void
+    emitPrefetchFor(const TraceRecord &r)
+    {
+        if (r.type != RecordType::Read || !plan->hotBlocks.count(r.bb))
+            return;
+        out.push_back(
+            TraceRecord::prefetch(r.addr, r.category, r.bb, r.isOs()));
+        ++*inserted;
     }
 
     void
-    advance() override
+    refill()
     {
-        if (!pending.empty() && pending.front().at == outIndex) {
-            pending.pop_front();
-            return;
+        out.clear();
+        outPos = 0;
+        const std::size_t ahead = plan->lookahead;
+        while (win.size() < block + ahead) {
+            const TraceRecord *first = nullptr;
+            const std::size_t n = in->peekRun(first);
+            if (n == 0)
+                break;
+            const std::size_t take = std::min(n, block + ahead - win.size());
+            win.insert(win.end(), first, first + take);
+            in->advanceRun(take);
         }
-        window.pop_front();
-        outIndex += 1;
-        pullOne(outIndex);
-    }
-
-  private:
-    struct Pending
-    {
-        std::size_t at; ///< Input index the prefetch precedes.
-        TraceRecord rec;
-    };
-
-    /**
-     * Pull one record off the inner cursor into the window; a hot
-     * read queues its prefetch for insertion at @p insert_at.
-     */
-    bool
-    pullOne(std::size_t insert_at)
-    {
-        const TraceRecord *rec = in->peek();
-        if (rec == nullptr)
-            return false;
-        window.push_back(*rec);
-        in->advance();
-        const TraceRecord &r = window.back();
-        if (r.type == RecordType::Read && plan->hotBlocks.count(r.bb))
-            pending.push_back(
-                {insert_at, TraceRecord::prefetch(r.addr, r.category,
-                                                  r.bb, r.isOs())});
-        return true;
+        const std::size_t n = std::min(block, win.size());
+        for (std::size_t k = 0; k < n; ++k) {
+            if (emitted + k == 0) {
+                for (std::size_t i = 0; i <= ahead && i < win.size(); ++i)
+                    emitPrefetchFor(win[i]);
+            } else if (k + ahead < win.size()) {
+                emitPrefetchFor(win[k + ahead]);
+            }
+            out.push_back(win[k]);
+        }
+        win.erase(win.begin(), win.begin() + std::ptrdiff_t(n));
+        emitted += n;
     }
 
     std::unique_ptr<RecordCursor> in;
     const HotspotPlan *plan;
-    std::deque<TraceRecord> window;
-    std::deque<Pending> pending;
-    std::size_t outIndex = 0; ///< Input index of window.front().
+    std::uint64_t *inserted;
+    std::vector<TraceRecord> win; ///< Unemitted input, from emitted on.
+    std::uint64_t emitted = 0;    ///< Input records emitted so far.
+    std::vector<TraceRecord> out;
+    std::size_t outPos = 0;
 };
 
 PrefetchStreamSource::PrefetchStreamSource(
@@ -203,7 +218,7 @@ PrefetchStreamSource::PrefetchStreamSource(
 std::unique_ptr<RecordCursor>
 PrefetchStreamSource::cursor(CpuId cpu)
 {
-    return std::make_unique<Cursor>(inner->cursor(cpu), plan);
+    return std::make_unique<Cursor>(inner->cursor(cpu), plan, inserted);
 }
 
 } // namespace oscache

@@ -11,12 +11,14 @@
  *
  * Here the same methodology is automated: a profiling run yields
  * per-basic-block counts of the remaining "other" OS misses;
- * selectHotspots() picks the top N blocks; insertPrefetches() then
- * rewrites the trace, hoisting one prefetch record a bounded number
- * of records ahead of each read in a hot block.  The bound models
- * the paper's observation that operand availability limits how far
- * back a prefetch can be pushed, so some latency remains only
- * partially hidden.
+ * selectHotspots() picks the top N blocks; PrefetchStreamSource then
+ * rewrites the trace as the second pass replays it, hoisting one
+ * prefetch record a bounded number of records ahead of each read in
+ * a hot block.  The bound models the paper's observation that
+ * operand availability limits how far back a prefetch can be pushed,
+ * so some latency remains only partially hidden.  insertPrefetches()
+ * is the reference rewrite: it materializes the same records, for
+ * tests and for tools that want the rewritten trace itself.
  */
 
 #ifndef OSCACHE_CORE_HOTSPOT_HOTSPOT_HH
@@ -81,19 +83,22 @@ bool hotspotCrossCheck(
 double hotspotCoverage(const SimStats &profile, const HotspotPlan &plan);
 
 /**
- * Return a copy of @p trace with prefetch records inserted ahead of
- * every read issued by a hot basic block.
+ * The reference rewrite: a copy of @p trace with prefetch records
+ * inserted ahead of every read issued by a hot basic block.  The
+ * simulator's own passes use PrefetchStreamSource, which tests pin
+ * to this.
  */
 Trace insertPrefetches(const Trace &trace, const HotspotPlan &plan);
 
 /**
- * Streaming equivalent of insertPrefetches(): wraps another
- * TraceSource and emits the identical record sequence — a prefetch
- * for each hot-block read, hoisted plan.lookahead records ahead
- * (clamped to the stream head) — while holding only a
- * (lookahead + 1)-record window per processor.  Used by the second
- * pass of the two-phase hot-spot methodology when the trace is
- * streamed rather than materialized.
+ * The hot-spot rewrite as a stream: wraps another TraceSource and
+ * emits the record sequence of insertPrefetches() — a prefetch for
+ * each hot-block read, hoisted plan.lookahead records ahead (clamped
+ * to the stream head) — in output blocks the replay engine reads as
+ * spans.  Each cursor holds at most 256 + lookahead input and
+ * 512 + lookahead output records, whatever the inner source.
+ * The second pass of the two-phase hot-spot methodology replays
+ * through it, over a materialized trace or a streamed one.
  */
 class PrefetchStreamSource final : public TraceSource
 {
@@ -113,11 +118,18 @@ class PrefetchStreamSource final : public TraceSource
     std::unique_ptr<RecordCursor> cursor(CpuId cpu) override;
     const char *mode() const override { return inner->mode(); }
 
+    /**
+     * Prefetches the cursors have emitted so far; once every stream
+     * is drained, the number of hot-block reads.
+     */
+    std::uint64_t insertedPrefetches() const { return inserted; }
+
   private:
     class Cursor;
 
     std::unique_ptr<TraceSource> inner;
     HotspotPlan plan;
+    std::uint64_t inserted = 0;
 };
 
 } // namespace oscache

@@ -131,20 +131,9 @@ RunResult
 runOnTrace(const Trace &trace, const MachineConfig &machine,
            const SimOptions &options, const SystemSetup &setup)
 {
-    if (!setup.hotspotPrefetch)
-        return runOnce(trace, machine, options, setup.blockScheme);
-
-    // Two-phase hot-spot methodology: profile, select, rewrite, rerun.
-    const RunResult profile =
-        runOnce(trace, machine, options, setup.blockScheme);
-    HotspotPlan plan = selectHotspots(profile.stats, paperHotspotCount);
-    const double coverage = oscache::hotspotCoverage(profile.stats, plan);
-    const Trace rewritten = insertPrefetches(trace, plan);
-    RunResult result = runOnce(rewritten, machine, options,
-                               setup.blockScheme);
-    result.hotspots = std::move(plan);
-    result.hotspotCoverage = coverage;
-    return result;
+    return runOnSource(
+        [&trace] { return std::make_unique<MaterializedTraceSource>(trace); },
+        machine, options, setup);
 }
 
 RunResult
@@ -154,9 +143,9 @@ runOnSource(const TraceSourceFactory &open, const MachineConfig &machine,
     if (!setup.hotspotPrefetch)
         return runOnce(*open(), machine, options, setup.blockScheme);
 
-    // Two-phase hot-spot methodology, streaming flavor: the profile
-    // pass consumes one source; the prefetch pass re-opens and
-    // inserts the prefetches on the fly.
+    // Two-phase hot-spot methodology: the profile pass consumes one
+    // source; the prefetch pass re-opens it and inserts the
+    // prefetches on the fly.
     const RunResult profile =
         runOnce(*open(), machine, options, setup.blockScheme);
     HotspotPlan plan = selectHotspots(profile.stats, paperHotspotCount);

@@ -4,9 +4,11 @@
  * trace and replay it.  RunAssembly builds the memory system, attaches
  * the coherence checker and observability hub the SimOptions ask for
  * (plus at most one caller tap), builds the block scheme's executor
- * and the System, and ends every pass the same way.  runOnTrace() and
- * runOnSource() layer the two-phase hot-spot prefetch methodology on
- * top: profile, select the top blocks, rewrite the trace, re-run.
+ * and the System, and ends every pass the same way.  runOnSource()
+ * layers the two-phase hot-spot prefetch methodology on top: profile,
+ * select the top blocks, then re-run through a PrefetchStreamSource
+ * that rewrites the trace as it replays.  runOnTrace() is runOnSource()
+ * over a materialized trace.
  *
  * Note that a SystemSetup's coherence options act at trace-generation
  * time (they are kernel-layout changes); the caller must have
@@ -78,6 +80,8 @@ struct BusSnapshot
     /** Line reads that paid the remote-home penalty. */
     std::uint64_t remoteHomeReads = 0;
     /** @} */
+
+    bool operator==(const BusSnapshot &) const = default;
 };
 
 /** The bus-level results of @p mem's buses so far. */
@@ -191,27 +195,25 @@ RunResult runOnce(const Trace &trace, const MachineConfig &machine,
                   const SimOptions &options, BlockScheme scheme,
                   const ExecutorWrap &wrap = {});
 
-/**
- * Run @p trace on the machine described by @p machine under
- * @p setup's block scheme (and hot-spot pass, if enabled).
- */
-RunResult runOnTrace(const Trace &trace, const MachineConfig &machine,
-                     const SimOptions &options, const SystemSetup &setup);
-
 /** Opens a fresh TraceSource over the same underlying trace. */
 using TraceSourceFactory =
     std::function<std::unique_ptr<TraceSource>()>;
 
 /**
- * As runOnTrace(), but pulling records through a streamed source so
- * the full trace is never materialized.  @p open is invoked once per
- * simulation pass — twice under the two-phase hot-spot methodology,
- * whose second pass wraps the fresh source in a PrefetchStreamSource
- * — because streamed cursors are consumed by a single pass.
+ * Run the trace @p open serves on the machine described by
+ * @p machine under @p setup's block scheme (and hot-spot pass, if
+ * enabled).  @p open is invoked once per simulation pass — twice
+ * under the two-phase hot-spot methodology, whose second pass wraps
+ * the fresh source in a PrefetchStreamSource — because streamed
+ * cursors are consumed by a single pass.
  */
 RunResult runOnSource(const TraceSourceFactory &open,
                       const MachineConfig &machine,
                       const SimOptions &options, const SystemSetup &setup);
+
+/** runOnSource() over MaterializedTraceSources of @p trace. */
+RunResult runOnTrace(const Trace &trace, const MachineConfig &machine,
+                     const SimOptions &options, const SystemSetup &setup);
 
 /** Number of hot spots the paper selects (Section 6). */
 inline constexpr unsigned paperHotspotCount = 12;

@@ -12,6 +12,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <iterator>
+#include <memory>
 #include <ostream>
 #include <unordered_map>
 #include <utility>
@@ -1083,13 +1084,9 @@ makeAblationPrefetchDistance()
             const auto trace =
                 cachedWorkloadTrace(kind, CoherenceOptions::relocUpdate());
 
-            auto run_trace = [&opts](const Trace &t) {
-                return runOnce(t, MachineConfig::base(), opts,
-                               BlockScheme::Dma);
-            };
-
             CellOutcome out;
-            out.run = run_trace(*trace);
+            out.run = runOnce(*trace, MachineConfig::base(), opts,
+                              BlockScheme::Dma);
             const SimStats &base = out.run.stats;
             const HotspotPlan top = selectHotspots(base, paperHotspotCount);
 
@@ -1099,8 +1096,11 @@ makeAblationPrefetchDistance()
             for (unsigned lookahead : prefetchLookaheads) {
                 HotspotPlan plan = top;
                 plan.lookahead = lookahead;
-                const Trace rewritten = insertPrefetches(*trace, plan);
-                const SimStats s = run_trace(rewritten).stats;
+                PrefetchStreamSource rewritten(
+                    std::make_unique<MaterializedTraceSource>(*trace), plan);
+                const SimStats s = runOnce(rewritten, MachineConfig::base(),
+                                           opts, BlockScheme::Dma)
+                                       .stats;
                 const std::string prefix =
                     "la" + std::to_string(lookahead) + "_";
                 out.extra[prefix + "remaining"] = remainingOsMisses(s);
@@ -1602,12 +1602,13 @@ makeExtensionMorePrefetches()
             out.extra["base_remaining"] = remainingOsMisses(base);
             for (unsigned count : hotspotCounts) {
                 const HotspotPlan plan = selectHotspots(base, count);
-                const Trace rewritten = insertPrefetches(*trace, plan);
+                PrefetchStreamSource rewritten(
+                    std::make_unique<MaterializedTraceSource>(*trace), plan);
                 const SimStats s = runOnce(rewritten, MachineConfig::base(),
                                            opts, BlockScheme::Dma)
                                        .stats;
                 const double prefetches =
-                    double(rewritten.totalRecords() - trace->totalRecords());
+                    double(rewritten.insertedPrefetches());
                 const std::string prefix =
                     "top" + std::to_string(count) + "_";
                 out.extra[prefix + "coverage"] = hotspotCoverage(base, plan);

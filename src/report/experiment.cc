@@ -222,9 +222,6 @@ runWorkload(WorkloadKind workload, const SystemSetup &setup,
     const TracePtr trace = mode == TraceSourceMode::Materialized
         ? cachedWorkloadTrace(workload, setup.coherence, machine.numCpus)
         : nullptr;
-    if (trace && !sampled)
-        return runOnTrace(*trace, machine, profile.simOptions(), setup);
-
     const auto open = [&]() -> std::unique_ptr<TraceSource> {
         if (trace)
             return std::make_unique<MaterializedTraceSource>(*trace);

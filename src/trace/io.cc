@@ -17,6 +17,10 @@ namespace oscache
 namespace iodetail
 {
 
+namespace
+{
+
+/** Text-format category code ("user", "kpriv", ...). */
 const char *
 categoryCode(DataCategory cat)
 {
@@ -37,6 +41,7 @@ categoryCode(DataCategory cat)
     panic("bad DataCategory");
 }
 
+/** Inverse of categoryCode(); false on an unknown code. */
 bool
 tryParseCategory(const std::string &code, DataCategory &out)
 {
@@ -55,15 +60,7 @@ tryParseCategory(const std::string &code, DataCategory &out)
     return true;
 }
 
-DataCategory
-parseCategory(const std::string &code)
-{
-    DataCategory cat;
-    if (!tryParseCategory(code, cat))
-        fatal("trace: unknown data category '", code, "'");
-    return cat;
-}
-
+/** Append @p rec to @p os as one text-format record line. */
 void
 putRecordText(std::ostream &os, const TraceRecord &rec)
 {
@@ -106,6 +103,8 @@ putRecordText(std::ostream &os, const TraceRecord &rec)
     }
 }
 
+} // namespace
+
 bool
 tryParseRecordLine(const std::string &line, TraceRecord &rec,
                    const char **why)
@@ -116,7 +115,7 @@ tryParseRecordLine(const std::string &line, TraceRecord &rec,
 
     rec = TraceRecord();
     if (kw == "x") {
-        unsigned os_flag;
+        unsigned os_flag = 0;
         ls >> rec.aux >> rec.bb >> os_flag;
         rec.type = RecordType::Exec;
         rec.flags = os_flag ? flagOs : 0;
@@ -125,7 +124,7 @@ tryParseRecordLine(const std::string &line, TraceRecord &rec,
         rec.type = RecordType::Idle;
     } else if (kw == "r" || kw == "w" || kw == "p") {
         std::string cat;
-        unsigned os_flag;
+        unsigned os_flag = 0;
         ls >> std::hex >> rec.addr >> std::dec >> cat >> rec.bb >> os_flag;
         if (!tryParseCategory(cat, rec.category)) {
             *why = "unknown data category";
@@ -135,7 +134,7 @@ tryParseRecordLine(const std::string &line, TraceRecord &rec,
         if (kw == "p") {
             rec.type = RecordType::Prefetch;
         } else {
-            unsigned size;
+            unsigned size = 0;
             ls >> size;
             rec.size = std::uint8_t(size);
             rec.type = kw == "r" ? RecordType::Read : RecordType::Write;
@@ -167,71 +166,252 @@ tryParseRecordLine(const std::string &line, TraceRecord &rec,
     return true;
 }
 
-TraceRecord
-parseRecordLine(const std::string &line)
+bool
+walkText(std::istream &is, TraceSink &sink, std::string *error)
 {
-    TraceRecord rec;
-    const char *why = nullptr;
-    if (!tryParseRecordLine(line, rec, &why))
-        fatal("trace: ", why, " '", line, "'");
-    return rec;
+    std::string line;
+    std::uint64_t line_no = 0; // Of the line last read, or tried.
+    std::uint64_t next_at = 0; // File offset of the next line.
+    const auto read_line = [&] {
+        ++line_no;
+        if (!std::getline(is, line))
+            return false;
+        next_at += line.size() + (is.eof() ? 0 : 1);
+        return true;
+    };
+    const auto fail = [&](const char *why) {
+        if (error != nullptr)
+            *error = line_no == 0
+                ? std::string(why)
+                : std::string(why) + " at line " + std::to_string(line_no);
+        return false;
+    };
+
+    if (!read_line() || line != "oscache-trace 1")
+        return fail("missing or unsupported header");
+    if (!read_line())
+        return fail("missing cpus line");
+    unsigned cpus = 0;
+    {
+        std::istringstream ls(line);
+        std::string kw;
+        ls >> kw >> cpus;
+        if (ls.fail() || kw != "cpus" || cpus == 0 || cpus > maxTraceCpus)
+            return fail("bad cpus line");
+    }
+    sink.begin(cpus, true);
+
+    // The open run: consecutive record lines of the current cpu, up
+    // to the next directive.
+    int cpu = -1;
+    RecordStream *dst = nullptr;
+    std::uint64_t run_start = 0;
+    std::uint64_t run_end = 0;
+    std::uint64_t run_records = 0;
+    const auto close_run = [&] {
+        if (run_records > 0)
+            sink.segment(CpuId(cpu), run_start, run_end, run_records);
+        run_records = 0;
+    };
+    std::uint64_t op_bound = 0; // One past the largest op id named.
+
+    while (true) {
+        const std::uint64_t start = next_at;
+        if (!read_line())
+            break;
+        if (line.empty() || line[0] == '#')
+            continue;
+
+        std::istringstream ls(line);
+        std::string kw;
+        ls >> kw;
+
+        if (kw == "updatepage") {
+            close_run();
+            Addr page = 0;
+            ls >> std::hex >> page;
+            if (ls.fail())
+                return fail("bad updatepage line");
+            sink.updatePages().insert(page);
+        } else if (kw == "blockop") {
+            close_run();
+            std::size_t id = 0;
+            std::string kind, ro;
+            BlockOp op;
+            ls >> id >> kind >> std::hex >> op.src >> op.dst >> std::dec >>
+                op.size >> ro;
+            if (ls.fail() || (kind != "copy" && kind != "zero"))
+                return fail("bad blockop line");
+            op.kind =
+                kind == "copy" ? BlockOpKind::Copy : BlockOpKind::Zero;
+            op.readOnlyAfter = (ro == "ro");
+            if (sink.blockOps().add(op) != id)
+                return fail("blockop ids must be dense and in order");
+        } else if (kw == "stream") {
+            close_run();
+            unsigned n = 0;
+            ls >> n;
+            if (ls.fail() || n >= cpus)
+                return fail("bad stream line");
+            cpu = int(n);
+            dst = sink.records(CpuId(n));
+        } else {
+            if (cpu < 0)
+                return fail("record before any stream directive");
+            TraceRecord rec;
+            const char *why = nullptr;
+            if (!tryParseRecordLine(line, rec, &why))
+                return fail(why);
+            if (namesBlockOp(rec))
+                op_bound = std::max<std::uint64_t>(op_bound, rec.aux + 1ull);
+            if (dst != nullptr)
+                dst->push_back(rec);
+            if (run_records == 0)
+                run_start = start;
+            run_end = next_at;
+            ++run_records;
+        }
+    }
+    close_run();
+
+    line_no = 0;
+    if (op_bound > sink.blockOps().size())
+        return fail("record references unknown block op");
+    return true;
 }
 
 bool
-getBlockOps(BinaryReader &r, BlockOpTable &ops, const char **why)
+walkBinary(std::istream &is, TraceSink &sink, bool payloads,
+           std::string *error)
 {
-    std::uint64_t op_count = 0;
-    if (!r.get(op_count) || op_count > (1ull << 32)) {
-        *why = "bad block-op count";
+    const auto fail = [error](const char *why) {
+        if (error != nullptr)
+            *error = why;
         return false;
+    };
+
+    char magic[sizeof(binaryMagic)];
+    is.read(magic, sizeof(magic));
+    if (is.gcount() != std::streamsize(sizeof(magic)) ||
+        std::memcmp(magic, binaryMagic, sizeof(magic)) != 0)
+        return fail("bad magic");
+
+    BinaryReader r(is);
+    std::uint32_t version = 0;
+    if (!r.get(version) || version != traceFormatVersion)
+        return fail("unsupported version");
+    std::uint32_t cpus = 0;
+    if (!r.get(cpus) || cpus == 0 || cpus > maxTraceCpus)
+        return fail("bad cpu count");
+    sink.begin(cpus, false);
+    std::uint64_t page_count = 0;
+    if (!r.get(page_count) || page_count > (1u << 20))
+        return fail("bad update-page count");
+    for (std::uint64_t i = 0; i < page_count; ++i) {
+        Addr page = 0;
+        if (!r.get(page))
+            return fail("truncated update pages");
+        sink.updatePages().insert(page);
     }
+
+    // Record chunks first; the table only arrives afterwards, so
+    // block-op references are bounded at the end by the largest seen.
+    std::uint64_t op_bound = 0; // One past the largest op id named.
+    std::vector<char> raw;
+    while (true) {
+        std::uint32_t cpu = 0;
+        if (!r.get(cpu))
+            return fail("truncated chunk header");
+        if (cpu == chunkEndMarker)
+            break;
+        std::uint32_t count = 0;
+        if (cpu >= cpus || !r.get(count))
+            return fail("bad chunk header");
+        const std::uint64_t offset = std::uint64_t(is.tellg());
+        const std::uint64_t bytes = std::uint64_t(count) * recordWireBytes;
+        if (!payloads) {
+            is.seekg(std::streamoff(bytes), std::ios::cur);
+            if (!is || is.peek() == std::istream::traits_type::eof())
+                return fail("truncated record stream");
+        } else {
+            RecordStream *dst = sink.records(CpuId(cpu));
+            // Bounded pieces, so a corrupt count fails as truncation
+            // instead of allocating for it.
+            for (std::uint32_t done = 0; done < count;) {
+                const std::uint32_t n =
+                    std::min<std::uint32_t>(count - done, 4096);
+                raw.resize(n * recordWireBytes);
+                if (!r.getBytes(raw.data(), raw.size()))
+                    return fail("truncated record stream");
+                for (std::uint32_t i = 0; i < n; ++i) {
+                    TraceRecord rec;
+                    const char *why = nullptr;
+                    if (!decodeWireRecord(raw.data() + i * recordWireBytes,
+                                          rec, &why))
+                        return fail(why);
+                    if (namesBlockOp(rec))
+                        op_bound =
+                            std::max<std::uint64_t>(op_bound, rec.aux + 1ull);
+                    if (dst != nullptr)
+                        dst->push_back(rec);
+                }
+                done += n;
+            }
+        }
+        if (count > 0)
+            sink.segment(CpuId(cpu), offset, offset + bytes, count);
+    }
+
+    std::uint64_t op_count = 0;
+    if (!r.get(op_count) || op_count > (1ull << 32))
+        return fail("bad block-op count");
     for (std::uint64_t i = 0; i < op_count; ++i) {
         BlockOp op;
         std::uint8_t kind = 0;
         std::uint8_t ro = 0;
         if (!r.get(op.src) || !r.get(op.dst) || !r.get(op.size) ||
-            !r.get(kind) || !r.get(ro)) {
-            *why = "truncated block-op table";
-            return false;
-        }
-        if (kind > std::uint8_t(BlockOpKind::Zero) || ro > 1) {
-            *why = "bad block-op encoding";
-            return false;
-        }
+            !r.get(kind) || !r.get(ro))
+            return fail("truncated block-op table");
+        if (kind > std::uint8_t(BlockOpKind::Zero) || ro > 1)
+            return fail("bad block-op encoding");
         op.kind = BlockOpKind(kind);
         op.readOnlyAfter = ro != 0;
-        ops.add(op);
+        sink.blockOps().add(op);
     }
+    if (op_bound > sink.blockOps().size())
+        return fail("record references unknown block op");
+
+    const std::uint64_t expected = r.checksum();
+    std::uint64_t stored = 0;
+    {
+        char buf[sizeof(stored)];
+        is.read(buf, sizeof(buf));
+        if (is.gcount() != std::streamsize(sizeof(buf)))
+            return fail("missing checksum");
+        std::memcpy(&stored, buf, sizeof(stored));
+    }
+    // Without the payloads the running sum is not the file's; the
+    // trailing word must still be there.
+    if (payloads && stored != expected)
+        return fail("checksum mismatch");
+    if (is.peek() != std::istream::traits_type::eof())
+        return fail("trailing garbage");
     return true;
 }
 
 bool
-getHeader(BinaryReader &r, std::uint32_t &cpus,
-          std::unordered_set<Addr> &pages, const char **why)
+walkTrace(std::istream &is, TraceSink &sink, bool payloads,
+          std::string *error)
 {
-    std::uint32_t version = 0;
-    if (!r.get(version) || version != traceFormatVersion) {
-        *why = "unsupported version";
-        return false;
-    }
-    if (!r.get(cpus) || cpus == 0 || cpus > 64) {
-        *why = "bad cpu count";
-        return false;
-    }
-    std::uint64_t page_count = 0;
-    if (!r.get(page_count) || page_count > (1u << 20)) {
-        *why = "bad update-page count";
-        return false;
-    }
-    for (std::uint64_t i = 0; i < page_count; ++i) {
-        Addr page = 0;
-        if (!r.get(page)) {
-            *why = "truncated update pages";
-            return false;
-        }
-        pages.insert(page);
-    }
-    return true;
+    char magic[sizeof(binaryMagic)];
+    is.read(magic, sizeof(magic));
+    const bool binary =
+        is.gcount() == std::streamsize(sizeof(magic)) &&
+        std::memcmp(magic, binaryMagic, sizeof(magic)) == 0;
+    is.clear();
+    is.seekg(0);
+    return binary ? walkBinary(is, sink, payloads, error)
+                  : walkText(is, sink, error);
 }
 
 } // namespace iodetail
@@ -240,11 +420,37 @@ using iodetail::BinaryReader;
 using iodetail::BinaryWriter;
 using iodetail::binaryMagic;
 using iodetail::chunkEndMarker;
-using iodetail::getBlockOps;
+using iodetail::recordWireBytes;
+
+namespace
+{
+
+/** The whole-trace readers' sink: every record, into one Trace. */
+class TraceBuilder final : public iodetail::TraceSink
+{
+  public:
+    void begin(unsigned cpus, bool) override { trace = Trace(cpus); }
+    std::unordered_set<Addr> &
+    updatePages() override
+    {
+        return trace.updatePages();
+    }
+    BlockOpTable &blockOps() override { return trace.blockOps(); }
+    RecordStream *records(CpuId cpu) override { return &trace.stream(cpu); }
+    void segment(CpuId, std::uint64_t, std::uint64_t, std::uint64_t) override
+    {}
+
+    Trace trace{1};
+};
+
+} // namespace
 
 void
 writeTrace(std::ostream &os, const Trace &trace)
 {
+    if (trace.numCpus() == 0 || trace.numCpus() > maxTraceCpus)
+        fatal("trace: cannot write ", trace.numCpus(), " cpus (1 to ",
+              maxTraceCpus, ")");
     os << "oscache-trace 1\n";
     os << "cpus " << trace.numCpus() << "\n";
     for (const Addr page : trace.updatePages())
@@ -266,69 +472,11 @@ writeTrace(std::ostream &os, const Trace &trace)
 Trace
 readTrace(std::istream &is)
 {
-    std::string line;
-    if (!std::getline(is, line) || line != "oscache-trace 1")
-        fatal("trace: missing or unsupported header");
-
-    unsigned cpus = 0;
-    {
-        std::getline(is, line);
-        std::istringstream ls(line);
-        std::string kw;
-        ls >> kw >> cpus;
-        if (kw != "cpus" || cpus == 0 || cpus > 64)
-            fatal("trace: bad cpus line '", line, "'");
-    }
-    Trace trace(cpus);
-    RecordStream *stream = nullptr;
-
-    while (std::getline(is, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ls(line);
-        std::string kw;
-        ls >> kw;
-
-        if (kw == "updatepage") {
-            Addr page = 0;
-            ls >> std::hex >> page;
-            trace.updatePages().insert(page);
-        } else if (kw == "blockop") {
-            std::size_t id;
-            std::string kind, ro;
-            BlockOp op;
-            ls >> id >> kind >> std::hex >> op.src >> op.dst >> std::dec >>
-                op.size >> ro;
-            if (ls.fail() || (kind != "copy" && kind != "zero"))
-                fatal("trace: bad blockop line '", line, "'");
-            op.kind =
-                kind == "copy" ? BlockOpKind::Copy : BlockOpKind::Zero;
-            op.readOnlyAfter = (ro == "ro");
-            const BlockOpId got = trace.blockOps().add(op);
-            if (got != id)
-                fatal("trace: blockop ids must be dense and in order");
-        } else if (kw == "stream") {
-            unsigned cpu;
-            ls >> cpu;
-            if (ls.fail() || cpu >= cpus)
-                fatal("trace: bad stream line '", line, "'");
-            stream = &trace.stream(CpuId(cpu));
-        } else {
-            if (stream == nullptr)
-                fatal("trace: record before any stream directive");
-            stream->push_back(iodetail::parseRecordLine(line));
-        }
-    }
-
-    // Validate block-op references.
-    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu)
-        for (const TraceRecord &rec : trace.stream(cpu))
-            if ((rec.type == RecordType::BlockOpBegin ||
-                 rec.type == RecordType::BlockOpEnd) &&
-                rec.aux >= trace.blockOps().size())
-                fatal("trace: record references unknown block op ",
-                      rec.aux);
-    return trace;
+    TraceBuilder sink;
+    std::string why;
+    if (!iodetail::walkText(is, sink, &why))
+        fatal("trace: ", why);
+    return std::move(sink.trace);
 }
 
 namespace
@@ -372,75 +520,10 @@ putChecksum(std::ostream &os, std::uint64_t sum)
 bool
 tryReadTraceBinary(std::istream &is, Trace &out, std::string *error)
 {
-    const auto fail = [error](const char *why) {
-        if (error != nullptr)
-            *error = why;
+    TraceBuilder sink;
+    if (!iodetail::walkBinary(is, sink, true, error))
         return false;
-    };
-
-    char magic[sizeof(binaryMagic)];
-    is.read(magic, sizeof(magic));
-    if (is.gcount() != std::streamsize(sizeof(magic)) ||
-        std::memcmp(magic, binaryMagic, sizeof(magic)) != 0)
-        return fail("bad magic");
-
-    BinaryReader r(is);
-    std::uint32_t cpus = 0;
-    std::unordered_set<Addr> pages;
-    const char *why = nullptr;
-    if (!iodetail::getHeader(r, cpus, pages, &why))
-        return fail(why);
-    Trace trace(cpus);
-    trace.updatePages() = std::move(pages);
-
-    // Record chunks first; the table only arrives afterwards, so
-    // block-op references are bounds-checked at the end via the
-    // largest id seen.
-    std::uint64_t max_op_ref = 0;
-    bool any_op_ref = false;
-    while (true) {
-        std::uint32_t cpu = 0;
-        if (!r.get(cpu))
-            return fail("truncated chunk header");
-        if (cpu == chunkEndMarker)
-            break;
-        std::uint32_t count = 0;
-        if (cpu >= cpus || !r.get(count))
-            return fail("bad chunk header");
-        RecordStream &stream = trace.stream(CpuId(cpu));
-        for (std::uint32_t i = 0; i < count; ++i) {
-            TraceRecord rec;
-            if (!iodetail::getRecord(r, rec, &why))
-                return fail(why);
-            if (rec.type == RecordType::BlockOpBegin ||
-                rec.type == RecordType::BlockOpEnd) {
-                any_op_ref = true;
-                max_op_ref = std::max<std::uint64_t>(max_op_ref, rec.aux);
-            }
-            stream.push_back(rec);
-        }
-    }
-
-    if (!getBlockOps(r, trace.blockOps(), &why))
-        return fail(why);
-    if (any_op_ref && max_op_ref >= trace.blockOps().size())
-        return fail("record references unknown block op");
-
-    const std::uint64_t expected = r.checksum();
-    std::uint64_t stored = 0;
-    {
-        char buf[sizeof(stored)];
-        is.read(buf, sizeof(buf));
-        if (is.gcount() != std::streamsize(sizeof(buf)))
-            return fail("missing checksum");
-        std::memcpy(&stored, buf, sizeof(stored));
-    }
-    if (stored != expected)
-        return fail("checksum mismatch");
-    if (is.peek() != std::istream::traits_type::eof())
-        return fail("trailing garbage");
-
-    out = std::move(trace);
+    out = std::move(sink.trace);
     return true;
 }
 
@@ -469,8 +552,9 @@ ChunkedTraceWriter::ChunkedTraceWriter(
     const std::unordered_set<Addr> &update_pages)
     : impl(std::make_unique<Impl>(os))
 {
-    if (num_cpus == 0 || num_cpus > 64)
-        fatal("chunked trace: bad cpu count ", num_cpus);
+    if (num_cpus == 0 || num_cpus > maxTraceCpus)
+        fatal("trace: cannot write ", num_cpus, " cpus (1 to ",
+              maxTraceCpus, ")");
     impl->cpus = num_cpus;
     os.write(binaryMagic, sizeof(binaryMagic));
     impl->w.put(traceFormatVersion);
@@ -552,14 +636,11 @@ readTraceFile(const std::string &path)
     std::ifstream is(path, std::ios::in | std::ios::binary);
     if (!is)
         fatal("cannot open '", path, "' for reading");
-    char magic[sizeof(binaryMagic)];
-    is.read(magic, sizeof(magic));
-    const bool binary =
-        is.gcount() == std::streamsize(sizeof(magic)) &&
-        std::memcmp(magic, binaryMagic, sizeof(magic)) == 0;
-    is.clear();
-    is.seekg(0);
-    return binary ? readTraceBinary(is) : readTrace(is);
+    TraceBuilder sink;
+    std::string why;
+    if (!iodetail::walkTrace(is, sink, true, &why))
+        fatal("trace: malformed trace '", path, "' (", why, ")");
+    return std::move(sink.trace);
 }
 
 } // namespace oscache

@@ -42,6 +42,11 @@
  * readTraceFile() auto-detects text or binary from the leading
  * bytes.  Version 2, an earlier unchunked layout, is rejected as an
  * unsupported version.
+ *
+ * Each format has one walker that performs every structural check;
+ * the whole-trace readers here and FileTraceSource are two sinks of
+ * it, so they accept and reject exactly the same files, for the same
+ * reasons.
  */
 
 #ifndef OSCACHE_TRACE_IO_HH
@@ -71,12 +76,22 @@ enum class TraceFormat
  */
 inline constexpr std::uint32_t traceFormatVersion = 3;
 
-/** Serialize @p trace to @p os in the text format above. */
+/**
+ * Most processors a trace file may hold, in either format: both
+ * writers refuse more and every reader rejects more.
+ */
+inline constexpr unsigned maxTraceCpus = 64;
+
+/**
+ * Serialize @p trace to @p os in the text format above; fatal()
+ * unless it has 1 to maxTraceCpus processors.
+ */
 void writeTrace(std::ostream &os, const Trace &trace);
 
 /**
- * Parse a trace from @p is.
- * Calls fatal() on malformed input (a user error).
+ * Parse a text-format trace from @p is.
+ * Calls fatal() on malformed input (a user error), with the reason
+ * FileTraceSource::tryOpen() gives for the same file.
  */
 Trace readTrace(std::istream &is);
 
@@ -106,7 +121,8 @@ class ChunkedTraceWriter
 {
   public:
     /**
-     * Emit the header.  @p update_pages is serialized sorted so
+     * Emit the header; fatal() unless 1 <= @p num_cpus <=
+     * maxTraceCpus.  @p update_pages is serialized sorted so
      * identical traces produce identical bytes.
      */
     ChunkedTraceWriter(std::ostream &os, unsigned num_cpus,

@@ -2,8 +2,9 @@
  * @file
  * Internal building blocks shared by the trace serializers (io.cc)
  * and the streaming file reader (source.cc): the binary magic and
- * per-record wire layout, the streaming FNV-1a checksum, small
- * put/get wrappers over iostreams, and the text-format record parser.
+ * per-record wire layout, the one validating wire-record decoder,
+ * the text-format record parser, and the one walker per on-disk
+ * format together with the sink interface its readers implement.
  *
  * This header is private to src/trace; nothing outside the library
  * should include it.  The public contract is io.hh and source.hh.
@@ -15,14 +16,11 @@
 #include <cstdint>
 #include <cstring>
 #include <istream>
-#include <ostream>
 #include <string>
-#include <type_traits>
 #include <unordered_set>
 
 #include "common/binio.hh"
-#include "trace/blockop.hh"
-#include "trace/record.hh"
+#include "trace/trace.hh"
 
 namespace oscache
 {
@@ -43,7 +41,6 @@ inline constexpr std::uint32_t chunkEndMarker = 0xffffffffu;
 // aliases keep the trace serializers' spelling unchanged.
 using binio::BinaryReader;
 using binio::BinaryWriter;
-using binio::ChecksumStream;
 
 /** Write one record in the packed wire layout. */
 inline void
@@ -59,73 +56,105 @@ putRecord(BinaryWriter &w, const TraceRecord &rec)
 }
 
 /**
- * Read one record in the packed wire layout, validating the type and
- * category bytes.  On failure returns false with the reason in
- * @p why (block-op id bounds are the caller's job: in the chunked
- * format the table arrives after the records).
+ * Decode the recordWireBytes packed bytes at @p p into @p rec,
+ * validating the type and category bytes.  On failure returns false
+ * with the reason in @p why.  Block-op ids are the caller's to bound:
+ * in the chunked format the table arrives after the records.
  */
 inline bool
-getRecord(BinaryReader &r, TraceRecord &rec, const char **why)
+decodeWireRecord(const char *p, TraceRecord &rec, const char **why)
 {
-    std::uint8_t type = 0;
-    std::uint8_t category = 0;
-    if (!r.get(rec.addr) || !r.get(rec.aux) || !r.get(rec.bb) ||
-        !r.get(type) || !r.get(category) || !r.get(rec.size) ||
-        !r.get(rec.flags)) {
-        *why = "truncated record stream";
-        return false;
-    }
+    const auto type = std::uint8_t(p[16]);
+    const auto category = std::uint8_t(p[17]);
     if (type > std::uint8_t(RecordType::BarrierArrive)) {
         *why = "bad record type";
         return false;
     }
-    if (category >= static_cast<unsigned>(DataCategory::NumCategories)) {
+    if (category >= unsigned(DataCategory::NumCategories)) {
         *why = "bad data category";
         return false;
     }
+    std::memcpy(&rec.addr, p, sizeof(rec.addr));
+    std::memcpy(&rec.aux, p + 8, sizeof(rec.aux));
+    std::memcpy(&rec.bb, p + 12, sizeof(rec.bb));
     rec.type = RecordType(type);
     rec.category = DataCategory(category);
+    rec.size = std::uint8_t(p[18]);
+    rec.flags = std::uint8_t(p[19]);
     return true;
 }
 
-/** Text-format category code ("user", "kpriv", ...). */
-const char *categoryCode(DataCategory cat);
-
-/** Inverse of categoryCode(); false on an unknown code. */
-bool tryParseCategory(const std::string &code, DataCategory &out);
-
-/** As tryParseCategory(), but fatal() on an unknown code. */
-DataCategory parseCategory(const std::string &code);
-
-/** Append @p rec to @p os as one text-format record line. */
-void putRecordText(std::ostream &os, const TraceRecord &rec);
+/** True iff @p rec names a block operation (its aux is the op id). */
+inline bool
+namesBlockOp(const TraceRecord &rec)
+{
+    return rec.type == RecordType::BlockOpBegin ||
+           rec.type == RecordType::BlockOpEnd;
+}
 
 /**
  * Parse one text-format record line ('x', 'i', 'r', 'w', 'p', 'B',
  * 'E', 'L', 'U', 'A') into @p rec.  On failure returns false with
- * the reason in @p why — the streaming validator turns that into a
- * clean tryOpen() error rather than an exit.
+ * the reason in @p why.
  */
 bool tryParseRecordLine(const std::string &line, TraceRecord &rec,
                         const char **why);
 
-/** As tryParseRecordLine(), but fatal() naming the offending line. */
-TraceRecord parseRecordLine(const std::string &line);
+/**
+ * Where a format walker puts what it finds, in file order.  The
+ * whole-trace readers append every record to a Trace; FileTraceSource
+ * only indexes where each cpu's records lie.
+ */
+class TraceSink
+{
+  public:
+    virtual ~TraceSink() = default;
+
+    /** The header's cpu count and format, before anything else. */
+    virtual void begin(unsigned cpus, bool text) = 0;
+
+    /** Update pages go here. */
+    virtual std::unordered_set<Addr> &updatePages() = 0;
+
+    /** The block-op table is built here. */
+    virtual BlockOpTable &blockOps() = 0;
+
+    /** Where @p cpu's decoded records go; null to only check them. */
+    virtual RecordStream *records(CpuId cpu) = 0;
+
+    /**
+     * @p count records of @p cpu lie at bytes [@p offset, @p end) of
+     * the file: one chunk's payload, or one run of text record lines
+     * (and the comments among them) between two directives.
+     */
+    virtual void segment(CpuId cpu, std::uint64_t offset, std::uint64_t end,
+                         std::uint64_t count) = 0;
+};
 
 /**
- * Parse the serialized block-op table.  False with the reason in
- * @p why on malformed input.
+ * The one walker of the text format: the header, the `cpus` line,
+ * the `updatepage`, `blockop` and `stream` directives, every record
+ * line, and block-op references against the table.  False with the
+ * reason in @p error on malformed input.
  */
-bool getBlockOps(BinaryReader &r, BlockOpTable &ops, const char **why);
+bool walkText(std::istream &is, TraceSink &sink, std::string *error);
 
 /**
- * Parse a binary trace's header after the magic: the version word
- * (only traceFormatVersion is accepted; anything else is an
- * "unsupported version"), the cpu count and the update pages.  False
- * with the reason in @p why on malformed input.
+ * The one walker of the chunked v3 format: the magic, the header,
+ * the chunk sequence up to chunkEndMarker, every record through
+ * decodeWireRecord(), the block-op table, block-op references
+ * against it, the checksum, and trailing bytes.  With @p payloads false it
+ * seeks over the record payloads instead, so the references and the
+ * checksum go unchecked (the file's cursors decode and bound every
+ * record later).  False with the reason in @p error on malformed
+ * input.
  */
-bool getHeader(BinaryReader &r, std::uint32_t &cpus,
-               std::unordered_set<Addr> &pages, const char **why);
+bool walkBinary(std::istream &is, TraceSink &sink, bool payloads,
+                std::string *error);
+
+/** walkBinary() or walkText(), as the leading bytes of @p is say. */
+bool walkTrace(std::istream &is, TraceSink &sink, bool payloads,
+               std::string *error);
 
 } // namespace iodetail
 } // namespace oscache

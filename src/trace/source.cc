@@ -1,9 +1,7 @@
 #include "trace/source.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "common/log.hh"
 #include "trace/io_detail.hh"
@@ -11,44 +9,18 @@
 namespace oscache
 {
 
-using iodetail::BinaryReader;
-using iodetail::binaryMagic;
-using iodetail::chunkEndMarker;
 using iodetail::recordWireBytes;
 
-namespace
-{
-
-/** Decode one packed wire record (already validated by the scan). */
-TraceRecord
-decodeRecord(const char *p)
-{
-    TraceRecord rec;
-    std::memcpy(&rec.addr, p, sizeof(rec.addr));
-    p += sizeof(rec.addr);
-    std::memcpy(&rec.aux, p, sizeof(rec.aux));
-    p += sizeof(rec.aux);
-    std::memcpy(&rec.bb, p, sizeof(rec.bb));
-    p += sizeof(rec.bb);
-    rec.type = RecordType(std::uint8_t(p[0]));
-    rec.category = DataCategory(std::uint8_t(p[1]));
-    rec.size = std::uint8_t(p[2]);
-    rec.flags = std::uint8_t(p[3]);
-    return rec;
-}
-
-} // namespace
-
 /**
- * Cursor over the record byte ranges of one cpu in a binary-format
- * file.  Each refill seeks to the next unread record and bulk-reads
- * up to readAhead() packed records through a private ifstream.
+ * What both file cursors share: a private ifstream over the file, the
+ * cpu's segment index, and a read-ahead buffer of up to readAhead()
+ * records whose unread tail peek() and peekRun() hand out.
  */
-class FileTraceSource::BinaryCursor final : public RecordCursor
+class FileTraceSource::FileCursor : public RecordCursor
 {
   public:
-    BinaryCursor(const FileTraceSource &source, CpuId cpu)
-        : src(&source), segs(&source.segments[cpu]),
+    FileCursor(const FileTraceSource &source, CpuId cpu_id)
+        : src(&source), cpu(cpu_id), segs(&source.segments[cpu_id]),
           is(source.path, std::ios::in | std::ios::binary)
     {
         if (!is)
@@ -58,28 +30,58 @@ class FileTraceSource::BinaryCursor final : public RecordCursor
     const TraceRecord *
     peek() override
     {
-        if (bufPos >= buf.size())
+        if (bufPos >= buf.size()) {
+            buf.clear();
+            bufPos = 0;
             refill();
+        }
         return bufPos < buf.size() ? &buf[bufPos] : nullptr;
     }
 
     void advance() override { ++bufPos; }
 
-    /** The unread tail of the read-ahead buffer is one span. */
     std::size_t
     peekRun(const TraceRecord *&first) override
     {
-        if (bufPos >= buf.size())
-            refill();
-        if (bufPos >= buf.size()) {
-            first = nullptr;
-            return 0;
-        }
-        first = &buf[bufPos];
-        return buf.size() - bufPos;
+        first = peek();
+        return first != nullptr ? buf.size() - bufPos : 0;
     }
 
     void advanceRun(std::size_t n) override { bufPos += n; }
+
+  protected:
+    /** Append the next records, up to readAhead(), to the empty buf. */
+    virtual void refill() = 0;
+
+    /** Consume up to @p n buffered records; returns how many. */
+    std::size_t
+    skipBuffered(std::size_t n)
+    {
+        const std::size_t done = std::min(n, buf.size() - bufPos);
+        bufPos += done;
+        return done;
+    }
+
+    const FileTraceSource *src;
+    CpuId cpu;
+    const std::vector<Segment> *segs;
+    std::ifstream is;
+    std::vector<TraceRecord> buf;
+    std::size_t bufPos = 0;
+    std::size_t segIdx = 0;
+};
+
+/**
+ * Cursor over the record byte ranges of one cpu in a binary-format
+ * file.  Each refill seeks to the next unread record, bulk-reads the
+ * packed records, and decodes them through the format's validating
+ * decoder, bounding block-op ids by the table: an Index-depth open
+ * never read them.
+ */
+class FileTraceSource::BinaryCursor final : public FileCursor
+{
+  public:
+    using FileCursor::FileCursor;
 
     /**
      * Chunk-skipping fast-forward: drain whatever is buffered, then
@@ -90,17 +92,13 @@ class FileTraceSource::BinaryCursor final : public RecordCursor
     std::size_t
     skip(std::size_t n) override
     {
-        std::size_t done = std::min(n, buf.size() - bufPos);
-        bufPos += done;
-        while (done < n && segIdx < segs->size()) {
-            const Segment &seg = (*segs)[segIdx];
-            if (recIdx >= seg.records) {
-                ++segIdx;
-                recIdx = 0;
-                continue;
-            }
-            const std::uint64_t step = std::min<std::uint64_t>(
-                n - done, seg.records - recIdx);
+        std::size_t done = skipBuffered(n);
+        while (done < n) {
+            const std::uint64_t left = segmentLeft();
+            if (left == 0)
+                break;
+            const std::uint64_t step =
+                std::min<std::uint64_t>(n - done, left);
             recIdx += step;
             done += std::size_t(step);
         }
@@ -108,88 +106,64 @@ class FileTraceSource::BinaryCursor final : public RecordCursor
     }
 
   private:
-    void
-    refill()
+    /** Unread records of the current segment, past spent ones. */
+    std::uint64_t
+    segmentLeft()
     {
-        buf.clear();
-        bufPos = 0;
-        while (buf.size() < src->bufferRecords && segIdx < segs->size()) {
-            const Segment &seg = (*segs)[segIdx];
-            if (recIdx >= seg.records) {
-                ++segIdx;
-                recIdx = 0;
-                continue;
-            }
-            const std::size_t n =
-                std::min<std::size_t>(src->bufferRecords - buf.size(),
-                                      seg.records - recIdx);
+        while (segIdx < segs->size() && recIdx >= (*segs)[segIdx].records) {
+            ++segIdx;
+            recIdx = 0;
+        }
+        return segIdx < segs->size() ? (*segs)[segIdx].records - recIdx : 0;
+    }
+
+    void
+    refill() override
+    {
+        while (buf.size() < src->bufferRecords) {
+            const std::uint64_t left = segmentLeft();
+            if (left == 0)
+                break;
+            const std::size_t n = std::min<std::uint64_t>(
+                src->bufferRecords - buf.size(), left);
             raw.resize(n * recordWireBytes);
             is.clear();
-            is.seekg(std::streamoff(seg.offset +
+            is.seekg(std::streamoff((*segs)[segIdx].offset +
                                     recIdx * recordWireBytes));
             is.read(raw.data(), std::streamsize(raw.size()));
             if (is.gcount() != std::streamsize(raw.size()))
                 fatal("trace: '", src->path,
                       "' truncated while streaming");
-            for (std::size_t i = 0; i < n; ++i)
-                buf.push_back(
-                    decodeRecord(raw.data() + i * recordWireBytes));
+            for (std::size_t i = 0; i < n; ++i) {
+                TraceRecord rec;
+                const char *why = nullptr;
+                if (!iodetail::decodeWireRecord(
+                        raw.data() + i * recordWireBytes, rec, &why))
+                    fatal("trace: '", src->path, "' cpu ", int(cpu), ": ",
+                          why);
+                if (iodetail::namesBlockOp(rec) &&
+                    rec.aux >= src->table.size())
+                    fatal("trace: '", src->path, "' cpu ", int(cpu),
+                          ": record references unknown block op");
+                buf.push_back(rec);
+            }
             recIdx += n;
         }
     }
 
-    const FileTraceSource *src;
-    const std::vector<Segment> *segs;
-    std::ifstream is;
     std::vector<char> raw;
-    std::vector<TraceRecord> buf;
-    std::size_t bufPos = 0;
-    std::size_t segIdx = 0;
-    std::uint64_t recIdx = 0;
+    std::uint64_t recIdx = 0; ///< Records consumed of segment segIdx.
 };
 
 /**
  * Cursor over the record line ranges of one cpu in a text-format
- * file.  Parses forward within each segment, buffering up to
- * readAhead() records; comment and blank lines inside a segment are
- * skipped on the fly.
+ * file.  Parses forward within each segment; comment and blank lines
+ * inside a segment are skipped on the fly.
  */
-class FileTraceSource::TextCursor final : public RecordCursor
+class FileTraceSource::TextCursor final : public FileCursor
 {
   public:
-    TextCursor(const FileTraceSource &source, CpuId cpu)
-        : src(&source), segs(&source.segments[cpu]),
-          is(source.path, std::ios::in | std::ios::binary)
-    {
-        if (!is)
-            fatal("cannot reopen '", source.path, "' for streaming");
-    }
-
-    const TraceRecord *
-    peek() override
-    {
-        if (bufPos >= buf.size())
-            refill();
-        return bufPos < buf.size() ? &buf[bufPos] : nullptr;
-    }
-
-    void advance() override { ++bufPos; }
-
-    /** The unread tail of the read-ahead buffer is one span. */
-    std::size_t
-    peekRun(const TraceRecord *&first) override
-    {
-        if (bufPos >= buf.size())
-            refill();
-        if (bufPos >= buf.size()) {
-            first = nullptr;
-            return 0;
-        }
-        first = &buf[bufPos];
-        return buf.size() - bufPos;
-    }
-
-    void advanceRun(std::size_t n) override { bufPos += n; }
+    using FileCursor::FileCursor;
 
     /**
      * Text has no record index to seek by, but skipping still skips
@@ -198,41 +172,32 @@ class FileTraceSource::TextCursor final : public RecordCursor
     std::size_t
     skip(std::size_t n) override
     {
-        std::size_t done = std::min(n, buf.size() - bufPos);
-        bufPos += done;
+        std::size_t done = skipBuffered(n);
         std::string line;
-        while (done < n && segIdx < segs->size()) {
-            const Segment &seg = (*segs)[segIdx];
-            if (!inSeg) {
-                is.clear();
-                is.seekg(std::streamoff(seg.offset));
-                pos = seg.offset;
-                inSeg = true;
-            }
-            if (pos >= seg.end) {
-                ++segIdx;
-                inSeg = false;
-                continue;
-            }
-            if (!std::getline(is, line))
-                fatal("trace: '", src->path,
-                      "' truncated while streaming");
-            pos = is.eof() ? seg.end : std::uint64_t(is.tellg());
-            if (line.empty() || line[0] == '#')
-                continue;
+        while (done < n && nextLine(line))
             ++done;
-        }
         return done;
     }
 
   private:
     void
-    refill()
+    refill() override
     {
-        buf.clear();
-        bufPos = 0;
         std::string line;
-        while (buf.size() < src->bufferRecords && segIdx < segs->size()) {
+        TraceRecord rec;
+        const char *why = nullptr;
+        while (buf.size() < src->bufferRecords && nextLine(line)) {
+            if (!iodetail::tryParseRecordLine(line, rec, &why))
+                fatal("trace: '", src->path, "' cpu ", int(cpu), ": ", why);
+            buf.push_back(rec);
+        }
+    }
+
+    /** Read this cpu's next record line; false past its last one. */
+    bool
+    nextLine(std::string &line)
+    {
+        while (segIdx < segs->size()) {
             const Segment &seg = (*segs)[segIdx];
             if (!inSeg) {
                 is.clear();
@@ -248,21 +213,15 @@ class FileTraceSource::TextCursor final : public RecordCursor
             if (!std::getline(is, line))
                 fatal("trace: '", src->path,
                       "' truncated while streaming");
-            pos = is.eof() ? seg.end : std::uint64_t(is.tellg());
-            if (line.empty() || line[0] == '#')
-                continue;
-            buf.push_back(iodetail::parseRecordLine(line));
+            pos = is.eof() ? seg.end : pos + line.size() + 1;
+            if (!line.empty() && line[0] != '#')
+                return true;
         }
+        return false;
     }
 
-    const FileTraceSource *src;
-    const std::vector<Segment> *segs;
-    std::ifstream is;
-    std::vector<TraceRecord> buf;
-    std::size_t bufPos = 0;
-    std::size_t segIdx = 0;
-    std::uint64_t pos = 0;
-    bool inSeg = false;
+    std::uint64_t pos = 0; ///< File offset of the next line.
+    bool inSeg = false;    ///< Positioned inside segment segIdx.
 };
 
 FileTraceSource::FileTraceSource(const std::string &file_path,
@@ -313,213 +272,46 @@ FileTraceSource::knownRecords(CpuId cpu) const
     return recordCounts[cpu];
 }
 
+/** Indexes where each cpu's records lie; keeps no record. */
+class FileTraceSource::Indexer final : public iodetail::TraceSink
+{
+  public:
+    explicit Indexer(FileTraceSource &source) : src(source) {}
+
+    void
+    begin(unsigned cpus, bool text) override
+    {
+        src.text = text;
+        src.segments.assign(cpus, {});
+        src.recordCounts.assign(cpus, 0);
+    }
+    std::unordered_set<Addr> &updatePages() override { return src.pages; }
+    BlockOpTable &blockOps() override { return src.table; }
+    RecordStream *records(CpuId) override { return nullptr; }
+
+    void
+    segment(CpuId cpu, std::uint64_t offset, std::uint64_t end,
+            std::uint64_t count) override
+    {
+        src.segments[cpu].push_back({offset, count, end});
+        src.recordCounts[cpu] += count;
+    }
+
+  private:
+    FileTraceSource &src;
+};
+
 bool
 FileTraceSource::scan(std::string *error)
 {
-    const auto fail = [error](const char *why) {
-        if (error != nullptr)
-            *error = why;
-        return false;
-    };
-
     std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is)
-        return fail("cannot open file");
-
-    char magic[sizeof(binaryMagic)];
-    is.read(magic, sizeof(magic));
-    const bool binary =
-        is.gcount() == std::streamsize(sizeof(magic)) &&
-        std::memcmp(magic, binaryMagic, sizeof(magic)) == 0;
-    is.clear();
-    is.seekg(0);
-    return binary ? scanBinary(is, error) : scanText(is, error);
-}
-
-bool
-FileTraceSource::scanBinary(std::istream &is, std::string *error)
-{
-    const auto fail = [error](const char *why) {
+    if (!is) {
         if (error != nullptr)
-            *error = why;
+            *error = "cannot open file";
         return false;
-    };
-
-    is.seekg(std::streamoff(sizeof(binaryMagic)));
-    BinaryReader r(is);
-
-    std::uint32_t cpus = 0;
-    const char *why = nullptr;
-    if (!iodetail::getHeader(r, cpus, pages, &why))
-        return fail(why);
-    segments.assign(cpus, {});
-    recordCounts.assign(cpus, 0);
-
-    // The table trails the records, so block-op references are
-    // bounds-checked afterwards via the largest id seen.
-    std::uint64_t max_op_ref = 0;
-    bool any_op_ref = false;
-    while (true) {
-        std::uint32_t cpu = 0;
-        if (!r.get(cpu))
-            return fail("truncated chunk header");
-        if (cpu == chunkEndMarker)
-            break;
-        std::uint32_t count = 0;
-        if (cpu >= cpus || !r.get(count))
-            return fail("bad chunk header");
-        Segment seg;
-        seg.offset = std::uint64_t(is.tellg());
-        seg.records = count;
-        if (depth == ScanDepth::Index) {
-            is.seekg(std::streamoff(std::uint64_t(count) * recordWireBytes),
-                     std::ios::cur);
-            if (!is || is.peek() == std::istream::traits_type::eof())
-                return fail("truncated record stream");
-        } else {
-            for (std::uint32_t i = 0; i < count; ++i) {
-                TraceRecord rec;
-                if (!iodetail::getRecord(r, rec, &why))
-                    return fail(why);
-                if (rec.type == RecordType::BlockOpBegin ||
-                    rec.type == RecordType::BlockOpEnd) {
-                    any_op_ref = true;
-                    max_op_ref =
-                        std::max<std::uint64_t>(max_op_ref, rec.aux);
-                }
-            }
-        }
-        recordCounts[cpu] += count;
-        if (count > 0)
-            segments[cpu].push_back(seg);
     }
-    if (!iodetail::getBlockOps(r, table, &why))
-        return fail(why);
-    if (any_op_ref && max_op_ref >= table.size())
-        return fail("record references unknown block op");
-
-    const std::uint64_t expected = r.checksum();
-    std::uint64_t stored = 0;
-    {
-        char buf[sizeof(stored)];
-        is.read(buf, sizeof(buf));
-        if (is.gcount() != std::streamsize(sizeof(buf)))
-            return fail("missing checksum");
-        std::memcpy(&stored, buf, sizeof(stored));
-    }
-    // An Index scan never read the record payloads, so the running
-    // checksum is not the file's; the trailing word's presence is
-    // still required above.
-    if (depth == ScanDepth::Full && stored != expected)
-        return fail("checksum mismatch");
-    if (is.peek() != std::istream::traits_type::eof())
-        return fail("trailing garbage");
-    return true;
-}
-
-bool
-FileTraceSource::scanText(std::istream &is, std::string *error)
-{
-    const auto fail = [error](const char *why) {
-        if (error != nullptr)
-            *error = why;
-        return false;
-    };
-
-    text = true;
-
-    std::string line;
-    if (!std::getline(is, line) || line != "oscache-trace 1")
-        return fail("missing or unsupported header");
-
-    unsigned cpus = 0;
-    {
-        if (!std::getline(is, line))
-            return fail("missing cpus line");
-        std::istringstream ls(line);
-        std::string kw;
-        ls >> kw >> cpus;
-        if (kw != "cpus" || cpus == 0 || cpus > 64)
-            return fail("bad cpus line");
-    }
-    segments.assign(cpus, {});
-    recordCounts.assign(cpus, 0);
-
-    int cur_cpu = -1;
-    bool seg_open = false;
-    std::uint64_t max_op_ref = 0;
-    bool any_op_ref = false;
-
-    while (true) {
-        const std::uint64_t line_start = std::uint64_t(is.tellg());
-        if (!std::getline(is, line))
-            break;
-        const std::uint64_t line_end =
-            is.eof() ? line_start + line.size()
-                     : std::uint64_t(is.tellg());
-        if (line.empty() || line[0] == '#')
-            continue;
-
-        std::istringstream ls(line);
-        std::string kw;
-        ls >> kw;
-
-        if (kw == "updatepage") {
-            seg_open = false;
-            Addr page = 0;
-            ls >> std::hex >> page;
-            if (ls.fail())
-                return fail("bad updatepage line");
-            pages.insert(page);
-        } else if (kw == "blockop") {
-            seg_open = false;
-            std::size_t id;
-            std::string kind, ro;
-            BlockOp op;
-            ls >> id >> kind >> std::hex >> op.src >> op.dst >>
-                std::dec >> op.size >> ro;
-            if (ls.fail() || (kind != "copy" && kind != "zero"))
-                return fail("bad blockop line");
-            op.kind =
-                kind == "copy" ? BlockOpKind::Copy : BlockOpKind::Zero;
-            op.readOnlyAfter = (ro == "ro");
-            if (table.add(op) != id)
-                return fail("blockop ids must be dense and in order");
-        } else if (kw == "stream") {
-            seg_open = false;
-            unsigned cpu;
-            ls >> cpu;
-            if (ls.fail() || cpu >= cpus)
-                return fail("bad stream line");
-            cur_cpu = int(cpu);
-        } else {
-            if (cur_cpu < 0)
-                return fail("record before any stream directive");
-            TraceRecord rec;
-            const char *why = nullptr;
-            if (!iodetail::tryParseRecordLine(line, rec, &why))
-                return fail(why);
-            if (rec.type == RecordType::BlockOpBegin ||
-                rec.type == RecordType::BlockOpEnd) {
-                any_op_ref = true;
-                max_op_ref = std::max<std::uint64_t>(max_op_ref, rec.aux);
-            }
-            if (!seg_open) {
-                Segment seg;
-                seg.offset = line_start;
-                segments[cur_cpu].push_back(seg);
-                seg_open = true;
-            }
-            Segment &seg = segments[cur_cpu].back();
-            seg.end = line_end;
-            seg.records += 1;
-            recordCounts[cur_cpu] += 1;
-        }
-    }
-
-    if (any_op_ref && max_op_ref >= table.size())
-        return fail("record references unknown block op");
-    return true;
+    Indexer sink(*this);
+    return iodetail::walkTrace(is, sink, depth == ScanDepth::Full, error);
 }
 
 } // namespace oscache

@@ -270,11 +270,13 @@ inline constexpr std::size_t defaultStreamReadAhead = 4096;
  * chunked binary v3, detected from the leading bytes).
  *
  * Construction performs one O(1)-memory validation pass over the
- * whole file — structure, record bounds, and (binary format) the
- * trailing checksum — and indexes where each processor's records
- * live, so a truncated or corrupted file fails up front rather than
- * mid-simulation.  Each cursor then re-reads its processor's byte
- * ranges through its own stream with a bounded read-ahead buffer.
+ * whole file — the format's one walker, the same one readTrace() and
+ * readTraceBinary() run, so all of them accept and reject the same
+ * files for the same reasons — and indexes where each processor's
+ * records live, so a truncated or corrupted file fails up front
+ * rather than mid-simulation.  Each cursor then re-reads its
+ * processor's byte ranges through its own stream with a bounded
+ * read-ahead buffer.
  */
 class FileTraceSource final : public TraceSource
 {
@@ -293,11 +295,14 @@ class FileTraceSource final : public TraceSource
      * would mean reading every byte).  Opening a multi-GB trace
      * drops from a full-file read to a few thousand header seeks,
      * which is what makes sampled replay's leap-over-99%-of-the-file
-     * profitable.  Use it only for artifacts validated when written
-     * (e.g. just-generated benchmarks): payload corruption then
-     * surfaces at replay as an engine diagnostic, not as a clean
-     * open failure.  Text files have no record index, so Index
-     * falls back to the full line walk.
+     * profitable.  Records are validated when a cursor decodes them
+     * instead: a bad type or category byte, or a block-op id past
+     * the table, is a fatal() naming the file, the cpu and the
+     * reason at the first read of that record, not a clean open
+     * failure, and a corrupted byte the decoder cannot tell from a
+     * valid one goes unnoticed.  Use it only for artifacts validated
+     * when written (e.g. just-generated benchmarks).  Text files have
+     * no record index, so Index falls back to the full line walk.
      */
     enum class ScanDepth
     {
@@ -354,9 +359,9 @@ class FileTraceSource final : public TraceSource
 
     /** Validate + index; returns false with @p error on bad input. */
     bool scan(std::string *error);
-    bool scanText(std::istream &is, std::string *error);
-    bool scanBinary(std::istream &is, std::string *error);
 
+    class Indexer;
+    class FileCursor;
     class TextCursor;
     class BinaryCursor;
 

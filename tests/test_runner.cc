@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/runner.hh"
 #include "report/figures.hh"
 #include "synth/generator.hh"
@@ -32,6 +34,61 @@ runTiny(WorkloadKind kind, SystemKind system,
     const WorkloadProfile p = tiny(kind);
     const Trace trace = generateTrace(p, setup.coherence);
     return runOnTrace(trace, machine, p.simOptions(), setup);
+}
+
+TEST(RunnerTest, HotspotPassEqualsMaterializedRewrite)
+{
+    // runOnTrace() is runOnSource() over a materialized trace, whose
+    // prefetch pass rewrites the trace as it streams.  It must equal
+    // the explicit path: profile pass, selectHotspots(),
+    // insertPrefetches(), then a plain pass over the rewritten trace.
+    const SystemSetup setup = SystemSetup::forKind(SystemKind::BCPref);
+    ASSERT_TRUE(setup.hotspotPrefetch);
+    for (const MachineConfig &machine :
+         {MachineConfig::base(), MachineConfig::numa(2, 2)}) {
+        for (const WorkloadKind kind : allWorkloads) {
+            SCOPED_TRACE(std::string(toString(kind)) + " on " +
+                         std::to_string(machine.numSockets) + " sockets");
+            const WorkloadProfile p = tiny(kind);
+            const SimOptions opts = p.simOptions();
+            const Trace trace =
+                generateTrace(p, setup.coherence, machine.numCpus);
+
+            const RunResult profile =
+                runOnce(trace, machine, opts, setup.blockScheme);
+            const HotspotPlan plan =
+                selectHotspots(profile.stats, paperHotspotCount);
+            const Trace rewritten = insertPrefetches(trace, plan);
+            const RunResult expected =
+                runOnce(rewritten, machine, opts, setup.blockScheme);
+
+            const RunResult r = runOnTrace(trace, machine, opts, setup);
+            EXPECT_EQ(r.stats, expected.stats);
+            EXPECT_EQ(r.bus, expected.bus);
+            EXPECT_EQ(r.hotspots.hotBlocks, plan.hotBlocks);
+            EXPECT_DOUBLE_EQ(r.hotspotCoverage,
+                             hotspotCoverage(profile.stats, plan));
+            EXPECT_EQ(r.traceMode, "materialized");
+
+            // extension_more_prefetches' prefetch column: what the
+            // adapter inserts is what the rewrite adds, one prefetch
+            // per hot-block read.
+            std::uint64_t hot_reads = 0;
+            for (CpuId c = 0; c < trace.numCpus(); ++c)
+                for (const TraceRecord &rec : trace.stream(c))
+                    hot_reads += rec.type == RecordType::Read &&
+                                 plan.hotBlocks.count(rec.bb);
+            EXPECT_GT(hot_reads, 0u);
+            EXPECT_EQ(rewritten.totalRecords() - trace.totalRecords(),
+                      hot_reads);
+            PrefetchStreamSource adapter(
+                std::make_unique<MaterializedTraceSource>(trace), plan);
+            const RunResult streamed =
+                runOnce(adapter, machine, opts, setup.blockScheme);
+            EXPECT_EQ(streamed.stats, expected.stats);
+            EXPECT_EQ(adapter.insertedPrefetches(), hot_reads);
+        }
+    }
 }
 
 TEST(RunnerTest, BaseRunProducesStats)

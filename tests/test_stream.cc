@@ -188,31 +188,82 @@ TEST(StreamSim, HotspotPassMatchesMaterialized)
 // ---------------------------------------------------------------------
 // The streaming prefetch adapter vs. the materializing rewrite.
 
+/** Drain every record of @p source span by span, per cpu. */
+std::vector<std::vector<TraceRecord>>
+drainSpans(TraceSource &source)
+{
+    std::vector<std::vector<TraceRecord>> out(source.numCpus());
+    for (CpuId c = 0; c < source.numCpus(); ++c) {
+        auto cursor = source.cursor(c);
+        const TraceRecord *first = nullptr;
+        while (const std::size_t n = cursor->peekRun(first)) {
+            // Consume part of each span, so the next one starts
+            // inside a block.
+            const std::size_t used = std::max<std::size_t>(1, n / 2);
+            out[c].insert(out[c].end(), first, first + used);
+            cursor->advanceRun(used);
+        }
+        EXPECT_EQ(first, nullptr);
+    }
+    return out;
+}
+
 TEST(StreamPrefetch, AdapterMatchesInsertPrefetches)
 {
+    // Every inner span shape (one whole-stream span, file read-ahead
+    // of 1, 7 and 4096 records, synthesized lanes) under every kind
+    // of lookahead, drained record by record and span by span.
     const WorkloadProfile profile = smallProfile(WorkloadKind::Shell, 4);
     const Trace trace =
         generateTrace(profile, CoherenceOptions::none());
+    const std::string path = scratchPath("prefetch_matrix.otc");
+    writeTraceFile(path, trace, TraceFormat::Chunked);
 
     // Mark some genuinely occurring blocks hot.
-    HotspotPlan plan;
-    plan.lookahead = 5;
+    HotspotPlan hot;
     for (const TraceRecord &rec : trace.stream(0))
         if (rec.type == RecordType::Read && rec.isOs()) {
-            plan.hotBlocks.insert(rec.bb);
-            if (plan.hotBlocks.size() >= 4)
+            hot.hotBlocks.insert(rec.bb);
+            if (hot.hotBlocks.size() >= 4)
                 break;
         }
-    ASSERT_FALSE(plan.hotBlocks.empty());
+    ASSERT_FALSE(hot.hotBlocks.empty());
 
-    const Trace rewritten = insertPrefetches(trace, plan);
-    PrefetchStreamSource adapter(
-        std::make_unique<MaterializedTraceSource>(trace), plan);
-    const auto streamed = drain(adapter);
+    std::size_t longest = 0;
+    for (CpuId c = 0; c < trace.numCpus(); ++c)
+        longest = std::max(longest, trace.stream(c).size());
 
-    ASSERT_EQ(streamed.size(), rewritten.numCpus());
-    for (CpuId c = 0; c < rewritten.numCpus(); ++c)
-        EXPECT_EQ(streamed[c], rewritten.stream(c)) << "cpu " << c;
+    const std::pair<const char *, TraceSourceFactory> inners[] = {
+        {"materialized",
+         [&] { return std::make_unique<MaterializedTraceSource>(trace); }},
+        {"file/1", [&] { return std::make_unique<FileTraceSource>(path, 1); }},
+        {"file/7", [&] { return std::make_unique<FileTraceSource>(path, 7); }},
+        {"file/4096",
+         [&] { return std::make_unique<FileTraceSource>(path, 4096); }},
+        {"synth",
+         [&] {
+             return std::make_unique<SynthTraceSource>(
+                 profile, CoherenceOptions::none());
+         }},
+    };
+    for (const unsigned lookahead :
+         {0u, 1u, 5u, 12u, unsigned(longest + 1)}) {
+        HotspotPlan plan = hot;
+        plan.lookahead = lookahead;
+        const Trace rewritten = insertPrefetches(trace, plan);
+        const auto expected = streamsOf(rewritten);
+        for (const auto &[name, open] : inners) {
+            SCOPED_TRACE(std::string(name) + " lookahead " +
+                         std::to_string(lookahead));
+            PrefetchStreamSource by_record(open(), plan);
+            EXPECT_EQ(drain(by_record), expected);
+            EXPECT_EQ(by_record.insertedPrefetches(),
+                      rewritten.totalRecords() - trace.totalRecords());
+            PrefetchStreamSource by_span(open(), plan);
+            EXPECT_EQ(drainSpans(by_span), expected);
+        }
+    }
+    fs::remove(path);
 }
 
 // ---------------------------------------------------------------------

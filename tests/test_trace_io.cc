@@ -182,6 +182,23 @@ TEST(TraceIoTest, RejectsBadCategory)
     EXPECT_DEATH(readTrace(in), "unknown data category");
 }
 
+TEST(TraceIoTest, MaxCpusRoundTripAndWritersRefuseMore)
+{
+    Trace wide(maxTraceCpus);
+    wide.stream(0).push_back(TraceRecord::exec(5, 1, true));
+    wide.stream(maxTraceCpus - 1).push_back(TraceRecord::idle(7));
+    std::stringstream text, binary;
+    writeTrace(text, wide);
+    writeTraceChunked(binary, wide);
+    expectTracesEqual(wide, readTrace(text));
+    expectTracesEqual(wide, readTraceBinary(binary));
+
+    const Trace too_wide(maxTraceCpus + 1);
+    std::stringstream out;
+    EXPECT_DEATH(writeTrace(out, too_wide), "cannot write 65 cpus");
+    EXPECT_DEATH(writeTraceChunked(out, too_wide), "cannot write 65 cpus");
+}
+
 TEST(TraceIoTest, FileRoundTrip)
 {
     const Trace original = sampleTrace();
@@ -306,6 +323,105 @@ writeCorruptFile(const std::string &name, const std::string &bytes)
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), std::streamsize(bytes.size()));
     return path;
+}
+
+/** A malformed text trace and the reason every reader must give. */
+struct MalformedText
+{
+    const char *text;
+    const char *reason;
+};
+
+const MalformedText malformedTexts[] = {
+    {"not-a-trace\n", "missing or unsupported header"},
+    {"oscache-trace 1\n", "missing cpus line"},
+    {"oscache-trace 1\nprocs 1\n", "bad cpus line"},
+    {"oscache-trace 1\ncpus zz\n", "bad cpus line"},
+    {"oscache-trace 1\ncpus 65\n", "bad cpus line"},
+    {"oscache-trace 1\ncpus 1\nupdatepage zz\n", "bad updatepage line"},
+    {"oscache-trace 1\ncpus 1\nblockop 0 move 10 20 64 rw\n",
+     "bad blockop line"},
+    {"oscache-trace 1\ncpus 1\nblockop 0 zero 0 20\n", "bad blockop line"},
+    {"oscache-trace 1\ncpus 1\nblockop 1 zero 0 20 64 rw\n",
+     "blockop ids must be dense and in order"},
+    {"oscache-trace 1\ncpus 1\nstream 1\n", "bad stream line"},
+    {"oscache-trace 1\ncpus 1\nstream x\n", "bad stream line"},
+    {"oscache-trace 1\ncpus 1\nx 1 2 1\n",
+     "record before any stream directive"},
+    {"oscache-trace 1\ncpus 1\nstream 0\nz 1 2 3\n", "unknown directive"},
+    {"oscache-trace 1\ncpus 1\nstream 0\nr ff wat 1 1 4\n",
+     "unknown data category"},
+    {"oscache-trace 1\ncpus 1\nstream 0\nr ff user 1\n",
+     "malformed record"},
+    {"oscache-trace 1\ncpus 1\nstream 0\nB 3\n",
+     "record references unknown block op"},
+};
+
+TEST(TraceIoErrorTest, TextReadersRejectMalformedInputAlike)
+{
+    // readTrace() and FileTraceSource walk text with the same walker,
+    // so one file gets one verdict and one reason from both.
+    for (const MalformedText &row : malformedTexts) {
+        SCOPED_TRACE(row.text);
+        const std::string path = writeCorruptFile("malformed.trace", row.text);
+        std::string why;
+        EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
+        EXPECT_EQ(why.rfind(row.reason, 0), 0u) << why;
+        std::string index_why;
+        EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &index_why,
+                                           FileTraceSource::ScanDepth::Index),
+                  nullptr);
+        EXPECT_EQ(index_why, why);
+        std::stringstream in(row.text);
+        EXPECT_DEATH(readTrace(in), "trace: " + why);
+    }
+}
+
+TEST(TraceIoErrorTest, IndexOpenCursorRejectsCorruptRecords)
+{
+    // An Index-depth open seeks over record payloads, so the cursor
+    // must decode through the validating decoder and bound block-op
+    // ids itself.  sampleTrace() in chunks of 3: the header is
+    // magic(4) + version(4) + cpus(4) + page count(8) + one page(8),
+    // and each 20-byte record follows an 8-byte chunk header.  cpu
+    // 0's record 1 is a PageTable read; its record 4, in the second
+    // chunk, begins block op 0.
+    const std::string bytes = chunkedBytes(sampleTrace());
+    const std::size_t read_at = 28 + 8 + 20;
+    const std::size_t begin_at = 28 + 8 + 3 * 20 + 8 + 20;
+    ASSERT_EQ(bytes[read_at + 16], char(RecordType::Read));
+    ASSERT_EQ(bytes[read_at + 17], char(DataCategory::PageTable));
+    ASSERT_EQ(bytes[begin_at + 16], char(RecordType::BlockOpBegin));
+    ASSERT_EQ(bytes[begin_at + 8], 0);
+
+    const struct
+    {
+        std::size_t at;
+        const char *reason;
+    } cases[] = {
+        {read_at + 17, "bad data category"},
+        {read_at + 16, "bad record type"},
+        {begin_at + 8, "record references unknown block op"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.reason);
+        std::string corrupt = bytes;
+        corrupt[c.at] = char(200);
+        const std::string path = writeCorruptFile("index.otb", corrupt);
+        std::string why;
+        EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
+        EXPECT_EQ(why, c.reason);
+
+        const auto source = FileTraceSource::tryOpen(
+            path, 16, &why, FileTraceSource::ScanDepth::Index);
+        ASSERT_NE(source, nullptr) << why;
+        const auto drain = [&source] {
+            auto cursor = source->cursor(0);
+            while (cursor->peek() != nullptr)
+                cursor->advance();
+        };
+        EXPECT_DEATH(drain(), std::string("index.otb' cpu 0: ") + c.reason);
+    }
 }
 
 TEST(TraceIoErrorTest, RejectsCorruptV3VersionWord)

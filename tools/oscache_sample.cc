@@ -190,11 +190,11 @@ targetFor(const Args &args)
         fatal("hot-spot prefetch systems need complete profiles; "
               "sampled replay does not support them");
     if (!args.traceFile.empty()) {
-        // Index-depth opens: structure is still validated, but
-        // multi-GB files are not checksummed end-to-end on every
-        // open — that full read would dwarf the sampled replay
-        // itself.  `oscache replay` remains the fully-verifying
-        // path.
+        // Index-depth opens: structure is still validated, and each
+        // record as a cursor decodes it, but multi-GB files are not
+        // checksummed end-to-end on every open — that full read
+        // would dwarf the sampled replay itself.  `oscache replay`
+        // remains the fully-verifying path.
         const auto index = FileTraceSource::ScanDepth::Index;
         const FileTraceSource probe(args.traceFile, 1, index);
         t.machine.numCpus = probe.numCpus();

@@ -64,38 +64,42 @@ echo "== bench smoke streamed (tsan) =="
     --cache-dir "$tsan_build/bench_smoke_cache_stream" \
     --results "$tsan_build/bench_smoke_results_stream" all
 
-# Memory stage: a streamed replay of a trace 10x the seed length must
+# Memory stage: streamed replays of a trace 10x the seed length must
 # stay under a fixed RSS ceiling — the point of the cursor pipeline.
 # This runs against the ASan build, whose shadow memory and redzones
-# dominate the footprint: streamed replay measures ~0.5 GB where the
-# plain build needs ~25 MB, and materializing the same trace costs
-# ~1 GB.  The 768 MB ceiling sits between those, so it only trips if
-# streaming regresses to whole-trace buffering.
+# add to the footprint: the streamed Base replay peaks near 45 MB and
+# the BCPref one near 70 MB, while a materialized Base replay of the
+# same 18.6M records peaks near 770 MB.  BCPref replays the file
+# twice, its second pass through the prefetch adapter, so the ceiling
+# also bounds the adapter's buffers.
 echo "== memory ceiling (streamed long trace) =="
 memdir=$(mktemp -d)
 rss_limit_kb=786432
 "$build/tools/oscache" generate --workload shell --quanta 360 \
     --format chunked --out "$memdir/long.otc"
-if [ -x /usr/bin/time ]; then
-    /usr/bin/time -v "$build/tools/oscache" replay \
-        --trace "$memdir/long.otc" --system base --stream \
-        > "$memdir/replay.out" 2> "$memdir/time.out"
-    rss_kb=$(awk -F': ' '/Maximum resident set size/ {print $2}' \
-        "$memdir/time.out")
-else
-    # No GNU time in this environment: the CLI reports its own
-    # getrusage() high-water mark on every run.
-    "$build/tools/oscache" replay --trace "$memdir/long.otc" \
-        --system base --stream > "$memdir/replay.out"
-    rss_kb=$(awk '/peak rss/ {print $4}' "$memdir/replay.out")
-fi
-echo "streamed replay peak RSS: ${rss_kb} KB (ceiling ${rss_limit_kb} KB)"
-[ -n "$rss_kb" ] && [ "$rss_kb" -le "$rss_limit_kb" ] || {
-    echo "memory check failed: RSS ${rss_kb:-unknown} KB >" \
-        "${rss_limit_kb} KB" >&2
-    rm -rf "$memdir"
-    exit 1
-}
+for system in base bcpref; do
+    if [ -x /usr/bin/time ]; then
+        /usr/bin/time -v "$build/tools/oscache" replay \
+            --trace "$memdir/long.otc" --system "$system" --stream \
+            > "$memdir/replay.out" 2> "$memdir/time.out"
+        rss_kb=$(awk -F': ' '/Maximum resident set size/ {print $2}' \
+            "$memdir/time.out")
+    else
+        # No GNU time in this environment: the CLI reports its own
+        # getrusage() high-water mark on every run.
+        "$build/tools/oscache" replay --trace "$memdir/long.otc" \
+            --system "$system" --stream > "$memdir/replay.out"
+        rss_kb=$(awk '/peak rss/ {print $4}' "$memdir/replay.out")
+    fi
+    echo "streamed $system replay peak RSS: ${rss_kb} KB" \
+        "(ceiling ${rss_limit_kb} KB)"
+    [ -n "$rss_kb" ] && [ "$rss_kb" -le "$rss_limit_kb" ] || {
+        echo "memory check failed: $system RSS ${rss_kb:-unknown} KB >" \
+            "${rss_limit_kb} KB" >&2
+        rm -rf "$memdir"
+        exit 1
+    }
+done
 rm -rf "$memdir"
 
 tracedir=$(mktemp -d)
