@@ -86,7 +86,7 @@ struct TraceGenerator::Impl
     Rng rng;
     unsigned procs;
     std::vector<unsigned> curProc;
-    /** Emitters point here between quanta; never written to. */
+    /** Emitters point here outside their cpu's emission; never written. */
     RecordStream parked;
     std::vector<Emitter> emitters;
     unsigned barrierEpisode = 0;
@@ -132,7 +132,8 @@ TraceGenerator::done() const
 }
 
 void
-TraceGenerator::nextQuantum(const std::vector<RecordStream *> &sinks)
+TraceGenerator::nextQuantum(const std::vector<RecordStream *> &sinks,
+                            const std::function<void(CpuId)> &emitted)
 {
     Impl &st = *impl;
     if (done())
@@ -145,9 +146,6 @@ TraceGenerator::nextQuantum(const std::vector<RecordStream *> &sinks)
     const unsigned num_cpus = st.numCpus;
     Rng &rng = st.rng;
     Activities &acts = st.acts;
-
-    for (CpuId cpu = 0; cpu < num_cpus; ++cpu)
-        st.emitters[cpu].retarget(*sinks[cpu]);
 
     const unsigned q = st.quantum;
 
@@ -196,6 +194,7 @@ TraceGenerator::nextQuantum(const std::vector<RecordStream *> &sinks)
 
     for (CpuId cpu = 0; cpu < num_cpus; ++cpu) {
         Emitter &em = st.emitters[cpu];
+        em.retarget(*sinks[cpu]);
         const std::uint64_t estimate_before = em.cycleEstimate();
         if (cpu == master)
             acts.regimeChange(em, rng, cpu);
@@ -271,6 +270,8 @@ TraceGenerator::nextQuantum(const std::vector<RecordStream *> &sinks)
             em.idle(static_cast<std::uint32_t>(idle));
         }
         em.retarget(st.parked);
+        if (emitted)
+            emitted(cpu);
     }
     st.barrierEpisode += barriers;
     st.quantum += 1;

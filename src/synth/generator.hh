@@ -31,6 +31,7 @@
 #ifndef OSCACHE_SYNTH_GENERATOR_HH
 #define OSCACHE_SYNTH_GENERATOR_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -70,9 +71,13 @@ class TraceGenerator
     /**
      * Plan and emit the next quantum, appending each processor's
      * records to *sinks[cpu] (the sinks are not cleared first).
-     * Must not be called once done().
+     * Processors emit one after another, and @p emitted, when set,
+     * is called with each cpu once all its records are in its sink,
+     * before the next cpu emits: every cpu may then share one sink
+     * that the callback empties.  Must not be called once done().
      */
-    void nextQuantum(const std::vector<RecordStream *> &sinks);
+    void nextQuantum(const std::vector<RecordStream *> &sinks,
+                     const std::function<void(CpuId)> &emitted = {});
 
   private:
     struct Impl;

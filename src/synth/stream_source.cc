@@ -1,29 +1,50 @@
 #include "synth/stream_source.hh"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "common/log.hh"
 
 namespace oscache
 {
 
+/** The producer thread and its bounded hand-off to the reader. */
+struct SynthTraceSource::Pipeline
+{
+    std::mutex mutex;
+    /** Signalled when a quantum is queued or the producer ends. */
+    std::condition_variable ready;
+    /** Signalled when the reader takes a quantum or the source dies. */
+    std::condition_variable room;
+    std::deque<Quantum> queue;
+    /** Kept records in the queue. */
+    std::size_t inFlight = 0;
+    bool finished = false;
+    bool stop = false;
+    std::exception_ptr failure;
+    /** Declared last, so it is destroyed before what it uses. */
+    std::thread thread;
+};
+
 /**
- * Reads one processor's lane, asking the source to generate more
- * quanta when the lane runs dry.
+ * Reads one processor's lane, asking the source for the next
+ * quantum when the lane runs dry.
  */
 class SynthTraceSource::Cursor final : public RecordCursor
 {
   public:
     Cursor(SynthTraceSource &source, CpuId cpu)
-        : src(&source), lane(&source.lanes[cpu])
+        : src(&source), lane(&source.lanes[cpu]), feed(&source.feeds[cpu])
     {}
 
     const TraceRecord *
     peek() override
     {
         Lane &l = *lane;
-        while (l.runs.empty() && !src->gen.done())
-            src->generateQuantum();
+        while (l.runs.empty() && src->takeQuantum()) {}
         if (l.runs.empty() && l.pos >= l.produced)
             return nullptr;
         if (l.runs.empty() || l.runs.front().first != l.pos)
@@ -44,8 +65,7 @@ class SynthTraceSource::Cursor final : public RecordCursor
 
     /**
      * Position arithmetic: buffered records before the target are
-     * dropped, and quanta generated to reach it buffer nothing
-     * before it.
+     * dropped, and quanta taken to reach it bring nothing before it.
      */
     std::size_t
     skip(std::size_t n) override
@@ -56,8 +76,7 @@ class SynthTraceSource::Cursor final : public RecordCursor
             from + std::min<std::uint64_t>(n, ~std::uint64_t{0} - from);
         src->dropBefore(l, to);
         l.pos = to;
-        while (l.produced < to && !src->gen.done())
-            src->generateQuantum();
+        while (l.produced < to && src->takeQuantum()) {}
         if (l.produced < to)
             l.pos = l.produced;
         return std::size_t(l.pos - from);
@@ -71,7 +90,7 @@ class SynthTraceSource::Cursor final : public RecordCursor
         if (first == nullptr)
             return 0;
         return std::size_t(std::min<std::uint64_t>(
-            lane->runs.front().count, blockRecords - lane->head));
+            lane->runs.front().count, lane->blocks.front()->used - lane->head));
     }
 
     void
@@ -84,34 +103,52 @@ class SynthTraceSource::Cursor final : public RecordCursor
     void
     promiseSkips(std::uint64_t period, std::uint64_t keep) override
     {
-        Lane &l = *lane;
-        if (l.produced > 0 || period == 0 || keep >= period)
+        if (src->started || period == 0 || keep >= period)
             return;
-        l.period = period;
-        l.keep = keep;
+        feed->period = period;
+        feed->keep = keep;
     }
 
   private:
     SynthTraceSource *src;
     Lane *lane;
+    Feed *feed;
 };
 
 SynthTraceSource::SynthTraceSource(const WorkloadProfile &profile,
                                    const CoherenceOptions &options,
                                    unsigned num_cpus)
-    : gen(profile, options, num_cpus), lanes(num_cpus),
-      scratch(num_cpus), scratchPtrs(num_cpus),
+    : gen(profile, options, num_cpus), feeds(num_cpus),
+      scratchSinks(num_cpus, &scratch), lanes(num_cpus),
       cursorOpen(num_cpus, false)
-{
-    for (CpuId cpu = 0; cpu < num_cpus; ++cpu)
-        scratchPtrs[cpu] = &scratch[cpu];
-}
+{}
 
 SynthTraceSource::SynthTraceSource(WorkloadKind kind,
                                    const CoherenceOptions &options,
                                    unsigned num_cpus)
     : SynthTraceSource(WorkloadProfile::forKind(kind), options, num_cpus)
 {}
+
+SynthTraceSource::~SynthTraceSource()
+{
+    if (!pipe)
+        return;
+    {
+        std::lock_guard<std::mutex> lock(pipe->mutex);
+        pipe->stop = true;
+    }
+    pipe->room.notify_one();
+    pipe->thread.join();
+}
+
+std::size_t
+SynthTraceSource::peakBufferedRecords() const
+{
+    if (!pipe)
+        return peakBuffered;
+    std::lock_guard<std::mutex> lock(pipe->mutex);
+    return peakBuffered;
+}
 
 std::unique_ptr<RecordCursor>
 SynthTraceSource::cursor(CpuId cpu)
@@ -126,67 +163,174 @@ SynthTraceSource::cursor(CpuId cpu)
 }
 
 void
-SynthTraceSource::generateQuantum()
+SynthTraceSource::start()
 {
-    gen.nextQuantum(scratchPtrs);
-    for (CpuId c = 0; c < numCpus(); ++c) {
-        append(lanes[c], scratch[c]);
-        scratch[c].clear();
-    }
-    peakBuffered = std::max(peakBuffered, buffered);
+    started = true;
+    for (const Feed &feed : feeds)
+        if (feed.period == 0)
+            return;
+    auto pipeline = std::make_unique<Pipeline>();
+    Pipeline &p = *pipeline;
+    p.thread = std::thread([this, &p] { produce(p); });
+    pipe = std::move(pipeline);
 }
 
-void
-SynthTraceSource::append(Lane &lane, const RecordStream &records)
+bool
+SynthTraceSource::takeQuantum()
 {
-    const std::uint64_t begin = lane.produced;
-    const std::uint64_t end = begin + records.size();
-    lane.produced = end;
-    const auto keep = [&](std::uint64_t from, std::uint64_t to) {
-        pushBack(lane, records.data() + (from - begin),
-                 std::size_t(to - from));
-        if (!lane.runs.empty() &&
-            lane.runs.back().first + lane.runs.back().count == from)
-            lane.runs.back().count += to - from;
-        else
-            lane.runs.push_back({from, to - from});
-    };
-    // Nothing before the cursor is ever read again.
-    std::uint64_t at = std::max(begin, lane.pos);
-    if (at >= end)
-        return;
-    if (lane.period == 0) {
-        keep(at, end);
-        return;
+    if (!started)
+        start();
+    if (!pipe) {
+        if (gen.done())
+            return false;
+        generateQuantum(staged, true);
+        buffered.store(buffered.load() + staged.records);
+        splice(staged);
+        peakBuffered = std::max(peakBuffered, buffered.load());
+        return true;
     }
-    // Walk the windows the new records overlap, keeping the head of
-    // each: one division per append, none per record.
-    std::uint64_t window = at - at % lane.period;
-    while (at < end) {
-        const std::uint64_t kept_end = std::min(end, window + lane.keep);
-        if (at < kept_end)
-            keep(at, kept_end);
-        window += lane.period;
-        at = window;
-    }
-}
 
-void
-SynthTraceSource::pushBack(Lane &lane, const TraceRecord *records,
-                           std::size_t n)
-{
-    while (n > 0) {
-        if (lane.blocks.empty() || lane.tail == blockRecords) {
-            lane.blocks.push_back(std::make_unique<Block>());
-            lane.tail = 0;
+    Pipeline &p = *pipe;
+    Quantum q;
+    {
+        std::unique_lock<std::mutex> lock(p.mutex);
+        p.ready.wait(lock, [&p] { return !p.queue.empty() || p.finished; });
+        if (p.queue.empty()) {
+            if (p.failure)
+                std::rethrow_exception(p.failure);
+            return false;
         }
-        const std::size_t k = std::min(n, blockRecords - lane.tail);
-        std::copy_n(records, k, lane.blocks.back()->records + lane.tail);
-        lane.tail += k;
-        records += k;
-        n -= k;
-        buffered += k;
+        q = std::move(p.queue.front());
+        p.queue.pop_front();
+        // The records move from the queue to the lanes in one step
+        // under the lock, so the producer always counts them.
+        p.inFlight -= q.records;
+        buffered.store(buffered.load(std::memory_order_relaxed) + q.records,
+                       std::memory_order_relaxed);
     }
+    p.room.notify_one();
+    splice(q);
+    return true;
+}
+
+void
+SynthTraceSource::produce(Pipeline &p)
+{
+    std::exception_ptr failure;
+    try {
+        while (!gen.done()) {
+            {
+                std::unique_lock<std::mutex> lock(p.mutex);
+                p.room.wait(lock, [&p] {
+                    return p.stop || p.inFlight < runAheadRecords;
+                });
+                if (p.stop)
+                    break;
+            }
+            Quantum q;
+            generateQuantum(q, false);
+            std::lock_guard<std::mutex> lock(p.mutex);
+            // Only a hand-off raises what the lanes and queue hold.
+            p.inFlight += q.records;
+            peakBuffered = std::max(peakBuffered,
+                                    buffered.load(std::memory_order_relaxed) +
+                                        p.inFlight);
+            p.queue.push_back(std::move(q));
+            p.ready.notify_one();
+        }
+    } catch (...) {
+        failure = std::current_exception();
+    }
+    std::lock_guard<std::mutex> lock(p.mutex);
+    p.failure = failure;
+    p.finished = true;
+    p.ready.notify_one();
+}
+
+void
+SynthTraceSource::generateQuantum(Quantum &out, bool at_reader)
+{
+    out.kept.resize(numCpus());
+    out.produced.resize(numCpus());
+    // Every cpu emits into the one scratch stream, filtered and
+    // emptied as each cpu finishes.
+    gen.nextQuantum(scratchSinks, [&](CpuId c) {
+        Feed &feed = feeds[c];
+        Kept &kept = out.kept[c];
+        const std::uint64_t begin = feed.produced;
+        const std::uint64_t end = begin + scratch.size();
+        feed.produced = end;
+        out.produced[c] = end;
+        const auto keep = [&](std::uint64_t from, std::uint64_t to) {
+            out.records += to - from;
+            if (!kept.runs.empty() &&
+                kept.runs.back().first + kept.runs.back().count == from)
+                kept.runs.back().count += to - from;
+            else
+                kept.runs.push_back({from, to - from});
+            const TraceRecord *next = scratch.data() + (from - begin);
+            for (std::size_t n = std::size_t(to - from); n > 0;) {
+                if (kept.blocks.empty() ||
+                    kept.blocks.back()->used == blockRecords)
+                    kept.blocks.push_back(std::make_unique<Block>());
+                Block &block = *kept.blocks.back();
+                const std::size_t k = std::min(n, blockRecords - block.used);
+                std::copy_n(next, k, block.records + block.used);
+                block.used += k;
+                next += k;
+                n -= k;
+            }
+        };
+        // Nothing before the cursor is ever read again.
+        std::uint64_t at = at_reader ? std::max(begin, lanes[c].pos) : begin;
+        if (feed.period == 0) {
+            if (at < end)
+                keep(at, end);
+        } else {
+            // Walk the windows the new records overlap, keeping the
+            // head of each: one division per quantum, none per record.
+            std::uint64_t window = at - at % feed.period;
+            while (at < end) {
+                const std::uint64_t kept_end =
+                    std::min(end, window + feed.keep);
+                if (at < kept_end)
+                    keep(at, kept_end);
+                window += feed.period;
+                at = window;
+            }
+        }
+        scratch.clear();
+    });
+    const BlockOpTable &table = gen.blockOps();
+    out.ops.assign(table.begin() + std::ptrdiff_t(opsSent), table.end());
+    opsSent = table.size();
+}
+
+void
+SynthTraceSource::splice(Quantum &q)
+{
+    for (CpuId c = 0; c < numCpus(); ++c) {
+        Lane &lane = lanes[c];
+        Kept &kept = q.kept[c];
+        lane.produced = q.produced[c];
+        for (std::unique_ptr<Block> &block : kept.blocks)
+            lane.blocks.push_back(std::move(block));
+        for (const Run &run : kept.runs) {
+            if (!lane.runs.empty() &&
+                lane.runs.back().first + lane.runs.back().count == run.first)
+                lane.runs.back().count += run.count;
+            else
+                lane.runs.push_back(run);
+        }
+        kept.blocks.clear();
+        kept.runs.clear();
+        // A raw skip() may have passed records the producer kept.
+        dropBefore(lane, lane.pos);
+    }
+    for (const BlockOp &op : q.ops)
+        ops.add(op);
+    q.ops.clear();
+    q.records = 0;
 }
 
 void
@@ -199,17 +343,17 @@ SynthTraceSource::popFront(Lane &lane, std::size_t n)
     run.count -= n;
     if (run.count == 0)
         lane.runs.pop_front();
-    buffered -= n;
+    buffered.store(buffered.load(std::memory_order_relaxed) - n,
+                   std::memory_order_relaxed);
     if (lane.runs.empty()) {
         lane.blocks.clear();
         lane.head = 0;
-        lane.tail = 0;
         return;
     }
     lane.head += n;
-    while (lane.head >= blockRecords) {
+    while (lane.head >= lane.blocks.front()->used) {
+        lane.head -= lane.blocks.front()->used;
         lane.blocks.pop_front();
-        lane.head -= blockRecords;
     }
 }
 

@@ -136,6 +136,10 @@ tryParseRecordLine(const std::string &line, TraceRecord &rec,
         } else {
             unsigned size = 0;
             ls >> size;
+            if (size > 0xff) {
+                *why = "access size above 255";
+                return false;
+            }
             rec.size = std::uint8_t(size);
             rec.type = kw == "r" ? RecordType::Read : RecordType::Write;
         }

@@ -18,9 +18,10 @@
  *    binary on-disk formats incrementally with a bounded read-ahead
  *    buffer per processor;
  *  - SynthTraceSource (src/synth/stream_source.hh) generates records
- *    on demand, quantum by quantum, so generation overlaps
- *    simulation and no full trace is ever built; under a skip
- *    promise it never buffers the records a sampled replay skips.
+ *    on demand, quantum by quantum, so no full trace is ever built;
+ *    under a skip promise it never buffers the records a sampled
+ *    replay skips, and when every cursor holds one it generates on
+ *    a producer thread, overlapping generation with replay.
  *
  * Contract notes:
  *  - cursor() may be called at most once per cpu on streaming
@@ -28,7 +29,9 @@
  *  - blockOps() may GROW while cursors advance (streamed synthesis
  *    appends operations as it generates); ids already handed out
  *    stay valid, but references into the table must not be held
- *    across cursor operations.
+ *    across cursor operations.  It grows only inside cursor calls,
+ *    on the thread reading the cursors, so reading it needs no lock
+ *    even when a source generates on a thread of its own.
  *  - updatePages() is complete before the first cursor is read.
  */
 
@@ -120,9 +123,11 @@ class RecordCursor
      * position p (counted from the stream's first record) with
      * p % @p period >= @p keep; it only skips over those.  A cursor
      * may then avoid buffering them.  Sampled replay makes this
-     * promise for the stretches its plan skips.  The default ignores
-     * it, which is always correct, and so may a cursor that has
-     * already produced records when the promise arrives.
+     * promise for the stretches its plan skips, before the first
+     * read.  The default ignores it, which is always correct, and so
+     * may a cursor whose source has been read when the promise
+     * arrives.  A synthesized source whose every cursor holds the
+     * promise at its first read generates on a producer thread.
      */
     virtual void
     promiseSkips(std::uint64_t period, std::uint64_t keep)
@@ -145,7 +150,8 @@ class TraceSource
 
     /**
      * The shared block-operation table.  May grow while cursors
-     * advance (streamed synthesis); take entries by value.
+     * advance (streamed synthesis), on the reading thread; take
+     * entries by value.
      */
     virtual const BlockOpTable &blockOps() const = 0;
 

@@ -683,6 +683,54 @@ TEST(SampleRun, ReportAccountsForTheWholeStream)
     EXPECT_GT(report.of(SampleMetric::TotalTime).rate, 0.0);
 }
 
+TEST(SampleRun, SynthesizedEqualsMaterialized)
+{
+    // The engine promises every lane before the first read, so the
+    // synthesized run generates on a producer thread.  Whatever the
+    // timing, it must replay what a materialized trace replays.
+    SampleRunOptions opts;
+    opts.plan = SamplingPlan::parse("period=9k,measure=1k,warmup=2k");
+    for (const WorkloadKind kind : allWorkloads) {
+        const WorkloadProfile profile = smallProfile(kind, 12);
+        for (const SystemKind system :
+             {SystemKind::Base, SystemKind::BlkDma}) {
+            SCOPED_TRACE(std::string(toString(kind)) + " on " +
+                         toString(system));
+            const SystemSetup setup = SystemSetup::forKind(system);
+            SimOptions sim = profile.simOptions();
+            sim.checkCoherence = true;
+            const Trace trace = generateTrace(profile, setup.coherence);
+            const SampleRunOutcome materialized = runSampled(
+                [&]() -> std::unique_ptr<TraceSource> {
+                    return std::make_unique<MaterializedTraceSource>(trace);
+                },
+                MachineConfig::base(), sim, setup.blockScheme, opts);
+            const SampleRunOutcome synthesized = runSampled(
+                [&]() -> std::unique_ptr<TraceSource> {
+                    return std::make_unique<SynthTraceSource>(
+                        profile, setup.coherence);
+                },
+                MachineConfig::base(), sim, setup.blockScheme, opts);
+            ASSERT_TRUE(materialized.ok) << materialized.error;
+            ASSERT_TRUE(synthesized.ok) << synthesized.error;
+            EXPECT_TRUE(synthesized.result.stats ==
+                        materialized.result.stats);
+            EXPECT_TRUE(synthesized.warmStats == materialized.warmStats);
+            ASSERT_NE(synthesized.result.sample, nullptr);
+            ASSERT_NE(materialized.result.sample, nullptr);
+            const SampleReport &a = *synthesized.result.sample;
+            const SampleReport &b = *materialized.result.sample;
+            EXPECT_GT(a.windows.size(), 10u);
+            EXPECT_TRUE(a.windows == b.windows);
+            EXPECT_EQ(a.totalRecords, b.totalRecords);
+            EXPECT_EQ(a.totalRecords, trace.totalRecords());
+            EXPECT_EQ(a.replayedRecords, b.replayedRecords);
+            EXPECT_EQ(a.measuredRecords, b.measuredRecords);
+            EXPECT_EQ(a.skippedRecords, b.skippedRecords);
+        }
+    }
+}
+
 } // namespace
 } // namespace sample
 } // namespace oscache

@@ -5,16 +5,23 @@
  * on-disk formats through bounded cursors, corrupted chunked
  * artifacts must fail cleanly, every cursor's skip() must be exact
  * (a synthesized cursor under the skip promise too, which must also
- * keep the sampled benchmark stream's buffer small), the streaming
- * prefetch adapter must match the materializing rewrite, and the
- * in-memory trace cache must evict by LRU under its byte cap.
+ * keep the sampled benchmark stream's buffer small), a promised
+ * source's producer thread must not show in any read order, must
+ * join wherever the source dies and must pass its failures to the
+ * reader, the streaming prefetch adapter must match the
+ * materializing rewrite, and the in-memory trace cache must evict by
+ * LRU under its byte cap.
  */
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +36,61 @@
 #include "synth/stream_source.hh"
 #include "trace/io.hh"
 #include "trace/source.hh"
+
+// ---------------------------------------------------------------------
+// Allocation failure on demand, for the producer-failure test: while
+// set, every operator new off the thread that runs the tests throws.
+// ---------------------------------------------------------------------
+
+namespace
+{
+std::atomic<bool> g_fail_off_main{false};
+const std::thread::id g_main_thread = std::this_thread::get_id();
+}
+
+// noinline keeps GCC from pairing the malloc in the replacement new
+// with the free in the replacement delete at inlined use sites and
+// raising -Wmismatched-new-delete false positives.
+__attribute__((noinline)) void *
+operator new(std::size_t size)
+{
+    if (g_fail_off_main.load(std::memory_order_relaxed) &&
+        std::this_thread::get_id() != g_main_thread)
+        throw std::bad_alloc();
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+__attribute__((noinline)) void *
+operator new[](std::size_t size)
+{
+    return ::operator new(size);
+}
+
+__attribute__((noinline)) void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+__attribute__((noinline)) void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace oscache
 {
@@ -501,6 +563,249 @@ TEST(StreamSkip, SynthCursorSkipsExactly)
             EXPECT_EQ(all, trace.stream(CpuId(cpu))) << "cpu " << cpu;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// A source whose every lane is promised before the first read
+// generates on a producer thread; the reader's timing must not show.
+
+/**
+ * Reads a promised source against generateTrace()'s output: each
+ * read checks every record at a kept position, the block op of every
+ * BlockOpBegin, and where each stream ends.
+ */
+class PromisedReader
+{
+  public:
+    PromisedReader(SynthTraceSource &source, const Trace &reference)
+        : src(source), trace(reference), pos(source.numCpus(), 0),
+          ended(source.numCpus(), false)
+    {
+        for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu) {
+            cursors.push_back(source.cursor(cpu));
+            cursors.back()->promiseSkips(promisePeriod, promiseKeep);
+        }
+    }
+
+    /**
+     * Read up to @p max of @p cpu's kept records in one span, first
+     * skipping to its next kept position; false once it has ended.
+     */
+    bool
+    read(CpuId cpu, std::size_t max = ~std::size_t{0})
+    {
+        if (ended[cpu])
+            return false;
+        RecordCursor &cursor = *cursors[cpu];
+        const std::vector<TraceRecord> &expected = trace.stream(cpu);
+        std::uint64_t &at = pos[cpu];
+        const std::uint64_t off = at % promisePeriod;
+        if (off >= promiseKeep) {
+            const std::uint64_t want = promisePeriod - off;
+            const std::size_t done = cursor.skip(want);
+            at += done;
+            if (done < want)
+                return finish(cpu);
+            return true;
+        }
+        const TraceRecord *first = nullptr;
+        const std::size_t n = cursor.peekRun(first);
+        if (n == 0)
+            return finish(cpu);
+        const std::size_t used = std::min<std::uint64_t>(
+            {n, promiseKeep - off, std::uint64_t(max)});
+        EXPECT_LE(at + used, expected.size());
+        for (std::size_t i = 0; i < used && at + i < expected.size(); ++i) {
+            const TraceRecord &rec = first[i];
+            EXPECT_EQ(rec, expected[at + i])
+                << "cpu " << cpu << " position " << at + i;
+            if (rec.type == RecordType::BlockOpBegin)
+                expectSameOp(rec.aux);
+        }
+        cursor.advanceRun(used);
+        at += used;
+        return true;
+    }
+
+    /** Raw skip() of @p n records, as checkpoint resume does. */
+    void
+    skipRaw(CpuId cpu, std::uint64_t n)
+    {
+        EXPECT_EQ(cursors[cpu]->skip(n), n);
+        pos[cpu] += n;
+    }
+
+    /** BlockOpBegin records read, and how many were readOnlyAfter. */
+    std::size_t opsRead = 0;
+    std::size_t readOnlyOps = 0;
+
+  private:
+    bool
+    finish(CpuId cpu)
+    {
+        EXPECT_EQ(pos[cpu], trace.stream(cpu).size()) << "cpu " << cpu;
+        EXPECT_EQ(cursors[cpu]->peek(), nullptr);
+        EXPECT_EQ(cursors[cpu]->skip(10), 0u);
+        ended[cpu] = true;
+        return false;
+    }
+
+    void
+    expectSameOp(std::uint64_t id)
+    {
+        // By value: the table may grow at the next read.
+        const BlockOp got = src.blockOps().get(BlockOpId(id));
+        const BlockOp &want = trace.blockOps().get(BlockOpId(id));
+        EXPECT_EQ(got.src, want.src) << "op " << id;
+        EXPECT_EQ(got.dst, want.dst) << "op " << id;
+        EXPECT_EQ(got.size, want.size) << "op " << id;
+        EXPECT_EQ(got.kind, want.kind) << "op " << id;
+        EXPECT_EQ(got.readOnlyAfter, want.readOnlyAfter) << "op " << id;
+        ++opsRead;
+        readOnlyOps += want.readOnlyAfter ? 1 : 0;
+    }
+
+    SynthTraceSource &src;
+    const Trace &trace;
+    std::vector<std::unique_ptr<RecordCursor>> cursors;
+    std::vector<std::uint64_t> pos;
+    std::vector<bool> ended;
+};
+
+/** A promised stream with several budgets' worth of kept records. */
+WorkloadProfile
+promisedProfile()
+{
+    return smallProfile(WorkloadKind::Shell, 16);
+}
+
+TEST(StreamProducer, AdversarialReadOrdersMatchGenerateTrace)
+{
+    const WorkloadProfile profile = promisedProfile();
+    const Trace trace = generateTrace(profile, CoherenceOptions::none());
+
+    // One cpu to its end before the others start: the producer runs
+    // the whole stream past the waiting lanes.
+    {
+        SCOPED_TRACE("one cpu at a time");
+        SynthTraceSource source(profile, CoherenceOptions::none());
+        PromisedReader r(source, trace);
+        for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu)
+            while (r.read(cpu)) {}
+        EXPECT_GT(r.opsRead, 0u);
+        EXPECT_GT(r.readOnlyOps, 0u);
+        EXPECT_EQ(source.blockOps().size(), trace.blockOps().size());
+    }
+
+    // Round-robin, one record at a time.
+    {
+        SCOPED_TRACE("round-robin by record");
+        SynthTraceSource source(profile, CoherenceOptions::none());
+        PromisedReader r(source, trace);
+        for (bool any = true; any;) {
+            any = false;
+            for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu)
+                any = r.read(cpu, 1) || any;
+        }
+        EXPECT_EQ(source.blockOps().size(), trace.blockOps().size());
+    }
+
+    // A reader that pauses after a span until the producer has run
+    // ahead to its budget, then round-robin by span.
+    {
+        SCOPED_TRACE("paused reader");
+        SynthTraceSource source(profile, CoherenceOptions::none());
+        PromisedReader r(source, trace);
+        ASSERT_TRUE(r.read(0));
+        for (int wait = 0; wait < 10'000 &&
+             source.peakBufferedRecords() < SynthTraceSource::runAheadRecords;
+             ++wait)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_GE(source.peakBufferedRecords(),
+                  SynthTraceSource::runAheadRecords);
+        for (bool any = true; any;) {
+            any = false;
+            for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu)
+                any = r.read(cpu) || any;
+        }
+        EXPECT_EQ(source.blockOps().size(), trace.blockOps().size());
+        // The run-ahead never held the whole kept stream.
+        EXPECT_LT(source.peakBufferedRecords(),
+                  trace.totalRecords() * promiseKeep / promisePeriod);
+    }
+
+    // Raw skips into kept windows (checkpoint resume) first: the
+    // reader drops what the producer kept before each position.
+    {
+        SCOPED_TRACE("raw skips, then round-robin by span");
+        SynthTraceSource source(profile, CoherenceOptions::none());
+        PromisedReader r(source, trace);
+        for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu)
+            r.skipRaw(cpu, (3 + cpu) * promisePeriod + 5 + 7 * cpu);
+        for (bool any = true; any;) {
+            any = false;
+            for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu)
+                any = r.read(cpu) || any;
+        }
+    }
+}
+
+TEST(StreamProducer, DestroyedAtAnyPointJoinsPromptly)
+{
+    // Destroying a promised source stops and joins its producer
+    // wherever the reader is: before the first read (no producer
+    // yet), after one span, midway with the producer held at its
+    // budget, and after the last record.
+    const WorkloadProfile profile = promisedProfile();
+    const Trace trace = generateTrace(profile, CoherenceOptions::none());
+    const std::uint64_t kept0 =
+        trace.stream(0).size() * promiseKeep / promisePeriod;
+    const struct
+    {
+        const char *name;
+        std::uint64_t spans; ///< cpu 0 spans read first (~0 = all).
+    } stages[] = {
+        {"before the first read", 0},
+        {"after one span", 1},
+        {"midway", kept0 / 2},
+        {"at the end", ~std::uint64_t{0}},
+    };
+    for (const auto &stage : stages) {
+        SCOPED_TRACE(stage.name);
+        auto source = std::make_unique<SynthTraceSource>(
+            profile, CoherenceOptions::none());
+        {
+            PromisedReader r(*source, trace);
+            for (std::uint64_t i = 0; i < stage.spans && r.read(0, 1); ++i) {}
+            if (stage.spans == ~std::uint64_t{0}) {
+                for (CpuId cpu = 1; cpu < source->numCpus(); ++cpu)
+                    while (r.read(cpu)) {}
+            }
+        }
+        // Give the producer time to fill its budget and block.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const auto t0 = std::chrono::steady_clock::now();
+        source.reset();
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::seconds(2));
+    }
+}
+
+TEST(StreamProducer, GenerationFailureReachesTheReader)
+{
+    // The producer's first allocation fails; the reader must see the
+    // exception at its next read, and the source still joins.
+    const WorkloadProfile profile = promisedProfile();
+    SynthTraceSource source(profile, CoherenceOptions::none());
+    std::vector<std::unique_ptr<RecordCursor>> cursors;
+    for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu) {
+        cursors.push_back(source.cursor(cpu));
+        cursors.back()->promiseSkips(promisePeriod, promiseKeep);
+    }
+    g_fail_off_main = true;
+    EXPECT_THROW(cursors[0]->peek(), std::bad_alloc);
+    g_fail_off_main = false;
+    EXPECT_THROW(cursors[1]->peek(), std::bad_alloc);
 }
 
 /** Forwards to a SynthTraceSource the caller keeps, to read its peak. */

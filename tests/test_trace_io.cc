@@ -353,6 +353,8 @@ const MalformedText malformedTexts[] = {
      "unknown data category"},
     {"oscache-trace 1\ncpus 1\nstream 0\nr ff user 1\n",
      "malformed record"},
+    {"oscache-trace 1\ncpus 1\nstream 0\nr ff00 kother 7 1 999\n",
+     "access size above 255"},
     {"oscache-trace 1\ncpus 1\nstream 0\nB 3\n",
      "record references unknown block op"},
 };

@@ -37,20 +37,23 @@ fi
 echo "== lint selftest =="
 "$build/tools/oscache-lint" selftest
 
-# The parallel experiment scheduler is the one concurrent subsystem;
-# build it (and the thread-safe trace cache under it) with TSan and
-# run the Exp* and Stream* suites plus the end-to-end bench smoke.
+# Two subsystems run threads: the parallel experiment scheduler (and
+# the thread-safe trace cache under it), and the producer thread a
+# synthesized source starts for a sampled replay, which generates
+# quanta while the engine replays.  Build both with TSan and run the
+# Exp*, Stream*, Sample* and SampledBatched* suites plus end-to-end
+# bench smokes, the last with several sampled producers at once.
 tsan_build="$build-tsan"
 echo "== configure tsan ($tsan_build) =="
 cmake -B "$tsan_build" -S "$repo" -DOSCACHE_SANITIZE=thread
 
 echo "== build tsan =="
 cmake --build "$tsan_build" -j "$jobs" --target test_exp test_stream \
-    oscache_bench
+    test_sample test_perf_equiv oscache_bench
 
-echo "== ctest tsan (Exp*, Stream*) =="
+echo "== ctest tsan (Exp*, Stream*, Sample*, SampledBatched*) =="
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
-    -R '^Exp|^Stream'
+    -R '^Exp|^Stream|^Sample|^SampledBatched'
 
 # --metrics: every cell's hub keeps plain single-writer state, which
 # holds only while each run stays on one thread.
@@ -64,17 +67,24 @@ echo "== bench smoke streamed (tsan) =="
     --cache-dir "$tsan_build/bench_smoke_cache_stream" \
     --results "$tsan_build/bench_smoke_results_stream" all
 
+echo "== bench smoke streamed and sampled (tsan, producer threads) =="
+"$tsan_build/tools/oscache-bench" --smoke --jobs 4 --quiet --stream \
+    --no-cache --sample period=20k,measure=1k,warmup=4k \
+    --results "$tsan_build/bench_smoke_results_sampled" all
+
 # Memory stage: streamed replays of a trace 10x the seed length must
 # stay under a fixed RSS ceiling — the point of the cursor pipeline.
 # This runs against the ASan build, whose shadow memory and redzones
 # add to the footprint: the streamed Base replay peaks near 45 MB and
 # the BCPref one near 70 MB, while a materialized Base replay of the
-# same 18.6M records peaks near 770 MB.  BCPref replays the file
-# twice, its second pass through the prefetch adapter, so the ceiling
-# also bounds the adapter's buffers.
+# same 18.6M records peaks near 770 MB.  The 256 MiB ceiling sits
+# well above the streamed peaks and far below the materialized one,
+# so a replay that regresses to holding the whole trace fails.
+# BCPref replays the file twice, its second pass through the prefetch
+# adapter, so the ceiling also bounds the adapter's buffers.
 echo "== memory ceiling (streamed long trace) =="
 memdir=$(mktemp -d)
-rss_limit_kb=786432
+rss_limit_kb=262144
 "$build/tools/oscache" generate --workload shell --quanta 360 \
     --format chunked --out "$memdir/long.otc"
 for system in base bcpref; do
