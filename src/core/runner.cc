@@ -20,11 +20,8 @@ RunAssembly::RunAssembly(TraceSource &trace_source,
     if (options.checkCoherence)
         check = std::make_unique<CoherenceChecker>(machine);
 
-    // Observability: the run-level opt-ins merged with the
-    // process-wide default (oscache-bench --metrics).
-    const ObsOptions obs_opts = effectiveObsOptions(options.obs);
-    if (obs_opts.any()) {
-        obsHub = std::make_unique<ObsHub>(obs_opts);
+    if (options.obs.any()) {
+        obsHub = std::make_unique<ObsHub>(options.obs);
         obsHub->attach(*mem);
     }
     mem->setObservers({check.get(), obsHub.get()});

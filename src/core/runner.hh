@@ -97,8 +97,7 @@ struct RunResult
     /** Fraction of profiled other-misses the hot spots covered. */
     double hotspotCoverage = 0.0;
     /**
-     * Observability report; null unless the effective ObsOptions
-     * (run-level merged with the process-wide default) enabled
+     * Observability report; null unless SimOptions::obs enabled
      * something.  For two-phase hot-spot runs this is the report of
      * the final (prefetching) pass.
      */
@@ -124,9 +123,8 @@ using ExecutorWrap = std::function<std::unique_ptr<BlockOpExecutor>(
 /**
  * One simulation pass, assembled: the memory system for @p machine,
  * the coherence checker (options.checkCoherence) and observability
- * hub (options.obs merged with the process-wide default) attached to
- * it, the executor for @p scheme (optionally wrapped), and the System
- * replaying @p source.
+ * hub (options.obs) attached to it, the executor for @p scheme
+ * (optionally wrapped), and the System replaying @p source.
  *
  * Most callers want runOnce().  Callers that drive the engine
  * themselves (sampled replay ticks, resumes and checkpoints) or add a

@@ -78,6 +78,13 @@ writeArtifact(const std::string &path,
     }
 }
 
+/** The store key of the trace runWorkload() asks the cache for. */
+std::string
+workloadKey(WorkloadKind w, const CoherenceOptions &o, unsigned cpus)
+{
+    return TraceStore::keyFor(WorkloadProfile::forKind(w), o, cpus);
+}
+
 } // namespace
 
 TraceStore::TraceStore(std::string directory) : root(std::move(directory))
@@ -187,38 +194,32 @@ TraceStore::store(const std::string &key, const Trace &trace)
 }
 
 void
-installTraceStore(TraceStore *store, bool stream, std::size_t read_ahead)
+installTraceStore(TraceStore *store)
 {
     if (store == nullptr) {
         setTraceCacheHooks({}, {});
-        setTraceSourceHook({});
         return;
     }
-    const auto key = [](WorkloadKind w, const CoherenceOptions &o,
-                        unsigned cpus) {
-        return TraceStore::keyFor(WorkloadProfile::forKind(w), o, cpus);
-    };
     setTraceCacheHooks(
-        [store, key](WorkloadKind w, const CoherenceOptions &o,
-                     unsigned cpus) { return store->load(key(w, o, cpus)); },
-        [store, key](WorkloadKind w, const CoherenceOptions &o,
-                     unsigned cpus, const Trace &t) {
-            store->store(key(w, o, cpus), t);
-        });
-    if (!stream) {
-        setTraceSourceHook({});
-        return;
-    }
-    setTraceSourceHook(
-        [store, key, read_ahead](WorkloadKind w, const CoherenceOptions &o,
-                                 unsigned cpus)
-            -> std::unique_ptr<TraceSource> {
-            const std::string k = key(w, o, cpus);
-            if (auto source = store->openSource(k, read_ahead))
-                return source;
-            store->storeStreaming(k, WorkloadProfile::forKind(w), o, cpus);
-            return store->openSource(k, read_ahead);
-        });
+        [store](WorkloadKind w, const CoherenceOptions &o, unsigned cpus) {
+            return store->load(workloadKey(w, o, cpus));
+        },
+        [store](WorkloadKind w, const CoherenceOptions &o, unsigned cpus,
+                const Trace &t) { store->store(workloadKey(w, o, cpus), t); });
+}
+
+TraceSourceHook
+streamFromStore(TraceStore &store, std::size_t read_ahead)
+{
+    return [&store, read_ahead](WorkloadKind w, const CoherenceOptions &o,
+                                unsigned cpus)
+               -> std::unique_ptr<TraceSource> {
+        const std::string k = workloadKey(w, o, cpus);
+        if (auto source = store.openSource(k, read_ahead))
+            return source;
+        store.storeStreaming(k, WorkloadProfile::forKind(w), o, cpus);
+        return store.openSource(k, read_ahead);
+    };
 }
 
 } // namespace oscache

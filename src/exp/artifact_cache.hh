@@ -30,6 +30,7 @@
 #include <string>
 
 #include "core/cohopt.hh"
+#include "report/experiment.hh"
 #include "synth/profile.hh"
 #include "trace/source.hh"
 #include "trace/trace.hh"
@@ -112,14 +113,18 @@ class TraceStore
 
 /**
  * Put @p store under the in-memory trace cache (report/experiment.hh):
- * materialized runs load from and store to it, and with @p stream a
- * missing trace is generated straight to a chunked artifact, then
- * streamed from disk with @p read_ahead records of buffer per
- * processor.  A null @p store removes the hooks again.  The store
- * must outlive its installation.
+ * materialized runs load from and store to it.  A null @p store
+ * removes the hooks again.  The store must outlive its installation.
  */
-void installTraceStore(TraceStore *store, bool stream = false,
-                       std::size_t read_ahead = defaultStreamReadAhead);
+void installTraceStore(TraceStore *store);
+
+/**
+ * A RunContext::openStreamed over @p store: a missing trace is
+ * generated straight to a chunked artifact, then streamed from disk
+ * with @p read_ahead records of buffer per processor.  The store must
+ * outlive the opener.
+ */
+TraceSourceHook streamFromStore(TraceStore &store, std::size_t read_ahead);
 
 } // namespace oscache
 

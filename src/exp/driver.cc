@@ -16,7 +16,6 @@
 #include "exp/pool.hh"
 #include "exp/results.hh"
 #include "obs/timeline.hh"
-#include "sample/run.hh"
 
 namespace oscache
 {
@@ -35,13 +34,10 @@ struct Unit
 struct HookGuard
 {
     bool storeActive = false;
-    bool samplingActive = false;
     ~HookGuard()
     {
         if (storeActive)
             installTraceStore(nullptr);
-        if (samplingActive)
-            sample::setGlobalSamplingPlan(std::nullopt);
     }
 };
 
@@ -67,18 +63,18 @@ runExperiments(const std::vector<const Experiment *> &experiments,
         report.experiments[e].experiment = experiments[e];
 
     setTraceCacheCapacity(options.traceCacheBytes);
-    setTraceSourceMode(options.stream ? TraceSourceMode::Streamed
-                                      : TraceSourceMode::Materialized);
 
+    RunContext ctx;
+    ctx.samplePlan = options.samplePlan;
+    ctx.obs = options.obs;
+    ctx.stream = options.stream;
     HookGuard hooks;
-    if (options.samplePlan.has_value()) {
-        sample::setGlobalSamplingPlan(options.samplePlan);
-        hooks.samplingActive = true;
-    }
     if (options.store != nullptr) {
-        installTraceStore(options.store, options.stream,
-                          options.streamBufferRecords);
+        installTraceStore(options.store);
         hooks.storeActive = true;
+        if (options.stream)
+            ctx.openStreamed = streamFromStore(*options.store,
+                                               options.streamBufferRecords);
     }
     resetTraceCacheStats();
 
@@ -125,14 +121,9 @@ runExperiments(const std::vector<const Experiment *> &experiments,
         const JobGraph::NodeId node = graph.add(
             label,
             [&unit, &rep, &mutex, &report, &sink, &experiments, &options,
-             &run_start, &lanes, label] {
+             &ctx, &run_start, &lanes, label] {
                 const auto start = std::chrono::steady_clock::now();
-                CellOutcome outcome;
-                if (rep.body)
-                    outcome = rep.body();
-                else
-                    outcome.run =
-                        runWorkload(rep.workload, rep.system, rep.machine);
+                const CellOutcome outcome = runCell(rep, ctx);
                 const double wall_ms =
                     std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - start)

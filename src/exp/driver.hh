@@ -43,9 +43,10 @@ struct DriverOptions
     TraceStore *store = nullptr;
     /**
      * Pull records through streaming cursors instead of materializing
-     * whole traces: cells synthesize on demand (or stream from the
-     * store's chunked artifacts when one is installed), so peak
-     * memory is bounded by jobs x cursor buffers.
+     * whole traces: standard cells synthesize on demand (or stream
+     * from the store's chunked artifacts when one is installed), so
+     * their peak memory is bounded by jobs x cursor buffers.  Custom
+     * cells always replay the cached materialized trace.
      */
     bool stream = false;
     /** Per-processor cursor read-ahead (records) for file sources. */
@@ -67,6 +68,8 @@ struct DriverOptions
      * the results sink emits confidence-interval columns.
      */
     std::optional<sample::SamplingPlan> samplePlan;
+    /** Observers every pass of every cell attaches (--metrics). */
+    ObsOptions obs;
     /**
      * Progress callback, called once per finished graph node with a
      * human-readable label.  Invoked from worker threads; must be
@@ -109,9 +112,12 @@ struct DriverReport
 
 /**
  * Run @p experiments under @p options and return the collected
- * outcomes and rendered reports.  Installs (and afterwards removes)
- * the persistence hooks when options.store is set; resets the
- * trace-cache counters at entry so traceStats describes this run.
+ * outcomes and rendered reports.  Every cell runs under one
+ * RunContext built from @p options (plan, observers, stream), so
+ * concurrent calls may differ in any of them.  Installs (and
+ * afterwards removes) the persistence hooks when options.store is
+ * set; resets the trace-cache counters at entry so traceStats
+ * describes this run (calls running at once share the counters).
  * Rethrows the first cell failure after the graph drains.
  */
 DriverReport runExperiments(

@@ -640,11 +640,11 @@ makeTable3()
         cell.id = censusId(kind);
         cell.workload = kind;
         cell.system = SystemKind::Base;
-        cell.body = [kind] {
+        cell.body = [kind](const RunContext &ctx) {
             const auto trace =
                 cachedWorkloadTrace(kind, CoherenceOptions::none());
             const SimOptions opts =
-                WorkloadProfile::forKind(kind).simOptions();
+                ctx.simOptions(WorkloadProfile::forKind(kind));
             const MachineConfig machine = MachineConfig::base();
 
             BlockOpCensus census;
@@ -751,11 +751,11 @@ makeTable4()
         cell.id = deferId(kind);
         cell.workload = kind;
         cell.system = SystemKind::Base;
-        cell.body = [kind] {
+        cell.body = [kind](const RunContext &ctx) {
             const auto trace =
                 cachedWorkloadTrace(kind, CoherenceOptions::none());
             const SimOptions opts =
-                WorkloadProfile::forKind(kind).simOptions();
+                ctx.simOptions(WorkloadProfile::forKind(kind));
             const MachineConfig machine = MachineConfig::base();
 
             std::uint64_t copies = 0;
@@ -966,9 +966,9 @@ makeAblationUpdateSet()
         cell.id = updsetId(kind);
         cell.workload = kind;
         cell.system = SystemKind::BCohRelUp;
-        cell.body = [kind] {
-            const WorkloadProfile profile = WorkloadProfile::forKind(kind);
-            const SimOptions opts = profile.simOptions();
+        cell.body = [kind](const RunContext &ctx) {
+            const SimOptions opts =
+                ctx.simOptions(WorkloadProfile::forKind(kind));
             const CoherenceOptions options =
                 CoherenceOptions::relocUpdate();
             const KernelLayout layout(4, options);
@@ -1078,9 +1078,9 @@ makeAblationPrefetchDistance()
         cell.id = lookaheadId(kind);
         cell.workload = kind;
         cell.system = SystemKind::BCPref;
-        cell.body = [kind] {
-            const WorkloadProfile profile = WorkloadProfile::forKind(kind);
-            const SimOptions opts = profile.simOptions();
+        cell.body = [kind](const RunContext &ctx) {
+            const SimOptions opts =
+                ctx.simOptions(WorkloadProfile::forKind(kind));
             const auto trace =
                 cachedWorkloadTrace(kind, CoherenceOptions::relocUpdate());
 
@@ -1225,12 +1225,11 @@ makeAblationICache()
             cell.id = icacheId(detailed != 0, kind);
             cell.workload = kind;
             cell.system = SystemKind::Base;
-            cell.body = [kind, detailed] {
-                const WorkloadProfile profile =
-                    WorkloadProfile::forKind(kind);
+            cell.body = [kind, detailed](const RunContext &ctx) {
                 const auto trace =
                     cachedWorkloadTrace(kind, CoherenceOptions::none());
-                SimOptions opts = profile.simOptions();
+                SimOptions opts =
+                    ctx.simOptions(WorkloadProfile::forKind(kind));
                 opts.modelICache = detailed != 0;
 
                 CellOutcome out;
@@ -1443,7 +1442,8 @@ variantCell(std::string id, WorkloadKind kind, unsigned cpus,
     cell.workload = kind;
     cell.system = SystemKind::Base;
     cell.machine.numCpus = cpus;
-    cell.body = [kind, machine = cell.machine, seed] {
+    cell.body = [kind, machine = cell.machine,
+                 seed](const RunContext &ctx) {
         WorkloadProfile profile = WorkloadProfile::forKind(kind);
         profile.quanta = 24;
         if (seed != 0)
@@ -1452,7 +1452,7 @@ variantCell(std::string id, WorkloadKind kind, unsigned cpus,
             const SystemSetup setup = SystemSetup::forKind(sys);
             const Trace trace =
                 generateTrace(profile, setup.coherence, machine.numCpus);
-            return runOnTrace(trace, machine, profile.simOptions(), setup);
+            return runOnTrace(trace, machine, ctx.simOptions(profile), setup);
         };
         CellOutcome out;
         out.run = run(SystemKind::Base);
@@ -1589,9 +1589,9 @@ makeExtensionMorePrefetches()
         cell.id = hotspotsId(kind);
         cell.workload = kind;
         cell.system = SystemKind::BCohRelUp;
-        cell.body = [kind] {
+        cell.body = [kind](const RunContext &ctx) {
             const SimOptions opts =
-                WorkloadProfile::forKind(kind).simOptions();
+                ctx.simOptions(WorkloadProfile::forKind(kind));
             const auto trace =
                 cachedWorkloadTrace(kind, CoherenceOptions::relocUpdate());
 
@@ -1737,9 +1737,10 @@ makeCalibrate()
         cell.id = calibrateId(kind);
         cell.workload = kind;
         cell.system = SystemKind::Base;
-        cell.body = [kind] {
+        cell.body = [kind](const RunContext &ctx) {
             CellOutcome out;
-            out.run = runWorkload(kind, SystemKind::Base);
+            out.run = runWorkload(kind, SystemKind::Base,
+                                  MachineConfig::base(), ctx);
             // Block-operation census straight from the generator.
             for (const char *op_kind : {"copies_", "zeros_"})
                 for (const char *size : sizeClasses)
@@ -1842,6 +1843,16 @@ makeCalibrate()
 }
 
 } // namespace
+
+CellOutcome
+runCell(const CellSpec &spec, const RunContext &ctx)
+{
+    if (spec.body)
+        return spec.body(ctx);
+    CellOutcome outcome;
+    outcome.run = runWorkload(spec.workload, spec.system, spec.machine, ctx);
+    return outcome;
+}
 
 const std::vector<Experiment> &
 experimentRegistry()

@@ -7,13 +7,14 @@
  * An Experiment is split into:
  *
  *  - cells: the independent (workload × system × machine) simulation
- *    units, each a closed function returning a CellOutcome.  Most
- *    are plain runWorkload() calls described declaratively; a few
- *    (Table 3's census, the update-set ablation, ...) carry custom
- *    bodies, which run their passes through the same run assembly
- *    (core/runner).  Cells with equal `sharedKey` are identical work —
- *    the driver runs one and shares the outcome, so e.g. the Base
- *    runs that five different figures need happen once per sweep.
+ *    units, each a function of the run's RunContext returning a
+ *    CellOutcome; runCell() runs one.  Most are plain runWorkload()
+ *    calls described declaratively; a few (Table 3's census, the
+ *    update-set ablation, ...) carry custom bodies, which run their
+ *    passes through the same run assembly (core/runner) with the
+ *    context's observers.  Cells with equal `sharedKey` are identical
+ *    work — the driver runs one and shares the outcome, so e.g. the
+ *    Base runs that five different figures need happen once per sweep.
  *  - render: turns the completed cells into the experiment's text
  *    output (tables and bar charts).  Renders are graph nodes
  *    depending on their cells, so one experiment can be rendering
@@ -27,11 +28,13 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/runner.hh"
 #include "core/system_config.hh"
 #include "mem/config.hh"
+#include "report/experiment.hh"
 #include "synth/profile.hh"
 
 namespace oscache
@@ -64,6 +67,25 @@ class CellLookup
     const std::map<std::string, CellOutcome> &cells;
 };
 
+/** A custom cell body: the cell's outcome under a run's context. */
+struct CellBody : std::function<CellOutcome(const RunContext &)>
+{
+    using std::function<CellOutcome(const RunContext &)>::function;
+
+    /**
+     * A body that ignores the context.  Exists only for perfbench,
+     * whose traced registry copy assigns no-argument lambdas; the
+     * registry's own bodies all take the context.
+     */
+    template <typename F>
+        requires std::is_invocable_r_v<CellOutcome, const F &>
+    CellBody(F body)
+        : function([body = std::move(body)](const RunContext &) {
+              return body();
+          })
+    {}
+};
+
 /** One schedulable simulation unit. */
 struct CellSpec
 {
@@ -75,9 +97,9 @@ struct CellSpec
     MachineConfig machine = MachineConfig::base();
     /**
      * The cell body.  Empty means the standard cell:
-     * runWorkload(workload, system, machine).
+     * runWorkload(workload, system, machine, ctx).
      */
-    std::function<CellOutcome()> body;
+    CellBody body;
     /**
      * Cells with the same non-empty key compute the same thing; the
      * driver runs one representative and shares the outcome.  Empty
@@ -97,6 +119,12 @@ struct Experiment
     /** Cell to run under --smoke (one small cell per experiment). */
     std::string smokeCell;
 };
+
+/**
+ * Run @p spec under @p ctx: its body, or the standard cell.  The one
+ * dispatch the driver and the fleet workers share.
+ */
+CellOutcome runCell(const CellSpec &spec, const RunContext &ctx);
 
 /** All registered experiments, in presentation order. */
 const std::vector<Experiment> &experimentRegistry();

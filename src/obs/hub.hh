@@ -67,9 +67,9 @@ struct ObsReport
 };
 
 /**
- * The hub.  Construct with *effective* options (see
- * effectiveObsOptions), attach() to the memory system, add it to the
- * memory system's observers, run, then call finish() exactly once.
+ * The hub.  Construct with the run's options (SimOptions::obs),
+ * attach() to the memory system, add it to the memory system's
+ * observers, run, then call finish() exactly once.
  */
 class ObsHub : public MemEventObserver, public BusProbe
 {

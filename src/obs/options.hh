@@ -6,15 +6,9 @@
  * caller of the runner can opt into observation without the sim layer
  * linking against src/obs.  Everything defaults to off: a run with
  * the default options attaches no hub, and the memory system pays
- * only a null-pointer/flag test per event.
- *
- * A process-wide default can be installed (setGlobalObsOptions) for
- * call paths that cannot thread options through — the experiment
- * registry's cells call runWorkload() with no options parameter, so
- * `oscache-bench --metrics` enables per-cell metric snapshots this
- * way.  The runner merges the global default into the per-run options
- * field-by-field (logical OR of the enables; the per-run value wins
- * for rates and capacities when it differs from the default).
+ * only a null-pointer/flag test per event.  The runner uses a run's
+ * options as given; registry cells take theirs from the RunContext
+ * (report/experiment.hh) that `oscache-bench --metrics` fills in.
  */
 
 #ifndef OSCACHE_OBS_OPTIONS_HH
@@ -58,19 +52,6 @@ struct ObsOptions
         return metrics || timeline || profiler || busWindows;
     }
 };
-
-/**
- * Install the process-wide default consulted by the runner.  Not
- * thread-safe against in-flight runs; set it once at startup (the
- * bench CLI does) before any simulation starts.
- */
-void setGlobalObsOptions(const ObsOptions &options);
-
-/** The installed process-wide default (all-off initially). */
-const ObsOptions &globalObsOptions();
-
-/** @p run merged with the process-wide default (enables OR'd). */
-ObsOptions effectiveObsOptions(const ObsOptions &run);
 
 } // namespace oscache
 

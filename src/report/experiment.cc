@@ -72,9 +72,6 @@ struct CacheState
     TraceCacheStats stats;
     TraceLoadHook load;
     TraceStoreHook store;
-
-    TraceSourceMode sourceMode = TraceSourceMode::Materialized;
-    TraceSourceHook sourceHook;
 };
 
 CacheState &
@@ -197,50 +194,43 @@ cachedWorkloadTrace(WorkloadKind workload, const CoherenceOptions &options,
     return cachedTrace(workload, options, num_cpus);
 }
 
+SimOptions
+RunContext::simOptions(const WorkloadProfile &profile) const
+{
+    SimOptions options = profile.simOptions();
+    options.obs = obs;
+    return options;
+}
+
 RunResult
 runWorkload(WorkloadKind workload, const SystemSetup &setup,
-            const MachineConfig &machine)
+            const MachineConfig &machine, const RunContext &ctx)
 {
     const WorkloadProfile profile = WorkloadProfile::forKind(workload);
+    const SimOptions options = ctx.simOptions(profile);
 
-    TraceSourceMode mode;
-    TraceSourceHook hook;
-    {
-        CacheState &state = cacheState();
-        std::lock_guard<std::mutex> lock(state.mutex);
-        mode = state.sourceMode;
-        hook = state.sourceHook;
-    }
-
-    // Sampled mode: replay under the process-wide sampling plan.
-    // Hot-spot-prefetch cells are exempt — their profile pass needs
-    // complete per-block miss counts, which sampling decimates.
-    const std::optional<sample::SamplingPlan> &plan =
-        sample::globalSamplingPlan();
-    const bool sampled = plan.has_value() && !setup.hotspotPrefetch;
-
-    const TracePtr trace = mode == TraceSourceMode::Materialized
-        ? cachedWorkloadTrace(workload, setup.coherence, machine.numCpus)
-        : nullptr;
+    const TracePtr trace = ctx.stream
+        ? nullptr
+        : cachedWorkloadTrace(workload, setup.coherence, machine.numCpus);
     const auto open = [&]() -> std::unique_ptr<TraceSource> {
         if (trace)
             return std::make_unique<MaterializedTraceSource>(*trace);
-        if (hook) {
-            if (auto source = hook(workload, setup.coherence,
-                                   machine.numCpus))
+        if (ctx.openStreamed) {
+            if (auto source = ctx.openStreamed(workload, setup.coherence,
+                                               machine.numCpus))
                 return source;
         }
         return std::make_unique<SynthTraceSource>(profile, setup.coherence,
                                                   machine.numCpus);
     };
-    if (!sampled)
-        return runOnSource(open, machine, profile.simOptions(), setup);
+    // Hot-spot-prefetch systems replay in full (RunContext::samplePlan).
+    if (!ctx.samplePlan.has_value() || setup.hotspotPrefetch)
+        return runOnSource(open, machine, options, setup);
 
     sample::SampleRunOptions sample_options;
-    sample_options.plan = *plan;
+    sample_options.plan = *ctx.samplePlan;
     sample::SampleRunOutcome outcome = sample::runSampled(
-        open, machine, profile.simOptions(), setup.blockScheme,
-        sample_options);
+        open, machine, options, setup.blockScheme, sample_options);
     if (!outcome.ok)
         fatal("sampled run failed: ", outcome.error);
     return std::move(outcome.result);
@@ -248,9 +238,9 @@ runWorkload(WorkloadKind workload, const SystemSetup &setup,
 
 RunResult
 runWorkload(WorkloadKind workload, SystemKind kind,
-            const MachineConfig &machine)
+            const MachineConfig &machine, const RunContext &ctx)
 {
-    return runWorkload(workload, SystemSetup::forKind(kind), machine);
+    return runWorkload(workload, SystemSetup::forKind(kind), machine, ctx);
 }
 
 void
@@ -311,22 +301,6 @@ setTraceCacheHooks(TraceLoadHook load, TraceStoreHook store)
     std::lock_guard<std::mutex> lock(state.mutex);
     state.load = std::move(load);
     state.store = std::move(store);
-}
-
-void
-setTraceSourceMode(TraceSourceMode mode)
-{
-    CacheState &state = cacheState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.sourceMode = mode;
-}
-
-void
-setTraceSourceHook(TraceSourceHook hook)
-{
-    CacheState &state = cacheState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.sourceHook = std::move(hook);
 }
 
 } // namespace oscache

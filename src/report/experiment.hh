@@ -4,13 +4,18 @@
  * generate (and cache) the synthetic trace a named system needs,
  * run it, and return the results.
  *
- * The in-process trace cache is concurrency-safe: any number of
- * threads may call runWorkload() at once (the parallel experiment
- * scheduler in src/exp does exactly that) and each distinct
- * (workload, coherence-options) trace is generated exactly once —
- * later requesters block on a per-key generation latch instead of
- * duplicating the work.  An optional persistence hook lets a
- * disk-backed artifact cache sit underneath the in-memory one.
+ * How a run replays (sampled or in full, observed or not, from the
+ * trace cache or through streaming cursors) is a RunContext value the
+ * caller passes down, so concurrent runs in one process can differ in
+ * any of it.  The in-process trace cache is the one piece of process
+ * state: it memoizes traces by content key, so every run may share it.
+ * It is concurrency-safe: any number of threads may call
+ * runWorkload() at once (the parallel experiment scheduler in src/exp
+ * does exactly that) and each distinct (workload, coherence-options)
+ * trace is generated exactly once — later requesters block on a
+ * per-key generation latch instead of duplicating the work.  An
+ * optional persistence hook lets a disk-backed artifact cache sit
+ * underneath the in-memory one.
  */
 
 #ifndef OSCACHE_REPORT_EXPERIMENT_HH
@@ -25,6 +30,8 @@
 #include "core/runner.hh"
 #include "core/system_config.hh"
 #include "mem/config.hh"
+#include "obs/options.hh"
+#include "sample/plan.hh"
 #include "synth/profile.hh"
 #include "trace/source.hh"
 
@@ -32,19 +39,59 @@ namespace oscache
 {
 
 /**
- * Run @p workload on system @p kind over machine @p machine.
+ * Opens a streamed source for (workload, options, cpu count), or
+ * nullptr to fall back to on-demand synthesis.
+ */
+using TraceSourceHook = std::function<std::unique_ptr<TraceSource>(
+    WorkloadKind, const CoherenceOptions &, unsigned)>;
+
+/**
+ * How one run replays its cells, beyond each cell's own workload,
+ * system and machine.  runExperiments() builds one per call and a
+ * fleet worker one per assignment; both hand it to every cell.  The
+ * default replays the cached materialized trace in full, unobserved.
+ */
+struct RunContext
+{
+    /**
+     * Replay under this sampling plan instead of in full.
+     * Hot-spot-prefetch systems are exempt: their profile pass needs
+     * complete per-block miss counts, which sampling decimates.
+     */
+    std::optional<sample::SamplingPlan> samplePlan;
+    /** Observers every pass attaches (SimOptions::obs). */
+    ObsOptions obs;
+    /**
+     * Pull records through streaming cursors instead of materializing
+     * whole traces: from openStreamed when it offers a source, else
+     * straight from the synthesizer.
+     */
+    bool stream = false;
+    /** Under stream: opens each pass's source (e.g. a stored artifact). */
+    TraceSourceHook openStreamed;
+
+    /** @p profile's simulation options, observed as obs asks. */
+    SimOptions simOptions(const WorkloadProfile &profile) const;
+};
+
+/**
+ * Run @p workload on system @p kind over machine @p machine, as
+ * @p ctx says.
  *
  * The trace is generated with the system's CoherenceOptions (the
  * layout-level part of the optimization) and replayed under the
- * system's block scheme and hot-spot pass.  Traces are cached per
- * (workload, coherence-options) within the process.  Thread-safe.
+ * system's block scheme and hot-spot pass.  Materialized traces are
+ * cached per (workload, coherence-options) within the process.
+ * Thread-safe.
  */
 RunResult runWorkload(WorkloadKind workload, SystemKind kind,
-                      const MachineConfig &machine = MachineConfig::base());
+                      const MachineConfig &machine = MachineConfig::base(),
+                      const RunContext &ctx = {});
 
 /** As above with an explicit setup (for ablations). */
 RunResult runWorkload(WorkloadKind workload, const SystemSetup &setup,
-                      const MachineConfig &machine = MachineConfig::base());
+                      const MachineConfig &machine = MachineConfig::base(),
+                      const RunContext &ctx = {});
 
 /**
  * The cached trace for (@p workload, @p options, @p num_cpus),
@@ -128,38 +175,6 @@ using TraceStoreHook = std::function<void(
  * at startup.
  */
 void setTraceCacheHooks(TraceLoadHook load, TraceStoreHook store);
-
-/** @} */
-
-/** @name Streamed trace sourcing @{ */
-
-/** How runWorkload() obtains its records. */
-enum class TraceSourceMode
-{
-    /** Generate (or load) the whole trace up front and cache it. */
-    Materialized,
-    /**
-     * Pull records through streaming cursors — from the source hook
-     * (e.g. a chunked artifact file) when it offers one, else
-     * directly from the synthesizer — so no full trace is built and
-     * peak memory is bounded by the cursor buffers.
-     */
-    Streamed,
-};
-
-/** Set the process-wide trace-source mode.  Thread-safe. */
-void setTraceSourceMode(TraceSourceMode mode);
-
-/**
- * Opens a streamed source for (workload, options, cpu count), or
- * nullptr to fall back to on-demand synthesis.  Invoked once per
- * simulation pass under TraceSourceMode::Streamed.
- */
-using TraceSourceHook = std::function<std::unique_ptr<TraceSource>(
-    WorkloadKind, const CoherenceOptions &, unsigned)>;
-
-/** Install (or clear, with an empty function) the source hook. */
-void setTraceSourceHook(TraceSourceHook hook);
 
 /** @} */
 

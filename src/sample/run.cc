@@ -340,24 +340,5 @@ runSampled(const TraceSourceFactory &open, const MachineConfig &machine,
     return outcome;
 }
 
-namespace
-{
-
-std::optional<SamplingPlan> globalPlan;
-
-} // namespace
-
-void
-setGlobalSamplingPlan(const std::optional<SamplingPlan> &plan)
-{
-    globalPlan = plan;
-}
-
-const std::optional<SamplingPlan> &
-globalSamplingPlan()
-{
-    return globalPlan;
-}
-
 } // namespace sample
 } // namespace oscache

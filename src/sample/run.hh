@@ -10,12 +10,14 @@
  * warm-up traffic lands in a separate sink that exists so the caches
  * are warm, not so its numbers are read.  Extrapolated totals with
  * confidence intervals are in the attached SampleReport.
+ *
+ * Registry cells replay here when their RunContext carries a plan:
+ * runWorkload() (report/experiment.hh) passes the plan down.
  */
 
 #ifndef OSCACHE_SAMPLE_RUN_HH
 #define OSCACHE_SAMPLE_RUN_HH
 
-#include <optional>
 #include <string>
 
 #include "core/runner.hh"
@@ -75,15 +77,6 @@ SampleRunOutcome runSampled(const TraceSourceFactory &open,
                             const MachineConfig &machine,
                             const SimOptions &options, BlockScheme scheme,
                             const SampleRunOptions &sample_options);
-
-/**
- * Process-wide default sampling plan, mirroring setGlobalObsOptions:
- * installed once by a CLI before any runs; experiment cells pick it
- * up through report/experiment.cc.  Not synchronized — set it before
- * spawning workers.
- */
-void setGlobalSamplingPlan(const std::optional<SamplingPlan> &plan);
-const std::optional<SamplingPlan> &globalSamplingPlan();
 
 } // namespace sample
 } // namespace oscache

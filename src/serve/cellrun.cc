@@ -2,9 +2,6 @@
 
 #include "exp/hash.hh"
 #include "exp/results.hh"
-#include "report/experiment.hh"
-#include "sample/plan.hh"
-#include "sample/run.hh"
 #include "trace/io.hh"
 
 namespace oscache::serve
@@ -55,32 +52,9 @@ identityJsonFor(const CellRef &ref)
 }
 
 std::string
-runCellCanonical(const CellRef &ref, const std::string &sample_plan)
+runCellCanonical(const CellRef &ref, const RunContext &ctx)
 {
-    // The sampling plan is per-assignment: install it for this cell
-    // only, and always restore, even when the body throws.
-    struct PlanGuard
-    {
-        bool active = false;
-        ~PlanGuard()
-        {
-            if (active)
-                sample::setGlobalSamplingPlan(std::nullopt);
-        }
-    } guard;
-    if (!sample_plan.empty()) {
-        sample::setGlobalSamplingPlan(
-            sample::SamplingPlan::parse(sample_plan));
-        guard.active = true;
-    }
-
-    CellOutcome outcome;
-    if (ref.spec->body)
-        outcome = ref.spec->body();
-    else
-        outcome.run = runWorkload(ref.spec->workload, ref.spec->system,
-                                  ref.spec->machine);
-
+    const CellOutcome outcome = runCell(*ref.spec, ctx);
     ResultRow row;
     row.canonical = true;
     row.outcome = &outcome;

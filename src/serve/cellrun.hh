@@ -8,9 +8,10 @@
  * reference, computes the cell's *work key* (the claim-file /
  * result-cache key: sharedKey when the registry marked the cell as
  * shared work, else its own identity, mixed with the machine hash,
- * the trace-format version, and the sampling plan), runs it, and
- * renders the canonical outcome fragment that composes into
- * byte-identical JSONL rows on the coordinator side.
+ * the trace-format version, and the sampling plan), runs it through
+ * runCell() under the RunContext the worker built for the
+ * assignment, and renders the canonical outcome fragment that
+ * composes into byte-identical JSONL rows on the coordinator side.
  */
 
 #ifndef OSCACHE_SERVE_CELLRUN_HH
@@ -47,13 +48,11 @@ std::string workKeyFor(const CellRef &ref, const std::string &sample_plan);
 std::string identityJsonFor(const CellRef &ref);
 
 /**
- * Run the cell (under the caller-installed trace hooks and the given
- * sampling plan, if any) and return the canonical outcome fragment
+ * Run the cell under @p ctx and return the canonical outcome fragment
  * (resultRowOutcomeJson with canonical=true).  Throws whatever the
  * cell body throws.
  */
-std::string runCellCanonical(const CellRef &ref,
-                             const std::string &sample_plan);
+std::string runCellCanonical(const CellRef &ref, const RunContext &ctx);
 
 } // namespace oscache::serve
 

@@ -12,7 +12,7 @@
 #include "common/ipc.hh"
 #include "common/log.hh"
 #include "exp/artifact_cache.hh"
-#include "report/experiment.hh"
+#include "sample/plan.hh"
 #include "serve/cellrun.hh"
 #include "serve/claims.hh"
 
@@ -45,10 +45,25 @@ struct SharedConn
     }
 };
 
+/** The context one assignment's cell runs under. */
+RunContext
+assignmentContext(const WorkerOptions &options, TraceStore &store,
+                  const std::string &plan)
+{
+    RunContext ctx;
+    ctx.stream = options.stream;
+    if (options.stream)
+        ctx.openStreamed = streamFromStore(store, defaultStreamReadAhead);
+    if (!plan.empty())
+        ctx.samplePlan = sample::SamplingPlan::parse(plan);
+    return ctx;
+}
+
 /** Execute one assignment under the claim discipline. */
 Json
 processAssignment(const Json &assign, const WorkerOptions &options,
-                  ClaimStore &claims, ResultCache &results)
+                  TraceStore &store, ClaimStore &claims,
+                  ResultCache &results)
 {
     const std::string key = assign.get("key").asString();
     const std::string experiment = assign.get("experiment").asString();
@@ -82,7 +97,8 @@ processAssignment(const Json &assign, const WorkerOptions &options,
         if (claims.tryClaim(key, options.name)) {
             std::string fragment;
             try {
-                fragment = runCellCanonical(*ref, plan);
+                fragment = runCellCanonical(
+                    *ref, assignmentContext(options, store, plan));
             } catch (const std::exception &e) {
                 claims.release(key);
                 reply.set("ok", false);
@@ -132,9 +148,7 @@ runWorker(const WorkerOptions &options)
 
     // The shared on-disk artifact cache sits under the in-memory
     // trace cache, as in the in-process driver.
-    setTraceSourceMode(options.stream ? TraceSourceMode::Streamed
-                                      : TraceSourceMode::Materialized);
-    installTraceStore(&store, options.stream, options.streamBufferRecords);
+    installTraceStore(&store);
 
     SharedConn shared;
     std::string error;
@@ -188,8 +202,8 @@ runWorker(const WorkerOptions &options)
         if (type == "shutdown")
             break;
         if (type == "assign") {
-            Json reply =
-                processAssignment(message, options, claims, results);
+            Json reply = processAssignment(message, options, store, claims,
+                                           results);
             if (!shared.send(reply)) {
                 exit_code = 1;
                 break;

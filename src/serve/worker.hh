@@ -22,7 +22,6 @@
 #ifndef OSCACHE_SERVE_WORKER_HH
 #define OSCACHE_SERVE_WORKER_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -37,7 +36,6 @@ struct WorkerOptions
     std::string storeDir;
     /** Stream records through cursors (bounded memory). */
     bool stream = false;
-    std::size_t streamBufferRecords = 4096;
     /** Heartbeat period. */
     std::uint64_t heartbeatMs = 500;
     /** Cap on waiting for a foreign claim's result. */

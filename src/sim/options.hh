@@ -60,8 +60,7 @@ struct SimOptions
     /**
      * Observability opt-ins (src/obs).  All off by default — the
      * memory system then pays only a flag test per event.  The runner
-     * merges these with the process-wide default installed by
-     * setGlobalObsOptions() (used by `oscache-bench --metrics`).
+     * attaches exactly the observers these ask for.
      */
     ObsOptions obs;
 };

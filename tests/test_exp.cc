@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -26,6 +27,7 @@
 #include "exp/pool.hh"
 #include "exp/registry.hh"
 #include "report/experiment.hh"
+#include "sample/plan.hh"
 #include "synth/generator.hh"
 
 namespace oscache
@@ -309,6 +311,75 @@ TEST(ExpScheduler, MatchesDirectRunWorkload)
         EXPECT_EQ(it->second.run.bus.totalBytes, direct.bus.totalBytes)
             << cell.id;
     }
+}
+
+/**
+ * Every outcome of @p concurrent equals @p solo's in SimStats and bus,
+ * and every outcome of both carries a sample and an obs report
+ * exactly when @p in_context.
+ */
+void
+expectSameOutcomes(const DriverReport &solo, const DriverReport &concurrent,
+                   bool in_context)
+{
+    ASSERT_EQ(concurrent.experiments.size(), solo.experiments.size());
+    for (std::size_t e = 0; e < solo.experiments.size(); ++e) {
+        const auto &expected = solo.experiments[e].outcomes;
+        const auto &got = concurrent.experiments[e].outcomes;
+        ASSERT_EQ(expected.size(), 1u);
+        ASSERT_EQ(got.size(), expected.size());
+        for (const auto &[id, outcome] : expected) {
+            ASSERT_EQ(got.count(id), 1u) << id;
+            const RunResult &run = got.at(id).run;
+            EXPECT_EQ(run.stats, outcome.run.stats) << id;
+            EXPECT_EQ(run.bus, outcome.run.bus) << id;
+            for (const RunResult *r : {&outcome.run, &run}) {
+                EXPECT_EQ(r->sample != nullptr, in_context) << id;
+                EXPECT_EQ(r->obs != nullptr, in_context) << id;
+            }
+        }
+    }
+}
+
+TEST(ExpScheduler, ConcurrentRunsKeepTheirOwnContext)
+{
+    // Two driver calls at once in one process, one sampled and
+    // observed, one with defaults: each must equal its solo run, and
+    // only the first's cells may sample or observe.  calibrate's
+    // custom body calls runWorkload(), so its row shows whether a
+    // custom cell passes the context on.
+    const std::vector<const Experiment *> selected =
+        resolveExperiments({"figure1", "calibrate"});
+    ASSERT_EQ(selected.size(), 2u);
+
+    DriverOptions plain;
+    plain.jobs = 2;
+    plain.smoke = true;
+    DriverOptions sampled = plain;
+    sampled.samplePlan =
+        sample::SamplingPlan::parse("period=40k,measure=2k,warmup=12k");
+    sampled.obs.metrics = true;
+
+    const DriverReport solo_sampled = runExperiments(selected, sampled);
+    const DriverReport solo_plain = runExperiments(selected, plain);
+
+    DriverReport both_sampled;
+    std::exception_ptr failure;
+    std::thread other([&] {
+        try {
+            both_sampled = runExperiments(selected, sampled);
+        } catch (...) {
+            failure = std::current_exception();
+        }
+    });
+    const DriverReport both_plain = runExperiments(selected, plain);
+    other.join();
+    if (failure)
+        std::rethrow_exception(failure);
+
+    expectSameOutcomes(solo_sampled, both_sampled, true);
+    expectSameOutcomes(solo_plain, both_plain, false);
+    clearTraceCache();
 }
 
 TEST(ExpScheduler, SharesIdenticalCellsAcrossExperiments)

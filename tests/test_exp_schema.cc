@@ -19,7 +19,6 @@
 #include "exp/driver.hh"
 #include "exp/registry.hh"
 #include "exp/results.hh"
-#include "obs/options.hh"
 #include "report/experiment.hh"
 #include "sample/plan.hh"
 
@@ -68,13 +67,17 @@ collectKeys(const Json &json, const std::string &prefix,
     }
 }
 
-/** Every experiment's smoke row under @p mode, by experiment name. */
+/**
+ * Every experiment's smoke row under @p mode with per-cell metrics on,
+ * by experiment name.
+ */
 std::map<std::string, SmokeRow>
 runSmoke(Mode mode)
 {
     DriverOptions options;
     options.jobs = 4;
     options.smoke = true;
+    options.obs.metrics = true;
     options.stream = mode == Mode::Stream;
     if (mode == Mode::Sample)
         options.samplePlan = sample::SamplingPlan::parse(
@@ -115,12 +118,8 @@ class RowSchema : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        ObsOptions obs;
-        obs.metrics = true;
-        setGlobalObsOptions(obs);
         for (Mode mode : {Mode::Full, Mode::Stream, Mode::Sample})
             modes[mode] = runSmoke(mode);
-        setGlobalObsOptions(ObsOptions{});
     }
 
     static void TearDownTestSuite() { modes.clear(); }

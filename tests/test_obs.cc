@@ -258,27 +258,6 @@ TEST(MissProfilerTest, CopiesAreIndependent)
     EXPECT_EQ(original.otherMissByBb().at(150), 2u);
 }
 
-// ------------------------------------------------------- options
-
-TEST(ObsOptionsTest, GlobalDefaultMergesIntoRunOptions)
-{
-    ObsOptions global;
-    global.metrics = true;
-    setGlobalObsOptions(global);
-
-    ObsOptions run;
-    run.profiler = true;
-    const ObsOptions eff = effectiveObsOptions(run);
-    EXPECT_TRUE(eff.metrics);
-    EXPECT_TRUE(eff.profiler);
-    EXPECT_FALSE(eff.timeline);
-
-    setGlobalObsOptions(ObsOptions{});
-    const ObsOptions eff2 = effectiveObsOptions(run);
-    EXPECT_FALSE(eff2.metrics);
-    EXPECT_TRUE(eff2.profiler);
-}
-
 // ------------------------------------------------- end-to-end profiler
 
 RunResult

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,9 @@
 #include "common/ipc.hh"
 #include "common/json.hh"
 #include "exp/artifact_cache.hh"
+#include "exp/driver.hh"
 #include "exp/registry.hh"
+#include "exp/results.hh"
 #include "sample/plan.hh"
 #include "serve/cellrun.hh"
 #include "serve/claims.hh"
@@ -638,6 +641,51 @@ TEST(ServeCellrun, WorkKeyCoalescesSharedCellsAndSplitsPlans)
     // the work key collides.
     EXPECT_NE(identityJsonFor(a), identityJsonFor(b));
     EXPECT_EQ(identityJsonFor(a).rfind("{\"experiment\":", 0), 0u);
+}
+
+TEST(ServeCellrun, SampledCellMatchesDriverRow)
+{
+    // A worker hands the assignment's plan to the cell in its
+    // RunContext.  The canonical outcome must equal the in-process
+    // driver's row under the same plan for a plain cell, a custom body
+    // that calls runWorkload() and a hot-spot cell, which replays in
+    // full under any plan.
+    const std::vector<const Experiment *> selected =
+        resolveExperiments({"figure1", "figure3", "calibrate"});
+    const std::map<std::string, std::string> smoke = {
+        {"figure1", "Base/TRFD_4"},
+        {"figure3", "BCPref/TRFD_4"},
+        {"calibrate", "calibrate/TRFD_4"},
+    };
+
+    RunContext ctx;
+    ctx.samplePlan =
+        sample::SamplingPlan::parse("period=40k,measure=2k,warmup=12k");
+    DriverOptions options;
+    options.jobs = 2;
+    options.smoke = true;
+    options.samplePlan = ctx.samplePlan;
+    const DriverReport report = runExperiments(selected, options);
+
+    ASSERT_EQ(report.experiments.size(), smoke.size());
+    for (const ExperimentReport &er : report.experiments) {
+        const std::string &cell = smoke.at(er.experiment->name);
+        ASSERT_EQ(er.experiment->smokeCell, cell);
+        const auto ref = findCell(er.experiment->name, cell);
+        ASSERT_TRUE(ref.has_value()) << cell;
+
+        ResultRow row;
+        row.canonical = true;
+        row.outcome = &er.outcomes.at(cell);
+        const std::string expected = resultRowOutcomeJson(row);
+        EXPECT_EQ(runCellCanonical(*ref, ctx), expected) << cell;
+        const bool hotspot =
+            SystemSetup::forKind(ref->spec->system).hotspotPrefetch;
+        EXPECT_EQ(expected.find("\"sample\"") != std::string::npos,
+                  !hotspot)
+            << cell;
+    }
+    clearTraceCache();
 }
 
 TEST(ServeCellrun, SamplingPlanTryParseMirrorsParse)

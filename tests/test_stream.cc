@@ -1057,10 +1057,11 @@ TEST(StreamCache, StreamedModeBypassesMaterialization)
 {
     clearTraceCache();
     resetTraceCacheStats();
-    setTraceSourceMode(TraceSourceMode::Streamed);
-    const RunResult streamed =
-        runWorkload(WorkloadKind::Trfd4, SystemKind::Base);
-    setTraceSourceMode(TraceSourceMode::Materialized);
+    RunContext streaming;
+    streaming.stream = true;
+    const RunResult streamed = runWorkload(
+        WorkloadKind::Trfd4, SystemKind::Base, MachineConfig::base(),
+        streaming);
     const RunResult materialized =
         runWorkload(WorkloadKind::Trfd4, SystemKind::Base);
 

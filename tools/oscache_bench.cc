@@ -28,7 +28,6 @@
 #include "exp/artifact_cache.hh"
 #include "exp/driver.hh"
 #include "exp/registry.hh"
-#include "obs/options.hh"
 #include "obs/timeline.hh"
 #include "sample/plan.hh"
 
@@ -180,13 +179,6 @@ main(int argc, char **argv)
     if (!cache_dir.empty())
         store = std::make_unique<TraceStore>(cache_dir);
 
-    if (metrics) {
-        // Cells call runWorkload() with stock options; the runner
-        // merges in this process-wide default.
-        ObsOptions obs;
-        obs.metrics = true;
-        setGlobalObsOptions(obs);
-    }
     std::unique_ptr<Timeline> timeline;
     if (!timeline_file.empty())
         timeline = std::make_unique<Timeline>(std::size_t{1} << 16);
@@ -200,6 +192,7 @@ main(int argc, char **argv)
     options.traceCacheBytes = trace_cache_bytes;
     options.resultsBase = results_base;
     options.canonicalResults = canonical;
+    options.obs.metrics = metrics;
     options.timeline = timeline.get();
     if (!sample_plan.empty())
         options.samplePlan = sample::SamplingPlan::parse(sample_plan);

@@ -245,6 +245,16 @@ echo "== serve: fleet smoke (4 workers, 8 clients, kill -9) =="
     "$tracedir/serve_smoke"
 
 
+# Benchmark stage: neither ctest nor the stages above build perfbench/,
+# which compiles against the exp, report, core and sample APIs.  Its
+# selftest builds it (Release, under .bench_build/) and runs every
+# BENCHMARK.json workload on tiny inputs, untraced and traced, so a
+# library change that breaks the benchmark fails here, not when the
+# benchmark next runs.  Takes a few minutes with a cold build.
+echo "== perfbench: build and selftest (tiny inputs) =="
+python3 "$repo/perfbench/selftest.py"
+
+
 # Performance stage: an optimized build must (a) still pass the
 # batched-replay/MarkTable safety net (`ctest -L Perf` — the ASan
 # ctest above already ran it unoptimized) and (b) hold the replay
