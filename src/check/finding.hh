@@ -2,12 +2,11 @@
  * @file
  * Findings produced by the verification passes.
  *
- * The three passes of the oscache-lint subsystem — the coherence
- * invariant checker (src/check/invariants.hh), the trace linter
- * (src/check/tracelint.hh), and the lockset race detector
- * (src/check/racedetect.hh) — all report through the same finding
- * record so the CLI, the runner, and the tests can treat them
- * uniformly.
+ * The passes of the oscache-lint subsystem — the coherence invariant
+ * checker (src/check/invariants.hh) and the trace linter with its
+ * lockset race detection (src/check/tracelint.hh) — all report
+ * through the same finding record so the CLI, the runner, and the
+ * tests can treat them uniformly.
  *
  * Severity semantics: an Error is a defect (a broken protocol state,
  * a malformed trace, a locking bug); a Warning flags behaviour that
@@ -70,7 +69,7 @@ enum class CheckCode : std::uint8_t
     NoProgress,
     /** @} */
 
-    /** @name Lockset race detector @{ */
+    /** @name Trace linter: lockset discipline @{ */
     /** Multi-processor shared write with an empty candidate lockset. */
     UnlockedSharedWrite,
     /** @} */

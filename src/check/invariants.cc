@@ -319,19 +319,6 @@ CoherenceChecker::allocL2(CpuId cpu, Addr line)
 }
 
 void
-CoherenceChecker::recordWriter(LineInfo &info, CpuId cpu)
-{
-    if (info.writers == 0) {
-        info.writers = 1;
-        info.writer = cpu;
-    } else if (info.writers == 1 && info.writer != cpu) {
-        info.writers = 2;
-        if (multiWriter.count(info.line) == 0)
-            multiWriter.insert(info.line);
-    }
-}
-
-void
 CoherenceChecker::onL2Transition(CpuId cpu, Addr l2_line, LineState from,
                                  LineState to)
 {
@@ -371,8 +358,6 @@ CoherenceChecker::onL2Transition(CpuId cpu, Addr l2_line, LineState from,
     info.count(to, +1);
     l2States[slot] = to;
     queue(info);
-    if (to == LineState::Modified)
-        recordWriter(info, cpu);
 }
 
 void

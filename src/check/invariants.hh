@@ -41,18 +41,14 @@
  *
  * All state is flat and sized once from the MachineConfig: per-cpu
  * shadows laid out set × way like the caches they mirror, and one
- * open-addressing line table holding each line's counts and writer
- * set.  Once the footprint is warm, checking allocates nothing.
- *
- * The checker also records which lines were written (entered
- * Modified) by more than one processor; the race detector
- * cross-checks its lockset findings against this set.
+ * open-addressing line table holding the counts of each line with a
+ * copy somewhere.  Once the footprint is warm, checking allocates
+ * nothing.
  */
 
 #ifndef OSCACHE_CHECK_INVARIANTS_HH
 #define OSCACHE_CHECK_INVARIANTS_HH
 
-#include <unordered_set>
 #include <vector>
 
 #include "check/finding.hh"
@@ -103,17 +99,6 @@ class CoherenceChecker : public MemEventObserver
     /** Transitions observed (sanity signal that the hook is live). */
     std::uint64_t transitions() const { return transitionCount; }
 
-    /**
-     * Secondary lines written (entered Modified) by more than one
-     * processor over the run — the protocol-level footprint of
-     * write sharing, used to corroborate lockset race findings.
-     */
-    const std::unordered_set<Addr> &
-    multiWriterLines() const
-    {
-        return multiWriter;
-    }
-
   private:
     /** Coherence summary of one secondary line across all cpus. */
     struct LineInfo
@@ -130,15 +115,8 @@ class CoherenceChecker : public MemEventObserver
         std::uint8_t owners = 0;
         /** Shared copies. */
         std::uint8_t sharers = 0;
-        /**
-         * The writer set, as exactly as multiWriterLines() needs it:
-         * how many distinct cpus entered Modified (saturating at 2)
-         * and, when that is one, which.
-         */
-        CpuId writer = 0;
-        std::uint8_t writers : 2 = 0;
         /** On the touched list awaiting the next operation end. */
-        std::uint8_t queued : 1 = 0;
+        std::uint8_t queued = 0;
 
         /** Add @p delta copies in state @p st to the counts. */
         void
@@ -150,12 +128,11 @@ class CoherenceChecker : public MemEventObserver
                 sharers = std::uint8_t(sharers + delta);
         }
 
-        /** Nothing left worth keeping (a lone writer is history). */
+        /** Nothing left worth keeping. */
         bool
         idle() const
         {
-            return owners == 0 && sharers == 0 && uncovered == 0 &&
-                   writers != 1;
+            return owners == 0 && sharers == 0 && uncovered == 0;
         }
     };
     static_assert(sizeof(LineInfo) == 16, "four line summaries per cache line");
@@ -249,7 +226,6 @@ class CoherenceChecker : public MemEventObserver
     /** SWMR + inclusion for one touched line, from the shadow. */
     void checkLine(const LineInfo &info);
     void checkSwmr(const LineInfo &info);
-    void recordWriter(LineInfo &info, CpuId cpu);
 
     MachineConfig cfg;
     /** Legal from -> to edges (bit from * 4 + to), per cfg.protocol. */
@@ -261,7 +237,6 @@ class CoherenceChecker : public MemEventObserver
     LineTable lines;
     /** Lines touched since the last operation end, in first-touch order. */
     std::vector<Addr> touched;
-    std::unordered_set<Addr> multiWriter;
     /** Indexed by cpu. */
     std::vector<CpuChecks> cpuChecks;
     std::vector<CheckFinding> found;

@@ -1,5 +1,7 @@
 #include "check/tracelint.hh"
 
+#include <bitset>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <unordered_map>
@@ -37,6 +39,26 @@ kernelOnlyCategory(DataCategory cat)
     return false;
 }
 
+/** Categories subject to the lockset discipline. */
+bool
+locksetCategory(DataCategory cat)
+{
+    return cat == DataCategory::FreqShared ||
+           cat == DataCategory::OtherShared || cat == DataCategory::Lock;
+}
+
+/** Lockset state accumulated for one written shared address. */
+struct WriteUse
+{
+    /** Locks held on every write so far. */
+    std::unordered_set<Addr> lockset;
+    /** Writing processors, one bit for every CpuId. */
+    std::bitset<std::numeric_limits<CpuId>::max() + 1> writers;
+    DataCategory category = DataCategory::OtherShared;
+    CpuId firstCpu = 0;
+    std::size_t firstIndex = 0;
+};
+
 /** Per-barrier usage gathered across all streams. */
 struct BarrierUse
 {
@@ -61,6 +83,7 @@ class Linter
         for (CpuId c = 0; c < source.numCpus(); ++c)
             lintStream(c);
         lintBarriers();
+        lintLocksets();
         return std::move(found);
     }
 
@@ -117,6 +140,9 @@ class Linter
                     report(CheckCode::CategoryRegionMismatch,
                            Severity::Error, cpu, rec.addr, i, os.str());
                 }
+                if (rec.type == RecordType::Write &&
+                    locksetCategory(rec.category))
+                    noteWrite(rec, cpu, i, heldLocks);
                 break;
               case RecordType::BlockOpBegin:
                 if (rec.aux >= source.blockOps().size())
@@ -186,6 +212,28 @@ class Linter
         }
     }
 
+    /**
+     * A shared write: narrow its address's lockset to the locks
+     * @p held and add @p cpu to its writers.
+     */
+    void
+    noteWrite(const TraceRecord &rec, CpuId cpu, std::size_t index,
+              const std::unordered_set<Addr> &held)
+    {
+        const auto [it, first] = writes.try_emplace(rec.addr);
+        WriteUse &use = it->second;
+        if (first) {
+            use.lockset = held;
+            use.category = rec.category;
+            use.firstCpu = cpu;
+            use.firstIndex = index;
+        } else {
+            std::erase_if(use.lockset,
+                          [&](Addr lock) { return held.count(lock) == 0; });
+        }
+        use.writers.set(cpu);
+    }
+
     void
     lintBarriers()
     {
@@ -229,9 +277,30 @@ class Linter
         }
     }
 
+    void
+    lintLocksets()
+    {
+        for (const auto &[addr, use] : writes) {
+            // A single writer cannot race with itself, and any
+            // surviving common lock makes the discipline hold.
+            if (use.writers.count() < 2 || !use.lockset.empty())
+                continue;
+            std::ostringstream os;
+            os << toString(use.category) << " data written by "
+               << use.writers.count() << " processors with no common lock";
+            report(CheckCode::UnlockedSharedWrite,
+                   use.category == DataCategory::FreqShared
+                       ? Severity::Warning
+                       : Severity::Error,
+                   use.firstCpu, addr, use.firstIndex, os.str());
+        }
+    }
+
     TraceSource &source;
     LintLimits limits;
     std::unordered_map<Addr, BarrierUse> barriers;
+    /** std::map so lockset findings come out in address order. */
+    std::map<Addr, WriteUse> writes;
     std::vector<CheckFinding> found;
 };
 

@@ -22,11 +22,24 @@
  *    deadlocks the replay);
  *  - kernel data categories carry kernel-region addresses, and lock
  *    and barrier words live in the kernel region (the
- *    kernel_layout address map places them there).
+ *    kernel_layout address map places them there);
+ *  - the Eraser lockset discipline (Savage et al., SOSP 1997): every
+ *    write to a shared kernel variable (FreqShared, OtherShared, or
+ *    a stray plain write to a Lock word) should hold some lock that
+ *    is held on *every* write to it.  The walk intersects, per
+ *    written address, the locks its writers held; an address written
+ *    by two or more processors with an empty intersection is an
+ *    UnlockedSharedWrite.  The paper's workloads deliberately include
+ *    unlocked producer-consumer traffic on FreqShared data
+ *    (resource-table pointers, cpievents mailboxes), so FreqShared
+ *    findings are Warnings; OtherShared and Lock findings are Errors.
  *
  * User-category references are deliberately unconstrained: the
  * kernel legitimately touches user pages and the page pool on behalf
  * of a process (copy-in/out, freshly mapped frames).
+ *
+ * Findings come out per processor in stream order, then the barrier
+ * findings, then the lockset findings in address order.
  */
 
 #ifndef OSCACHE_CHECK_TRACELINT_HH

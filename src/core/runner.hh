@@ -193,10 +193,6 @@ RunResult runOnce(const Trace &trace, const MachineConfig &machine,
                   const SimOptions &options, BlockScheme scheme,
                   const ExecutorWrap &wrap = {});
 
-/** Opens a fresh TraceSource over the same underlying trace. */
-using TraceSourceFactory =
-    std::function<std::unique_ptr<TraceSource>()>;
-
 /**
  * Run the trace @p open serves on the machine described by
  * @p machine under @p setup's block scheme (and hot-spot pass, if

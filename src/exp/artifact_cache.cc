@@ -209,16 +209,15 @@ installTraceStore(TraceStore *store)
 }
 
 TraceSourceHook
-streamFromStore(TraceStore &store, std::size_t read_ahead)
+streamFromStore(TraceStore &store)
 {
-    return [&store, read_ahead](WorkloadKind w, const CoherenceOptions &o,
-                                unsigned cpus)
-               -> std::unique_ptr<TraceSource> {
+    return [&store](WorkloadKind w, const CoherenceOptions &o,
+                    unsigned cpus) -> std::unique_ptr<TraceSource> {
         const std::string k = workloadKey(w, o, cpus);
-        if (auto source = store.openSource(k, read_ahead))
+        if (auto source = store.openSource(k))
             return source;
         store.storeStreaming(k, WorkloadProfile::forKind(w), o, cpus);
-        return store.openSource(k, read_ahead);
+        return store.openSource(k);
     };
 }
 

@@ -121,10 +121,10 @@ void installTraceStore(TraceStore *store);
 /**
  * A RunContext::openStreamed over @p store: a missing trace is
  * generated straight to a chunked artifact, then streamed from disk
- * with @p read_ahead records of buffer per processor.  The store must
- * outlive the opener.
+ * with defaultStreamReadAhead records of buffer per processor.  The
+ * store must outlive the opener.
  */
-TraceSourceHook streamFromStore(TraceStore &store, std::size_t read_ahead);
+TraceSourceHook streamFromStore(TraceStore &store);
 
 } // namespace oscache
 

@@ -73,8 +73,7 @@ runExperiments(const std::vector<const Experiment *> &experiments,
         installTraceStore(options.store);
         hooks.storeActive = true;
         if (options.stream)
-            ctx.openStreamed = streamFromStore(*options.store,
-                                               options.streamBufferRecords);
+            ctx.openStreamed = streamFromStore(*options.store);
     }
     resetTraceCacheStats();
 

@@ -49,8 +49,6 @@ struct DriverOptions
      * cells always replay the cached materialized trace.
      */
     bool stream = false;
-    /** Per-processor cursor read-ahead (records) for file sources. */
-    std::size_t streamBufferRecords = defaultStreamReadAhead;
     /** In-memory trace-cache cap in bytes (0 = unbounded). */
     std::size_t traceCacheBytes = defaultTraceCacheBytes;
     /** Results sink base path ("x" -> x.jsonl + x.csv); empty = off. */

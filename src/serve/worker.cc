@@ -53,7 +53,7 @@ assignmentContext(const WorkerOptions &options, TraceStore &store,
     RunContext ctx;
     ctx.stream = options.stream;
     if (options.stream)
-        ctx.openStreamed = streamFromStore(store, defaultStreamReadAhead);
+        ctx.openStreamed = streamFromStore(store);
     if (!plan.empty())
         ctx.samplePlan = sample::SamplingPlan::parse(plan);
     return ctx;

@@ -404,8 +404,7 @@ walkBinary(std::istream &is, TraceSink &sink, bool payloads,
 }
 
 bool
-walkTrace(std::istream &is, TraceSink &sink, bool payloads,
-          std::string *error)
+startsBinary(std::istream &is)
 {
     char magic[sizeof(binaryMagic)];
     is.read(magic, sizeof(magic));
@@ -414,8 +413,15 @@ walkTrace(std::istream &is, TraceSink &sink, bool payloads,
         std::memcmp(magic, binaryMagic, sizeof(magic)) == 0;
     is.clear();
     is.seekg(0);
-    return binary ? walkBinary(is, sink, payloads, error)
-                  : walkText(is, sink, error);
+    return binary;
+}
+
+bool
+walkTrace(std::istream &is, TraceSink &sink, bool payloads,
+          std::string *error)
+{
+    return startsBinary(is) ? walkBinary(is, sink, payloads, error)
+                            : walkText(is, sink, error);
 }
 
 } // namespace iodetail

@@ -152,7 +152,13 @@ bool walkText(std::istream &is, TraceSink &sink, std::string *error);
 bool walkBinary(std::istream &is, TraceSink &sink, bool payloads,
                 std::string *error);
 
-/** walkBinary() or walkText(), as the leading bytes of @p is say. */
+/**
+ * True when @p is starts with binaryMagic; rewinds @p is to its
+ * first byte either way.
+ */
+bool startsBinary(std::istream &is);
+
+/** walkBinary() or walkText(), as startsBinary() says. */
 bool walkTrace(std::istream &is, TraceSink &sink, bool payloads,
                std::string *error);
 

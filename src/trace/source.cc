@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/log.hh"
+#include "trace/io.hh"
 #include "trace/io_detail.hh"
 
 namespace oscache
@@ -312,6 +313,20 @@ FileTraceSource::scan(std::string *error)
     }
     Indexer sink(*this);
     return iodetail::walkTrace(is, sink, depth == ScanDepth::Full, error);
+}
+
+TraceSourceFactory
+openTraceFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::in | std::ios::binary);
+    if (!is)
+        fatal("cannot open '", path, "' for reading");
+    if (iodetail::startsBinary(is)) {
+        auto file = std::make_shared<const FileTraceSource>(path);
+        return [file] { return std::make_unique<FileTraceSource>(*file); };
+    }
+    auto trace = std::make_shared<const Trace>(readTraceFile(path));
+    return [trace] { return std::make_unique<MaterializedTraceSource>(trace); };
 }
 
 } // namespace oscache

@@ -23,6 +23,9 @@
  *    replay skips, and when every cursor holds one it generates on
  *    a producer thread, overlapping generation with replay.
  *
+ * openTraceFile() picks the source for a saved trace from its format:
+ * cursors over a chunked file, one in-memory copy of a text file.
+ *
  * Contract notes:
  *  - cursor() may be called at most once per cpu on streaming
  *    sources; a materialized source allows repeated passes.
@@ -39,6 +42,7 @@
 #define OSCACHE_TRACE_SOURCE_HH
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -179,6 +183,10 @@ class TraceSource
     virtual const char *mode() const = 0;
 };
 
+/** Opens a fresh TraceSource over the same underlying trace. */
+using TraceSourceFactory =
+    std::function<std::unique_ptr<TraceSource>()>;
+
 /** Cursor over an in-memory RecordStream (shared by adapters). */
 class VectorRecordCursor final : public RecordCursor
 {
@@ -233,6 +241,11 @@ class MaterializedTraceSource final : public TraceSource
     explicit MaterializedTraceSource(const Trace &trace) : traceRef(trace)
     {}
 
+    /** As above, keeping @p trace alive while the source lives. */
+    explicit MaterializedTraceSource(std::shared_ptr<const Trace> trace)
+        : owner(std::move(trace)), traceRef(*owner)
+    {}
+
     unsigned numCpus() const override { return traceRef.numCpus(); }
     const BlockOpTable &blockOps() const override
     {
@@ -260,6 +273,7 @@ class MaterializedTraceSource final : public TraceSource
     const Trace &trace() const { return traceRef; }
 
   private:
+    std::shared_ptr<const Trace> owner;
     const Trace &traceRef;
 };
 
@@ -282,7 +296,8 @@ inline constexpr std::size_t defaultStreamReadAhead = 4096;
  * records live, so a truncated or corrupted file fails up front
  * rather than mid-simulation.  Each cursor then re-reads its
  * processor's byte ranges through its own stream with a bounded
- * read-ahead buffer.
+ * read-ahead buffer.  A copy is another source over the same
+ * validated file: it shares no state and scans nothing.
  */
 class FileTraceSource final : public TraceSource
 {
@@ -380,6 +395,18 @@ class FileTraceSource final : public TraceSource
     std::vector<std::vector<Segment>> segments; ///< Per cpu.
     std::vector<std::size_t> recordCounts;      ///< Per cpu.
 };
+
+/**
+ * The sources of the saved trace at @p path, for as many passes as
+ * the caller opens; fatal() on a file that cannot be read or is
+ * malformed.  The format decides how records are served.  A chunked
+ * file is validated once and each source is a FileTraceSource copy of
+ * that index (mode "file"), so memory stays bounded however long the
+ * trace.  A text file is read once and each source serves that one
+ * Trace (mode "materialized"): a text cursor would re-parse every
+ * line on every pass.
+ */
+TraceSourceFactory openTraceFile(const std::string &path);
 
 } // namespace oscache
 

@@ -4,9 +4,9 @@
  * invariant checker must catch seeded protocol defects at the next
  * operation end, stay silent on real traffic, and reach the same
  * verdicts as a reference that re-probes the real caches; the trace
- * linter must catch each corrupted stream; the lockset race detector
- * must flag unlocked multi-writer data and nothing else; and every
- * seed workload must come out clean under all three passes.
+ * linter must catch each corrupted stream, and its lockset
+ * discipline must flag unlocked multi-writer data and nothing else;
+ * and every seed workload must come out clean under both passes.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <unordered_set>
 
 #include "check/invariants.hh"
-#include "check/racedetect.hh"
 #include "check/tracelint.hh"
 #include "core/runner.hh"
 #include "mem/memsys.hh"
@@ -131,16 +130,9 @@ TEST_F(CoherenceCheckerTest, InclusionViolationCaught)
     EXPECT_TRUE(hasCode(checker.findings(), CheckCode::InclusionViolation));
 }
 
-TEST_F(CoherenceCheckerTest, MultiWriterLinesTracked)
+TEST_F(CoherenceCheckerTest, WritesPastCpu31AuditClean)
 {
-    mem.read(0, 0x1000, 0, osCtx());
-    mem.write(0, 0x1000, 100, osCtx());
-    mem.write(1, 0x1000, 200, osCtx());
-    EXPECT_EQ(checker.multiWriterLines().count(0x1000), 1u);
-    mem.write(0, 0x2000, 300, osCtx());
-    EXPECT_EQ(checker.multiWriterLines().count(0x2000), 0u);
-
-    // Writer sets stay exact past 32 cpus: cpu 32 is not cpu 0.
+    // Ownership passing between cpu 0 and cpu 32 must not alias.
     MachineConfig wide = MachineConfig::base();
     wide.numCpus = 33;
     MemorySystem wide_mem(wide);
@@ -150,8 +142,6 @@ TEST_F(CoherenceCheckerTest, MultiWriterLinesTracked)
     wide_mem.write(32, 0x1000, 100, osCtx());
     wide_mem.write(32, 0x2000, 200, osCtx());
     wide_mem.write(32, 0x2000, 300, osCtx());
-    EXPECT_EQ(wide_checker.multiWriterLines().count(0x1000), 1u);
-    EXPECT_EQ(wide_checker.multiWriterLines().count(0x2000), 0u);
     wide_checker.auditFull(wide_mem);
     EXPECT_TRUE(wide_checker.clean())
         << format(wide_checker.findings().front());
@@ -826,9 +816,13 @@ TEST(TraceLintMatrixTest, EveryDefectClassCaughtAndCleanTracesPass)
         const Trace trace = row.build();
         const auto findings = lintTrace(trace);
         if (!row.expected) {
-            EXPECT_TRUE(findings.empty())
-                << "clean trace produced "
-                << (findings.empty() ? "" : format(findings.front()));
+            // The workload model's unlocked producer-consumer writes
+            // to FreqShared data are lockset Warnings by design;
+            // nothing else may be reported.
+            for (const CheckFinding &f : findings)
+                EXPECT_TRUE(f.code == CheckCode::UnlockedSharedWrite &&
+                            f.severity == Severity::Warning)
+                    << "clean trace produced " << format(f);
             continue;
         }
         EXPECT_TRUE(hasCode(findings, *row.expected))
@@ -857,8 +851,19 @@ TEST(TraceLintMatrixTest, MatrixAgreesWithStreamingLinter)
 }
 
 // ---------------------------------------------------------------------
-// Lockset race detector.
+// The linter's lockset discipline.
 // ---------------------------------------------------------------------
+
+/** lintTrace()'s UnlockedSharedWrite findings. */
+std::vector<CheckFinding>
+races(const Trace &trace)
+{
+    std::vector<CheckFinding> found = lintTrace(trace);
+    std::erase_if(found, [](const CheckFinding &f) {
+        return f.code != CheckCode::UnlockedSharedWrite;
+    });
+    return found;
+}
 
 TEST(RaceDetectTest, UnlockedSharedWriteFlagged)
 {
@@ -867,7 +872,7 @@ TEST(RaceDetectTest, UnlockedSharedWriteFlagged)
     for (CpuId c = 0; c < 2; ++c)
         t.stream(c).push_back(TraceRecord::write(
             shared, DataCategory::OtherShared, 0, true));
-    const auto findings = detectRaces(t);
+    const auto findings = races(t);
     ASSERT_TRUE(hasCode(findings, CheckCode::UnlockedSharedWrite));
     EXPECT_EQ(countErrors(findings), 1u);
 }
@@ -884,7 +889,7 @@ TEST(RaceDetectTest, ConsistentLockNotFlagged)
                                        0, true));
         s.push_back(lockRecord(RecordType::LockRelease, lock));
     }
-    EXPECT_TRUE(detectRaces(t).empty());
+    EXPECT_TRUE(races(t).empty());
 }
 
 TEST(RaceDetectTest, InconsistentLocksetsFlagged)
@@ -900,7 +905,7 @@ TEST(RaceDetectTest, InconsistentLocksetsFlagged)
                                        0, true));
         s.push_back(lockRecord(RecordType::LockRelease, lock));
     }
-    EXPECT_TRUE(hasCode(detectRaces(t), CheckCode::UnlockedSharedWrite));
+    EXPECT_TRUE(hasCode(races(t), CheckCode::UnlockedSharedWrite));
 }
 
 TEST(RaceDetectTest, SingleWriterNotFlagged)
@@ -911,7 +916,7 @@ TEST(RaceDetectTest, SingleWriterNotFlagged)
         shared, DataCategory::OtherShared, 0, true));
     t.stream(0).push_back(TraceRecord::write(
         shared, DataCategory::OtherShared, 0, true));
-    EXPECT_TRUE(detectRaces(t).empty());
+    EXPECT_TRUE(races(t).empty());
 }
 
 TEST(RaceDetectTest, FreqSharedIsWarningOnly)
@@ -923,7 +928,7 @@ TEST(RaceDetectTest, FreqSharedIsWarningOnly)
     for (CpuId c = 0; c < 2; ++c)
         t.stream(c).push_back(TraceRecord::write(
             shared, DataCategory::FreqShared, 0, true));
-    const auto findings = detectRaces(t);
+    const auto findings = races(t);
     ASSERT_TRUE(hasCode(findings, CheckCode::UnlockedSharedWrite));
     EXPECT_EQ(countErrors(findings), 0u);
 }
@@ -936,29 +941,12 @@ TEST(RaceDetectTest, WritersPastCpu31StayDistinct)
     for (const CpuId c : {CpuId(0), CpuId(32)})
         t.stream(c).push_back(TraceRecord::write(
             shared, DataCategory::OtherShared, 0, true));
-    const auto findings = detectRaces(t);
+    const auto findings = races(t);
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_EQ(findings.front().code, CheckCode::UnlockedSharedWrite);
     EXPECT_NE(findings.front().message.find("written by 2 processors"),
               std::string::npos)
         << findings.front().message;
-}
-
-TEST(RaceDetectTest, CrossCheckAnnotatesFindings)
-{
-    Trace t(2);
-    const Addr shared = kernelSpaceBase + 0x400;
-    for (CpuId c = 0; c < 2; ++c)
-        t.stream(c).push_back(TraceRecord::write(
-            shared, DataCategory::OtherShared, 0, true));
-    std::unordered_set<Addr> lines{alignDown(shared, 32)};
-    RaceCrossCheck cross;
-    cross.multiWriterLines = &lines;
-    cross.lineSize = 32;
-    const auto findings = detectRaces(t, cross);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_NE(findings.front().message.find("multiple"),
-              std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -973,13 +961,10 @@ TEST(SeedWorkloadTest, AllProfilesLintCleanAndRaceFree)
         const SystemSetup setup = SystemSetup::forKind(SystemKind::Base);
         const Trace trace = generateTrace(p, setup.coherence);
 
+        // One walk: structure and the lockset discipline.
         const auto lint = lintTrace(trace);
         EXPECT_EQ(countErrors(lint), 0u)
             << toString(kind) << ": " << format(lint.front());
-
-        const auto races = detectRaces(trace);
-        EXPECT_EQ(countErrors(races), 0u)
-            << toString(kind) << ": " << format(races.front());
     }
 }
 

@@ -602,8 +602,8 @@ TEST(CheckedSteadyState, PingPongWritesDoNotAllocate)
             t = mem.write(1, a, t, ctx).completeAt;
         }
     };
-    // Warm-up sizes the touched list, the line table and the
-    // multi-writer set, and the engine's own rings and marks.
+    // Warm-up sizes the touched list and the line table, and the
+    // engine's own rings and marks.
     pass();
     pass();
 
@@ -617,7 +617,6 @@ TEST(CheckedSteadyState, PingPongWritesDoNotAllocate)
         << "checked ping-pong writes allocated " << (after - before)
         << " times";
     EXPECT_GT(checker.transitions(), 0u);
-    EXPECT_EQ(checker.multiWriterLines().size(), span / 32);
     checker.auditFull(mem);
     EXPECT_TRUE(checker.clean()) << format(checker.findings().front());
 }

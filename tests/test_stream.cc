@@ -2,15 +2,17 @@
  * @file
  * Streaming trace pipeline tests: streamed synthesis must reproduce
  * materialized generation bit-for-bit, file sources must replay both
- * on-disk formats through bounded cursors, corrupted chunked
- * artifacts must fail cleanly, every cursor's skip() must be exact
- * (a synthesized cursor under the skip promise too, which must also
- * keep the sampled benchmark stream's buffer small), a promised
- * source's producer thread must not show in any read order, must
- * join wherever the source dies and must pass its failures to the
- * reader, the streaming prefetch adapter must match the
- * materializing rewrite, and the in-memory trace cache must evict by
- * LRU under its byte cap.
+ * on-disk formats through bounded cursors, openTraceFile must serve
+ * each format its way and replay like the whole-trace reader, the
+ * linter must find the same things in a chunked file as in memory,
+ * corrupted chunked artifacts must fail cleanly, every cursor's
+ * skip() must be exact (a synthesized cursor under the skip promise
+ * too, which must also keep the sampled benchmark stream's buffer
+ * small), a promised source's producer thread must not show in any
+ * read order, must join wherever the source dies and must pass its
+ * failures to the reader, the streaming prefetch adapter must match
+ * the materializing rewrite, and the in-memory trace cache must
+ * evict by LRU under its byte cap.
  */
 
 #include <algorithm>
@@ -881,6 +883,51 @@ TEST(StreamFile, ChunkedReplayMatchesMaterializedSim)
     fs::remove(path);
 }
 
+// openTraceFile: the format picks the source, and either replays
+// like the whole-trace reader.
+
+TEST(StreamFile, OpenTraceFileFollowsFormat)
+{
+    const WorkloadProfile profile = smallProfile(WorkloadKind::Trfd4, 3);
+    const Trace trace = generateTrace(profile, CoherenceOptions::none());
+    const MachineConfig machine = MachineConfig::base();
+    const struct
+    {
+        TraceFormat format;
+        const char *name;
+        const char *mode;
+    } cases[] = {
+        {TraceFormat::Text, "open.trace", "materialized"},
+        {TraceFormat::Chunked, "open.otc", "file"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string path = scratchPath(c.name);
+        writeTraceFile(path, trace, c.format);
+        const TraceSourceFactory open = openTraceFile(path);
+        // Every pass gets a fresh source over the whole trace.
+        for (int pass = 0; pass < 2; ++pass) {
+            const std::unique_ptr<TraceSource> source = open();
+            EXPECT_STREQ(source->mode(), c.mode);
+            expectSameBlockOps(source->blockOps(), trace.blockOps());
+            EXPECT_EQ(source->updatePages(), trace.updatePages());
+            EXPECT_EQ(drain(*source), streamsOf(trace));
+        }
+        const Trace reread = readTraceFile(path);
+        for (const SystemKind kind : {SystemKind::Base, SystemKind::BCPref}) {
+            SCOPED_TRACE(toString(kind));
+            const SystemSetup setup = SystemSetup::forKind(kind);
+            const RunResult expected =
+                runOnTrace(reread, machine, SimOptions{}, setup);
+            const RunResult opened =
+                runOnSource(open, machine, SimOptions{}, setup);
+            EXPECT_EQ(opened.stats, expected.stats);
+            EXPECT_EQ(opened.bus, expected.bus);
+        }
+        fs::remove(path);
+    }
+}
+
 TEST(StreamFile, TruncatedChunkedFailsCleanly)
 {
     const WorkloadProfile profile = smallProfile(WorkloadKind::Trfd4, 2);
@@ -952,18 +999,29 @@ TEST(StreamFile, CorruptedChunkedFailsCleanly)
 
 TEST(StreamLint, SourceFindingsMatchTrace)
 {
-    const WorkloadProfile profile = smallProfile(WorkloadKind::TrfdMake, 3);
-    const Trace trace =
-        generateTrace(profile, CoherenceOptions::none());
-    const auto fromTrace = lintTrace(trace);
-    MaterializedTraceSource source(trace);
-    const auto fromSource = lintSource(source);
-    ASSERT_EQ(fromSource.size(), fromTrace.size());
-    for (std::size_t i = 0; i < fromTrace.size(); ++i) {
-        EXPECT_EQ(fromSource[i].code, fromTrace[i].code);
-        EXPECT_EQ(fromSource[i].cpu, fromTrace[i].cpu);
-        EXPECT_EQ(fromSource[i].index, fromTrace[i].index);
+    // The linter's one walk also runs the lockset discipline, so a
+    // chunked file is race-checked while it streams.
+    bool sawRace = false;
+    for (const WorkloadKind kind : allWorkloads) {
+        SCOPED_TRACE(toString(kind));
+        const Trace trace =
+            generateTrace(smallProfile(kind, 4), CoherenceOptions::none());
+        const std::string path = scratchPath("lint_seed.otc");
+        writeTraceFile(path, trace, TraceFormat::Chunked);
+        FileTraceSource source(path);
+        const auto fromFile = lintSource(source);
+        const auto fromTrace = lintTrace(trace);
+        ASSERT_EQ(fromFile.size(), fromTrace.size());
+        for (std::size_t i = 0; i < fromTrace.size(); ++i) {
+            EXPECT_EQ(fromFile[i].code, fromTrace[i].code) << i;
+            EXPECT_EQ(fromFile[i].cpu, fromTrace[i].cpu) << i;
+            EXPECT_EQ(fromFile[i].index, fromTrace[i].index) << i;
+            EXPECT_EQ(fromFile[i].message, fromTrace[i].message) << i;
+            sawRace |= fromFile[i].code == CheckCode::UnlockedSharedWrite;
+        }
+        fs::remove(path);
     }
+    EXPECT_TRUE(sawRace);
 }
 
 // ---------------------------------------------------------------------

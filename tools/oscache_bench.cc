@@ -56,9 +56,6 @@ usage()
         "  --stream        pull records through streaming cursors\n"
         "                  (bounded memory; synthesize on demand or\n"
         "                  replay chunked artifacts incrementally)\n"
-        "  --stream-buffer N\n"
-        "                  cursor read-ahead in records per cpu\n"
-        "                  (default 4096)\n"
         "  --trace-cache-mb N\n"
         "                  in-memory trace cache cap in MiB\n"
         "                  (default 512; 0 = unbounded)\n"
@@ -102,7 +99,6 @@ main(int argc, char **argv)
     bool metrics = false;
     bool stream = false;
     bool canonical = false;
-    std::size_t stream_buffer = defaultStreamReadAhead;
     std::size_t trace_cache_bytes = defaultTraceCacheBytes;
     std::string timeline_file;
     std::string sample_plan;
@@ -123,8 +119,6 @@ main(int argc, char **argv)
             cache_dir.clear();
         } else if (arg == "--stream") {
             stream = true;
-        } else if (arg == "--stream-buffer") {
-            stream_buffer = flags.number<std::size_t>(1);
         } else if (arg == "--trace-cache-mb") {
             trace_cache_bytes =
                 flags.number<std::uint32_t>() * std::size_t{1024} * 1024;
@@ -188,7 +182,6 @@ main(int argc, char **argv)
     options.smoke = smoke;
     options.store = store.get();
     options.stream = stream;
-    options.streamBufferRecords = stream_buffer;
     options.traceCacheBytes = trace_cache_bytes;
     options.resultsBase = results_base;
     options.canonicalResults = canonical;

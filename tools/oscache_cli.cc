@@ -5,16 +5,33 @@
  * Examples:
  *   oscache run --workload trfd4 --system bcpref
  *   oscache run --workload shell --system base --l1-size 16384
+ *   oscache run --workload shell --hotspots --timeline shell.json
  *   oscache generate --workload arc2d+fsck --out shell.trace
- *   oscache replay --trace shell.trace --system blk_dma
+ *   oscache replay --trace shell.trace --system blk_dma --metrics
  *   oscache list
+ *
+ * The input decides how records reach the engine: a synthesized
+ * workload streams from the generator, a chunked trace file streams
+ * through file cursors, and a text trace file is read once.  The
+ * results are the same either way.
+ *
+ * The observer flags attach the src/obs collectors and print their
+ * sections after the statistics.  --hotspots prints the
+ * miss-attribution profiler's ranked hot-spot table (the paper's
+ * Section 6 selection, mechanized) and cross-checks it against the
+ * engine's own per-block miss counts: the line "hot-spot
+ * cross-check: AGREE" certifies that the observability pipeline
+ * reproduces the hand-coded analysis.  --timeline writes Chrome
+ * trace_event JSON loadable in chrome://tracing or
+ * https://ui.perfetto.dev (1 cycle = 1 us).
  */
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,9 +39,8 @@
 
 #include "common/flags.hh"
 #include "common/version.hh"
-#include "core/blockop/schemes.hh"
-#include "report/experiment.hh"
-#include "sim/system.hh"
+#include "core/hotspot/hotspot.hh"
+#include "core/runner.hh"
 #include "synth/generator.hh"
 #include "synth/stream_source.hh"
 #include "trace/io.hh"
@@ -63,12 +79,20 @@ usage()
         "  --trace <file>       trace file (replay)\n"
         "  --out <file>         output trace file (generate)\n"
         "  --format <f>         generate output format: text | chunked\n"
-        "                       (chunked streams to disk with bounded\n"
-        "                       memory)\n"
-        "  --stream             run/replay through streaming cursors\n"
-        "                       instead of materializing the trace\n"
-        "  --stream-buffer <n>  cursor read-ahead in records per cpu\n"
-        "                       (default 4096)\n");
+        "                       (chunked streams to disk, and replay\n"
+        "                       reads it back, with bounded memory)\n"
+        "\n"
+        "observer options (run, replay; printed after the statistics):\n"
+        "  --hotspots           miss-attribution profile + ranked\n"
+        "                       hot-spot table + engine cross-check\n"
+        "  --metrics            metrics snapshot\n"
+        "  --bus                windowed bus occupancy and write-buffer\n"
+        "                       depth\n"
+        "  --timeline <file>    write Chrome trace_event JSON\n"
+        "  --window <cycles>    bus/buffer window width (default 10000)\n"
+        "  --sample <n>         keep every n-th timeline event "
+        "(default 1)\n"
+        "  --top <n>            hot spots to rank (default 12)\n");
 }
 
 struct Args
@@ -83,8 +107,9 @@ struct Args
     std::string traceFile;
     std::string outFile;
     TraceFormat format = TraceFormat::Text;
-    bool stream = false;
-    std::size_t streamBuffer = defaultStreamReadAhead;
+    ObsOptions obs;
+    std::string timelineFile;
+    unsigned top = paperHotspotCount;
 };
 
 Args
@@ -135,10 +160,21 @@ parse(int argc, char **argv)
                 args.format = TraceFormat::Chunked;
             else
                 fatal("unknown format '", name, "' (text or chunked)");
-        } else if (flag == "--stream") {
-            args.stream = true;
-        } else if (flag == "--stream-buffer") {
-            args.streamBuffer = flags.number<std::size_t>(1);
+        } else if (flag == "--hotspots") {
+            args.obs.profiler = true;
+        } else if (flag == "--metrics") {
+            args.obs.metrics = true;
+        } else if (flag == "--bus") {
+            args.obs.busWindows = true;
+        } else if (flag == "--timeline") {
+            args.timelineFile = flags.value();
+            args.obs.timeline = true;
+        } else if (flag == "--window") {
+            args.obs.windowCycles = flags.number<Cycles>(1);
+        } else if (flag == "--sample") {
+            args.obs.samplePeriod = flags.number<std::uint32_t>(1);
+        } else if (flag == "--top") {
+            args.top = flags.number<unsigned>();
         } else if (flag == "--version") {
             std::printf("%s\n", versionString().c_str());
             std::exit(0);
@@ -202,29 +238,105 @@ report(const SimStats &s, const BusSnapshot *bus)
         std::printf("memory: peak rss %ld KB\n", (long)usage.ru_maxrss);
 }
 
+void
+printBusWindows(const ObsReport &obs)
+{
+    std::printf("window  start-cycle  bus-util  txns  wb-depth(avg)\n");
+    const std::size_t rows = std::max(obs.busOccupancy.size(),
+                                      obs.writeBufferDepth.size());
+    for (std::size_t i = 0; i < rows; ++i) {
+        double util = 0.0;
+        std::uint64_t txns = 0;
+        if (i < obs.busOccupancy.size()) {
+            util = double(obs.busOccupancy[i].sum) /
+                   double(obs.windowCycles);
+            txns = obs.busOccupancy[i].samples;
+        }
+        double depth = 0.0;
+        if (i < obs.writeBufferDepth.size() &&
+            obs.writeBufferDepth[i].samples != 0)
+            depth = double(obs.writeBufferDepth[i].sum) /
+                    double(obs.writeBufferDepth[i].samples);
+        std::printf("%-7zu %-12llu %7.1f%%  %-5llu %.2f\n", i,
+                    (unsigned long long)(i * obs.windowCycles),
+                    100.0 * util, (unsigned long long)txns, depth);
+    }
+    if (rows == 0)
+        std::printf("(no bus activity recorded)\n");
+}
+
+/** The section of each observer @p args attached, in a fixed order. */
+void
+reportObservers(const Args &args, const RunResult &result)
+{
+    if (!result.obs)
+        return;
+    const ObsReport &obs = *result.obs;
+    if (args.obs.profiler) {
+        std::printf("\n--- miss attribution by data category ---\n");
+        obs.profiler.renderCategories(std::cout);
+        std::printf("\n--- hot spots (top %u by OS conflict misses) "
+                    "---\n",
+                    args.top);
+        obs.profiler.renderHotspots(std::cout, args.top);
+        std::cout.flush();
+        // The load-bearing line: the profiler's independent event
+        // pipeline must select the same blocks as the engine's stats.
+        hotspotCrossCheck(result.stats, obs.profiler.otherMissByBb(),
+                          args.top, &std::cout);
+        std::cout.flush();
+    }
+    if (args.obs.metrics) {
+        std::printf("\n--- metrics ---\n");
+        obs.metrics.render(std::cout);
+        std::cout.flush();
+    }
+    if (args.obs.busWindows) {
+        std::printf("\n--- bus / write-buffer windows (%llu cycles "
+                    "each) ---\n",
+                    (unsigned long long)obs.windowCycles);
+        printBusWindows(obs);
+    }
+    if (args.obs.timeline) {
+        std::ofstream os(args.timelineFile);
+        if (!os)
+            fatal("cannot open '", args.timelineFile, "' for writing");
+        obs.timeline.writeChromeTrace(os);
+        std::printf("\ntimeline: %zu events (%llu dropped) -> %s\n",
+                    obs.timeline.size(),
+                    (unsigned long long)obs.timeline.dropped(),
+                    args.timelineFile.c_str());
+    }
+}
+
+/** Replay @p open's trace under @p options and print the outcome. */
+int
+simulate(const char *name, const TraceSourceFactory &open,
+         const MachineConfig &machine, SimOptions options,
+         const Args &args)
+{
+    options.modelICache = args.icache;
+    options.obs = args.obs;
+    const RunResult result = runOnSource(
+        open, machine, options, SystemSetup::forKind(args.system));
+    std::printf("== %s on %s ==\n", name, toString(args.system));
+    report(result.stats, &result.bus);
+    reportObservers(args, result);
+    return 0;
+}
+
 int
 cmdRun(const Args &args)
 {
     const WorkloadProfile profile = profileFor(args);
-    const SystemSetup setup = SystemSetup::forKind(args.system);
-    SimOptions opts = profile.simOptions();
-    opts.modelICache = args.icache;
-    RunResult result;
-    if (args.stream) {
-        result = runOnSource(
-            [&profile, &setup]() -> std::unique_ptr<TraceSource> {
-                return std::make_unique<SynthTraceSource>(profile,
-                                                          setup.coherence);
-            },
-            args.machine, opts, setup);
-    } else {
-        const Trace trace = generateTrace(profile, setup.coherence);
-        result = runOnTrace(trace, args.machine, opts, setup);
-    }
-    std::printf("== %s on %s%s ==\n", profile.name, toString(args.system),
-                args.stream ? " (streamed)" : "");
-    report(result.stats, &result.bus);
-    return 0;
+    const CoherenceOptions coherence =
+        SystemSetup::forKind(args.system).coherence;
+    return simulate(
+        profile.name,
+        [&profile, &coherence]() -> std::unique_ptr<TraceSource> {
+            return std::make_unique<SynthTraceSource>(profile, coherence);
+        },
+        args.machine, profile.simOptions(), args);
 }
 
 int
@@ -276,33 +388,11 @@ cmdReplay(const Args &args)
 {
     if (args.traceFile.empty())
         fatal("replay needs --trace <file>");
-    SimOptions opts;
-    opts.modelICache = args.icache;
-    const SystemSetup setup = SystemSetup::forKind(args.system);
+    const TraceSourceFactory open = openTraceFile(args.traceFile);
     MachineConfig machine = args.machine;
-    RunResult result;
-    if (args.stream) {
-        // Probe once for the cpu count, then let each simulation pass
-        // re-open its own bounded-memory cursor source.
-        {
-            const FileTraceSource probe(args.traceFile, 1);
-            machine.numCpus = probe.numCpus();
-        }
-        result = runOnSource(
-            [&args]() -> std::unique_ptr<TraceSource> {
-                return std::make_unique<FileTraceSource>(
-                    args.traceFile, args.streamBuffer);
-            },
-            machine, opts, setup);
-    } else {
-        const Trace trace = readTraceFile(args.traceFile);
-        machine.numCpus = trace.numCpus();
-        result = runOnTrace(trace, machine, opts, setup);
-    }
-    std::printf("== %s on %s%s ==\n", args.traceFile.c_str(),
-                toString(args.system), args.stream ? " (streamed)" : "");
-    report(result.stats, &result.bus);
-    return 0;
+    machine.numCpus = open()->numCpus();
+    return simulate(args.traceFile.c_str(), open, machine, SimOptions{},
+                    args);
 }
 
 int

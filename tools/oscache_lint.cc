@@ -3,11 +3,16 @@
  * oscache-lint — static checker for traces and the simulator's
  * coherence machinery.
  *
- * Three passes:
- *  - the trace linter (structural well-formedness of record streams),
- *  - the lockset race detector (unlocked multi-writer shared data),
+ * Two passes:
+ *  - the trace linter: structural well-formedness of record streams,
+ *    and the lockset discipline on shared kernel data (unlocked
+ *    multi-writer writes);
  *  - optionally a full simulation with the coherence invariant
  *    checker attached (--simulate).
+ *
+ * A chunked trace file is linted and replayed through file cursors,
+ * so its length does not bound what can be checked; a text file is
+ * read once.
  *
  * Examples:
  *   oscache-lint trace --trace shell.trace
@@ -26,14 +31,12 @@
 #include <vector>
 
 #include "check/invariants.hh"
-#include "check/racedetect.hh"
 #include "common/flags.hh"
 #include "common/version.hh"
 #include "check/tracelint.hh"
 #include "core/runner.hh"
 #include "mem/memsys.hh"
 #include "synth/generator.hh"
-#include "trace/io.hh"
 #include "trace/source.hh"
 
 using namespace oscache;
@@ -60,13 +63,7 @@ usage()
         "  --quanta <n>         scheduling quanta to synthesize\n"
         "  --seed <n>           workload random seed\n"
         "  --simulate           also run the simulator with the\n"
-        "                       coherence invariant checker attached\n"
-        "  --stream             lint a trace file through streaming\n"
-        "                       cursors (bounded memory; skips the\n"
-        "                       race detector, which needs the whole\n"
-        "                       trace resident)\n"
-        "  --stream-buffer <n>  cursor read-ahead in records per cpu\n"
-        "                       (default 4096)\n");
+        "                       coherence invariant checker attached\n");
 }
 
 struct Args
@@ -77,8 +74,6 @@ struct Args
     std::optional<unsigned> quanta;
     std::optional<std::uint64_t> seed;
     bool simulate = false;
-    bool stream = false;
-    std::size_t streamBuffer = defaultStreamReadAhead;
 };
 
 Args
@@ -113,10 +108,6 @@ parse(int argc, char **argv)
             args.seed = flags.number<std::uint64_t>();
         } else if (flag == "--simulate") {
             args.simulate = true;
-        } else if (flag == "--stream") {
-            args.stream = true;
-        } else if (flag == "--stream-buffer") {
-            args.streamBuffer = flags.number<std::size_t>(1);
         } else if (flag == "--help" || flag == "-h") {
             usage();
             std::exit(0);
@@ -127,60 +118,32 @@ parse(int argc, char **argv)
     return args;
 }
 
-/** Lint + race-detect @p trace; print findings; return error count. */
-std::size_t
-lintAndReport(const Trace &trace, const Args &args, const char *label)
-{
-    std::vector<CheckFinding> findings = lintTrace(trace);
-    const std::vector<CheckFinding> races = detectRaces(trace);
-    findings.insert(findings.end(), races.begin(), races.end());
-
-    for (const auto &f : findings)
-        std::printf("%s: %s\n", label, format(f).c_str());
-    const std::size_t errors = countErrors(findings);
-    std::printf("%s: %zu records, %zu findings (%zu errors)\n", label,
-                trace.totalRecords(), findings.size(), errors);
-
-    if (args.simulate) {
-        // runOnTrace attaches the invariant checker by default and
-        // panics on the first violation.
-        MachineConfig machine = MachineConfig::base();
-        machine.numCpus = trace.numCpus();
-        const SystemSetup setup = SystemSetup::forKind(SystemKind::Base);
-        runOnTrace(trace, machine, SimOptions{}, setup);
-        std::printf("%s: coherence invariants clean end-to-end\n", label);
-    }
-    return errors;
-}
-
-/** Streamed lint: bounded memory however long the trace file is. */
+/**
+ * Lint the trace @p open serves, print the findings, and with
+ * --simulate replay it on Base under @p options; 1 on any Error.
+ */
 int
-cmdTraceStreamed(const Args &args)
+lintAndReport(const TraceSourceFactory &open, const SimOptions &options,
+              const Args &args, const char *label)
 {
-    const char *label = args.traceFile.c_str();
-    FileTraceSource source(args.traceFile, args.streamBuffer);
-    const std::vector<CheckFinding> findings = lintSource(source);
+    const std::unique_ptr<TraceSource> source = open();
+    const std::vector<CheckFinding> findings = lintSource(*source);
     for (const auto &f : findings)
         std::printf("%s: %s\n", label, format(f).c_str());
     const std::size_t errors = countErrors(findings);
     std::size_t records = 0;
-    for (CpuId c = 0; c < source.numCpus(); ++c)
-        records += source.knownRecords(c).value_or(0);
-    std::printf("%s: %zu records, %zu findings (%zu errors) "
-                "[streamed, read-ahead %zu records/cpu]\n",
-                label, records, findings.size(), errors,
-                source.readAhead());
+    for (CpuId c = 0; c < source->numCpus(); ++c)
+        records += source->knownRecords(c).value_or(0);
+    std::printf("%s: %zu records, %zu findings (%zu errors)\n", label,
+                records, findings.size(), errors);
 
     if (args.simulate) {
+        // The replay attaches the invariant checker
+        // (SimOptions::checkCoherence) and panics on a violation.
         MachineConfig machine = MachineConfig::base();
-        machine.numCpus = source.numCpus();
-        const SystemSetup setup = SystemSetup::forKind(SystemKind::Base);
-        runOnSource(
-            [&args]() -> std::unique_ptr<TraceSource> {
-                return std::make_unique<FileTraceSource>(
-                    args.traceFile, args.streamBuffer);
-            },
-            machine, SimOptions{}, setup);
+        machine.numCpus = source->numCpus();
+        runOnSource(open, machine, options,
+                    SystemSetup::forKind(SystemKind::Base));
         std::printf("%s: coherence invariants clean end-to-end\n", label);
     }
     return errors ? 1 : 0;
@@ -191,10 +154,9 @@ cmdTrace(const Args &args)
 {
     if (args.traceFile.empty())
         fatal("trace needs --trace <file>");
-    if (args.stream)
-        return cmdTraceStreamed(args);
-    const Trace trace = readTraceFile(args.traceFile);
-    return lintAndReport(trace, args, args.traceFile.c_str()) ? 1 : 0;
+    // No profile: replay under the defaults, as `oscache replay` does.
+    return lintAndReport(openTraceFile(args.traceFile), SimOptions{}, args,
+                         args.traceFile.c_str());
 }
 
 int
@@ -209,7 +171,9 @@ cmdWorkload(const Args &args)
         p.seed = *args.seed;
     const SystemSetup setup = SystemSetup::forKind(SystemKind::Base);
     const Trace trace = generateTrace(p, setup.coherence);
-    return lintAndReport(trace, args, p.name) ? 1 : 0;
+    return lintAndReport(
+        [&trace] { return std::make_unique<MaterializedTraceSource>(trace); },
+        p.simOptions(), args, p.name);
 }
 
 /** @name Selftest: seed one defect per class, expect it caught. @{ */
@@ -350,7 +314,7 @@ cmdSelftest()
             t.stream(c).push_back(TraceRecord::write(
                 addr + 256, DataCategory::OtherShared, 0, true));
         cases.push_back({"unlocked-shared-write",
-                         CheckCode::UnlockedSharedWrite, detectRaces(t)});
+                         CheckCode::UnlockedSharedWrite, lintTrace(t)});
     }
 
     int failures = 0;

@@ -83,8 +83,7 @@ usage()
         "  --save <file>      (checkpoint) live-point output path\n"
         "  --at <n>           (checkpoint) take the live point once\n"
         "                     every cpu passed record n (0 = at end)\n"
-        "  --checkpoint <f>   (validate) live point to resume\n"
-        "  --stream-buffer <n> cursor read-ahead per cpu for --trace\n");
+        "  --checkpoint <f>   (validate) live point to resume\n");
 }
 
 struct Args
@@ -102,7 +101,6 @@ struct Args
     std::string savePath;
     std::uint64_t saveAt = 0;
     std::string checkpointPath;
-    std::size_t streamBuffer = defaultStreamReadAhead;
 };
 
 Args
@@ -156,8 +154,6 @@ parse(int argc, char **argv)
             args.saveAt = count();
         } else if (flag == "--checkpoint") {
             args.checkpointPath = flags.value();
-        } else if (flag == "--stream-buffer") {
-            args.streamBuffer = flags.number<std::size_t>(1);
         } else if (flag == "--version") {
             std::printf("%s\n", versionString().c_str());
             std::exit(0);
@@ -199,9 +195,9 @@ targetFor(const Args &args)
         const FileTraceSource probe(args.traceFile, 1, index);
         t.machine.numCpus = probe.numCpus();
         const std::string path = args.traceFile;
-        const std::size_t buffer = args.streamBuffer;
-        t.open = [path, buffer, index]() -> std::unique_ptr<TraceSource> {
-            return std::make_unique<FileTraceSource>(path, buffer, index);
+        t.open = [path, index]() -> std::unique_ptr<TraceSource> {
+            return std::make_unique<FileTraceSource>(
+                path, defaultStreamReadAhead, index);
         };
         t.label = args.traceFile;
         return t;

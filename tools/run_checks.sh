@@ -72,44 +72,49 @@ echo "== bench smoke streamed and sampled (tsan, producer threads) =="
     --no-cache --sample period=20k,measure=1k,warmup=4k \
     --results "$tsan_build/bench_smoke_results_sampled" all
 
-# Memory stage: streamed replays of a trace 10x the seed length must
-# stay under a fixed RSS ceiling — the point of the cursor pipeline.
-# This runs against the ASan build, whose shadow memory and redzones
-# add to the footprint: the streamed Base replay peaks near 45 MB and
-# the BCPref one near 70 MB, while a materialized Base replay of the
-# same 18.6M records peaks near 770 MB.  The 256 MiB ceiling sits
-# well above the streamed peaks and far below the materialized one,
-# so a replay that regresses to holding the whole trace fails.
-# BCPref replays the file twice, its second pass through the prefetch
-# adapter, so the ceiling also bounds the adapter's buffers.
-echo "== memory ceiling (streamed long trace) =="
+# Memory stage: a trace 10x the seed length must replay and lint under
+# a fixed RSS ceiling.  The file is chunked, so its format alone makes
+# both tools read it through bounded file cursors, never whole.  This
+# runs against the ASan build, whose shadow memory and redzones add to
+# the footprint: the Base replay peaks near 45 MB and the BCPref one
+# near 70 MB, while holding the same 18.6M records in memory peaks
+# near 770 MB.  The 256 MiB ceiling sits well above the cursor peaks
+# and far below the whole trace, so a tool that regresses to reading
+# the file whole fails.  BCPref replays the file twice, its second
+# pass through the prefetch adapter, so the ceiling also bounds the
+# adapter's buffers; the linter's one walk also keeps the lockset
+# state of every written shared address.
+echo "== memory ceiling (chunked long trace) =="
 memdir=$(mktemp -d)
 rss_limit_kb=262144
 "$build/tools/oscache" generate --workload shell --quanta 360 \
     --format chunked --out "$memdir/long.otc"
-for system in base bcpref; do
-    if [ -x /usr/bin/time ]; then
-        /usr/bin/time -v "$build/tools/oscache" replay \
-            --trace "$memdir/long.otc" --system "$system" --stream \
-            > "$memdir/replay.out" 2> "$memdir/time.out"
-        rss_kb=$(awk -F': ' '/Maximum resident set size/ {print $2}' \
-            "$memdir/time.out")
-    else
-        # No GNU time in this environment: the CLI reports its own
-        # getrusage() high-water mark on every run.
-        "$build/tools/oscache" replay --trace "$memdir/long.otc" \
-            --system "$system" --stream > "$memdir/replay.out"
-        rss_kb=$(awk '/peak rss/ {print $4}' "$memdir/replay.out")
-    fi
-    echo "streamed $system replay peak RSS: ${rss_kb} KB" \
-        "(ceiling ${rss_limit_kb} KB)"
-    [ -n "$rss_kb" ] && [ "$rss_kb" -le "$rss_limit_kb" ] || {
-        echo "memory check failed: $system RSS ${rss_kb:-unknown} KB >" \
+# Run "$@" (it must succeed) and fail the sweep unless its peak RSS,
+# as the kernel accounts it for a waited-for child, is under the
+# ceiling.
+ceiling() {
+    label=$1
+    shift
+    rss_kb=$(python3 -c 'import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)' "$@") || {
+        echo "memory check failed: $label did not run" >&2
+        rm -rf "$memdir"
+        exit 1
+    }
+    echo "$label peak RSS: ${rss_kb} KB (ceiling ${rss_limit_kb} KB)"
+    [ "$rss_kb" -le "$rss_limit_kb" ] || {
+        echo "memory check failed: $label RSS ${rss_kb} KB >" \
             "${rss_limit_kb} KB" >&2
         rm -rf "$memdir"
         exit 1
     }
+}
+for system in base bcpref; do
+    ceiling "$system replay" "$build/tools/oscache" replay \
+        --trace "$memdir/long.otc" --system "$system"
 done
+ceiling "lint" "$build/tools/oscache-lint" trace --trace "$memdir/long.otc"
 rm -rf "$memdir"
 
 tracedir=$(mktemp -d)
@@ -117,10 +122,10 @@ trap 'rm -rf "$tracedir"' EXIT
 
 # Observability: the profiler must reproduce the engine's hot-spot
 # selection, and the exported timeline must be valid Chrome trace JSON.
-echo "== observability (oscache-prof) =="
+echo "== observability (oscache run --hotspots --timeline) =="
 prof_out="$tracedir/prof.out"
 prof_trace="$tracedir/prof_timeline.json"
-"$build/tools/oscache-prof" --workload shell --quanta 2 \
+"$build/tools/oscache" run --workload shell --quanta 2 \
     --hotspots --timeline "$prof_trace" | tee "$prof_out"
 grep -q "hot-spot cross-check: AGREE" "$prof_out" || {
     echo "observability check failed: profiler disagrees with engine" >&2
