@@ -16,8 +16,6 @@
  *                                 # stream-re-encode as chunked v3
  *   trace_inspect file.otb --convert out.trace --text
  *                                 # back to the greppable text format
- *   trace_inspect file.trace --buffer 256
- *                                 # shrink the per-cpu cursor buffer
  */
 
 #include <algorithm>
@@ -46,8 +44,7 @@ namespace
  * memory is one batch regardless of trace length.
  */
 std::size_t
-convertChunked(TraceSource &source, const std::string &out,
-               std::size_t batch_records)
+convertChunked(TraceSource &source, const std::string &out)
 {
     std::ofstream os(out, std::ios::out | std::ios::binary |
                               std::ios::trunc);
@@ -56,13 +53,13 @@ convertChunked(TraceSource &source, const std::string &out,
     ChunkedTraceWriter writer(os, source.numCpus(), source.updatePages());
     std::size_t total = 0;
     RecordStream batch;
-    batch.reserve(batch_records);
+    batch.reserve(defaultStreamReadAhead);
     for (CpuId c = 0; c < source.numCpus(); ++c) {
         auto cursor = source.cursor(c);
         while (const TraceRecord *rec = cursor->peek()) {
             batch.push_back(*rec);
             cursor->advance();
-            if (batch.size() >= batch_records) {
+            if (batch.size() >= defaultStreamReadAhead) {
                 writer.writeChunk(c, batch);
                 total += batch.size();
                 batch.clear();
@@ -104,7 +101,6 @@ main(int argc, char **argv)
     std::string input;
     std::string convert_out;
     TraceFormat convert_format = TraceFormat::Text;
-    std::size_t buffer_records = defaultStreamReadAhead;
     FlagReader flags(argc, argv);
     while (flags.next()) {
         const std::string &flag = flags.flag();
@@ -117,8 +113,6 @@ main(int argc, char **argv)
         } else if (flag == "--version") {
             std::printf("%s\n", versionString().c_str());
             return 0;
-        } else if (flag == "--buffer") {
-            buffer_records = flags.number<std::size_t>(1);
         } else if (!flag.empty() && flag[0] == '-') {
             fatal("unknown flag '", flag, "'");
         } else {
@@ -131,7 +125,7 @@ main(int argc, char **argv)
     std::unique_ptr<Trace> generated;
     std::unique_ptr<TraceSource> source;
     if (!input.empty()) {
-        source = std::make_unique<FileTraceSource>(input, buffer_records);
+        source = std::make_unique<FileTraceSource>(input);
     } else {
         generated = std::make_unique<Trace>(generateTrace(
             WorkloadKind::Trfd4, CoherenceOptions::none()));
@@ -144,11 +138,10 @@ main(int argc, char **argv)
 
     if (!convert_out.empty()) {
         if (convert_format == TraceFormat::Chunked) {
-            const std::size_t total =
-                convertChunked(*source, convert_out, buffer_records);
+            const std::size_t total = convertChunked(*source, convert_out);
             std::printf("streamed %zu records to %s (chunked format, "
                         "%zu-record batches)\n",
-                        total, convert_out.c_str(), buffer_records);
+                        total, convert_out.c_str(), defaultStreamReadAhead);
             return 0;
         }
         // The text writer takes a whole Trace, so the output (not

@@ -51,7 +51,7 @@ std::vector<std::string>
 collectGoldenLines(const std::string &scratch_base, unsigned jobs)
 {
     DriverOptions options;
-    options.jobs = jobs == 0 ? 1 : jobs;
+    options.jobs = jobs;
     options.smoke = true;
     options.resultsBase = scratch_base;
     runExperiments(resolveExperiments({"all"}), options);

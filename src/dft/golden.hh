@@ -38,7 +38,7 @@ std::string normalizeResultLine(const std::string &line);
  * Run every registered experiment's smoke cell and return the
  * normalized, sorted result rows.  @p scratch_base is where the
  * results sink writes its working files (base + ".jsonl"/".csv",
- * overwritten); @p jobs sizes the scheduling pool.
+ * overwritten); @p jobs is the driver's DriverOptions::jobs.
  */
 std::vector<std::string> collectGoldenLines(const std::string &scratch_base,
                                             unsigned jobs);

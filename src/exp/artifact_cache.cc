@@ -140,7 +140,7 @@ TraceStore::load(const std::string &key)
 }
 
 std::unique_ptr<TraceSource>
-TraceStore::openSource(const std::string &key, std::size_t read_ahead)
+TraceStore::openSource(const std::string &key)
 {
     const std::string path = pathFor(key);
     std::error_code ec;
@@ -149,7 +149,8 @@ TraceStore::openSource(const std::string &key, std::size_t read_ahead)
         return nullptr;
     }
     std::string why;
-    auto source = FileTraceSource::tryOpen(path, read_ahead, &why);
+    auto source =
+        FileTraceSource::tryOpen(path, defaultStreamReadAhead, &why);
     if (!source) {
         warn("artifact cache: rejecting corrupt '", path, "' (", why,
              "); will regenerate");

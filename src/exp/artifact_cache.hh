@@ -74,12 +74,10 @@ class TraceStore
      * Open a streaming cursor source over the artifact stored under
      * @p key, or nullptr if absent or corrupt (corrupt files are
      * removed so the regenerated artifact can take their place).
-     * The returned source reads the file incrementally with
-     * @p read_ahead records of buffer per processor.
+     * The returned source reads the file incrementally, with
+     * defaultStreamReadAhead records of buffer per processor.
      */
-    std::unique_ptr<TraceSource> openSource(
-        const std::string &key,
-        std::size_t read_ahead = defaultStreamReadAhead);
+    std::unique_ptr<TraceSource> openSource(const std::string &key);
 
     /**
      * Generate the trace for (@p profile, @p options, @p num_cpus)

@@ -1,16 +1,14 @@
 /**
  * @file
- * The experiment driver: takes a set of registry entries and runs
- * their cells on the work-stealing pool as a dependency graph.
+ * The experiment driver: takes a set of registry entries, fans their
+ * cells out over parallelFor (common/parallel.hh), then renders.
  *
  * Scheduling unit is the *deduplicated* cell: cells from different
  * experiments carrying the same sharedKey (e.g. the Base runs that
- * five figures all need) become one graph node whose outcome is
- * shared.  Each experiment's render is a graph node depending on all
- * nodes that feed it, so rendering overlaps with the remaining
- * simulation work; rendered text is buffered per experiment and
- * presented in registry order, keeping the output deterministic
- * regardless of completion order.
+ * five figures all need) become one unit whose outcome is shared.
+ * Units start in registry order.  Once every unit has finished, the
+ * calling thread renders each experiment in registry order, so the
+ * output is deterministic regardless of completion order.
  */
 
 #ifndef OSCACHE_EXP_DRIVER_HH
@@ -35,7 +33,10 @@ class Timeline;
 /** Knobs for one driver invocation. */
 struct DriverOptions
 {
-    /** Worker threads for the scheduling pool. */
+    /**
+     * Most units run at once: parallelFor's worker count, the calling
+     * thread included (0 counts as 1).
+     */
     unsigned jobs = 1;
     /** Run only each experiment's smoke cell; skip the renders. */
     bool smoke = false;
@@ -69,15 +70,15 @@ struct DriverOptions
     /** Observers every pass of every cell attaches (--metrics). */
     ObsOptions obs;
     /**
-     * Progress callback, called once per finished graph node with a
+     * Progress callback, called once per finished unit with a
      * human-readable label.  Invoked from worker threads; must be
      * thread-safe.  Empty = silent.
      */
     std::function<void(const std::string &)> progress;
     /**
      * Optional scheduler timeline: each finished cell is recorded as
-     * a wall-clock span (microseconds since the driver started, one
-     * lane per worker thread).  The driver serializes its record()
+     * a wall-clock span (microseconds since the driver started; the
+     * lane is the parallelFor worker that ran it).  The driver serializes its record()
      * calls; the caller owns the object and exports it afterwards.
      */
     Timeline *timeline = nullptr;
@@ -104,7 +105,10 @@ struct DriverReport
     unsigned cellsShared = 0;
     /** Sum of per-cell wall-clock (CPU work, not elapsed time). */
     double totalCellMs = 0.0;
-    /** Trace-cache counters accumulated during the run. */
+    /**
+     * Trace-cache counters accumulated during the run: the
+     * process-wide counters at exit minus those at entry.
+     */
     TraceCacheStats traceStats;
 };
 
@@ -114,9 +118,11 @@ struct DriverReport
  * RunContext built from @p options (plan, observers, stream), so
  * concurrent calls may differ in any of them.  Installs (and
  * afterwards removes) the persistence hooks when options.store is
- * set; resets the trace-cache counters at entry so traceStats
- * describes this run (calls running at once share the counters).
- * Rethrows the first cell failure after the graph drains.
+ * set.  The trace cache and its counters are process-wide, so the
+ * traceStats of calls running at once count each other's traffic.
+ * When a cell throws, units not yet started do not run, no
+ * experiment is rendered, and the first failure is rethrown once
+ * the running units have finished.
  */
 DriverReport runExperiments(
     const std::vector<const Experiment *> &experiments,

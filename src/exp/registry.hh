@@ -16,9 +16,8 @@
  *    work — the driver runs one and shares the outcome, so e.g. the
  *    Base runs that five different figures need happen once per sweep.
  *  - render: turns the completed cells into the experiment's text
- *    output (tables and bar charts).  Renders are graph nodes
- *    depending on their cells, so one experiment can be rendering
- *    while another still simulates.
+ *    output (tables and bar charts).  The driver renders every
+ *    experiment on its calling thread once all cells have finished.
  */
 
 #ifndef OSCACHE_EXP_REGISTRY_HH

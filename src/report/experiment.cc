@@ -287,14 +287,6 @@ traceCacheStats()
 }
 
 void
-resetTraceCacheStats()
-{
-    CacheState &state = cacheState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.stats = TraceCacheStats{};
-}
-
-void
 setTraceCacheHooks(TraceLoadHook load, TraceStoreHook store)
 {
     CacheState &state = cacheState();

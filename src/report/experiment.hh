@@ -126,6 +126,16 @@ struct TraceCacheStats
     std::uint64_t generated = 0;
     /** Entries dropped by the LRU size cap. */
     std::uint64_t evictions = 0;
+
+    /** The counts accrued since @p earlier, a snapshot taken before. */
+    TraceCacheStats
+    operator-(const TraceCacheStats &earlier) const
+    {
+        return {memoryHits - earlier.memoryHits,
+                persistentHits - earlier.persistentHits,
+                generated - earlier.generated,
+                evictions - earlier.evictions};
+    }
 };
 
 /**
@@ -148,11 +158,11 @@ void setTraceCacheCapacity(std::size_t bytes);
 /** Current trace-cache capacity in bytes (0 = unbounded). */
 std::size_t traceCacheCapacity();
 
-/** Current process-wide trace-cache counters. */
+/**
+ * Current process-wide trace-cache counters.  They only grow; take
+ * the difference of two snapshots to count one stretch of work.
+ */
 TraceCacheStats traceCacheStats();
-
-/** Reset the counters (cached traces themselves are kept). */
-void resetTraceCacheStats();
 
 /**
  * Loads a previously stored trace; nullopt means "not available".

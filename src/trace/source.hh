@@ -336,7 +336,11 @@ class FileTraceSource final : public TraceSource
      * use tryOpen() for the non-fatal variant.
      *
      * @param read_ahead Cursor buffer size in records (clamped to a
-     *        minimum of 1).
+     *        minimum of 1).  Every caller outside the tests takes
+     *        the default; the parameter is the seam the span-boundary
+     *        tests use to put refills at odd offsets (`file/1` and
+     *        `file/7` in the prefetch-adapter test, and
+     *        StreamFile.TinyReadAheadStillExact).
      */
     explicit FileTraceSource(
         const std::string &path,

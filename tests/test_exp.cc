@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the src/exp experiment-orchestration subsystem: the
- * work-stealing pool and job graph, the persistent artifact cache,
- * the thread-safe trace cache, and — the key acceptance property —
- * that the parallel scheduler produces exactly the statistics the
- * direct serial runWorkload() calls produce.
+ * Tests for the src/exp experiment-orchestration subsystem and the
+ * parallel loop it runs on: parallelFor (common/parallel.hh), the
+ * persistent artifact cache, the thread-safe trace cache, and — the
+ * key acceptance property — that the parallel scheduler produces
+ * exactly the statistics the direct serial runWorkload() calls
+ * produce.
  *
  * All suites here are named Exp* so the thread-sanitizer stage in
  * tools/run_checks.sh can select them with `ctest -R '^Exp'`.
@@ -12,19 +13,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "exp/artifact_cache.hh"
 #include "exp/driver.hh"
 #include "exp/hash.hh"
-#include "exp/pool.hh"
 #include "exp/registry.hh"
 #include "report/experiment.hh"
 #include "sample/plan.hh"
@@ -37,114 +43,128 @@ namespace
 
 namespace fs = std::filesystem;
 
-// ------------------------------------------------------------- pool
+// ----------------------------------------------------- parallel loop
 
-TEST(ExpPool, RunsEveryJob)
+TEST(ExpParallel, RunsEveryIndexOnceOnAtMostMinJobsCountThreads)
 {
-    WorkStealingPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 200; ++i)
-        pool.submit([&count] { count.fetch_add(1); });
-    pool.drain();
-    EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ExpPool, NestedSubmitFromWorker)
-{
-    WorkStealingPool pool(3);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&pool, &count] {
-            for (int j = 0; j < 4; ++j)
-                pool.submit([&count] { count.fetch_add(1); });
-        });
-    pool.drain();
-    EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ExpPool, DrainPropagatesFirstException)
-{
-    WorkStealingPool pool(2);
-    for (int i = 0; i < 10; ++i)
-        pool.submit([i] {
-            if (i == 5)
-                throw std::runtime_error("job 5 failed");
-        });
-    EXPECT_THROW(pool.drain(), std::runtime_error);
-    // The pool stays usable after a failed drain.
-    std::atomic<int> count{0};
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.drain();
-    EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ExpPool, DrainWithoutJobsReturns)
-{
-    WorkStealingPool pool(2);
-    pool.drain();
-    SUCCEED();
-}
-
-// -------------------------------------------------------------- graph
-
-TEST(ExpGraph, RespectsDependencies)
-{
-    JobGraph graph;
-    std::vector<int> order;
-    std::mutex m;
-    auto log = [&](int id) {
-        return [&order, &m, id] {
-            std::lock_guard<std::mutex> lock(m);
-            order.push_back(id);
-        };
-    };
-    const auto a = graph.add("a", log(0));
-    const auto b = graph.add("b", log(1), {a});
-    const auto c = graph.add("c", log(2), {a});
-    graph.add("d", log(3), {b, c});
-    graph.run(4);
-
-    ASSERT_EQ(order.size(), 4u);
-    EXPECT_EQ(order.front(), 0);
-    EXPECT_EQ(order.back(), 3);
-}
-
-TEST(ExpGraph, SkipsDependentsOfFailedNode)
-{
-    JobGraph graph;
-    std::atomic<bool> dependent_ran{false};
-    const auto a =
-        graph.add("fails", [] { throw std::runtime_error("boom"); });
-    graph.add("skipped", [&dependent_ran] { dependent_ran = true; }, {a});
-    EXPECT_THROW(graph.run(2), std::runtime_error);
-    EXPECT_FALSE(dependent_ran.load());
-}
-
-TEST(ExpGraph, ParallelMatchesSerial)
-{
-    // The same graph run with 1 and with 4 threads must produce the
-    // same per-node results.
-    auto build_and_run = [](unsigned threads) {
-        JobGraph graph;
-        std::vector<int> results(20, 0);
-        std::vector<JobGraph::NodeId> prev;
-        for (int i = 0; i < 20; ++i) {
-            const int dep = i >= 2 ? i - 2 : -1;
-            std::vector<JobGraph::NodeId> deps;
-            if (dep >= 0)
-                deps.push_back(prev[std::size_t(dep)]);
-            prev.push_back(graph.add(
-                std::string("n") + std::to_string(i),
-                [&results, dep, i] {
-                    results[std::size_t(i)] =
-                        (dep >= 0 ? results[std::size_t(dep)] : 1) * 2 + i;
-                },
-                deps));
+    for (const unsigned jobs : {1u, 3u, 8u}) {
+        for (const std::size_t count : {0u, 1u, 2u, 200u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "jobs " << jobs << ", count " << count);
+            std::vector<std::atomic<int>> runs(count);
+            std::mutex mutex;
+            std::set<std::thread::id> threads; // Guarded by mutex.
+            std::set<unsigned> workers;        // Guarded by mutex.
+            parallelFor(jobs, count, [&](std::size_t i, unsigned worker) {
+                runs[i].fetch_add(1);
+                std::lock_guard<std::mutex> lock(mutex);
+                threads.insert(std::this_thread::get_id());
+                workers.insert(worker);
+                return true;
+            });
+            for (std::size_t i = 0; i < count; ++i)
+                EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+            const std::size_t most = std::min<std::size_t>(jobs, count);
+            EXPECT_LE(threads.size(), most);
+            EXPECT_LE(workers.size(), most);
+            if (!workers.empty()) {
+                EXPECT_LT(*workers.rbegin(), most);
+            }
         }
-        graph.run(threads);
-        return results;
-    };
-    EXPECT_EQ(build_and_run(1), build_and_run(4));
+    }
+}
+
+TEST(ExpParallel, OneWorkerStopsAfterFalseOrThrow)
+{
+    // One worker runs the indices in order, so the stop is exact.
+    std::vector<std::size_t> ran;
+    parallelFor(1, 200, [&](std::size_t i, unsigned) {
+        ran.push_back(i);
+        return i != 5;
+    });
+    EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+
+    ran.clear();
+    try {
+        parallelFor(1, 200, [&](std::size_t i, unsigned) {
+            ran.push_back(i);
+            if (i == 5)
+                throw std::runtime_error("index 5");
+            return true;
+        });
+        ADD_FAILURE() << "parallelFor returned instead of rethrowing";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "index 5");
+    }
+    EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+}
+
+/** What stopWhileOthersRun() saw: the indices run, the error. */
+struct StopRun
+{
+    std::set<std::size_t> ran;
+    std::string error;
+};
+
+/**
+ * Run parallelFor(3, 200) where index 0 ends the loop through @p stop
+ * (return false or throw) while indices 1 and 2 are still running on
+ * the other two workers; those then finish through @p finish.
+ */
+template <typename Stop, typename Finish>
+StopRun
+stopWhileOthersRun(Stop stop, Finish finish)
+{
+    std::atomic<int> started{0};
+    std::atomic<bool> stopping{false};
+    std::mutex mutex;
+    StopRun run; // run.ran is guarded by mutex.
+    try {
+        parallelFor(3, 200, [&](std::size_t i, unsigned) {
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                run.ran.insert(i);
+            }
+            started.fetch_add(1);
+            if (i >= 3)
+                return true;
+            // Indices 0-2 each block until all three are running, so
+            // each holds one worker.
+            while (started.load() < 3)
+                std::this_thread::yield();
+            if (i == 0) {
+                stopping = true;
+                return stop();
+            }
+            while (!stopping.load())
+                std::this_thread::yield();
+            // Give the stopping worker ample time to publish its stop.
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            return finish(i);
+        });
+    } catch (const std::exception &e) {
+        run.error = e.what();
+    }
+    return run;
+}
+
+TEST(ExpParallel, FalseReturnStopsNewIndices)
+{
+    const StopRun run = stopWhileOthersRun(
+        [] { return false; }, [](std::size_t) { return true; });
+    EXPECT_EQ(run.ran, (std::set<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(run.error, "");
+}
+
+TEST(ExpParallel, ThrowStopsNewIndicesAndFirstIsRethrown)
+{
+    const StopRun run = stopWhileOthersRun(
+        []() -> bool { throw std::runtime_error("first"); },
+        [](std::size_t i) -> bool {
+            throw std::runtime_error("later " + std::to_string(i));
+        });
+    EXPECT_EQ(run.ran, (std::set<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(run.error, "first");
 }
 
 // ----------------------------------------------------- artifact cache
@@ -187,7 +207,7 @@ TEST(ExpArtifactCache, StoreLoadRoundTrip)
 
     // store() writes the same chunked encoding storeStreaming() does,
     // so a streamed run can replay it from disk.
-    auto source = store.openSource(key, 64);
+    auto source = store.openSource(key);
     ASSERT_NE(source, nullptr);
     for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
         auto cursor = source->cursor(cpu);
@@ -246,7 +266,7 @@ TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
 TEST(ExpTraceCache, ConcurrentRequestsGenerateOnce)
 {
     clearTraceCache();
-    resetTraceCacheStats();
+    const TraceCacheStats before = traceCacheStats();
     constexpr int kThreads = 8;
     std::vector<std::shared_ptr<const Trace>> seen(kThreads);
     {
@@ -261,7 +281,7 @@ TEST(ExpTraceCache, ConcurrentRequestsGenerateOnce)
     }
     for (int t = 1; t < kThreads; ++t)
         EXPECT_EQ(seen[std::size_t(t)], seen[0]) << "same latch result";
-    EXPECT_EQ(traceCacheStats().generated, 1u);
+    EXPECT_EQ((traceCacheStats() - before).generated, 1u);
     clearTraceCache();
 }
 
@@ -429,6 +449,96 @@ TEST(ExpScheduler, WarmArtifactCacheSkipsGeneration)
         EXPECT_GT(warm.traceStats.persistentHits, 0u);
     }
     clearTraceCache();
+}
+
+TEST(ExpScheduler, TraceStatsCountOnlyThisCall)
+{
+    // A call reports its own traffic and leaves the process-wide
+    // counters running: the trace the cold call generated is still
+    // counted after the warm call, which generated nothing.
+    const Experiment *table1 = findExperiment("table1");
+    ASSERT_NE(table1, nullptr);
+    DriverOptions options;
+    options.smoke = true;
+    clearTraceCache();
+    const TraceCacheStats before = traceCacheStats();
+    const DriverReport cold = runExperiments({table1}, options);
+    const std::uint64_t generated = (traceCacheStats() - before).generated;
+    EXPECT_GT(generated, 0u);
+    EXPECT_EQ(cold.traceStats.generated, generated);
+
+    const DriverReport warm = runExperiments({table1}, options);
+    EXPECT_EQ(warm.traceStats.generated, 0u);
+    EXPECT_GT(warm.traceStats.memoryHits, 0u);
+    EXPECT_EQ((traceCacheStats() - before).generated, generated);
+    clearTraceCache();
+}
+
+/** The cell ids in the results sink's JSONL file @p path. */
+std::multiset<std::string>
+sinkCells(const std::string &path)
+{
+    std::multiset<std::string> cells;
+    std::ifstream in(path);
+    const std::string key = "\"cell\":\"";
+    for (std::string line; std::getline(in, line);) {
+        const std::size_t at = line.find(key);
+        if (at == std::string::npos)
+            continue;
+        const std::size_t begin = at + key.size();
+        cells.insert(line.substr(begin, line.find('"', begin) - begin));
+    }
+    return cells;
+}
+
+TEST(ExpScheduler, FailedCellRethrowsWithoutRenders)
+{
+    // A cell that throws fails the whole call: the exception comes
+    // back out, no experiment renders, and the sink holds rows only
+    // for cells that finished.  Cells not yet started do not run, so
+    // with one job the cell after the failing one never runs.
+    std::atomic<bool> rendered{false};
+    Experiment failing;
+    failing.name = "failing";
+    failing.smokeCell = "ok/first";
+    for (const char *id : {"ok/first", "boom", "ok/last"}) {
+        CellSpec cell;
+        cell.id = id;
+        const bool throws = cell.id == "boom";
+        cell.body = [throws](const RunContext &) -> CellOutcome {
+            if (throws)
+                throw std::runtime_error("cell boom failed");
+            return {};
+        };
+        failing.cells.push_back(std::move(cell));
+    }
+    failing.render = [&rendered](const CellLookup &, std::ostream &) {
+        rendered = true;
+    };
+
+    const std::string base = "/tmp/oscache_test_failed_cell";
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+        DriverOptions options;
+        options.jobs = jobs;
+        options.resultsBase = base;
+        try {
+            runExperiments({&failing}, options);
+            ADD_FAILURE() << "runExperiments returned a report";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "cell boom failed");
+        }
+        EXPECT_FALSE(rendered.load());
+        const std::multiset<std::string> rows = sinkCells(base + ".jsonl");
+        EXPECT_EQ(rows.count("boom"), 0u);
+        EXPECT_LE(rows.count("ok/first"), 1u);
+        EXPECT_LE(rows.count("ok/last"), 1u);
+        if (jobs == 1) {
+            EXPECT_EQ(rows, (std::multiset<std::string>{"ok/first"}));
+        }
+    }
+    fs::remove(base + ".jsonl");
+    fs::remove(base + ".csv");
 }
 
 // ----------------------------------------------------------- registry

@@ -1039,7 +1039,7 @@ TEST(StreamStore, StreamedArtifactMatchesMaterialized)
 
     EXPECT_EQ(store.openSource(key), nullptr); // cold: miss
     store.storeStreaming(key, profile, options);
-    auto source = store.openSource(key, 64);
+    auto source = store.openSource(key);
     ASSERT_NE(source, nullptr);
 
     const Trace trace = generateTrace(profile, options);
@@ -1072,7 +1072,7 @@ TEST(StreamStore, StreamedArtifactMatchesMaterialized)
 TEST(StreamCache, LruEvictsUnderByteCap)
 {
     clearTraceCache();
-    resetTraceCacheStats();
+    const TraceCacheStats before = traceCacheStats();
     // One small trace's footprint, measured through the public API.
     setTraceCacheCapacity(0);
     const CoherenceOptions base = CoherenceOptions::none();
@@ -1094,7 +1094,7 @@ TEST(StreamCache, LruEvictsUnderByteCap)
     (void)cachedWorkloadTrace(WorkloadKind::Trfd4, reloc);
     (void)cachedWorkloadTrace(WorkloadKind::Trfd4, relup);
 
-    const TraceCacheStats stats = traceCacheStats();
+    const TraceCacheStats stats = traceCacheStats() - before;
     EXPECT_EQ(stats.generated, 3u);
     EXPECT_GE(stats.evictions, 1u);
 
@@ -1102,9 +1102,9 @@ TEST(StreamCache, LruEvictsUnderByteCap)
     EXPECT_GT(first->totalRecords(), 0u);
 
     // An evicted key regenerates (a later miss, not an error).
-    resetTraceCacheStats();
+    const TraceCacheStats regen = traceCacheStats();
     (void)cachedWorkloadTrace(WorkloadKind::Trfd4, base);
-    const TraceCacheStats after = traceCacheStats();
+    const TraceCacheStats after = traceCacheStats() - regen;
     EXPECT_EQ(after.memoryHits + after.generated, 1u);
 
     setTraceCacheCapacity(defaultTraceCacheBytes);
@@ -1114,7 +1114,7 @@ TEST(StreamCache, LruEvictsUnderByteCap)
 TEST(StreamCache, StreamedModeBypassesMaterialization)
 {
     clearTraceCache();
-    resetTraceCacheStats();
+    const TraceCacheStats before = traceCacheStats();
     RunContext streaming;
     streaming.stream = true;
     const RunResult streamed = runWorkload(
@@ -1127,7 +1127,7 @@ TEST(StreamCache, StreamedModeBypassesMaterialization)
     EXPECT_EQ(streamed.traceMode, "synth");
     EXPECT_EQ(materialized.traceMode, "materialized");
     // The streamed run never touched the materialized cache.
-    EXPECT_EQ(traceCacheStats().generated, 1u);
+    EXPECT_EQ((traceCacheStats() - before).generated, 1u);
     clearTraceCache();
 }
 

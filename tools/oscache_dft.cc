@@ -24,13 +24,15 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <iterator>
+#include <limits>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/flags.hh"
 #include "common/log.hh"
+#include "common/parallel.hh"
 #include "common/version.hh"
 #include "core/blockop/schemes.hh"
 #include "core/cohopt.hh"
@@ -96,50 +98,32 @@ runFuzz(std::uint64_t seed_base, std::uint64_t count, double seconds,
         clock::now() + std::chrono::duration_cast<clock::duration>(
                            std::chrono::duration<double>(seconds));
 
-    std::atomic<std::uint64_t> next{0};
     std::atomic<std::uint64_t> done{0};
     std::atomic<std::uint64_t> total_records{0};
-    std::atomic<bool> failed{false};
     std::mutex report_mutex;
     std::vector<FuzzReport> failures;
 
-    const auto worker = [&]() {
-        for (;;) {
-            if (failed.load(std::memory_order_relaxed))
-                return;
-            const std::uint64_t index =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (timed) {
-                if (clock::now() >= deadline)
-                    return;
-            } else if (index >= count) {
-                return;
-            }
-            const FuzzReport report = fuzzOne(seed_base + index);
-            total_records.fetch_add(report.records,
-                                    std::memory_order_relaxed);
-            const std::uint64_t n =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (report.diff.diverged) {
-                failed.store(true, std::memory_order_relaxed);
-                std::lock_guard<std::mutex> lock(report_mutex);
-                failures.push_back(report);
-                return;
-            }
-            if (!quiet && n % 250 == 0) {
-                std::printf("  %llu traces, no divergence\n",
-                            (unsigned long long)n);
-                std::fflush(stdout);
-            }
+    const std::size_t seeds =
+        timed ? std::numeric_limits<std::size_t>::max() : count;
+    parallelFor(jobs, seeds, [&](std::size_t index, unsigned) {
+        if (timed && clock::now() >= deadline)
+            return false;
+        const FuzzReport report = fuzzOne(seed_base + index);
+        total_records.fetch_add(report.records, std::memory_order_relaxed);
+        const std::uint64_t n =
+            done.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (report.diff.diverged) {
+            std::lock_guard<std::mutex> lock(report_mutex);
+            failures.push_back(report);
+            return false;
         }
-    };
-
-    std::vector<std::thread> threads;
-    for (unsigned t = 1; t < jobs; ++t)
-        threads.emplace_back(worker);
-    worker();
-    for (std::thread &t : threads)
-        t.join();
+        if (!quiet && n % 250 == 0) {
+            std::printf("  %llu traces, no divergence\n",
+                        (unsigned long long)n);
+            std::fflush(stdout);
+        }
+        return true;
+    });
 
     for (const FuzzReport &report : failures) {
         std::printf("FAIL: divergence at seed %llu (scheme %s, "
@@ -164,53 +148,35 @@ runFuzz(std::uint64_t seed_base, std::uint64_t count, double seconds,
 int
 runWorkloads(unsigned jobs)
 {
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
     std::mutex print_mutex;
-    constexpr std::size_t n =
-        sizeof(allWorkloads) / sizeof(allWorkloads[0]);
-
-    const auto worker = [&]() {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            const WorkloadKind kind = allWorkloads[i];
-            Trace trace =
-                generateTrace(kind, CoherenceOptions::none());
-            MaterializedTraceSource source(trace);
-            const MachineConfig machine;
-            const SimOptions options;
-            const DiffResult diff =
-                runDiff(source, machine, options, BlockScheme::Base);
-            std::lock_guard<std::mutex> lock(print_mutex);
-            if (diff.diverged) {
-                failed.store(true, std::memory_order_relaxed);
-                std::printf("FAIL: %s diverged\n%s\n", toString(kind),
-                            diff.report.c_str());
-            } else {
-                std::printf("  %-10s %llu events checked, engine == "
-                            "oracle\n",
-                            toString(kind),
-                            (unsigned long long)diff.eventsChecked);
-                std::fflush(stdout);
-            }
+    bool failed = false; // Guarded by print_mutex.
+    parallelFor(jobs, std::size(allWorkloads), [&](std::size_t i, unsigned) {
+        const WorkloadKind kind = allWorkloads[i];
+        Trace trace = generateTrace(kind, CoherenceOptions::none());
+        MaterializedTraceSource source(trace);
+        const MachineConfig machine;
+        const SimOptions options;
+        const DiffResult diff =
+            runDiff(source, machine, options, BlockScheme::Base);
+        std::lock_guard<std::mutex> lock(print_mutex);
+        if (diff.diverged) {
+            failed = true;
+            std::printf("FAIL: %s diverged\n%s\n", toString(kind),
+                        diff.report.c_str());
+        } else {
+            std::printf("  %-10s %llu events checked, engine == oracle\n",
+                        toString(kind),
+                        (unsigned long long)diff.eventsChecked);
+            std::fflush(stdout);
         }
-    };
+        return true;
+    });
 
-    std::vector<std::thread> threads;
-    for (unsigned t = 1; t < jobs && t < n; ++t)
-        threads.emplace_back(worker);
-    worker();
-    for (std::thread &t : threads)
-        t.join();
-
-    if (failed.load())
+    if (failed)
         return 1;
     std::printf("workloads: %zu full workloads, engine vs oracle, "
                 "0 divergences\n",
-                n);
+                std::size(allWorkloads));
     return 0;
 }
 
@@ -239,56 +205,38 @@ class PlanController final : public SampleController
 int
 runSampledWorkloads(unsigned jobs, const sample::SamplingPlan &plan)
 {
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
     std::mutex print_mutex;
-    constexpr std::size_t n =
-        sizeof(allWorkloads) / sizeof(allWorkloads[0]);
-
-    const auto worker = [&]() {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            const WorkloadKind kind = allWorkloads[i];
-            Trace trace =
-                generateTrace(kind, CoherenceOptions::none());
-            MaterializedTraceSource inner(trace);
-            sample::SampledTraceSource source(inner, plan);
-            PlanController controller(source, plan);
-            const MachineConfig machine;
-            const SimOptions options;
-            const DiffResult diff = runDiff(source, machine, options,
-                                            BlockScheme::Base,
-                                            &controller);
-            std::lock_guard<std::mutex> lock(print_mutex);
-            if (diff.diverged) {
-                failed.store(true, std::memory_order_relaxed);
-                std::printf("FAIL: %s diverged under sampling\n%s\n",
-                            toString(kind), diff.report.c_str());
-            } else {
-                std::printf("  %-10s %llu sampled-replay events "
-                            "checked, engine == oracle\n",
-                            toString(kind),
-                            (unsigned long long)diff.eventsChecked);
-                std::fflush(stdout);
-            }
+    bool failed = false; // Guarded by print_mutex.
+    parallelFor(jobs, std::size(allWorkloads), [&](std::size_t i, unsigned) {
+        const WorkloadKind kind = allWorkloads[i];
+        Trace trace = generateTrace(kind, CoherenceOptions::none());
+        MaterializedTraceSource inner(trace);
+        sample::SampledTraceSource source(inner, plan);
+        PlanController controller(source, plan);
+        const MachineConfig machine;
+        const SimOptions options;
+        const DiffResult diff = runDiff(source, machine, options,
+                                        BlockScheme::Base, &controller);
+        std::lock_guard<std::mutex> lock(print_mutex);
+        if (diff.diverged) {
+            failed = true;
+            std::printf("FAIL: %s diverged under sampling\n%s\n",
+                        toString(kind), diff.report.c_str());
+        } else {
+            std::printf("  %-10s %llu sampled-replay events "
+                        "checked, engine == oracle\n",
+                        toString(kind),
+                        (unsigned long long)diff.eventsChecked);
+            std::fflush(stdout);
         }
-    };
+        return true;
+    });
 
-    std::vector<std::thread> threads;
-    for (unsigned t = 1; t < jobs && t < n; ++t)
-        threads.emplace_back(worker);
-    worker();
-    for (std::thread &t : threads)
-        t.join();
-
-    if (failed.load())
+    if (failed)
         return 1;
     std::printf("sampled: %zu workloads under plan %s, engine vs "
                 "oracle, 0 divergences\n",
-                n, plan.describe().c_str());
+                std::size(allWorkloads), plan.describe().c_str());
     return 0;
 }
 

@@ -192,7 +192,8 @@ targetFor(const Args &args)
         // would dwarf the sampled replay itself.  `oscache replay`
         // remains the fully-verifying path.
         const auto index = FileTraceSource::ScanDepth::Index;
-        const FileTraceSource probe(args.traceFile, 1, index);
+        const FileTraceSource probe(args.traceFile, defaultStreamReadAhead,
+                                    index);
         t.machine.numCpus = probe.numCpus();
         const std::string path = args.traceFile;
         t.open = [path, index]() -> std::unique_ptr<TraceSource> {

@@ -37,19 +37,21 @@ fi
 echo "== lint selftest =="
 "$build/tools/oscache-lint" selftest
 
-# Two subsystems run threads: the parallel experiment scheduler (and
-# the thread-safe trace cache under it), and the producer thread a
-# synthesized source starts for a sampled replay, which generates
-# quanta while the engine replays.  Build both with TSan and run the
-# Exp*, Stream*, Sample* and SampledBatched* suites plus end-to-end
-# bench smokes, the last with several sampled producers at once.
+# Two subsystems run threads: the shared loop (parallelFor in
+# common/parallel.hh, which runs the experiment driver over the
+# thread-safe trace cache and oscache-dft's commands), and the
+# producer thread a synthesized source starts for a sampled replay,
+# which generates quanta while the engine replays.  Build both with
+# TSan and run the Exp*, Stream*, Sample* and SampledBatched* suites,
+# end-to-end bench smokes (the last with several sampled producers at
+# once) and a timed fuzz run, whose deadline stops every worker.
 tsan_build="$build-tsan"
 echo "== configure tsan ($tsan_build) =="
 cmake -B "$tsan_build" -S "$repo" -DOSCACHE_SANITIZE=thread
 
 echo "== build tsan =="
 cmake --build "$tsan_build" -j "$jobs" --target test_exp test_stream \
-    test_sample test_perf_equiv oscache_bench
+    test_sample test_perf_equiv oscache_bench oscache_dft_cli
 
 echo "== ctest tsan (Exp*, Stream*, Sample*, SampledBatched*) =="
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
@@ -71,6 +73,9 @@ echo "== bench smoke streamed and sampled (tsan, producer threads) =="
 "$tsan_build/tools/oscache-bench" --smoke --jobs 4 --quiet --stream \
     --no-cache --sample period=20k,measure=1k,warmup=4k \
     --results "$tsan_build/bench_smoke_results_sampled" all
+
+echo "== dft fuzz (tsan, deadline stops every worker) =="
+"$tsan_build/tools/oscache-dft" fuzz --seconds 5 --jobs 4 --quiet
 
 # Memory stage: a trace 10x the seed length must replay and lint under
 # a fixed RSS ceiling.  The file is chunked, so its format alone makes
