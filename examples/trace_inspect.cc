@@ -126,15 +126,13 @@ main(int argc, char **argv)
     std::unique_ptr<TraceSource> source;
     if (!input.empty()) {
         source = std::make_unique<FileTraceSource>(input);
+        std::printf("source: %s, read-ahead %zu records/cpu\n",
+                    source->mode(), defaultStreamReadAhead);
     } else {
         generated = std::make_unique<Trace>(generateTrace(
             WorkloadKind::Trfd4, CoherenceOptions::none()));
         source = std::make_unique<MaterializedTraceSource>(*generated);
     }
-    if (const auto *file =
-            dynamic_cast<const FileTraceSource *>(source.get()))
-        std::printf("source: %s, read-ahead %zu records/cpu\n",
-                    source->mode(), file->readAhead());
 
     if (!convert_out.empty()) {
         if (convert_format == TraceFormat::Chunked) {

@@ -27,9 +27,10 @@ namespace
 
 /**
  * Unique temp name next to @p path.  Thread ids alone are NOT unique
- * across processes (two workers of the sharded fleet routinely get
- * identical pthread handles), so a colliding temp name would let two
- * writers interleave into one file and rename garbage into place.
+ * across processes (two oscache-bench runs sharing one --cache-dir
+ * routinely get identical pthread handles), so a colliding temp name
+ * would let two writers interleave into one file and rename garbage
+ * into place.
  * pid + thread id + a process-local sequence number is collision-free
  * across everything that can race on one store directory.
  */

@@ -2,8 +2,8 @@
  * @file
  * The experiment registry: every paper figure and table, ablation,
  * extension study and diagnostic, expressed as data the scheduler can
- * consume.  It is the only experiment front end: oscache-bench, the
- * fleet (oscache-served) and the golden cells all run its cells.
+ * consume.  It is the only experiment front end: oscache-bench and
+ * the golden cells run its cells.
  * An Experiment is split into:
  *
  *  - cells: the independent (workload × system × machine) simulation
@@ -121,7 +121,7 @@ struct Experiment
 
 /**
  * Run @p spec under @p ctx: its body, or the standard cell.  The one
- * dispatch the driver and the fleet workers share.
+ * dispatch the driver and the golden cells share.
  */
 CellOutcome runCell(const CellSpec &spec, const RunContext &ctx);
 

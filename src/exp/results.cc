@@ -110,18 +110,6 @@ ResultsSink::ResultsSink(const std::string &basePath) : base(basePath)
 }
 
 std::string
-resultRowIdentityJson(const ResultRow &row)
-{
-    std::ostringstream js;
-    js << "{\"experiment\":\"" << jsonEscape(row.experiment) << "\""
-       << ",\"cell\":\"" << jsonEscape(row.cell) << "\""
-       << ",\"workload\":\"" << jsonEscape(row.workload) << "\""
-       << ",\"system\":\"" << jsonEscape(row.system) << "\""
-       << ",\"machine\":\"" << jsonEscape(row.machineHash) << "\"";
-    return js.str();
-}
-
-std::string
 resultRowOutcomeJson(const ResultRow &row)
 {
     if (row.outcome == nullptr)
@@ -239,7 +227,14 @@ resultRowOutcomeJson(const ResultRow &row)
 std::string
 resultRowJsonl(const ResultRow &row)
 {
-    return resultRowIdentityJson(row) + resultRowOutcomeJson(row);
+    std::ostringstream js;
+    js << "{\"experiment\":\"" << jsonEscape(row.experiment) << "\""
+       << ",\"cell\":\"" << jsonEscape(row.cell) << "\""
+       << ",\"workload\":\"" << jsonEscape(row.workload) << "\""
+       << ",\"system\":\"" << jsonEscape(row.system) << "\""
+       << ",\"machine\":\"" << jsonEscape(row.machineHash) << "\""
+       << resultRowOutcomeJson(row);
+    return js.str();
 }
 
 void

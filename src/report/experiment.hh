@@ -47,9 +47,9 @@ using TraceSourceHook = std::function<std::unique_ptr<TraceSource>(
 
 /**
  * How one run replays its cells, beyond each cell's own workload,
- * system and machine.  runExperiments() builds one per call and a
- * fleet worker one per assignment; both hand it to every cell.  The
- * default replays the cached materialized trace in full, unobserved.
+ * system and machine.  runExperiments() builds one per call and hands
+ * it to every cell.  The default replays the cached materialized
+ * trace in full, unobserved.
  */
 struct RunContext
 {

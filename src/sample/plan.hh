@@ -131,9 +131,8 @@ struct SamplingPlan
 
     /**
      * As parse(), but malformed input returns nullopt with @p error
-     * set instead of exiting — for long-running servers validating
-     * client-supplied plans (a daemon must never fatal() on a bad
-     * request).
+     * set instead of exiting; parse() is this plus fatal(), and tests
+     * probe rejections through it.
      */
     static std::optional<SamplingPlan>
     tryParse(const std::string &text, std::string *error = nullptr);

@@ -71,8 +71,8 @@ enum class TraceFormat
 /**
  * Version word of the binary format, the only one the readers
  * accept.  Bump whenever the record layout or any serialized
- * structure changes; the artifact cache and the serve work keys mix
- * this in, so stale files are never opened.
+ * structure changes; the artifact cache keys mix this in, so stale
+ * files are never opened.
  */
 inline constexpr std::uint32_t traceFormatVersion = 3;
 

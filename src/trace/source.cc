@@ -14,8 +14,9 @@ using iodetail::recordWireBytes;
 
 /**
  * What both file cursors share: a private ifstream over the file, the
- * cpu's segment index, and a read-ahead buffer of up to readAhead()
- * records whose unread tail peek() and peekRun() hand out.
+ * cpu's segment index, and a read-ahead buffer of up to the source's
+ * bufferRecords records whose unread tail peek() and peekRun() hand
+ * out.
  */
 class FileTraceSource::FileCursor : public RecordCursor
 {
@@ -51,7 +52,7 @@ class FileTraceSource::FileCursor : public RecordCursor
     void advanceRun(std::size_t n) override { bufPos += n; }
 
   protected:
-    /** Append the next records, up to readAhead(), to the empty buf. */
+    /** Append the next records, up to bufferRecords, to the empty buf. */
     virtual void refill() = 0;
 
     /** Consume up to @p n buffered records; returns how many. */

@@ -368,9 +368,6 @@ class FileTraceSource final : public TraceSource
     std::optional<std::size_t> knownRecords(CpuId cpu) const override;
     const char *mode() const override { return "file"; }
 
-    /** Cursor read-ahead, in records. */
-    std::size_t readAhead() const { return bufferRecords; }
-
   private:
     FileTraceSource() = default;
 
@@ -391,7 +388,7 @@ class FileTraceSource final : public TraceSource
     class BinaryCursor;
 
     std::string path;
-    std::size_t bufferRecords = defaultStreamReadAhead;
+    std::size_t bufferRecords = defaultStreamReadAhead; ///< Read-ahead.
     ScanDepth depth = ScanDepth::Full;
     bool text = false; ///< Text format (else chunked binary).
     BlockOpTable table;

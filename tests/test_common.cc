@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: address helpers and the deterministic
- * random number generators.
+ * Unit tests for src/common: address helpers, the deterministic
+ * random number generators and the JSON codec.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -162,6 +163,96 @@ TEST(RngTest, SplitMixDeterministic)
     SplitMix64 b(99);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(Json, RoundTripPreservesBytes)
+{
+    Json o = Json::object();
+    o.set("type", "result");
+    o.set("ok", true);
+    o.set("attempt", std::int64_t(3));
+    o.set("ratio", 0.5);
+    o.set("error", "");
+    Json arr = Json::array();
+    arr.push(std::int64_t(-7));
+    arr.push("a\"b\\c\n");
+    arr.push(Json());
+    o.set("list", std::move(arr));
+
+    const std::string text = o.dump();
+    Json back;
+    std::string error;
+    ASSERT_TRUE(Json::parse(text, back, &error)) << error;
+    EXPECT_EQ(back.dump(), text) << "dump/parse/dump must be stable";
+    EXPECT_EQ(back.get("type").asString(), "result");
+    EXPECT_TRUE(back.get("ok").asBool());
+    EXPECT_EQ(back.get("attempt").asInt(), 3);
+    EXPECT_DOUBLE_EQ(back.get("ratio").asDouble(), 0.5);
+    EXPECT_EQ(back.get("list").at(0).asInt(), -7);
+    EXPECT_EQ(back.get("list").at(1).asString(), "a\"b\\c\n");
+    EXPECT_TRUE(back.get("list").at(2).isNull());
+}
+
+TEST(Json, ParsesScalarsAndEscapes)
+{
+    Json v;
+    ASSERT_TRUE(Json::parse("-12", v));
+    EXPECT_EQ(v.asInt(), -12);
+    ASSERT_TRUE(Json::parse("2.5e2", v));
+    EXPECT_DOUBLE_EQ(v.asDouble(), 250.0);
+    ASSERT_TRUE(Json::parse("9223372036854775807", v));
+    EXPECT_EQ(v.asInt(), 9223372036854775807LL);
+    ASSERT_TRUE(Json::parse("true", v));
+    EXPECT_TRUE(v.asBool());
+    ASSERT_TRUE(Json::parse("null", v));
+    EXPECT_TRUE(v.isNull());
+    ASSERT_TRUE(Json::parse("\"\\u0041\\u00e9\"", v));
+    EXPECT_EQ(v.asString(), "A\xc3\xa9");
+    // Surrogate pair: U+1F600.
+    ASSERT_TRUE(Json::parse("\"\\ud83d\\ude00\"", v));
+    EXPECT_EQ(v.asString(), "\xf0\x9f\x98\x80");
+}
+
+TEST(Json, RejectsMalformedInput)
+{
+    const char *bad[] = {
+        "",                    // empty
+        "{",                   // unterminated object
+        "[1,",                 // unterminated array
+        "01",                  // leading zero
+        "1.",                  // digits required after point
+        "1e",                  // digits required in exponent
+        "tru",                 // bad literal
+        "\"\\x\"",             // unknown escape
+        "\"\x01\"",            // raw control character
+        "{\"a\":1,}",          // trailing comma
+        "{\"a\" 1}",           // missing colon
+        "{1:2}",               // non-string key
+        "\"\\ud800\"",         // unpaired surrogate
+        "1 2",                 // trailing content
+        "nullx",               // trailing content
+    };
+    for (const char *text : bad) {
+        Json v;
+        std::string error;
+        EXPECT_FALSE(Json::parse(text, v, &error))
+            << "accepted: " << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
+
+    // Nesting past the depth cap must fail, not blow the stack.
+    std::string deep(200, '[');
+    Json v;
+    EXPECT_FALSE(Json::parse(deep, v));
+}
+
+TEST(Json, MissingKeyChainingIsSafe)
+{
+    Json o = Json::object();
+    const Json &leaf = o.get("a").get("b").at(4).get("c");
+    EXPECT_TRUE(leaf.isNull());
+    EXPECT_EQ(leaf.asInt(7), 7);
+    EXPECT_EQ(o.get("nope").asString(), "");
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Tests of the machine configuration: derived values, the
  * validation that rejects malformed configurations, and a checked
  * run of the widest socket count it accepts; of the one
- * workload/system name table the CLIs parse names with; and of the
- * one number grammar they parse flag values with.
+ * workload/system name table the CLIs parse names with; of the one
+ * number grammar they parse flag values with; and of the sampling
+ * plan's tryParse(), which rejects what parse() rejects.
  */
 
 #include <gtest/gtest.h>
@@ -277,6 +278,10 @@ TEST(FlagNumbers, CountRejectsEverythingElse)
     EXPECT_FALSE(sample::SamplingPlan::tryParse("error=nan"));
     EXPECT_FALSE(sample::SamplingPlan::tryParse("error=0.05x"));
     EXPECT_FALSE(sample::SamplingPlan::tryParse("rounds=4294967296"));
+    EXPECT_FALSE(sample::SamplingPlan::tryParse("bogus=1"));
+    EXPECT_FALSE(sample::SamplingPlan::tryParse(
+        "period=1k,measure=2k,warmup=8k"))
+        << "warmup + measure > period";
 }
 
 TEST(FlagNumbers, ReaderNamesTheFlagOnABadValue)
@@ -293,6 +298,26 @@ TEST(FlagNumbers, ReaderNamesTheFlagOnABadValue)
         EXPECT_EXIT(read(bad), ::testing::ExitedWithCode(1),
                     "flag --count wants a whole number")
             << bad;
+}
+
+TEST(ServeCellrun, SamplingPlanTryParseMirrorsParse)
+{
+    const auto good = sample::SamplingPlan::tryParse(
+        "period=100k,measure=2k,warmup=8k");
+    ASSERT_TRUE(good.has_value());
+    EXPECT_EQ(good->period, 100'000u);
+    EXPECT_EQ(good->measure, 2'000u);
+
+    std::string error;
+    EXPECT_FALSE(sample::SamplingPlan::tryParse("period=", &error)
+                     .has_value());
+    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(
+        sample::SamplingPlan::tryParse("bogus=1", &error).has_value());
+    EXPECT_FALSE(sample::SamplingPlan::tryParse(
+                     "period=1k,measure=2k,warmup=8k", &error)
+                     .has_value())
+        << "invalid geometry (warmup+measure > period) must be caught";
 }
 
 } // namespace

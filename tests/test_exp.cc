@@ -2,14 +2,18 @@
  * @file
  * Tests for the src/exp experiment-orchestration subsystem and the
  * parallel loop it runs on: parallelFor (common/parallel.hh), the
- * persistent artifact cache, the thread-safe trace cache, and — the
- * key acceptance property — that the parallel scheduler produces
- * exactly the statistics the direct serial runWorkload() calls
- * produce.
+ * persistent artifact cache (which concurrent processes may share),
+ * the thread-safe trace cache, and — the key acceptance property —
+ * that the parallel scheduler produces exactly the statistics the
+ * direct serial runWorkload() calls produce.
  *
- * All suites here are named Exp* so the thread-sanitizer stage in
- * tools/run_checks.sh can select them with `ctest -R '^Exp'`.
+ * Every suite here but ServeCellrun is named Exp* so the
+ * thread-sanitizer stage in tools/run_checks.sh can select them with
+ * `ctest -R '^Exp'`; ServeCellrun keeps the name it has long had.
  */
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -32,6 +37,7 @@
 #include "exp/driver.hh"
 #include "exp/hash.hh"
 #include "exp/registry.hh"
+#include "exp/results.hh"
 #include "report/experiment.hh"
 #include "sample/plan.hh"
 #include "synth/generator.hh"
@@ -259,6 +265,57 @@ TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
     EXPECT_FALSE(fs::exists(path));
     store.store(key, trace);
     EXPECT_TRUE(store.load(key).has_value());
+}
+
+TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)
+{
+    // Two oscache-bench processes may share one --cache-dir: two
+    // forked writers store the same key concurrently while this
+    // process loads it, and every load must see a complete artifact.
+    const std::string dir = "/tmp/oscache_test_artifacts_race";
+    fs::remove_all(dir);
+
+    WorkloadProfile profile =
+        WorkloadProfile::forKind(WorkloadKind::Trfd4);
+    profile.quanta = 2;
+    const Trace trace =
+        generateTrace(profile, CoherenceOptions::none());
+    const std::string key =
+        TraceStore::keyFor(profile, CoherenceOptions::none());
+
+    pid_t writers[2];
+    for (int w = 0; w < 2; ++w) {
+        writers[w] = ::fork();
+        ASSERT_GE(writers[w], 0);
+        if (writers[w] == 0) {
+            TraceStore mine(dir);
+            for (int i = 0; i < 10; ++i)
+                mine.store(key, trace);
+            ::_exit(0);
+        }
+    }
+
+    TraceStore reader(dir);
+    int alive = 2;
+    int reaped_ok = 0;
+    while (alive > 0) {
+        const auto loaded = reader.load(key);
+        if (loaded.has_value()) {
+            EXPECT_EQ(loaded->totalRecords(), trace.totalRecords());
+        }
+        for (const pid_t w : writers) {
+            int status = 0;
+            if (::waitpid(w, &status, WNOHANG) == w) {
+                --alive;
+                if (status == 0)
+                    ++reaped_ok;
+            }
+        }
+    }
+    EXPECT_EQ(reaped_ok, 2);
+    EXPECT_EQ(reader.rejected(), 0u)
+        << "a reader saw a torn artifact";
+    ASSERT_TRUE(reader.load(key).has_value());
 }
 
 // -------------------------------------------------------- trace cache
@@ -539,6 +596,54 @@ TEST(ExpScheduler, FailedCellRethrowsWithoutRenders)
     }
     fs::remove(base + ".jsonl");
     fs::remove(base + ".csv");
+}
+
+TEST(ServeCellrun, SampledCellMatchesDriverRow)
+{
+    // A cell run alone through runCell() under a RunContext's plan
+    // must give the canonical row the driver gives it under the same
+    // plan, for a plain cell, a custom body that calls runWorkload()
+    // and a hot-spot cell, which replays in full under any plan.
+    const std::vector<const Experiment *> selected =
+        resolveExperiments({"figure1", "figure3", "calibrate"});
+    const std::map<std::string, std::string> smoke = {
+        {"figure1", "Base/TRFD_4"},
+        {"figure3", "BCPref/TRFD_4"},
+        {"calibrate", "calibrate/TRFD_4"},
+    };
+
+    RunContext ctx;
+    ctx.samplePlan =
+        sample::SamplingPlan::parse("period=40k,measure=2k,warmup=12k");
+    DriverOptions options;
+    options.jobs = 2;
+    options.smoke = true;
+    options.samplePlan = ctx.samplePlan;
+    const DriverReport report = runExperiments(selected, options);
+
+    ASSERT_EQ(report.experiments.size(), smoke.size());
+    for (const ExperimentReport &er : report.experiments) {
+        const std::string &cell = smoke.at(er.experiment->name);
+        ASSERT_EQ(er.experiment->smokeCell, cell);
+        const auto spec = std::find_if(
+            er.experiment->cells.begin(), er.experiment->cells.end(),
+            [&](const CellSpec &s) { return s.id == cell; });
+        ASSERT_NE(spec, er.experiment->cells.end()) << cell;
+
+        ResultRow row;
+        row.canonical = true;
+        row.outcome = &er.outcomes.at(cell);
+        const std::string expected = resultRowOutcomeJson(row);
+        const CellOutcome alone = runCell(*spec, ctx);
+        row.outcome = &alone;
+        EXPECT_EQ(resultRowOutcomeJson(row), expected) << cell;
+        const bool hotspot =
+            SystemSetup::forKind(spec->system).hotspotPrefetch;
+        EXPECT_EQ(expected.find("\"sample\"") != std::string::npos,
+                  !hotspot)
+            << cell;
+    }
+    clearTraceCache();
 }
 
 // ----------------------------------------------------------- registry

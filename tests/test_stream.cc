@@ -354,7 +354,6 @@ TEST(StreamFile, AllFormatsRoundTrip)
 
         FileTraceSource source(path, 64);
         EXPECT_STREQ(source.mode(), "file");
-        EXPECT_EQ(source.readAhead(), 64u);
         ASSERT_EQ(source.numCpus(), trace.numCpus()) << c.name;
         for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
             ASSERT_TRUE(source.knownRecords(cpu).has_value());
@@ -381,7 +380,6 @@ TEST(StreamFile, TinyReadAheadStillExact)
     writeTraceFile(path, trace, TraceFormat::Chunked);
 
     FileTraceSource source(path, 1);
-    EXPECT_EQ(source.readAhead(), 1u);
     EXPECT_EQ(drain(source), streamsOf(trace));
     fs::remove(path);
 }

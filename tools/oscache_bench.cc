@@ -66,8 +66,8 @@ usage()
         "                  them into the JSONL results\n"
         "  --canonical-results\n"
         "                  zero run-varying result fields (wall_ms,\n"
-        "                  rss, trace_mode, shared) so the JSONL is\n"
-        "                  byte-comparable with an oscache-served run\n"
+        "                  rss, trace_mode, shared) so the JSONL of\n"
+        "                  two runs of the same cells is byte-comparable\n"
         "  --sample PLAN   replay cells under a SMARTS-style sampling\n"
         "                  plan (key=value pairs: period, measure,\n"
         "                  warmup, error, rounds, spinbreak; e.g.\n"

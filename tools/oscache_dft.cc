@@ -336,9 +336,9 @@ main(int argc, char **argv)
         return runFuzz(seed_base, count, seconds, jobs, quiet);
     }
     if (command == "workloads")
-        return runWorkloads(jobs == 1 ? 4 : jobs);
+        return runWorkloads(jobs);
     if (command == "sampled")
-        return runSampledWorkloads(jobs == 1 ? 4 : jobs,
+        return runSampledWorkloads(jobs,
                                    sample::SamplingPlan::parse(plan_text));
     if (command == "golden") {
         if (bless == check)

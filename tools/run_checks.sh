@@ -244,17 +244,6 @@ echo "== sample: dft oracle on sampled windows =="
 "$build/tools/oscache-dft" sampled --jobs "$jobs"
 
 
-# Serving stage: the sharded fleet must survive a worker SIGKILL with
-# exactly-once cell execution, and the union of the rows streamed to
-# 8 concurrent clients must be byte-identical to a single-process
-# canonical bench run (this is the same script ctest runs as
-# oscache_serve_smoke, here against the sanitized build).
-echo "== serve: fleet smoke (4 workers, 8 clients, kill -9) =="
-"$repo/tools/serve_smoke.sh" "$build/tools/oscache-served" \
-    "$build/tools/oscache-servectl" "$build/tools/oscache-bench" \
-    "$tracedir/serve_smoke"
-
-
 # Benchmark stage: neither ctest nor the stages above build perfbench/,
 # which compiles against the exp, report, core and sample APIs.  Its
 # selftest builds it (Release, under .bench_build/) and runs every
