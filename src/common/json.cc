@@ -1,6 +1,5 @@
 #include "common/json.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -337,64 +336,6 @@ struct Parser
     }
 };
 
-void
-dumpTo(const Json &value, std::string &out)
-{
-    switch (value.type()) {
-      case Json::Type::Null:
-          out += "null";
-          break;
-      case Json::Type::Bool:
-          out += value.asBool() ? "true" : "false";
-          break;
-      case Json::Type::Number: {
-          const double d = value.asDouble();
-          if (double(value.asInt()) == d &&
-              std::fabs(d) < 9.0e18) { // exact integral
-              char buf[32];
-              std::snprintf(buf, sizeof buf, "%lld",
-                            static_cast<long long>(value.asInt()));
-              out += buf;
-          } else {
-              char buf[40];
-              std::snprintf(buf, sizeof buf, "%.17g", d);
-              out += buf;
-          }
-          break;
-      }
-      case Json::Type::String:
-          out += '"';
-          out += jsonEscapeString(value.asString());
-          out += '"';
-          break;
-      case Json::Type::Array: {
-          out += '[';
-          for (std::size_t i = 0; i < value.size(); ++i) {
-              if (i > 0)
-                  out += ',';
-              dumpTo(value.at(i), out);
-          }
-          out += ']';
-          break;
-      }
-      case Json::Type::Object: {
-          out += '{';
-          bool first = true;
-          for (const auto &[key, member] : value.members()) {
-              if (!first)
-                  out += ',';
-              first = false;
-              out += '"';
-              out += jsonEscapeString(key);
-              out += "\":";
-              dumpTo(member, out);
-          }
-          out += '}';
-          break;
-      }
-    }
-}
-
 } // namespace
 
 Json
@@ -508,14 +449,6 @@ Json::members() const
 {
     static const std::vector<std::pair<std::string, Json>> empty;
     return type_ == Type::Object ? obj_ : empty;
-}
-
-std::string
-Json::dump() const
-{
-    std::string out;
-    dumpTo(*this, out);
-    return out;
 }
 
 bool

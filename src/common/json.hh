@@ -1,10 +1,11 @@
 /**
  * @file
- * Minimal JSON value, parser, and serializer.
+ * Minimal JSON value and parser, plus the one string escaper.
  *
- * The writers emit JSON with ad-hoc ostringstream code; this is the
- * reader, which the row-schema and observer-contract tests use to
- * parse the result rows and reports those writers produce.  It is a
+ * The writers emit JSON with ad-hoc ostringstream code, escaping
+ * strings with jsonEscapeString(); this is the reader, which the
+ * row-schema and observer-contract tests use to parse the result
+ * rows and reports those writers produce.  It is a
  * small, strict recursive-descent implementation: UTF-8
  * pass-through, \uXXXX escapes decoded to UTF-8, a hard
  * recursion-depth cap so malformed input cannot blow the stack, and
@@ -12,8 +13,7 @@
  * assert on rejection, not just acceptance).
  *
  * Numbers are held as double (plus an exact int64 view when the
- * text was integral); object member order is preserved so dumps are
- * deterministic and tests can compare bytes.
+ * text was integral); object member order is preserved.
  */
 
 #ifndef OSCACHE_COMMON_JSON_HH
@@ -88,9 +88,6 @@ class Json
     bool has(const std::string &key) const;
     void set(const std::string &key, Json value);
     const std::vector<std::pair<std::string, Json>> &members() const;
-
-    /** Serialize (compact, deterministic member order). */
-    std::string dump() const;
 
     /**
      * Parse @p text; returns nullopt-style result: ok() false means

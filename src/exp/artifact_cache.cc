@@ -79,13 +79,6 @@ writeArtifact(const std::string &path,
     }
 }
 
-/** The store key of the trace runWorkload() asks the cache for. */
-std::string
-workloadKey(WorkloadKind w, const CoherenceOptions &o, unsigned cpus)
-{
-    return TraceStore::keyFor(WorkloadProfile::forKind(w), o, cpus);
-}
-
 } // namespace
 
 TraceStore::TraceStore(std::string directory) : root(std::move(directory))
@@ -195,32 +188,28 @@ TraceStore::store(const std::string &key, const Trace &trace)
                   [&](std::ostream &os) { writeTraceChunked(os, trace); });
 }
 
-void
-installTraceStore(TraceStore *store)
+TraceCacheHooks
+traceStoreHooks(TraceStore &store)
 {
-    if (store == nullptr) {
-        setTraceCacheHooks({}, {});
-        return;
-    }
-    setTraceCacheHooks(
-        [store](WorkloadKind w, const CoherenceOptions &o, unsigned cpus) {
-            return store->load(workloadKey(w, o, cpus));
-        },
-        [store](WorkloadKind w, const CoherenceOptions &o, unsigned cpus,
-                const Trace &t) { store->store(workloadKey(w, o, cpus), t); });
-}
-
-TraceSourceHook
-streamFromStore(TraceStore &store)
-{
-    return [&store](WorkloadKind w, const CoherenceOptions &o,
-                    unsigned cpus) -> std::unique_ptr<TraceSource> {
-        const std::string k = workloadKey(w, o, cpus);
-        if (auto source = store.openSource(k))
-            return source;
-        store.storeStreaming(k, WorkloadProfile::forKind(w), o, cpus);
-        return store.openSource(k);
+    TraceCacheHooks hooks;
+    hooks.load = [&store](const WorkloadProfile &p, const CoherenceOptions &o,
+                          unsigned cpus) {
+        return store.load(TraceStore::keyFor(p, o, cpus));
     };
+    hooks.store = [&store](const WorkloadProfile &p,
+                           const CoherenceOptions &o, unsigned cpus,
+                           const Trace &t) {
+        store.store(TraceStore::keyFor(p, o, cpus), t);
+    };
+    hooks.open = [&store](const WorkloadProfile &p, const CoherenceOptions &o,
+                          unsigned cpus) -> std::unique_ptr<TraceSource> {
+        const std::string key = TraceStore::keyFor(p, o, cpus);
+        if (auto source = store.openSource(key))
+            return source;
+        store.storeStreaming(key, p, o, cpus);
+        return store.openSource(key);
+    };
+    return hooks;
 }
 
 } // namespace oscache

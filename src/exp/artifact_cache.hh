@@ -110,19 +110,13 @@ class TraceStore
 };
 
 /**
- * Put @p store under the in-memory trace cache (report/experiment.hh):
- * materialized runs load from and store to it.  A null @p store
- * removes the hooks again.  The store must outlive its installation.
+ * A TraceCache's hooks over @p store: materialized traces load from
+ * and store to it, and a streamed source reads its chunked artifact
+ * incrementally, with defaultStreamReadAhead records of buffer per
+ * processor, after generating a missing one straight to disk.  The
+ * store must outlive every cache built with the hooks.
  */
-void installTraceStore(TraceStore *store);
-
-/**
- * A RunContext::openStreamed over @p store: a missing trace is
- * generated straight to a chunked artifact, then streamed from disk
- * with defaultStreamReadAhead records of buffer per processor.  The
- * store must outlive the opener.
- */
-TraceSourceHook streamFromStore(TraceStore &store);
+TraceCacheHooks traceStoreHooks(TraceStore &store);
 
 } // namespace oscache
 

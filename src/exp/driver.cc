@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/parallel.hh"
-#include "exp/artifact_cache.hh"
 #include "exp/hash.hh"
 #include "exp/results.hh"
 #include "obs/timeline.hh"
@@ -26,17 +25,6 @@ struct Unit
 {
     /** (experiment index, cell) pairs; the first is the computer. */
     std::vector<std::pair<std::size_t, const CellSpec *>> cells;
-};
-
-/** Uninstalls the persistence hooks even when a cell throws. */
-struct HookGuard
-{
-    bool storeActive = false;
-    ~HookGuard()
-    {
-        if (storeActive)
-            installTraceStore(nullptr);
-    }
 };
 
 /** Process high-water RSS in KiB, as reported by the kernel. */
@@ -60,20 +48,14 @@ runExperiments(const std::vector<const Experiment *> &experiments,
     for (std::size_t e = 0; e < experiments.size(); ++e)
         report.experiments[e].experiment = experiments[e];
 
-    setTraceCacheCapacity(options.traceCacheBytes);
-
+    TraceCache &cache =
+        options.cache != nullptr ? *options.cache : defaultTraceCache();
     RunContext ctx;
     ctx.samplePlan = options.samplePlan;
     ctx.obs = options.obs;
     ctx.stream = options.stream;
-    HookGuard hooks;
-    if (options.store != nullptr) {
-        installTraceStore(options.store);
-        hooks.storeActive = true;
-        if (options.stream)
-            ctx.openStreamed = streamFromStore(*options.store);
-    }
-    const TraceCacheStats entry = traceCacheStats();
+    ctx.traces = &cache;
+    const TraceCacheStats entry = cache.stats();
 
     std::unique_ptr<ResultsSink> sink;
     if (!options.resultsBase.empty())
@@ -167,7 +149,7 @@ runExperiments(const std::vector<const Experiment *> &experiments,
             out.rendered = os.str();
         }
     }
-    report.traceStats = traceCacheStats() - entry;
+    report.traceStats = cache.stats() - entry;
     return report;
 }
 

@@ -27,7 +27,6 @@
 namespace oscache
 {
 
-class TraceStore;
 class Timeline;
 
 /** Knobs for one driver invocation. */
@@ -40,18 +39,19 @@ struct DriverOptions
     unsigned jobs = 1;
     /** Run only each experiment's smoke cell; skip the renders. */
     bool smoke = false;
-    /** Persistent trace store to install, or nullptr for none. */
-    TraceStore *store = nullptr;
+    /**
+     * Where every pass of every cell gets its trace; null means
+     * defaultTraceCache().  A cache built over a TraceStore's hooks
+     * (traceStoreHooks) loads and stores its artifacts.
+     */
+    TraceCache *cache = nullptr;
     /**
      * Pull records through streaming cursors instead of materializing
-     * whole traces: standard cells synthesize on demand (or stream
-     * from the store's chunked artifacts when one is installed), so
-     * their peak memory is bounded by jobs x cursor buffers.  Custom
-     * cells always replay the cached materialized trace.
+     * whole traces: every pass synthesizes on demand, or streams the
+     * chunked artifact the cache's open hook offers, so peak memory
+     * is bounded by jobs x cursor buffers.
      */
     bool stream = false;
-    /** In-memory trace-cache cap in bytes (0 = unbounded). */
-    std::size_t traceCacheBytes = defaultTraceCacheBytes;
     /** Results sink base path ("x" -> x.jsonl + x.csv); empty = off. */
     std::string resultsBase;
     /**
@@ -106,8 +106,9 @@ struct DriverReport
     /** Sum of per-cell wall-clock (CPU work, not elapsed time). */
     double totalCellMs = 0.0;
     /**
-     * Trace-cache counters accumulated during the run: the
-     * process-wide counters at exit minus those at entry.
+     * The change in the options' trace cache's counters over the
+     * call.  Calls sharing a cache while they run count each other's
+     * traffic; calls on caches of their own count only their own.
      */
     TraceCacheStats traceStats;
 };
@@ -115,14 +116,11 @@ struct DriverReport
 /**
  * Run @p experiments under @p options and return the collected
  * outcomes and rendered reports.  Every cell runs under one
- * RunContext built from @p options (plan, observers, stream), so
- * concurrent calls may differ in any of them.  Installs (and
- * afterwards removes) the persistence hooks when options.store is
- * set.  The trace cache and its counters are process-wide, so the
- * traceStats of calls running at once count each other's traffic.
- * When a cell throws, units not yet started do not run, no
- * experiment is rendered, and the first failure is rethrown once
- * the running units have finished.
+ * RunContext built from @p options (plan, observers, stream, trace
+ * cache), so concurrent calls may differ in any of them.  When a
+ * cell throws, units not yet started do not run, no experiment is
+ * rendered, and the first failure is rethrown once the running
+ * units have finished.
  */
 DriverReport runExperiments(
     const std::vector<const Experiment *> &experiments,

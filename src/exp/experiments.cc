@@ -12,9 +12,11 @@
 #include <cstdarg>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/log.hh"
@@ -27,7 +29,6 @@
 #include "report/numa.hh"
 #include "report/paper.hh"
 #include "report/table.hh"
-#include "synth/generator.hh"
 #include "synth/kernel_layout.hh"
 
 namespace oscache
@@ -87,6 +88,23 @@ extraOf(const CellOutcome &outcome, const std::string &key)
     if (it == outcome.extra.end())
         panic("cell outcome lacks extra '", key, "'");
     return it->second;
+}
+
+/**
+ * Read every cursor of @p source to its end without keeping a
+ * record (the skip promise lets a streamed source buffer nothing);
+ * afterwards its blockOps() table is complete.
+ */
+void
+readToEnd(TraceSource &source)
+{
+    std::vector<std::unique_ptr<RecordCursor>> cursors;
+    for (CpuId c = 0; c < source.numCpus(); ++c) {
+        cursors.push_back(source.cursor(c));
+        cursors.back()->promiseSkips(1, 0);
+    }
+    for (const auto &cursor : cursors)
+        cursor->skip(std::numeric_limits<std::size_t>::max());
 }
 
 // ---------------------------------------------------------------- figures
@@ -641,16 +659,16 @@ makeTable3()
         cell.workload = kind;
         cell.system = SystemKind::Base;
         cell.body = [kind](const RunContext &ctx) {
-            const auto trace =
-                cachedWorkloadTrace(kind, CoherenceOptions::none());
-            const SimOptions opts =
-                ctx.simOptions(WorkloadProfile::forKind(kind));
+            const WorkloadProfile profile = WorkloadProfile::forKind(kind);
+            const SimOptions opts = ctx.simOptions(profile);
             const MachineConfig machine = MachineConfig::base();
+            const TraceSourceFactory open =
+                ctx.open(profile, CoherenceOptions::none(), machine.numCpus);
 
             BlockOpCensus census;
             CellOutcome out;
             out.run = runOnce(
-                *trace, machine, opts, BlockScheme::Base,
+                *open(), machine, opts, BlockScheme::Base,
                 [&census](std::unique_ptr<BlockOpExecutor> exec,
                           MemorySystem &mem, SimStats &) {
                     return std::make_unique<AnalyzingExecutor>(
@@ -658,7 +676,7 @@ makeTable3()
                 });
             const SimStats &base = out.run.stats;
             const SimStats bypass =
-                runOnce(*trace, machine, opts, BlockScheme::Bypass).stats;
+                runOnce(*open(), machine, opts, BlockScheme::Bypass).stats;
 
             const double base_misses = double(base.totalMisses());
             out.extra = {
@@ -752,16 +770,31 @@ makeTable4()
         cell.workload = kind;
         cell.system = SystemKind::Base;
         cell.body = [kind](const RunContext &ctx) {
-            const auto trace =
-                cachedWorkloadTrace(kind, CoherenceOptions::none());
-            const SimOptions opts =
-                ctx.simOptions(WorkloadProfile::forKind(kind));
+            const WorkloadProfile profile = WorkloadProfile::forKind(kind);
+            const SimOptions opts = ctx.simOptions(profile);
             const MachineConfig machine = MachineConfig::base();
+            const TraceSourceFactory open =
+                ctx.open(profile, CoherenceOptions::none(), machine.numCpus);
 
+            CellOutcome out;
+            const std::unique_ptr<TraceSource> source = open();
+            out.run = runOnce(*source, machine, opts, BlockScheme::Base);
+            const SimStats &base = out.run.stats;
+            const SimStats deferred =
+                runOnce(*open(), machine, opts, BlockScheme::Base,
+                        [&opts](std::unique_ptr<BlockOpExecutor> exec,
+                                MemorySystem &mem, SimStats &stats) {
+                            return std::make_unique<DeferredCopyExecutor>(
+                                std::move(exec), mem, stats, opts);
+                        })
+                    .stats;
+
+            // The Base pass read its source to the end, so the
+            // source's block-operation table is complete.
             std::uint64_t copies = 0;
             std::uint64_t small_copies = 0;
             std::uint64_t readonly_small = 0;
-            for (const BlockOp &op : trace->blockOps()) {
+            for (const BlockOp &op : source->blockOps()) {
                 if (!op.isCopy())
                     continue;
                 ++copies;
@@ -771,18 +804,6 @@ makeTable4()
                         ++readonly_small;
                 }
             }
-
-            CellOutcome out;
-            out.run = runOnce(*trace, machine, opts, BlockScheme::Base);
-            const SimStats &base = out.run.stats;
-            const SimStats deferred =
-                runOnce(*trace, machine, opts, BlockScheme::Base,
-                        [&opts](std::unique_ptr<BlockOpExecutor> exec,
-                                MemorySystem &mem, SimStats &stats) {
-                            return std::make_unique<DeferredCopyExecutor>(
-                                std::move(exec), mem, stats, opts);
-                        })
-                    .stats;
 
             const double saved = double(base.totalMisses()) -
                 double(deferred.totalMisses());
@@ -949,6 +970,42 @@ makeAblationDmaCost()
     return e;
 }
 
+using Pages = std::unordered_set<Addr>;
+
+/**
+ * @p inner's records under another update-page set: how the
+ * update-set ablation varies the selective-update pages of one trace.
+ */
+class UpdateSetSource final : public TraceSource
+{
+  public:
+    UpdateSetSource(std::unique_ptr<TraceSource> source, Pages update_pages)
+        : inner(std::move(source)), pages(std::move(update_pages))
+    {}
+
+    unsigned numCpus() const override { return inner->numCpus(); }
+    const BlockOpTable &blockOps() const override
+    {
+        return inner->blockOps();
+    }
+    const Pages &updatePages() const override { return pages; }
+    std::unique_ptr<RecordCursor>
+    cursor(CpuId cpu) override
+    {
+        return inner->cursor(cpu);
+    }
+    std::optional<std::size_t>
+    knownRecords(CpuId cpu) const override
+    {
+        return inner->knownRecords(cpu);
+    }
+    const char *mode() const override { return inner->mode(); }
+
+  private:
+    std::unique_ptr<TraceSource> inner;
+    Pages pages;
+};
+
 std::string
 updsetId(WorkloadKind kind)
 {
@@ -967,24 +1024,26 @@ makeAblationUpdateSet()
         cell.workload = kind;
         cell.system = SystemKind::BCohRelUp;
         cell.body = [kind](const RunContext &ctx) {
-            const SimOptions opts =
-                ctx.simOptions(WorkloadProfile::forKind(kind));
+            const WorkloadProfile profile = WorkloadProfile::forKind(kind);
+            const SimOptions opts = ctx.simOptions(profile);
             const CoherenceOptions options =
                 CoherenceOptions::relocUpdate();
             const KernelLayout layout(4, options);
-            const auto cached = cachedWorkloadTrace(kind, options);
-
-            // Selective set (the paper's 384-byte core).
-            const Trace &selective = *cached;
+            const TraceSourceFactory open = ctx.open(profile, options, 4);
+            auto run_source = [&opts](std::unique_ptr<TraceSource> source) {
+                return runOnce(*source, MachineConfig::base(), opts,
+                               BlockScheme::Dma);
+            };
 
             // Invalidate-only: same layout, no update pages.
-            Trace invalidate = *cached;
-            invalidate.updatePages().clear();
+            const RunResult inv =
+                run_source(std::make_unique<UpdateSetSource>(open(), Pages{}));
 
             // Pure update: every shared kernel variable's page updates.
-            Trace pure = *cached;
+            std::unique_ptr<TraceSource> pure_source = open();
+            Pages pure = pure_source->updatePages();
             auto add_page = [&pure](Addr a) {
-                pure.updatePages().insert(alignDown(a, Addr{4096}));
+                pure.insert(alignDown(a, Addr{4096}));
             };
             for (unsigned i = 0; i < KernelLayout::numCounters; ++i)
                 for (CpuId c = 0; c < 4; ++c)
@@ -999,16 +1058,12 @@ makeAblationUpdateSet()
                 add_page(layout.runQueue(i));
             for (unsigned i = 0; i < KernelLayout::numFreePages; ++i)
                 add_page(layout.freePageNode(i));
+            const RunResult pur = run_source(std::make_unique<UpdateSetSource>(
+                std::move(pure_source), std::move(pure)));
 
-            auto run_trace = [&opts](const Trace &trace) {
-                return runOnce(trace, MachineConfig::base(), opts,
-                               BlockScheme::Dma);
-            };
-
-            const RunResult inv = run_trace(invalidate);
-            const RunResult pur = run_trace(pure);
+            // Selective set (the paper's 384-byte core).
             CellOutcome out;
-            out.run = run_trace(selective);
+            out.run = run_source(open());
             const RunResult &sel = out.run;
             out.extra = {
                 {"inv_misses", remainingOsMisses(inv.stats)},
@@ -1079,13 +1134,13 @@ makeAblationPrefetchDistance()
         cell.workload = kind;
         cell.system = SystemKind::BCPref;
         cell.body = [kind](const RunContext &ctx) {
-            const SimOptions opts =
-                ctx.simOptions(WorkloadProfile::forKind(kind));
-            const auto trace =
-                cachedWorkloadTrace(kind, CoherenceOptions::relocUpdate());
+            const WorkloadProfile profile = WorkloadProfile::forKind(kind);
+            const SimOptions opts = ctx.simOptions(profile);
+            const TraceSourceFactory open =
+                ctx.open(profile, CoherenceOptions::relocUpdate(), 4);
 
             CellOutcome out;
-            out.run = runOnce(*trace, MachineConfig::base(), opts,
+            out.run = runOnce(*open(), MachineConfig::base(), opts,
                               BlockScheme::Dma);
             const SimStats &base = out.run.stats;
             const HotspotPlan top = selectHotspots(base, paperHotspotCount);
@@ -1096,8 +1151,7 @@ makeAblationPrefetchDistance()
             for (unsigned lookahead : prefetchLookaheads) {
                 HotspotPlan plan = top;
                 plan.lookahead = lookahead;
-                PrefetchStreamSource rewritten(
-                    std::make_unique<MaterializedTraceSource>(*trace), plan);
+                PrefetchStreamSource rewritten(open(), plan);
                 const SimStats s = runOnce(rewritten, MachineConfig::base(),
                                            opts, BlockScheme::Dma)
                                        .stats;
@@ -1226,17 +1280,17 @@ makeAblationICache()
             cell.workload = kind;
             cell.system = SystemKind::Base;
             cell.body = [kind, detailed](const RunContext &ctx) {
-                const auto trace =
-                    cachedWorkloadTrace(kind, CoherenceOptions::none());
-                SimOptions opts =
-                    ctx.simOptions(WorkloadProfile::forKind(kind));
+                const WorkloadProfile profile = WorkloadProfile::forKind(kind);
+                SimOptions opts = ctx.simOptions(profile);
                 opts.modelICache = detailed != 0;
+                const TraceSourceFactory open =
+                    ctx.open(profile, CoherenceOptions::none(), 4);
 
                 CellOutcome out;
-                out.run = runOnce(*trace, MachineConfig::base(), opts,
+                out.run = runOnce(*open(), MachineConfig::base(), opts,
                                   BlockScheme::Base);
                 const SimStats &base = out.run.stats;
-                const SimStats dma = runOnce(*trace, MachineConfig::base(),
+                const SimStats dma = runOnce(*open(), MachineConfig::base(),
                                              opts, BlockScheme::Dma)
                                          .stats;
                 out.extra = {
@@ -1450,9 +1504,9 @@ variantCell(std::string id, WorkloadKind kind, unsigned cpus,
             profile.seed = seed;
         const auto run = [&](SystemKind sys) {
             const SystemSetup setup = SystemSetup::forKind(sys);
-            const Trace trace =
-                generateTrace(profile, setup.coherence, machine.numCpus);
-            return runOnTrace(trace, machine, ctx.simOptions(profile), setup);
+            return runOnSource(
+                ctx.open(profile, setup.coherence, machine.numCpus), machine,
+                ctx.simOptions(profile), setup);
         };
         CellOutcome out;
         out.run = run(SystemKind::Base);
@@ -1590,20 +1644,19 @@ makeExtensionMorePrefetches()
         cell.workload = kind;
         cell.system = SystemKind::BCohRelUp;
         cell.body = [kind](const RunContext &ctx) {
-            const SimOptions opts =
-                ctx.simOptions(WorkloadProfile::forKind(kind));
-            const auto trace =
-                cachedWorkloadTrace(kind, CoherenceOptions::relocUpdate());
+            const WorkloadProfile profile = WorkloadProfile::forKind(kind);
+            const SimOptions opts = ctx.simOptions(profile);
+            const TraceSourceFactory open =
+                ctx.open(profile, CoherenceOptions::relocUpdate(), 4);
 
             CellOutcome out;
-            out.run = runOnce(*trace, MachineConfig::base(), opts,
+            out.run = runOnce(*open(), MachineConfig::base(), opts,
                               BlockScheme::Dma);
             const SimStats &base = out.run.stats;
             out.extra["base_remaining"] = remainingOsMisses(base);
             for (unsigned count : hotspotCounts) {
                 const HotspotPlan plan = selectHotspots(base, count);
-                PrefetchStreamSource rewritten(
-                    std::make_unique<MaterializedTraceSource>(*trace), plan);
+                PrefetchStreamSource rewritten(open(), plan);
                 const SimStats s = runOnce(rewritten, MachineConfig::base(),
                                            opts, BlockScheme::Dma)
                                        .stats;
@@ -1741,13 +1794,15 @@ makeCalibrate()
             CellOutcome out;
             out.run = runWorkload(kind, SystemKind::Base,
                                   MachineConfig::base(), ctx);
-            // Block-operation census straight from the generator.
+            // Block-operation census of the same trace.
             for (const char *op_kind : {"copies_", "zeros_"})
                 for (const char *size : sizeClasses)
                     out.extra[std::string(op_kind) + size] = 0;
-            const auto trace =
-                cachedWorkloadTrace(kind, CoherenceOptions::none());
-            for (const BlockOp &op : trace->blockOps()) {
+            const std::unique_ptr<TraceSource> source =
+                ctx.open(WorkloadProfile::forKind(kind),
+                         CoherenceOptions::none(), 4)();
+            readToEnd(*source);
+            for (const BlockOp &op : source->blockOps()) {
                 const int cls =
                     op.size < 1024 ? 0 : (op.size < 4096 ? 1 : 2);
                 out.extra[std::string(op.isCopy() ? "copies_" : "zeros_") +
@@ -1888,18 +1943,8 @@ experimentRegistry()
     return registry;
 }
 
-const Experiment *
-findExperiment(const std::string &name)
-{
-    for (const Experiment &e : experimentRegistry())
-        if (e.name == name)
-            return &e;
-    return nullptr;
-}
-
 std::vector<const Experiment *>
-tryResolveExperiments(const std::vector<std::string> &names,
-                      std::string &error)
+resolveExperiments(const std::vector<std::string> &names)
 {
     const auto &registry = experimentRegistry();
     std::vector<bool> selected(registry.size(), false);
@@ -1917,25 +1962,14 @@ tryResolveExperiments(const std::vector<std::string> &names,
                 matched = true;
             }
         }
-        if (!matched) {
-            error = "unknown experiment '" + name + "'";
-            return {};
-        }
+        if (!matched)
+            fatal("unknown experiment '", name,
+                  "' (try --list for the registry)");
     }
     std::vector<const Experiment *> out;
     for (std::size_t i = 0; i < registry.size(); ++i)
         if (selected[i])
             out.push_back(&registry[i]);
-    return out;
-}
-
-std::vector<const Experiment *>
-resolveExperiments(const std::vector<std::string> &names)
-{
-    std::string error;
-    auto out = tryResolveExperiments(names, error);
-    if (!error.empty())
-        fatal(error, " (try --list for the registry)");
     return out;
 }
 

@@ -10,8 +10,9 @@
  *    units, each a function of the run's RunContext returning a
  *    CellOutcome; runCell() runs one.  Most are plain runWorkload()
  *    calls described declaratively; a few (Table 3's census, the
- *    update-set ablation, ...) carry custom bodies, which run their
- *    passes through the same run assembly (core/runner) with the
+ *    update-set ablation, ...) carry custom bodies, which open their
+ *    passes' traces through the context (RunContext::open) and run
+ *    them through the same run assembly (core/runner) with the
  *    context's observers.  Cells with equal `sharedKey` are identical
  *    work — the driver runs one and shares the outcome, so e.g. the
  *    Base runs that five different figures need happen once per sweep.
@@ -128,20 +129,12 @@ CellOutcome runCell(const CellSpec &spec, const RunContext &ctx);
 /** All registered experiments, in presentation order. */
 const std::vector<Experiment> &experimentRegistry();
 
-/** Find one by name; nullptr when unknown. */
-const Experiment *findExperiment(const std::string &name);
-
 /**
  * Expand user-supplied names into registry entries.  Accepts
  * experiment names plus the groups "figures", "tables", "ablations",
  * "numa", and "all"; preserves registry order and drops duplicates.
- * An unknown name sets @p error and yields no experiments.
+ * fatal()s on an unknown name.
  */
-std::vector<const Experiment *>
-tryResolveExperiments(const std::vector<std::string> &names,
-                      std::string &error);
-
-/** As tryResolveExperiments(), but fatal()s on an unknown name. */
 std::vector<const Experiment *>
 resolveExperiments(const std::vector<std::string> &names);
 

@@ -8,6 +8,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "sample/stats.hh"
 
@@ -18,23 +19,6 @@ namespace
 {
 
 /** Minimal JSON string escaping (keys here are identifiers anyway). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 std::string
 formatDouble(double value)
 {
@@ -126,7 +110,7 @@ resultRowOutcomeJson(const ResultRow &row)
     std::ostringstream js;
     js << ",\"wall_ms\":" << formatDouble(wall_ms)
        << ",\"shared\":" << (shared ? "true" : "false")
-       << ",\"trace_mode\":\"" << jsonEscape(trace_mode) << "\""
+       << ",\"trace_mode\":\"" << jsonEscapeString(trace_mode) << "\""
        << ",\"peak_rss_kb\":" << peak_rss_kb
        << ",\"stats\":{"
        << "\"os_time\":" << s.osTime()
@@ -163,7 +147,7 @@ resultRowOutcomeJson(const ResultRow &row)
         js << ",\"extra\":{";
         bool first = true;
         for (const auto &[key, value] : row.outcome->extra) {
-            js << (first ? "" : ",") << "\"" << jsonEscape(key)
+            js << (first ? "" : ",") << "\"" << jsonEscapeString(key)
                << "\":" << formatDouble(value);
             first = false;
         }
@@ -176,14 +160,14 @@ resultRowOutcomeJson(const ResultRow &row)
         js << ",\"metrics\":{\"counters\":{";
         bool first = true;
         for (const CounterSnapshot &c : obs->metrics.counters) {
-            js << (first ? "" : ",") << "\"" << jsonEscape(c.name)
+            js << (first ? "" : ",") << "\"" << jsonEscapeString(c.name)
                << "\":" << c.value;
             first = false;
         }
         js << "},\"histograms\":{";
         first = true;
         for (const HistogramSnapshot &h : obs->metrics.histograms) {
-            js << (first ? "" : ",") << "\"" << jsonEscape(h.name)
+            js << (first ? "" : ",") << "\"" << jsonEscapeString(h.name)
                << "\":{\"count\":" << h.count << ",\"sum\":" << h.sum
                << ",\"p50\":" << formatDouble(h.percentile(50))
                << ",\"p90\":" << formatDouble(h.percentile(90))
@@ -198,7 +182,7 @@ resultRowOutcomeJson(const ResultRow &row)
         row.outcome->run.sample;
     if (sample != nullptr) {
         js << ",\"sample\":{\"plan\":\""
-           << jsonEscape(sample->plan.describe()) << "\""
+           << jsonEscapeString(sample->plan.describe()) << "\""
            << ",\"windows\":" << sample->windows.size()
            << ",\"rounds\":" << sample->rounds
            << ",\"sync_breaks\":" << sample->syncBreaks
@@ -228,11 +212,11 @@ std::string
 resultRowJsonl(const ResultRow &row)
 {
     std::ostringstream js;
-    js << "{\"experiment\":\"" << jsonEscape(row.experiment) << "\""
-       << ",\"cell\":\"" << jsonEscape(row.cell) << "\""
-       << ",\"workload\":\"" << jsonEscape(row.workload) << "\""
-       << ",\"system\":\"" << jsonEscape(row.system) << "\""
-       << ",\"machine\":\"" << jsonEscape(row.machineHash) << "\""
+    js << "{\"experiment\":\"" << jsonEscapeString(row.experiment) << "\""
+       << ",\"cell\":\"" << jsonEscapeString(row.cell) << "\""
+       << ",\"workload\":\"" << jsonEscapeString(row.workload) << "\""
+       << ",\"system\":\"" << jsonEscapeString(row.system) << "\""
+       << ",\"machine\":\"" << jsonEscapeString(row.machineHash) << "\""
        << resultRowOutcomeJson(row);
     return js.str();
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "common/json.hh"
 #include "common/log.hh"
 
 namespace oscache
@@ -10,24 +11,6 @@ namespace oscache
 
 namespace
 {
-
-/** Escape a name for embedding in a JSON string literal. */
-void
-writeJsonString(std::ostream &os, const char *s)
-{
-    os << '"';
-    for (; *s != '\0'; ++s) {
-        const char c = *s;
-        if (c == '"' || c == '\\')
-            os << '\\';
-        if (c == '\n') {
-            os << "\\n";
-            continue;
-        }
-        os << c;
-    }
-    os << '"';
-}
 
 char
 phaseCode(TimelinePhase phase)
@@ -87,29 +70,25 @@ Timeline::writeChromeTrace(std::ostream &os, const char *process) const
 
     // Process metadata row so the UI shows a friendly name.
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-          "\"args\":{\"name\":";
-    writeJsonString(os, process);
-    os << "}}";
+          "\"args\":{\"name\":\""
+       << jsonEscapeString(process) << "\"}}";
     first = false;
 
     for (const TimelineEvent &e : sorted()) {
         if (!first)
             os << ',';
         first = false;
-        os << "{\"name\":";
-        writeJsonString(os, e.name);
-        os << ",\"cat\":";
-        writeJsonString(os, e.category[0] == '\0' ? "sim" : e.category);
-        os << ",\"ph\":\"" << phaseCode(e.phase) << "\""
+        os << "{\"name\":\"" << jsonEscapeString(e.name) << "\",\"cat\":\""
+           << jsonEscapeString(e.category[0] == '\0' ? "sim" : e.category)
+           << "\",\"ph\":\"" << phaseCode(e.phase) << "\""
            << ",\"ts\":" << e.ts << ",\"pid\":0,\"tid\":" << e.tid;
         if (e.phase == TimelinePhase::Complete)
             os << ",\"dur\":" << e.dur;
         if (e.phase == TimelinePhase::Instant)
             os << ",\"s\":\"t\"";
         if (e.argName != nullptr) {
-            os << ",\"args\":{";
-            writeJsonString(os, e.argName);
-            os << ":" << e.arg << "}";
+            os << ",\"args\":{\"" << jsonEscapeString(e.argName)
+               << "\":" << e.arg << "}";
         }
         os << "}";
     }

@@ -30,13 +30,13 @@ traceBytes(const Trace &trace)
            trace.updatePages().size() * sizeof(Addr);
 }
 
-/** Content-hash key for (workload, coherence options, cpu count). */
+/** Content-hash key for (profile, coherence options, cpu count). */
 std::string
-traceKey(WorkloadKind workload, const CoherenceOptions &options,
+traceKey(const WorkloadProfile &profile, const CoherenceOptions &options,
          unsigned num_cpus)
 {
     ContentHash h;
-    mixProfile(h, WorkloadProfile::forKind(workload));
+    mixProfile(h, profile);
     mixCoherence(h, options);
     // The historical keys were implicitly 4-cpu; keep them stable.
     if (num_cpus != 4)
@@ -45,14 +45,13 @@ traceKey(WorkloadKind workload, const CoherenceOptions &options,
 }
 
 /**
- * All mutable cache state behind one mutex.  Each entry is a shared
- * future acting as the per-key generation latch: the first requester
- * inserts the future and generates outside the lock; concurrent
- * requesters for the same key block on the future instead of
- * regenerating.  Entries hold shared_ptrs, so evicting or clearing
- * only detaches them from the map — threads still running on a
- * trace keep it alive.  Completed entries carry their footprint and
- * a last-use stamp for the LRU size cap.
+ * One cache entry.  Its shared future is the per-key generation
+ * latch: the first requester inserts the future and generates
+ * outside the lock; concurrent requesters for the same key block on
+ * the future instead of regenerating.  Entries hold shared_ptrs, so
+ * evicting or clearing only detaches them from the map — threads
+ * still running on a trace keep it alive.  Completed entries carry
+ * their footprint and a last-use stamp for the LRU size cap.
  */
 struct Entry
 {
@@ -62,7 +61,10 @@ struct Entry
     bool ready = false;
 };
 
-struct CacheState
+} // namespace
+
+/** All mutable cache state, behind one mutex. */
+struct TraceCache::State
 {
     std::mutex mutex;
     std::map<std::string, std::shared_ptr<Entry>> entries;
@@ -70,114 +72,110 @@ struct CacheState
     std::size_t totalBytes = 0;
     std::size_t capacityBytes = defaultTraceCacheBytes;
     TraceCacheStats stats;
-    TraceLoadHook load;
-    TraceStoreHook store;
+    TraceCacheHooks hooks;
+
+    /**
+     * Drop least-recently-used completed entries until the total
+     * fits the cap again.  @p keep (the entry just inserted or hit)
+     * is never the victim, so a single oversized trace still serves
+     * its requesters.  Evicted entries are appended to @p out for
+     * destruction outside the lock.
+     */
+    void
+    evictLocked(const std::shared_ptr<Entry> &keep,
+                std::vector<std::shared_ptr<Entry>> &out)
+    {
+        while (capacityBytes != 0 && totalBytes > capacityBytes) {
+            auto victim = entries.end();
+            for (auto it = entries.begin(); it != entries.end(); ++it) {
+                if (!it->second->ready || it->second == keep)
+                    continue;
+                if (victim == entries.end() ||
+                    it->second->lastUse < victim->second->lastUse)
+                    victim = it;
+            }
+            if (victim == entries.end())
+                break;
+            totalBytes -= victim->second->bytes;
+            ++stats.evictions;
+            out.push_back(std::move(victim->second));
+            entries.erase(victim);
+        }
+    }
 };
 
-CacheState &
-cacheState()
+TraceCache::TraceCache(TraceCacheHooks hooks, std::size_t capacity_bytes)
+    : state(std::make_unique<State>())
 {
-    static CacheState state;
-    return state;
+    state->capacityBytes = capacity_bytes;
+    state->hooks = std::move(hooks);
 }
 
-/**
- * Drop least-recently-used completed entries until the total fits
- * the cap again.  @p keep (the entry just inserted or hit) is never
- * the victim, so a single oversized trace still serves its
- * requesters.  Evicted entries are appended to @p out for
- * destruction outside the lock.
- */
-void
-evictLocked(CacheState &state, const std::shared_ptr<Entry> &keep,
-            std::vector<std::shared_ptr<Entry>> &out)
-{
-    while (state.capacityBytes != 0 &&
-           state.totalBytes > state.capacityBytes) {
-        auto victim = state.entries.end();
-        for (auto it = state.entries.begin(); it != state.entries.end();
-             ++it) {
-            if (!it->second->ready || it->second == keep)
-                continue;
-            if (victim == state.entries.end() ||
-                it->second->lastUse < victim->second->lastUse)
-                victim = it;
-        }
-        if (victim == state.entries.end())
-            break;
-        state.totalBytes -= victim->second->bytes;
-        ++state.stats.evictions;
-        out.push_back(std::move(victim->second));
-        state.entries.erase(victim);
-    }
-}
+TraceCache::~TraceCache() = default;
 
 TracePtr
-cachedTrace(WorkloadKind workload, const CoherenceOptions &options,
-            unsigned num_cpus)
+TraceCache::trace(const WorkloadProfile &profile,
+                  const CoherenceOptions &options, unsigned num_cpus)
 {
-    const std::string key = traceKey(workload, options, num_cpus);
-    CacheState &state = cacheState();
+    const std::string key = traceKey(profile, options, num_cpus);
+    State &s = *state;
 
     std::promise<TracePtr> promise;
     std::shared_ptr<Entry> entry;
     bool creator = false;
-    TraceLoadHook load;
-    TraceStoreHook store;
+    TraceCacheHooks hooks;
     {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        const auto it = state.entries.find(key);
-        if (it != state.entries.end()) {
-            ++state.stats.memoryHits;
+        std::lock_guard<std::mutex> lock(s.mutex);
+        const auto it = s.entries.find(key);
+        if (it != s.entries.end()) {
+            ++s.stats.memoryHits;
             entry = it->second;
-            entry->lastUse = ++state.useClock;
+            entry->lastUse = ++s.useClock;
         } else {
             creator = true;
             entry = std::make_shared<Entry>();
             entry->future = promise.get_future().share();
-            entry->lastUse = ++state.useClock;
-            state.entries.emplace(key, entry);
-            load = state.load;
-            store = state.store;
+            entry->lastUse = ++s.useClock;
+            s.entries.emplace(key, entry);
+            hooks = s.hooks;
         }
     }
 
     if (creator) {
         try {
             std::optional<Trace> loaded;
-            if (load)
-                loaded = load(workload, options, num_cpus);
+            if (hooks.load)
+                loaded = hooks.load(profile, options, num_cpus);
             const bool fresh = !loaded.has_value();
             TracePtr ptr = std::make_shared<const Trace>(
-                fresh ? generateTrace(workload, options, num_cpus)
+                fresh ? generateTrace(profile, options, num_cpus)
                       : std::move(*loaded));
             std::vector<std::shared_ptr<Entry>> evicted;
             {
-                std::lock_guard<std::mutex> lock(state.mutex);
-                ++(fresh ? state.stats.generated
-                         : state.stats.persistentHits);
+                std::lock_guard<std::mutex> lock(s.mutex);
+                ++(fresh ? s.stats.generated : s.stats.persistentHits);
                 entry->bytes = traceBytes(*ptr);
                 entry->ready = true;
                 // The entry may have been detached by a concurrent
-                // clearTraceCache(); only account for it if present.
-                const auto it = state.entries.find(key);
-                if (it != state.entries.end() && it->second == entry) {
-                    state.totalBytes += entry->bytes;
-                    evictLocked(state, entry, evicted);
+                // clear(); only account for it if present.
+                const auto it = s.entries.find(key);
+                if (it != s.entries.end() && it->second == entry) {
+                    s.totalBytes += entry->bytes;
+                    s.evictLocked(entry, evicted);
                 }
             }
-            if (fresh && store)
-                store(workload, options, num_cpus, *ptr);
+            if (fresh && hooks.store)
+                hooks.store(profile, options, num_cpus, *ptr);
             promise.set_value(std::move(ptr));
         } catch (...) {
             // Drop the failed latch (if a clear hasn't already) so a
             // later request retries instead of inheriting the error
             // forever; everyone already waiting sees the exception.
             {
-                std::lock_guard<std::mutex> lock(state.mutex);
-                const auto it = state.entries.find(key);
-                if (it != state.entries.end() && it->second == entry)
-                    state.entries.erase(it);
+                std::lock_guard<std::mutex> lock(s.mutex);
+                const auto it = s.entries.find(key);
+                if (it != s.entries.end() && it->second == entry)
+                    s.entries.erase(it);
             }
             promise.set_exception(std::current_exception());
         }
@@ -185,13 +183,44 @@ cachedTrace(WorkloadKind workload, const CoherenceOptions &options,
     return entry->future.get();
 }
 
-} // namespace
-
-std::shared_ptr<const Trace>
-cachedWorkloadTrace(WorkloadKind workload, const CoherenceOptions &options,
-                    unsigned num_cpus)
+std::unique_ptr<TraceSource>
+TraceCache::source(const WorkloadProfile &profile,
+                   const CoherenceOptions &options, unsigned num_cpus)
 {
-    return cachedTrace(workload, options, num_cpus);
+    decltype(TraceCacheHooks::open) open;
+    {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        open = state->hooks.open;
+    }
+    return open ? open(profile, options, num_cpus) : nullptr;
+}
+
+void
+TraceCache::clear()
+{
+    std::map<std::string, std::shared_ptr<Entry>> detached;
+    {
+        std::lock_guard<std::mutex> lock(state->mutex);
+        detached.swap(state->entries);
+        state->totalBytes = 0;
+    }
+    // The detached entries (and any traces only they referenced) are
+    // destroyed here, outside the lock.  In-flight generations hold
+    // their own Entry reference and complete normally.
+}
+
+TraceCacheStats
+TraceCache::stats() const
+{
+    std::lock_guard<std::mutex> lock(state->mutex);
+    return state->stats;
+}
+
+TraceCache &
+defaultTraceCache()
+{
+    static TraceCache cache;
+    return cache;
 }
 
 SimOptions
@@ -202,27 +231,32 @@ RunContext::simOptions(const WorkloadProfile &profile) const
     return options;
 }
 
+TraceSourceFactory
+RunContext::open(const WorkloadProfile &profile,
+                 const CoherenceOptions &coherence, unsigned num_cpus) const
+{
+    TraceCache &cache = traces != nullptr ? *traces : defaultTraceCache();
+    if (!stream)
+        return [trace = cache.trace(profile, coherence, num_cpus)] {
+            return std::make_unique<MaterializedTraceSource>(trace);
+        };
+    return [&cache, profile, coherence,
+            num_cpus]() -> std::unique_ptr<TraceSource> {
+        if (auto source = cache.source(profile, coherence, num_cpus))
+            return source;
+        return std::make_unique<SynthTraceSource>(profile, coherence,
+                                                  num_cpus);
+    };
+}
+
 RunResult
 runWorkload(WorkloadKind workload, const SystemSetup &setup,
             const MachineConfig &machine, const RunContext &ctx)
 {
     const WorkloadProfile profile = WorkloadProfile::forKind(workload);
     const SimOptions options = ctx.simOptions(profile);
-
-    const TracePtr trace = ctx.stream
-        ? nullptr
-        : cachedWorkloadTrace(workload, setup.coherence, machine.numCpus);
-    const auto open = [&]() -> std::unique_ptr<TraceSource> {
-        if (trace)
-            return std::make_unique<MaterializedTraceSource>(*trace);
-        if (ctx.openStreamed) {
-            if (auto source = ctx.openStreamed(workload, setup.coherence,
-                                               machine.numCpus))
-                return source;
-        }
-        return std::make_unique<SynthTraceSource>(profile, setup.coherence,
-                                                  machine.numCpus);
-    };
+    const TraceSourceFactory open =
+        ctx.open(profile, setup.coherence, machine.numCpus);
     // Hot-spot-prefetch systems replay in full (RunContext::samplePlan).
     if (!ctx.samplePlan.has_value() || setup.hotspotPrefetch)
         return runOnSource(open, machine, options, setup);
@@ -243,56 +277,40 @@ runWorkload(WorkloadKind workload, SystemKind kind,
     return runWorkload(workload, SystemSetup::forKind(kind), machine, ctx);
 }
 
+std::shared_ptr<const Trace>
+cachedWorkloadTrace(WorkloadKind workload, const CoherenceOptions &options,
+                    unsigned num_cpus)
+{
+    return defaultTraceCache().trace(WorkloadProfile::forKind(workload),
+                                     options, num_cpus);
+}
+
 void
 clearTraceCache()
 {
-    CacheState &state = cacheState();
-    std::map<std::string, std::shared_ptr<Entry>> detached;
-    {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        detached.swap(state.entries);
-        state.totalBytes = 0;
-    }
-    // The detached entries (and any traces only they referenced) are
-    // destroyed here, outside the lock.  In-flight generations hold
-    // their own Entry reference and complete normally.
-}
-
-void
-setTraceCacheCapacity(std::size_t bytes)
-{
-    CacheState &state = cacheState();
-    std::vector<std::shared_ptr<Entry>> evicted;
-    {
-        std::lock_guard<std::mutex> lock(state.mutex);
-        state.capacityBytes = bytes;
-        evictLocked(state, nullptr, evicted);
-    }
-}
-
-std::size_t
-traceCacheCapacity()
-{
-    CacheState &state = cacheState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    return state.capacityBytes;
-}
-
-TraceCacheStats
-traceCacheStats()
-{
-    CacheState &state = cacheState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    return state.stats;
+    defaultTraceCache().clear();
 }
 
 void
 setTraceCacheHooks(TraceLoadHook load, TraceStoreHook store)
 {
-    CacheState &state = cacheState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.load = std::move(load);
-    state.store = std::move(store);
+    TraceCacheHooks hooks;
+    if (load)
+        hooks.load = [load = std::move(load)](const WorkloadProfile &p,
+                                              const CoherenceOptions &o,
+                                              unsigned cpus) {
+            return load(p.kind, o, cpus);
+        };
+    if (store)
+        hooks.store = [store = std::move(store)](const WorkloadProfile &p,
+                                                 const CoherenceOptions &o,
+                                                 unsigned cpus,
+                                                 const Trace &t) {
+            store(p.kind, o, cpus, t);
+        };
+    TraceCache::State &s = *defaultTraceCache().state;
+    std::lock_guard<std::mutex> lock(s.mutex);
+    s.hooks = std::move(hooks);
 }
 
 } // namespace oscache

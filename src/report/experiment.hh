@@ -5,17 +5,19 @@
  * run it, and return the results.
  *
  * How a run replays (sampled or in full, observed or not, from the
- * trace cache or through streaming cursors) is a RunContext value the
- * caller passes down, so concurrent runs in one process can differ in
- * any of it.  The in-process trace cache is the one piece of process
- * state: it memoizes traces by content key, so every run may share it.
- * It is concurrency-safe: any number of threads may call
- * runWorkload() at once (the parallel experiment scheduler in src/exp
- * does exactly that) and each distinct (workload, coherence-options)
- * trace is generated exactly once — later requesters block on a
- * per-key generation latch instead of duplicating the work.  An
- * optional persistence hook lets a disk-backed artifact cache sit
- * underneath the in-memory one.
+ * trace cache or through streaming cursors, and which trace cache) is
+ * a RunContext value the caller passes down, so concurrent runs in
+ * one process can differ in any of it.  Every pass of every cell gets
+ * its trace through RunContext::open().
+ *
+ * A TraceCache memoizes materialized traces by content key.  It is
+ * concurrency-safe: any number of threads may ask it at once (the
+ * parallel experiment scheduler in src/exp does exactly that) and
+ * each distinct (profile, coherence-options, cpu-count) trace is
+ * generated exactly once — later requesters block on a per-key
+ * generation latch instead of duplicating the work.  Its hook set
+ * lets a disk-backed artifact store sit underneath it.  The caller
+ * owns a cache; a context without one uses defaultTraceCache().
  */
 
 #ifndef OSCACHE_REPORT_EXPERIMENT_HH
@@ -38,89 +40,12 @@
 namespace oscache
 {
 
-/**
- * Opens a streamed source for (workload, options, cpu count), or
- * nullptr to fall back to on-demand synthesis.
- */
-using TraceSourceHook = std::function<std::unique_ptr<TraceSource>(
-    WorkloadKind, const CoherenceOptions &, unsigned)>;
-
-/**
- * How one run replays its cells, beyond each cell's own workload,
- * system and machine.  runExperiments() builds one per call and hands
- * it to every cell.  The default replays the cached materialized
- * trace in full, unobserved.
- */
-struct RunContext
-{
-    /**
-     * Replay under this sampling plan instead of in full.
-     * Hot-spot-prefetch systems are exempt: their profile pass needs
-     * complete per-block miss counts, which sampling decimates.
-     */
-    std::optional<sample::SamplingPlan> samplePlan;
-    /** Observers every pass attaches (SimOptions::obs). */
-    ObsOptions obs;
-    /**
-     * Pull records through streaming cursors instead of materializing
-     * whole traces: from openStreamed when it offers a source, else
-     * straight from the synthesizer.
-     */
-    bool stream = false;
-    /** Under stream: opens each pass's source (e.g. a stored artifact). */
-    TraceSourceHook openStreamed;
-
-    /** @p profile's simulation options, observed as obs asks. */
-    SimOptions simOptions(const WorkloadProfile &profile) const;
-};
-
-/**
- * Run @p workload on system @p kind over machine @p machine, as
- * @p ctx says.
- *
- * The trace is generated with the system's CoherenceOptions (the
- * layout-level part of the optimization) and replayed under the
- * system's block scheme and hot-spot pass.  Materialized traces are
- * cached per (workload, coherence-options) within the process.
- * Thread-safe.
- */
-RunResult runWorkload(WorkloadKind workload, SystemKind kind,
-                      const MachineConfig &machine = MachineConfig::base(),
-                      const RunContext &ctx = {});
-
-/** As above with an explicit setup (for ablations). */
-RunResult runWorkload(WorkloadKind workload, const SystemSetup &setup,
-                      const MachineConfig &machine = MachineConfig::base(),
-                      const RunContext &ctx = {});
-
-/**
- * The cached trace for (@p workload, @p options, @p num_cpus),
- * generating it (or loading it through the persistence hook) on
- * first use.  The returned pointer stays valid across
- * clearTraceCache(); holders keep the trace alive.  Thread-safe.
- */
-std::shared_ptr<const Trace> cachedWorkloadTrace(
-    WorkloadKind workload, const CoherenceOptions &options,
-    unsigned num_cpus = 4);
-
-/**
- * Drop all cached traces (used between parameter sweeps).
- *
- * Safe against concurrent runWorkload() calls: in-flight runs keep a
- * reference to their trace, and a generation that is still in
- * progress when the clear happens completes normally for everyone
- * already waiting on it.  No thread can observe a half-cleared map.
- */
-void clearTraceCache();
-
-/** @name Trace-cache observability and persistence @{ */
-
 /** Counters describing where cached traces came from. */
 struct TraceCacheStats
 {
     /** Requests satisfied by the in-memory map (or its latches). */
     std::uint64_t memoryHits = 0;
-    /** Traces loaded through the persistence hook. */
+    /** Traces loaded through the load hook. */
     std::uint64_t persistentHits = 0;
     /** Traces generated from scratch. */
     std::uint64_t generated = 0;
@@ -139,50 +64,178 @@ struct TraceCacheStats
 };
 
 /**
- * Default in-memory trace-cache capacity.  Big enough that the
- * registered experiments never evict; small enough that a parameter
- * sweep over long traces cannot grow the process without bound.
+ * A trace cache's persistence seam, keyed like the cache by the
+ * generation inputs: the workload profile, the coherence options
+ * and the cpu count.  Any member may be empty.
+ */
+struct TraceCacheHooks
+{
+    /** A stored trace; nullopt means "not available". */
+    std::function<std::optional<Trace>(const WorkloadProfile &,
+                                       const CoherenceOptions &, unsigned)>
+        load;
+    /** Offers a freshly generated trace for storage. */
+    std::function<void(const WorkloadProfile &, const CoherenceOptions &,
+                       unsigned, const Trace &)>
+        store;
+    /**
+     * A streamed source over the stored trace, or nullptr to fall
+     * back to on-demand synthesis.
+     */
+    std::function<std::unique_ptr<TraceSource>(
+        const WorkloadProfile &, const CoherenceOptions &, unsigned)>
+        open;
+};
+
+/** A stored trace of a calibrated workload, for setTraceCacheHooks(). */
+using TraceLoadHook = std::function<std::optional<Trace>(
+    WorkloadKind, const CoherenceOptions &, unsigned)>;
+/** Offers a freshly generated trace, for setTraceCacheHooks(). */
+using TraceStoreHook = std::function<void(
+    WorkloadKind, const CoherenceOptions &, unsigned, const Trace &)>;
+
+/**
+ * Default in-memory trace-cache capacity: the LRU byte cap that keeps
+ * a sweep over many long traces from growing the process without
+ * bound.
  */
 inline constexpr std::size_t defaultTraceCacheBytes =
     std::size_t{512} * 1024 * 1024;
 
 /**
- * Cap the in-memory trace cache at @p bytes (approximate in-memory
- * footprint; 0 = unbounded).  When an insert pushes the total over
- * the cap, least-recently-used *completed* entries are dropped from
- * the map — holders of the shared_ptr keep their traces alive, and
- * in-flight generations are never evicted.  Thread-safe.
+ * In-memory cache of materialized traces, with an LRU byte cap.
+ *
+ * When an insert pushes the approximate footprint over the cap,
+ * least-recently-used *completed* entries are dropped from the map
+ * (0 = unbounded).  Holders of a returned shared_ptr keep their
+ * trace alive, and in-flight generations are never evicted.
+ * Thread-safe.
  */
-void setTraceCacheCapacity(std::size_t bytes);
+class TraceCache
+{
+  public:
+    explicit TraceCache(TraceCacheHooks hooks = {},
+                        std::size_t capacity_bytes = defaultTraceCacheBytes);
+    ~TraceCache();
 
-/** Current trace-cache capacity in bytes (0 = unbounded). */
-std::size_t traceCacheCapacity();
+    TraceCache(const TraceCache &) = delete;
+    TraceCache &operator=(const TraceCache &) = delete;
+
+    /**
+     * The trace of (@p profile, @p options, @p num_cpus): from the
+     * map, else through the load hook, else generated (and offered
+     * to the store hook).  The returned pointer stays valid across
+     * clear() and eviction.
+     */
+    std::shared_ptr<const Trace> trace(const WorkloadProfile &profile,
+                                       const CoherenceOptions &options,
+                                       unsigned num_cpus = 4);
+
+    /** The open hook's streamed source, or nullptr without one. */
+    std::unique_ptr<TraceSource> source(const WorkloadProfile &profile,
+                                        const CoherenceOptions &options,
+                                        unsigned num_cpus = 4);
+
+    /**
+     * Drop all cached traces (used between parameter sweeps).  Safe
+     * against concurrent requests: in-flight runs keep a reference
+     * to their trace, and a generation still in progress completes
+     * normally for everyone already waiting on it.
+     */
+    void clear();
+
+    /**
+     * The counters so far.  They only grow; take the difference of
+     * two snapshots to count one stretch of work.
+     */
+    TraceCacheStats stats() const;
+
+  private:
+    struct State;
+
+    friend void setTraceCacheHooks(TraceLoadHook load,
+                                   TraceStoreHook store);
+
+    const std::unique_ptr<State> state;
+};
 
 /**
- * Current process-wide trace-cache counters.  They only grow; take
- * the difference of two snapshots to count one stretch of work.
+ * The process's default cache: hookless, at the default capacity.
+ * Contexts and driver calls that name no cache share it.
  */
-TraceCacheStats traceCacheStats();
+TraceCache &defaultTraceCache();
 
 /**
- * Loads a previously stored trace; nullopt means "not available".
- * The unsigned parameter is the cpu count the trace was generated
- * for — part of the key, since a trace schedules its processes over
- * a specific processor set.
+ * How one run replays its cells, beyond each cell's own workload,
+ * system and machine.  runExperiments() builds one per call and hands
+ * it to every cell.  The default replays defaultTraceCache()'s
+ * materialized traces in full, unobserved.
  */
-using TraceLoadHook =
-    std::function<std::optional<Trace>(WorkloadKind,
-                                       const CoherenceOptions &,
-                                       unsigned)>;
-/** Offers a freshly generated trace for storage. */
-using TraceStoreHook = std::function<void(
-    WorkloadKind, const CoherenceOptions &, unsigned, const Trace &)>;
+struct RunContext
+{
+    /**
+     * Replay under this sampling plan instead of in full.
+     * Hot-spot-prefetch systems are exempt: their profile pass needs
+     * complete per-block miss counts, which sampling decimates.
+     */
+    std::optional<sample::SamplingPlan> samplePlan;
+    /** Observers every pass attaches (SimOptions::obs). */
+    ObsOptions obs;
+    /**
+     * Pull records through streaming cursors instead of materializing
+     * whole traces: the cache's streamed source when its open hook
+     * offers one, else straight from the synthesizer.
+     */
+    bool stream = false;
+    /** Where traces come from; null means defaultTraceCache(). */
+    TraceCache *traces = nullptr;
+
+    /** @p profile's simulation options, observed as obs asks. */
+    SimOptions simOptions(const WorkloadProfile &profile) const;
+
+    /**
+     * The sources of (@p profile, @p coherence, @p num_cpus), one per
+     * pass.  By default each is a view of the cache's materialized
+     * trace, looked up once here; under stream each is the cache's
+     * streamed source, or a SynthTraceSource.
+     */
+    TraceSourceFactory open(const WorkloadProfile &profile,
+                            const CoherenceOptions &coherence,
+                            unsigned num_cpus) const;
+};
 
 /**
- * Install (or, with empty functions, remove) the persistence layer
- * consulted below the in-memory cache.  Not intended to be swapped
- * while runs are in flight; the experiment driver installs it once
- * at startup.
+ * Run @p workload on system @p kind over machine @p machine, as
+ * @p ctx says.
+ *
+ * The trace is generated with the system's CoherenceOptions (the
+ * layout-level part of the optimization) and replayed under the
+ * system's block scheme and hot-spot pass.  Thread-safe.
+ */
+RunResult runWorkload(WorkloadKind workload, SystemKind kind,
+                      const MachineConfig &machine = MachineConfig::base(),
+                      const RunContext &ctx = {});
+
+/** As above with an explicit setup (for ablations). */
+RunResult runWorkload(WorkloadKind workload, const SystemSetup &setup,
+                      const MachineConfig &machine = MachineConfig::base(),
+                      const RunContext &ctx = {});
+
+/** @name Shims over defaultTraceCache() @{ */
+
+/** defaultTraceCache()'s trace of @p workload's calibrated profile. */
+std::shared_ptr<const Trace> cachedWorkloadTrace(
+    WorkloadKind workload, const CoherenceOptions &options,
+    unsigned num_cpus = 4);
+
+/** defaultTraceCache().clear(). */
+void clearTraceCache();
+
+/**
+ * Replace defaultTraceCache()'s load and store hooks (empty functions
+ * remove them) with these, called with the profile's workload kind,
+ * which is exact for calibrated profiles.  Not while runs are in
+ * flight.
  */
 void setTraceCacheHooks(TraceLoadHook load, TraceStoreHook store);
 

@@ -9,8 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/runner.hh"
-#include "report/experiment.hh"
+#include "sim/stats.hh"
 #include "report/table.hh"
 
 namespace oscache
@@ -33,17 +32,6 @@ cellVsPaper(double measured, double paper_value, int decimals = 2)
 {
     return formatValue(measured, decimals) + " | " +
            formatValue(paper_value, decimals);
-}
-
-/** Run every workload on @p kind and return the results. */
-inline std::vector<RunResult>
-runAllWorkloads(SystemKind kind,
-                const MachineConfig &machine = MachineConfig::base())
-{
-    std::vector<RunResult> results;
-    for (WorkloadKind w : allWorkloads)
-        results.push_back(runWorkload(w, kind, machine));
-    return results;
 }
 
 /** The standard four workload column headers. */

@@ -167,29 +167,27 @@ TEST(RngTest, SplitMixDeterministic)
 
 TEST(Json, RoundTripPreservesBytes)
 {
-    Json o = Json::object();
-    o.set("type", "result");
-    o.set("ok", true);
-    o.set("attempt", std::int64_t(3));
-    o.set("ratio", 0.5);
-    o.set("error", "");
-    Json arr = Json::array();
-    arr.push(std::int64_t(-7));
-    arr.push("a\"b\\c\n");
-    arr.push(Json());
-    o.set("list", std::move(arr));
-
-    const std::string text = o.dump();
+    // Every value kind, the escapes the writers emit, and member order.
+    const std::string text =
+        R"({"type":"result","ok":true,"attempt":3,"ratio":0.5,)"
+        R"("error":"","list":[-7,"a\"b\\c\n\r\t\u0001",null]})";
     Json back;
     std::string error;
     ASSERT_TRUE(Json::parse(text, back, &error)) << error;
-    EXPECT_EQ(back.dump(), text) << "dump/parse/dump must be stable";
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : back.members())
+        keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"type", "ok", "attempt",
+                                              "ratio", "error", "list"}));
     EXPECT_EQ(back.get("type").asString(), "result");
     EXPECT_TRUE(back.get("ok").asBool());
     EXPECT_EQ(back.get("attempt").asInt(), 3);
     EXPECT_DOUBLE_EQ(back.get("ratio").asDouble(), 0.5);
+    EXPECT_EQ(back.get("error").asString(), "");
     EXPECT_EQ(back.get("list").at(0).asInt(), -7);
-    EXPECT_EQ(back.get("list").at(1).asString(), "a\"b\\c\n");
+    const std::string escaped = "a\"b\\c\n\r\t\x01";
+    EXPECT_EQ(back.get("list").at(1).asString(), escaped);
+    EXPECT_EQ(jsonEscapeString(escaped), "a\\\"b\\\\c\\n\\r\\t\\u0001");
     EXPECT_TRUE(back.get("list").at(2).isNull());
 }
 

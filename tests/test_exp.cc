@@ -24,6 +24,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <set>
@@ -322,36 +323,36 @@ TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)
 
 TEST(ExpTraceCache, ConcurrentRequestsGenerateOnce)
 {
-    clearTraceCache();
-    const TraceCacheStats before = traceCacheStats();
+    TraceCache cache;
+    const WorkloadProfile profile =
+        WorkloadProfile::forKind(WorkloadKind::Trfd4);
     constexpr int kThreads = 8;
     std::vector<std::shared_ptr<const Trace>> seen(kThreads);
     {
         std::vector<std::thread> threads;
         for (int t = 0; t < kThreads; ++t)
-            threads.emplace_back([&seen, t] {
-                seen[std::size_t(t)] = cachedWorkloadTrace(
-                    WorkloadKind::Trfd4, CoherenceOptions::none());
+            threads.emplace_back([&cache, &profile, &seen, t] {
+                seen[std::size_t(t)] =
+                    cache.trace(profile, CoherenceOptions::none());
             });
         for (auto &th : threads)
             th.join();
     }
     for (int t = 1; t < kThreads; ++t)
         EXPECT_EQ(seen[std::size_t(t)], seen[0]) << "same latch result";
-    EXPECT_EQ((traceCacheStats() - before).generated, 1u);
-    clearTraceCache();
+    EXPECT_EQ(cache.stats().generated, 1u);
+    EXPECT_EQ(cache.stats().memoryHits, unsigned(kThreads - 1));
 }
 
 TEST(ExpTraceCache, ClearDuringUseKeepsTracesAlive)
 {
-    clearTraceCache();
-    const auto trace =
-        cachedWorkloadTrace(WorkloadKind::Trfd4, CoherenceOptions::none());
+    TraceCache cache;
+    const auto trace = cache.trace(
+        WorkloadProfile::forKind(WorkloadKind::Trfd4), CoherenceOptions::none());
     const std::size_t records = trace->totalRecords();
-    clearTraceCache();
+    cache.clear();
     // The holder's pointer must stay valid after the clear.
     EXPECT_EQ(trace->totalRecords(), records);
-    clearTraceCache();
 }
 
 // ---------------------------------------------- scheduler == serial
@@ -360,8 +361,7 @@ TEST(ExpScheduler, MatchesDirectRunWorkload)
 {
     // Run figure2 through the parallel scheduler and check every cell
     // against a direct serial runWorkload() call.
-    const Experiment *fig2 = findExperiment("figure2");
-    ASSERT_NE(fig2, nullptr);
+    const Experiment *fig2 = resolveExperiments({"figure2"}).front();
 
     DriverOptions options;
     options.jobs = 4;
@@ -482,53 +482,155 @@ TEST(ExpScheduler, WarmArtifactCacheSkipsGeneration)
 {
     const std::string dir = "/tmp/oscache_test_artifacts_warm";
     fs::remove_all(dir);
-    const Experiment *table2 = findExperiment("table2");
-    ASSERT_NE(table2, nullptr);
-
+    const std::vector<const Experiment *> table2 =
+        resolveExperiments({"table2"});
+    DriverOptions options;
+    options.jobs = 2;
     {
         TraceStore store(dir);
-        DriverOptions options;
-        options.jobs = 2;
-        options.store = &store;
-        clearTraceCache();
-        const DriverReport cold = runExperiments({table2}, options);
+        TraceCache cache(traceStoreHooks(store));
+        options.cache = &cache;
+        const DriverReport cold = runExperiments(table2, options);
         EXPECT_GT(cold.traceStats.generated, 0u);
     }
     {
         TraceStore store(dir);
-        DriverOptions options;
-        options.jobs = 2;
-        options.store = &store;
-        clearTraceCache();
-        const DriverReport warm = runExperiments({table2}, options);
+        TraceCache cache(traceStoreHooks(store));
+        options.cache = &cache;
+        const DriverReport warm = runExperiments(table2, options);
         EXPECT_EQ(warm.traceStats.generated, 0u)
             << "warm rerun must not regenerate traces";
         EXPECT_GT(warm.traceStats.persistentHits, 0u);
     }
-    clearTraceCache();
+    fs::remove_all(dir);
+}
+
+TEST(ExpScheduler, StreamedWarmStoreServesEveryPassFromItsArtifacts)
+{
+    // Under stream every pass of every cell, custom passes included,
+    // reads the store's chunked artifact: a cold call generates each
+    // one straight to disk, and a warm call on a fresh cache generates
+    // nothing and materializes nothing.
+    const std::string dir = "/tmp/oscache_test_artifacts_streamed";
+    fs::remove_all(dir);
+    const std::vector<const Experiment *> selected = resolveExperiments(
+        {"table4", "ablation_update_set", "extension_cpu_scaling",
+         "calibrate"});
+    DriverOptions options;
+    options.jobs = 2;
+    options.smoke = true;
+    options.stream = true;
+    TraceStore store(dir);
+    {
+        TraceCache cold(traceStoreHooks(store));
+        options.cache = &cold;
+        runExperiments(selected, options);
+    }
+    const std::uint64_t misses = store.misses();
+    EXPECT_GT(misses, 0u);
+
+    TraceCache warm(traceStoreHooks(store));
+    options.cache = &warm;
+    const DriverReport report = runExperiments(selected, options);
+    EXPECT_EQ(store.misses(), misses) << "a warm call generated an artifact";
+    EXPECT_EQ(report.traceStats.generated, 0u);
+    EXPECT_EQ(report.traceStats.persistentHits, 0u);
+    EXPECT_EQ(report.traceStats.memoryHits, 0u);
+    ASSERT_EQ(report.experiments.size(), selected.size());
+    for (const ExperimentReport &er : report.experiments) {
+        ASSERT_EQ(er.outcomes.size(), 1u) << er.experiment->name;
+        for (const auto &[id, outcome] : er.outcomes)
+            EXPECT_EQ(outcome.run.traceMode, "file")
+                << er.experiment->name << ":" << id;
+    }
+    fs::remove_all(dir);
 }
 
 TEST(ExpScheduler, TraceStatsCountOnlyThisCall)
 {
-    // A call reports its own traffic and leaves the process-wide
-    // counters running: the trace the cold call generated is still
-    // counted after the warm call, which generated nothing.
-    const Experiment *table1 = findExperiment("table1");
-    ASSERT_NE(table1, nullptr);
+    // A call reports its own traffic and leaves the cache's counters
+    // running: the trace the cold call generated is still counted
+    // after the warm call, which generated nothing.
+    TraceCache cache;
     DriverOptions options;
     options.smoke = true;
-    clearTraceCache();
-    const TraceCacheStats before = traceCacheStats();
-    const DriverReport cold = runExperiments({table1}, options);
-    const std::uint64_t generated = (traceCacheStats() - before).generated;
+    options.cache = &cache;
+    const std::vector<const Experiment *> table1 =
+        resolveExperiments({"table1"});
+    const DriverReport cold = runExperiments(table1, options);
+    const std::uint64_t generated = cache.stats().generated;
     EXPECT_GT(generated, 0u);
     EXPECT_EQ(cold.traceStats.generated, generated);
 
-    const DriverReport warm = runExperiments({table1}, options);
+    const DriverReport warm = runExperiments(table1, options);
     EXPECT_EQ(warm.traceStats.generated, 0u);
     EXPECT_GT(warm.traceStats.memoryHits, 0u);
-    EXPECT_EQ((traceCacheStats() - before).generated, generated);
-    clearTraceCache();
+    EXPECT_EQ(cache.stats().generated, generated);
+}
+
+TEST(ExpScheduler, ConcurrentCallsOnOwnCachesReportTheirSoloTraceStats)
+{
+    // Each call runs three standard TRFD_4 cells through its own cache:
+    // Base and Blk_Dma replay one trace (one generation, one hit),
+    // BCoh_RelUp another.  In the concurrent pair each call's first
+    // cell waits until the other call's has started, so the calls
+    // overlap for certain: counters they shared would count each
+    // other's traffic.
+    std::latch *started = nullptr;
+    Experiment three;
+    three.name = "three";
+    three.smokeCell = "Base";
+    for (const SystemKind system :
+         {SystemKind::Base, SystemKind::BlkDma, SystemKind::BCohRelUp}) {
+        CellSpec standard;
+        standard.id = toString(system);
+        standard.system = system;
+        CellSpec cell = standard;
+        const bool first = three.cells.empty();
+        cell.body = [standard, first, &started](const RunContext &ctx) {
+            if (first && started != nullptr)
+                started->arrive_and_wait();
+            return runCell(standard, ctx);
+        };
+        three.cells.push_back(std::move(cell));
+    }
+    const auto run = [&three](TraceCache &cache) {
+        DriverOptions options;
+        options.cache = &cache;
+        return runExperiments({&three}, options).traceStats;
+    };
+    const auto expect_eq = [](const TraceCacheStats &got,
+                              const TraceCacheStats &want) {
+        EXPECT_EQ(got.generated, want.generated);
+        EXPECT_EQ(got.memoryHits, want.memoryHits);
+        EXPECT_EQ(got.persistentHits, want.persistentHits);
+        EXPECT_EQ(got.evictions, want.evictions);
+    };
+
+    TraceCache solo_cache;
+    const TraceCacheStats solo = run(solo_cache);
+    EXPECT_EQ(solo.generated, 2u);
+    EXPECT_EQ(solo.memoryHits, 1u);
+
+    std::latch both(2);
+    started = &both;
+    TraceCache first_cache;
+    TraceCache second_cache;
+    TraceCacheStats first;
+    std::exception_ptr failure;
+    std::thread other([&] {
+        try {
+            first = run(first_cache);
+        } catch (...) {
+            failure = std::current_exception();
+        }
+    });
+    const TraceCacheStats second = run(second_cache);
+    other.join();
+    if (failure)
+        std::rethrow_exception(failure);
+    expect_eq(first, solo);
+    expect_eq(second, solo);
 }
 
 /** The cell ids in the results sink's JSONL file @p path. */
@@ -663,28 +765,23 @@ TEST(ExpRegistry, ResolvesGroupsAndDeduplicates)
 
 TEST(ExpRegistry, TryResolveAgreesWithResolve)
 {
-    std::vector<std::string> names = {"figures", "tables", "ablations",
-                                      "numa", "all"};
+    // Every group resolves to something, every experiment name to
+    // exactly its entry, and "numa" to the one NUMA experiment.
+    for (const char *group : {"figures", "tables", "ablations", "numa", "all"})
+        EXPECT_FALSE(resolveExperiments({group}).empty()) << group;
     for (const Experiment &e : experimentRegistry())
-        names.push_back(e.name);
-    for (const std::string &name : names) {
-        std::string error;
-        const auto tried = tryResolveExperiments({name}, error);
-        EXPECT_TRUE(error.empty()) << name << ": " << error;
-        EXPECT_FALSE(tried.empty()) << name;
-        EXPECT_EQ(tried, resolveExperiments({name})) << name;
-    }
+        EXPECT_EQ(resolveExperiments({e.name}),
+                  std::vector<const Experiment *>{&e})
+            << e.name;
 
-    std::string error;
-    const auto numa = tryResolveExperiments({"numa"}, error);
+    const auto numa = resolveExperiments({"numa"});
     ASSERT_EQ(numa.size(), 1u);
     EXPECT_EQ(numa.front()->name, "numa_server");
 }
 
 TEST(ExpRegistry, ResolvesInRegistryOrder)
 {
-    std::string error;
-    const auto out = tryResolveExperiments({"table2", "figure1"}, error);
+    const auto out = resolveExperiments({"table2", "figure1"});
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0]->name, "figure1");
     EXPECT_EQ(out[1]->name, "table2");
@@ -692,13 +789,10 @@ TEST(ExpRegistry, ResolvesInRegistryOrder)
 
 TEST(ExpRegistry, UnknownNameYieldsErrorAndNoExperiments)
 {
-    std::string error;
-    const auto out =
-        tryResolveExperiments({"figure1", "no_such_experiment"}, error);
-    EXPECT_TRUE(out.empty());
-    EXPECT_NE(error.find("unknown experiment 'no_such_experiment'"),
-              std::string::npos)
-        << error;
+    EXPECT_EXIT(resolveExperiments({"figure1", "no_such_experiment"}),
+                testing::ExitedWithCode(1),
+                "fatal: unknown experiment 'no_such_experiment' "
+                "\\(try --list for the registry\\)");
 }
 
 TEST(ExpRegistry, EveryExperimentIsWellFormed)

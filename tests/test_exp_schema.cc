@@ -5,8 +5,8 @@
  * sampled mode with per-cell metrics on.  Each row must carry the
  * same keys in every mode (the sampled row adds its "sample" object
  * where a sampling CI applies), real bus traffic, and a metrics
- * object; a custom cell must report the bus of the pass whose
- * statistics it reports.
+ * object; a streamed row must come from a streamed source; a custom
+ * cell must report the bus of the pass whose statistics it reports.
  */
 
 #include <gtest/gtest.h>
@@ -157,6 +157,17 @@ TEST_F(RowSchema, KeysMatchAcrossModes)
         });
         EXPECT_EQ(keys, full.keys) << e.name;
     }
+}
+
+TEST_F(RowSchema, StreamedRowsAreSynthesized)
+{
+    // Under stream no pass materializes a trace, custom passes
+    // included, and the streamed run has no store to read from.
+    for (const auto &[name, r] : modes.at(Mode::Stream))
+        EXPECT_EQ(r.outcome.run.traceMode, "synth") << name << " " << r.cell;
+    for (const auto &[name, r] : modes.at(Mode::Full))
+        EXPECT_EQ(r.outcome.run.traceMode, "materialized")
+            << name << " " << r.cell;
 }
 
 TEST_F(RowSchema, PlainCellsCarryASamplingCi)

@@ -1069,64 +1069,62 @@ TEST(StreamStore, StreamedArtifactMatchesMaterialized)
 
 TEST(StreamCache, LruEvictsUnderByteCap)
 {
-    clearTraceCache();
-    const TraceCacheStats before = traceCacheStats();
-    // One small trace's footprint, measured through the public API.
-    setTraceCacheCapacity(0);
+    // One trace's footprint, measured on a cache at the default cap.
+    const WorkloadProfile profile =
+        WorkloadProfile::forKind(WorkloadKind::Trfd4);
     const CoherenceOptions base = CoherenceOptions::none();
-    const auto first = cachedWorkloadTrace(WorkloadKind::Trfd4, base);
-
-    // Cap the cache so roughly one trace fits, then pull in several
-    // distinct coherence variants of the same workload.
+    TraceCache probe;
+    const auto first = probe.trace(profile, base);
     const std::size_t oneTrace =
         first->totalRecords() * sizeof(TraceRecord) +
         first->blockOps().size() * sizeof(BlockOp) +
         first->updatePages().size() * sizeof(Addr);
-    setTraceCacheCapacity(oneTrace + oneTrace / 2);
-    EXPECT_EQ(traceCacheCapacity(), oneTrace + oneTrace / 2);
 
+    // A cache where roughly one trace fits, pulling in several
+    // distinct coherence variants of the same workload.
+    TraceCache cache({}, oneTrace + oneTrace / 2);
     CoherenceOptions reloc = base;
     reloc.relocate = true;
     CoherenceOptions relup = reloc;
     relup.selectiveUpdate = true;
-    (void)cachedWorkloadTrace(WorkloadKind::Trfd4, reloc);
-    (void)cachedWorkloadTrace(WorkloadKind::Trfd4, relup);
+    const auto held = cache.trace(profile, base);
+    (void)cache.trace(profile, reloc);
+    (void)cache.trace(profile, relup);
 
-    const TraceCacheStats stats = traceCacheStats() - before;
+    const TraceCacheStats stats = cache.stats();
     EXPECT_EQ(stats.generated, 3u);
     EXPECT_GE(stats.evictions, 1u);
 
     // Evicted pointers stay alive for their holders.
-    EXPECT_GT(first->totalRecords(), 0u);
+    EXPECT_EQ(held->totalRecords(), first->totalRecords());
 
     // An evicted key regenerates (a later miss, not an error).
-    const TraceCacheStats regen = traceCacheStats();
-    (void)cachedWorkloadTrace(WorkloadKind::Trfd4, base);
-    const TraceCacheStats after = traceCacheStats() - regen;
+    (void)cache.trace(profile, base);
+    const TraceCacheStats after = cache.stats() - stats;
     EXPECT_EQ(after.memoryHits + after.generated, 1u);
-
-    setTraceCacheCapacity(defaultTraceCacheBytes);
-    clearTraceCache();
 }
 
 TEST(StreamCache, StreamedModeBypassesMaterialization)
 {
-    clearTraceCache();
-    const TraceCacheStats before = traceCacheStats();
+    TraceCache cache;
     RunContext streaming;
     streaming.stream = true;
+    streaming.traces = &cache;
+    RunContext materializing;
+    materializing.traces = &cache;
     const RunResult streamed = runWorkload(
         WorkloadKind::Trfd4, SystemKind::Base, MachineConfig::base(),
         streaming);
-    const RunResult materialized =
-        runWorkload(WorkloadKind::Trfd4, SystemKind::Base);
+    const RunResult materialized = runWorkload(
+        WorkloadKind::Trfd4, SystemKind::Base, MachineConfig::base(),
+        materializing);
 
     EXPECT_EQ(streamed.stats, materialized.stats);
     EXPECT_EQ(streamed.traceMode, "synth");
     EXPECT_EQ(materialized.traceMode, "materialized");
     // The streamed run never touched the materialized cache.
-    EXPECT_EQ((traceCacheStats() - before).generated, 1u);
-    clearTraceCache();
+    EXPECT_EQ(cache.stats().generated, 1u);
+    EXPECT_EQ(cache.stats().memoryHits, 0u);
 }
 
 } // namespace

@@ -53,12 +53,10 @@ usage()
         "  --cache-dir D   trace artifact cache directory\n"
         "                  (default .oscache-artifacts)\n"
         "  --no-cache      disable the persistent trace cache\n"
-        "  --stream        pull records through streaming cursors\n"
-        "                  (bounded memory; synthesize on demand or\n"
-        "                  replay chunked artifacts incrementally)\n"
-        "  --trace-cache-mb N\n"
-        "                  in-memory trace cache cap in MiB\n"
-        "                  (default 512; 0 = unbounded)\n"
+        "  --stream        pull every cell's records through streaming\n"
+        "                  cursors (bounded memory; synthesize on\n"
+        "                  demand or replay chunked artifacts\n"
+        "                  incrementally)\n"
         "  --results BASE  write BASE.jsonl and BASE.csv\n"
         "                  (default oscache_results; - disables)\n"
         "  --quiet         no per-cell progress lines\n"
@@ -99,7 +97,6 @@ main(int argc, char **argv)
     bool metrics = false;
     bool stream = false;
     bool canonical = false;
-    std::size_t trace_cache_bytes = defaultTraceCacheBytes;
     std::string timeline_file;
     std::string sample_plan;
     std::string cache_dir = ".oscache-artifacts";
@@ -119,9 +116,6 @@ main(int argc, char **argv)
             cache_dir.clear();
         } else if (arg == "--stream") {
             stream = true;
-        } else if (arg == "--trace-cache-mb") {
-            trace_cache_bytes =
-                flags.number<std::uint32_t>() * std::size_t{1024} * 1024;
         } else if (arg == "--results") {
             results_base = flags.value();
             if (results_base == "-")
@@ -172,6 +166,7 @@ main(int argc, char **argv)
     std::unique_ptr<TraceStore> store;
     if (!cache_dir.empty())
         store = std::make_unique<TraceStore>(cache_dir);
+    TraceCache cache(store ? traceStoreHooks(*store) : TraceCacheHooks{});
 
     std::unique_ptr<Timeline> timeline;
     if (!timeline_file.empty())
@@ -180,9 +175,8 @@ main(int argc, char **argv)
     DriverOptions options;
     options.jobs = jobs;
     options.smoke = smoke;
-    options.store = store.get();
+    options.cache = &cache;
     options.stream = stream;
-    options.traceCacheBytes = trace_cache_bytes;
     options.resultsBase = results_base;
     options.canonicalResults = canonical;
     options.obs.metrics = metrics;
