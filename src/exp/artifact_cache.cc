@@ -108,31 +108,6 @@ TraceStore::pathFor(const std::string &key) const
     return root + "/trace_" + key + ".otb";
 }
 
-std::optional<Trace>
-TraceStore::load(const std::string &key)
-{
-    const std::string path = pathFor(key);
-    std::ifstream is(path, std::ios::in | std::ios::binary);
-    if (!is) {
-        missCount.fetch_add(1);
-        return std::nullopt;
-    }
-    Trace trace(1);
-    std::string why;
-    if (!tryReadTraceBinary(is, trace, &why)) {
-        warn("artifact cache: rejecting corrupt '", path, "' (", why,
-             "); will regenerate");
-        is.close();
-        std::error_code ec;
-        fs::remove(path, ec);
-        rejectCount.fetch_add(1);
-        missCount.fetch_add(1);
-        return std::nullopt;
-    }
-    hitCount.fetch_add(1);
-    return trace;
-}
-
 std::unique_ptr<TraceSource>
 TraceStore::openSource(const std::string &key)
 {
@@ -182,10 +157,27 @@ TraceStore::storeStreaming(const std::string &key,
 }
 
 void
-TraceStore::store(const std::string &key, const Trace &trace)
+TraceStore::store(const std::string &key, const PackedTrace &trace)
 {
-    writeArtifact(pathFor(key),
-                  [&](std::ostream &os) { writeTraceChunked(os, trace); });
+    writeArtifact(pathFor(key), [&](std::ostream &os) {
+        ChunkedTraceWriter writer(os, trace.numCpus(), trace.updatePages());
+        constexpr std::size_t blockRecords = PackedTrace::blockRecords;
+        std::vector<TraceRecord> chunk(16 * blockRecords);
+        for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
+            std::size_t fill = 0;
+            for (std::size_t at = 0; at < trace.records(cpu);
+                 at += blockRecords) {
+                fill += trace.decodeBlock(cpu, at / blockRecords,
+                                          chunk.data() + fill);
+                if (fill == chunk.size()) {
+                    writer.writeChunk(cpu, chunk.data(), fill);
+                    fill = 0;
+                }
+            }
+            writer.writeChunk(cpu, chunk.data(), fill);
+        }
+        writer.finish(trace.blockOps());
+    });
 }
 
 TraceCacheHooks
@@ -194,11 +186,11 @@ traceStoreHooks(TraceStore &store)
     TraceCacheHooks hooks;
     hooks.load = [&store](const WorkloadProfile &p, const CoherenceOptions &o,
                           unsigned cpus) {
-        return store.load(TraceStore::keyFor(p, o, cpus));
+        return store.openSource(TraceStore::keyFor(p, o, cpus));
     };
     hooks.store = [&store](const WorkloadProfile &p,
                            const CoherenceOptions &o, unsigned cpus,
-                           const Trace &t) {
+                           const PackedTrace &t) {
         store.store(TraceStore::keyFor(p, o, cpus), t);
     };
     hooks.open = [&store](const WorkloadProfile &p, const CoherenceOptions &o,

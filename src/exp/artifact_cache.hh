@@ -8,9 +8,9 @@
  * maps a content key — a hash of every generation input: the full
  * workload profile, the coherence options, the cpu count, and the
  * binary trace-format version — to a file in the chunked binary
- * format (trace/io v3), whether the trace was materialized (store())
- * or generated straight to disk (storeStreaming()), so load() and
- * openSource() read either.  A warm directory turns a sweep's
+ * format (trace/io v3), whether the trace was packed in memory
+ * (store()) or generated straight to disk (storeStreaming()), and
+ * openSource() reads either.  A warm directory turns a sweep's
  * generation phase into pure reloads; the acceptance bar is a rerun
  * with zero regenerations.
  *
@@ -26,14 +26,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/cohopt.hh"
 #include "report/experiment.hh"
 #include "synth/profile.hh"
+#include "trace/packed.hh"
 #include "trace/source.hh"
-#include "trace/trace.hh"
 
 namespace oscache
 {
@@ -58,17 +57,10 @@ class TraceStore
                               unsigned num_cpus = 4);
 
     /**
-     * Load the trace stored under @p key, or nullopt if absent or
-     * corrupt (corrupt files are removed so the regenerated artifact
-     * can take their place).
-     */
-    std::optional<Trace> load(const std::string &key);
-
-    /**
      * Store @p trace under @p key in the chunked format (atomic
-     * rename into place).
+     * rename into place), decoding its blocks a chunk at a time.
      */
-    void store(const std::string &key, const Trace &trace);
+    void store(const std::string &key, const PackedTrace &trace);
 
     /**
      * Open a streaming cursor source over the artifact stored under
@@ -110,11 +102,12 @@ class TraceStore
 };
 
 /**
- * A TraceCache's hooks over @p store: materialized traces load from
- * and store to it, and a streamed source reads its chunked artifact
- * incrementally, with defaultStreamReadAhead records of buffer per
- * processor, after generating a missing one straight to disk.  The
- * store must outlive every cache built with the hooks.
+ * A TraceCache's hooks over @p store: the cache packs a stored trace
+ * from its openSource() and stores the traces it generates, and a
+ * streamed source reads the chunked artifact incrementally, with
+ * defaultStreamReadAhead records of buffer per processor, after
+ * generating a missing one straight to disk.  The store must outlive
+ * every cache built with the hooks.
  */
 TraceCacheHooks traceStoreHooks(TraceStore &store);
 

@@ -12,7 +12,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <iterator>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <unordered_map>
@@ -91,21 +90,40 @@ extraOf(const CellOutcome &outcome, const std::string &key)
 }
 
 /**
- * Read every cursor of @p source to its end without keeping a
- * record (the skip promise lets a streamed source buffer nothing);
- * afterwards its blockOps() table is complete.
+ * Forwards to a source it shares, so a cell that wraps ctx.open() can
+ * keep the sources its passes read or replace part of them.
  */
-void
-readToEnd(TraceSource &source)
+class ForwardingSource : public TraceSource
 {
-    std::vector<std::unique_ptr<RecordCursor>> cursors;
-    for (CpuId c = 0; c < source.numCpus(); ++c) {
-        cursors.push_back(source.cursor(c));
-        cursors.back()->promiseSkips(1, 0);
+  public:
+    explicit ForwardingSource(std::shared_ptr<TraceSource> source)
+        : inner(std::move(source))
+    {}
+
+    unsigned numCpus() const override { return inner->numCpus(); }
+    const BlockOpTable &blockOps() const override
+    {
+        return inner->blockOps();
     }
-    for (const auto &cursor : cursors)
-        cursor->skip(std::numeric_limits<std::size_t>::max());
-}
+    const std::unordered_set<Addr> &updatePages() const override
+    {
+        return inner->updatePages();
+    }
+    std::unique_ptr<RecordCursor>
+    cursor(CpuId cpu) override
+    {
+        return inner->cursor(cpu);
+    }
+    std::optional<std::size_t>
+    knownRecords(CpuId cpu) const override
+    {
+        return inner->knownRecords(cpu);
+    }
+    const char *mode() const override { return inner->mode(); }
+
+  private:
+    std::shared_ptr<TraceSource> inner;
+};
 
 // ---------------------------------------------------------------- figures
 
@@ -976,33 +994,16 @@ using Pages = std::unordered_set<Addr>;
  * @p inner's records under another update-page set: how the
  * update-set ablation varies the selective-update pages of one trace.
  */
-class UpdateSetSource final : public TraceSource
+class UpdateSetSource final : public ForwardingSource
 {
   public:
     UpdateSetSource(std::unique_ptr<TraceSource> source, Pages update_pages)
-        : inner(std::move(source)), pages(std::move(update_pages))
+        : ForwardingSource(std::move(source)), pages(std::move(update_pages))
     {}
 
-    unsigned numCpus() const override { return inner->numCpus(); }
-    const BlockOpTable &blockOps() const override
-    {
-        return inner->blockOps();
-    }
     const Pages &updatePages() const override { return pages; }
-    std::unique_ptr<RecordCursor>
-    cursor(CpuId cpu) override
-    {
-        return inner->cursor(cpu);
-    }
-    std::optional<std::size_t>
-    knownRecords(CpuId cpu) const override
-    {
-        return inner->knownRecords(cpu);
-    }
-    const char *mode() const override { return inner->mode(); }
 
   private:
-    std::unique_ptr<TraceSource> inner;
     Pages pages;
 };
 
@@ -1791,18 +1792,26 @@ makeCalibrate()
         cell.workload = kind;
         cell.system = SystemKind::Base;
         cell.body = [kind](const RunContext &ctx) {
+            const MachineConfig machine = MachineConfig::base();
+            const TraceSourceFactory open =
+                ctx.open(WorkloadProfile::forKind(kind),
+                         CoherenceOptions::none(), machine.numCpus);
+            // The run reads every cursor of every source it opens to
+            // the end, sampled or not, so the last one's block-op
+            // table is complete afterwards.
+            std::shared_ptr<TraceSource> last;
             CellOutcome out;
-            out.run = runWorkload(kind, SystemKind::Base,
-                                  MachineConfig::base(), ctx);
+            out.run = runWorkload(
+                [&]() -> std::unique_ptr<TraceSource> {
+                    last = open();
+                    return std::make_unique<ForwardingSource>(last);
+                },
+                kind, SystemSetup::forKind(SystemKind::Base), machine, ctx);
             // Block-operation census of the same trace.
             for (const char *op_kind : {"copies_", "zeros_"})
                 for (const char *size : sizeClasses)
                     out.extra[std::string(op_kind) + size] = 0;
-            const std::unique_ptr<TraceSource> source =
-                ctx.open(WorkloadProfile::forKind(kind),
-                         CoherenceOptions::none(), 4)();
-            readToEnd(*source);
-            for (const BlockOp &op : source->blockOps()) {
+            for (const BlockOp &op : last->blockOps()) {
                 const int cls =
                     op.size < 1024 ? 0 : (op.size < 4096 ? 1 : 2);
                 out.extra[std::string(op.isCopy() ? "copies_" : "zeros_") +

@@ -1,5 +1,6 @@
 #include "report/experiment.hh"
 
+#include <algorithm>
 #include <exception>
 #include <future>
 #include <map>
@@ -19,16 +20,7 @@ namespace oscache
 namespace
 {
 
-using TracePtr = std::shared_ptr<const Trace>;
-
-/** Approximate in-memory footprint of a materialized trace. */
-std::size_t
-traceBytes(const Trace &trace)
-{
-    return trace.totalRecords() * sizeof(TraceRecord) +
-           trace.blockOps().size() * sizeof(BlockOp) +
-           trace.updatePages().size() * sizeof(Addr);
-}
+using TracePtr = std::shared_ptr<const PackedTrace>;
 
 /** Content-hash key for (profile, coherence options, cpu count). */
 std::string
@@ -70,6 +62,7 @@ struct TraceCache::State
     std::map<std::string, std::shared_ptr<Entry>> entries;
     std::uint64_t useClock = 0;
     std::size_t totalBytes = 0;
+    std::size_t peakBytes = 0;
     std::size_t capacityBytes = defaultTraceCacheBytes;
     TraceCacheStats stats;
     TraceCacheHooks hooks;
@@ -143,18 +136,19 @@ TraceCache::trace(const WorkloadProfile &profile,
 
     if (creator) {
         try {
-            std::optional<Trace> loaded;
+            std::unique_ptr<TraceSource> stored;
             if (hooks.load)
-                loaded = hooks.load(profile, options, num_cpus);
-            const bool fresh = !loaded.has_value();
-            TracePtr ptr = std::make_shared<const Trace>(
-                fresh ? generateTrace(profile, options, num_cpus)
-                      : std::move(*loaded));
+                stored = hooks.load(profile, options, num_cpus);
+            const bool fresh = stored == nullptr;
+            TracePtr ptr = std::make_shared<const PackedTrace>(
+                fresh ? generatePacked(profile, options, num_cpus)
+                      : PackedTrace::pack(*stored));
+            stored.reset();
             std::vector<std::shared_ptr<Entry>> evicted;
             {
                 std::lock_guard<std::mutex> lock(s.mutex);
                 ++(fresh ? s.stats.generated : s.stats.persistentHits);
-                entry->bytes = traceBytes(*ptr);
+                entry->bytes = ptr->bytes();
                 entry->ready = true;
                 // The entry may have been detached by a concurrent
                 // clear(); only account for it if present.
@@ -162,6 +156,7 @@ TraceCache::trace(const WorkloadProfile &profile,
                 if (it != s.entries.end() && it->second == entry) {
                     s.totalBytes += entry->bytes;
                     s.evictLocked(entry, evicted);
+                    s.peakBytes = std::max(s.peakBytes, s.totalBytes);
                 }
             }
             if (fresh && hooks.store)
@@ -184,7 +179,7 @@ TraceCache::trace(const WorkloadProfile &profile,
 }
 
 std::unique_ptr<TraceSource>
-TraceCache::source(const WorkloadProfile &profile,
+TraceCache::stream(const WorkloadProfile &profile,
                    const CoherenceOptions &options, unsigned num_cpus)
 {
     decltype(TraceCacheHooks::open) open;
@@ -192,7 +187,17 @@ TraceCache::source(const WorkloadProfile &profile,
         std::lock_guard<std::mutex> lock(state->mutex);
         open = state->hooks.open;
     }
-    return open ? open(profile, options, num_cpus) : nullptr;
+    std::unique_ptr<TraceSource> source;
+    if (open)
+        source = open(profile, options, num_cpus);
+    const bool stored = source != nullptr;
+    if (!stored)
+        source =
+            std::make_unique<SynthTraceSource>(profile, options, num_cpus);
+    std::lock_guard<std::mutex> lock(state->mutex);
+    ++(stored ? state->stats.streamedStored
+              : state->stats.streamedSynthesized);
+    return source;
 }
 
 void
@@ -214,6 +219,20 @@ TraceCache::stats() const
 {
     std::lock_guard<std::mutex> lock(state->mutex);
     return state->stats;
+}
+
+std::size_t
+TraceCache::heldBytes() const
+{
+    std::lock_guard<std::mutex> lock(state->mutex);
+    return state->totalBytes;
+}
+
+std::size_t
+TraceCache::peakBytes() const
+{
+    std::lock_guard<std::mutex> lock(state->mutex);
+    return state->peakBytes;
 }
 
 TraceCache &
@@ -238,14 +257,10 @@ RunContext::open(const WorkloadProfile &profile,
     TraceCache &cache = traces != nullptr ? *traces : defaultTraceCache();
     if (!stream)
         return [trace = cache.trace(profile, coherence, num_cpus)] {
-            return std::make_unique<MaterializedTraceSource>(trace);
+            return std::make_unique<PackedTraceSource>(trace);
         };
-    return [&cache, profile, coherence,
-            num_cpus]() -> std::unique_ptr<TraceSource> {
-        if (auto source = cache.source(profile, coherence, num_cpus))
-            return source;
-        return std::make_unique<SynthTraceSource>(profile, coherence,
-                                                  num_cpus);
+    return [&cache, profile, coherence, num_cpus] {
+        return cache.stream(profile, coherence, num_cpus);
     };
 }
 
@@ -253,10 +268,18 @@ RunResult
 runWorkload(WorkloadKind workload, const SystemSetup &setup,
             const MachineConfig &machine, const RunContext &ctx)
 {
-    const WorkloadProfile profile = WorkloadProfile::forKind(workload);
-    const SimOptions options = ctx.simOptions(profile);
-    const TraceSourceFactory open =
-        ctx.open(profile, setup.coherence, machine.numCpus);
+    return runWorkload(ctx.open(WorkloadProfile::forKind(workload),
+                                setup.coherence, machine.numCpus),
+                       workload, setup, machine, ctx);
+}
+
+RunResult
+runWorkload(const TraceSourceFactory &open, WorkloadKind workload,
+            const SystemSetup &setup, const MachineConfig &machine,
+            const RunContext &ctx)
+{
+    const SimOptions options =
+        ctx.simOptions(WorkloadProfile::forKind(workload));
     // Hot-spot-prefetch systems replay in full (RunContext::samplePlan).
     if (!ctx.samplePlan.has_value() || setup.hotspotPrefetch)
         return runOnSource(open, machine, options, setup);
@@ -281,8 +304,10 @@ std::shared_ptr<const Trace>
 cachedWorkloadTrace(WorkloadKind workload, const CoherenceOptions &options,
                     unsigned num_cpus)
 {
-    return defaultTraceCache().trace(WorkloadProfile::forKind(workload),
-                                     options, num_cpus);
+    return std::make_shared<const Trace>(
+        defaultTraceCache()
+            .trace(WorkloadProfile::forKind(workload), options, num_cpus)
+            ->unpack());
 }
 
 void
@@ -296,16 +321,20 @@ setTraceCacheHooks(TraceLoadHook load, TraceStoreHook store)
 {
     TraceCacheHooks hooks;
     if (load)
-        hooks.load = [load = std::move(load)](const WorkloadProfile &p,
-                                              const CoherenceOptions &o,
-                                              unsigned cpus) {
-            return load(p.kind, o, cpus);
+        hooks.load = [load = std::move(load)](
+                         const WorkloadProfile &p, const CoherenceOptions &o,
+                         unsigned cpus) -> std::unique_ptr<TraceSource> {
+            std::optional<Trace> trace = load(p.kind, o, cpus);
+            if (!trace)
+                return nullptr;
+            return std::make_unique<MaterializedTraceSource>(
+                std::make_shared<const Trace>(std::move(*trace)));
         };
     if (store)
         hooks.store = [store = std::move(store)](const WorkloadProfile &p,
                                                  const CoherenceOptions &o,
                                                  unsigned cpus,
-                                                 const Trace &t) {
+                                                 const PackedTrace &t) {
             store(p.kind, o, cpus, t);
         };
     TraceCache::State &s = *defaultTraceCache().state;

@@ -10,7 +10,8 @@
  * one process can differ in any of it.  Every pass of every cell gets
  * its trace through RunContext::open().
  *
- * A TraceCache memoizes materialized traces by content key.  It is
+ * A TraceCache memoizes traces by content key, each held as a
+ * PackedTrace (trace/packed.hh) at a few bytes a record.  It is
  * concurrency-safe: any number of threads may ask it at once (the
  * parallel experiment scheduler in src/exp does exactly that) and
  * each distinct (profile, coherence-options, cpu-count) trace is
@@ -35,22 +36,27 @@
 #include "obs/options.hh"
 #include "sample/plan.hh"
 #include "synth/profile.hh"
+#include "trace/packed.hh"
 #include "trace/source.hh"
 
 namespace oscache
 {
 
-/** Counters describing where cached traces came from. */
+/** Counters describing where a cache's traces came from. */
 struct TraceCacheStats
 {
     /** Requests satisfied by the in-memory map (or its latches). */
     std::uint64_t memoryHits = 0;
-    /** Traces loaded through the load hook. */
+    /** Traces packed from the load hook's source. */
     std::uint64_t persistentHits = 0;
     /** Traces generated from scratch. */
     std::uint64_t generated = 0;
     /** Entries dropped by the LRU size cap. */
     std::uint64_t evictions = 0;
+    /** Streamed sources synthesized on demand. */
+    std::uint64_t streamedSynthesized = 0;
+    /** Streamed sources the open hook served from a stored artifact. */
+    std::uint64_t streamedStored = 0;
 
     /** The counts accrued since @p earlier, a snapshot taken before. */
     TraceCacheStats
@@ -59,7 +65,9 @@ struct TraceCacheStats
         return {memoryHits - earlier.memoryHits,
                 persistentHits - earlier.persistentHits,
                 generated - earlier.generated,
-                evictions - earlier.evictions};
+                evictions - earlier.evictions,
+                streamedSynthesized - earlier.streamedSynthesized,
+                streamedStored - earlier.streamedStored};
     }
 };
 
@@ -70,13 +78,16 @@ struct TraceCacheStats
  */
 struct TraceCacheHooks
 {
-    /** A stored trace; nullopt means "not available". */
-    std::function<std::optional<Trace>(const WorkloadProfile &,
-                                       const CoherenceOptions &, unsigned)>
+    /**
+     * A source over the stored trace, which the cache packs and then
+     * drops; nullptr means "not available".
+     */
+    std::function<std::unique_ptr<TraceSource>(
+        const WorkloadProfile &, const CoherenceOptions &, unsigned)>
         load;
     /** Offers a freshly generated trace for storage. */
     std::function<void(const WorkloadProfile &, const CoherenceOptions &,
-                       unsigned, const Trace &)>
+                       unsigned, const PackedTrace &)>
         store;
     /**
      * A streamed source over the stored trace, or nullptr to fall
@@ -92,24 +103,27 @@ using TraceLoadHook = std::function<std::optional<Trace>(
     WorkloadKind, const CoherenceOptions &, unsigned)>;
 /** Offers a freshly generated trace, for setTraceCacheHooks(). */
 using TraceStoreHook = std::function<void(
-    WorkloadKind, const CoherenceOptions &, unsigned, const Trace &)>;
+    WorkloadKind, const CoherenceOptions &, unsigned, const PackedTrace &)>;
 
 /**
- * Default in-memory trace-cache capacity: the LRU byte cap that keeps
- * a sweep over many long traces from growing the process without
- * bound.
+ * Default in-memory trace-cache capacity, in packed bytes: the LRU
+ * byte cap that keeps a sweep over many long traces from growing the
+ * process without bound.
  */
 inline constexpr std::size_t defaultTraceCacheBytes =
     std::size_t{512} * 1024 * 1024;
 
 /**
- * In-memory cache of materialized traces, with an LRU byte cap.
+ * In-memory cache of packed traces, with an LRU byte cap.
  *
- * When an insert pushes the approximate footprint over the cap,
- * least-recently-used *completed* entries are dropped from the map
- * (0 = unbounded).  Holders of a returned shared_ptr keep their
- * trace alive, and in-flight generations are never evicted.
- * Thread-safe.
+ * Every fill packs from a source: a fresh trace is generated straight
+ * into blocks (generatePacked), a stored one is packed from the load
+ * hook's source, and no whole 24-byte trace is built on the way.
+ * When an insert pushes the held bytes (PackedTrace::bytes(), buffer
+ * capacity) over the cap, least-recently-used *completed* entries are
+ * dropped from the map (0 = unbounded).  Holders of a returned
+ * shared_ptr keep their trace alive, and in-flight generations are
+ * never evicted.  Thread-safe.
  */
 class TraceCache
 {
@@ -123,16 +137,20 @@ class TraceCache
 
     /**
      * The trace of (@p profile, @p options, @p num_cpus): from the
-     * map, else through the load hook, else generated (and offered
-     * to the store hook).  The returned pointer stays valid across
-     * clear() and eviction.
+     * map, else packed from the load hook's source, else generated
+     * (and offered to the store hook).  The returned pointer stays
+     * valid across clear() and eviction.
      */
-    std::shared_ptr<const Trace> trace(const WorkloadProfile &profile,
-                                       const CoherenceOptions &options,
-                                       unsigned num_cpus = 4);
+    std::shared_ptr<const PackedTrace> trace(const WorkloadProfile &profile,
+                                             const CoherenceOptions &options,
+                                             unsigned num_cpus = 4);
 
-    /** The open hook's streamed source, or nullptr without one. */
-    std::unique_ptr<TraceSource> source(const WorkloadProfile &profile,
+    /**
+     * A streamed source of the trace of (@p profile, @p options,
+     * @p num_cpus), which the map never holds: the open hook's, else
+     * a SynthTraceSource.  Counted in stats().
+     */
+    std::unique_ptr<TraceSource> stream(const WorkloadProfile &profile,
                                         const CoherenceOptions &options,
                                         unsigned num_cpus = 4);
 
@@ -149,6 +167,12 @@ class TraceCache
      * two snapshots to count one stretch of work.
      */
     TraceCacheStats stats() const;
+
+    /** Bytes the map's completed traces hold, as the cap counts them. */
+    std::size_t heldBytes() const;
+
+    /** The most heldBytes() has been. */
+    std::size_t peakBytes() const;
 
   private:
     struct State;
@@ -169,7 +193,7 @@ TraceCache &defaultTraceCache();
  * How one run replays its cells, beyond each cell's own workload,
  * system and machine.  runExperiments() builds one per call and hands
  * it to every cell.  The default replays defaultTraceCache()'s
- * materialized traces in full, unobserved.
+ * packed traces in full, unobserved.
  */
 struct RunContext
 {
@@ -182,9 +206,9 @@ struct RunContext
     /** Observers every pass attaches (SimOptions::obs). */
     ObsOptions obs;
     /**
-     * Pull records through streaming cursors instead of materializing
-     * whole traces: the cache's streamed source when its open hook
-     * offers one, else straight from the synthesizer.
+     * Pull records through streaming cursors instead of holding whole
+     * traces: TraceCache::stream()'s source, the open hook's or else
+     * straight from the synthesizer.
      */
     bool stream = false;
     /** Where traces come from; null means defaultTraceCache(). */
@@ -195,9 +219,9 @@ struct RunContext
 
     /**
      * The sources of (@p profile, @p coherence, @p num_cpus), one per
-     * pass.  By default each is a view of the cache's materialized
+     * pass.  By default each is a PackedTraceSource over the cache's
      * trace, looked up once here; under stream each is the cache's
-     * streamed source, or a SynthTraceSource.
+     * streamed source.
      */
     TraceSourceFactory open(const WorkloadProfile &profile,
                             const CoherenceOptions &coherence,
@@ -221,9 +245,22 @@ RunResult runWorkload(WorkloadKind workload, const SystemSetup &setup,
                       const MachineConfig &machine = MachineConfig::base(),
                       const RunContext &ctx = {});
 
+/**
+ * As above, replaying the sources @p open serves instead of
+ * ctx.open()'s.  They must serve @p workload's trace, generated under
+ * @p setup's coherence options, for @p machine's cpu count; a caller
+ * that wraps ctx.open() can keep the sources the passes read.
+ */
+RunResult runWorkload(const TraceSourceFactory &open, WorkloadKind workload,
+                      const SystemSetup &setup, const MachineConfig &machine,
+                      const RunContext &ctx);
+
 /** @name Shims over defaultTraceCache() @{ */
 
-/** defaultTraceCache()'s trace of @p workload's calibrated profile. */
+/**
+ * defaultTraceCache()'s trace of @p workload's calibrated profile,
+ * decoded into a whole Trace.
+ */
 std::shared_ptr<const Trace> cachedWorkloadTrace(
     WorkloadKind workload, const CoherenceOptions &options,
     unsigned num_cpus = 4);
@@ -234,8 +271,9 @@ void clearTraceCache();
 /**
  * Replace defaultTraceCache()'s load and store hooks (empty functions
  * remove them) with these, called with the profile's workload kind,
- * which is exact for calibrated profiles.  Not while runs are in
- * flight.
+ * which is exact for calibrated profiles.  The cache packs the whole
+ * Trace a load hook returns and drops it at once.  Not while runs are
+ * in flight.
  */
 void setTraceCacheHooks(TraceLoadHook load, TraceStoreHook store);
 

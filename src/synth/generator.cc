@@ -302,4 +302,21 @@ generateTrace(WorkloadKind kind, const CoherenceOptions &options,
     return generateTrace(WorkloadProfile::forKind(kind), options, num_cpus);
 }
 
+PackedTrace
+generatePacked(const WorkloadProfile &profile,
+               const CoherenceOptions &options, unsigned num_cpus)
+{
+    TraceGenerator gen(profile, options, num_cpus);
+    PackedTrace::Builder builder(num_cpus);
+    // Every cpu emits into one sink, packed as soon as it is full.
+    RecordStream records;
+    const std::vector<RecordStream *> sinks(num_cpus, &records);
+    while (!gen.done())
+        gen.nextQuantum(sinks, [&](CpuId cpu) {
+            builder.append(cpu, records.data(), records.size());
+            records.clear();
+        });
+    return std::move(builder).finish(gen.blockOps(), gen.updatePages());
+}
+
 } // namespace oscache

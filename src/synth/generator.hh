@@ -18,7 +18,8 @@
  * Two front ends share one engine:
  *
  *  - generateTrace() runs every quantum into a materialized Trace
- *    (the historical API, unchanged output byte for byte);
+ *    (the historical API, unchanged output byte for byte), and
+ *    generatePacked() into a PackedTrace;
  *  - TraceGenerator exposes the quantum loop incrementally, so
  *    callers — SynthTraceSource, the artifact cache's stream-to-disk
  *    writer — can consume each quantum's records and discard them
@@ -37,6 +38,7 @@
 
 #include "core/cohopt.hh"
 #include "synth/profile.hh"
+#include "trace/packed.hh"
 #include "trace/trace.hh"
 
 namespace oscache
@@ -92,6 +94,15 @@ Trace generateTrace(const WorkloadProfile &profile,
 /** Convenience overload using the calibrated profile for @p kind. */
 Trace generateTrace(WorkloadKind kind, const CoherenceOptions &options,
                     unsigned num_cpus = 4);
+
+/**
+ * generateTrace()'s trace, packed as it is generated: each quantum's
+ * records are packed and dropped before the next quantum, so no whole
+ * 24-byte trace is ever built.
+ */
+PackedTrace generatePacked(const WorkloadProfile &profile,
+                           const CoherenceOptions &options,
+                           unsigned num_cpus = 4);
 
 } // namespace oscache
 

@@ -203,19 +203,19 @@ TEST(ExpArtifactCache, StoreLoadRoundTrip)
     const std::string key =
         TraceStore::keyFor(p, CoherenceOptions::none());
 
-    EXPECT_FALSE(store.load(key).has_value());
-    store.store(key, trace);
-    const auto loaded = store.load(key);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->totalRecords(), trace.totalRecords());
-    EXPECT_EQ(loaded->numCpus(), trace.numCpus());
-    EXPECT_EQ(store.hits(), 1u);
-    EXPECT_EQ(store.misses(), 1u);
+    EXPECT_EQ(store.openSource(key), nullptr);
+    store.store(key, generatePacked(p, CoherenceOptions::none()));
 
     // store() writes the same chunked encoding storeStreaming() does,
-    // so a streamed run can replay it from disk.
+    // so a streamed run replays it from disk and a cache packs it back
+    // from the same source.
     auto source = store.openSource(key);
     ASSERT_NE(source, nullptr);
+    EXPECT_EQ(store.hits(), 1u);
+    EXPECT_EQ(store.misses(), 1u);
+    ASSERT_EQ(source->numCpus(), trace.numCpus());
+    EXPECT_EQ(source->updatePages(), trace.updatePages());
+    EXPECT_EQ(source->blockOps().size(), trace.blockOps().size());
     for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
         auto cursor = source->cursor(cpu);
         for (const TraceRecord &rec : trace.stream(cpu)) {
@@ -238,20 +238,21 @@ TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
     const Trace trace = generateTrace(p, CoherenceOptions::none());
     const std::string key =
         TraceStore::keyFor(p, CoherenceOptions::none());
-    store.store(key, trace);
+    const PackedTrace packed = generatePacked(p, CoherenceOptions::none());
+    store.store(key, packed);
 
     // Truncate the artifact to simulate a torn write.
     const std::string path = store.pathFor(key);
     const auto size = fs::file_size(path);
     fs::resize_file(path, size / 2);
 
-    EXPECT_FALSE(store.load(key).has_value());
+    EXPECT_EQ(store.openSource(key), nullptr);
     EXPECT_EQ(store.rejected(), 1u);
     EXPECT_FALSE(fs::exists(path)) << "corrupt artifact must be deleted";
 
     // A fresh store regenerates transparently.
-    store.store(key, trace);
-    EXPECT_TRUE(store.load(key).has_value());
+    store.store(key, packed);
+    EXPECT_NE(store.openSource(key), nullptr);
 
     // So does an artifact of the retired binary version 2.
     {
@@ -261,11 +262,11 @@ TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
         f.seekp(4); // The version word follows the 4-byte magic.
         f.write(reinterpret_cast<const char *>(&retired), sizeof(retired));
     }
-    EXPECT_FALSE(store.load(key).has_value());
+    EXPECT_EQ(store.openSource(key), nullptr);
     EXPECT_EQ(store.rejected(), 2u);
     EXPECT_FALSE(fs::exists(path));
-    store.store(key, trace);
-    EXPECT_TRUE(store.load(key).has_value());
+    store.store(key, packed);
+    EXPECT_NE(store.openSource(key), nullptr);
 }
 
 TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)
@@ -279,8 +280,8 @@ TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)
     WorkloadProfile profile =
         WorkloadProfile::forKind(WorkloadKind::Trfd4);
     profile.quanta = 2;
-    const Trace trace =
-        generateTrace(profile, CoherenceOptions::none());
+    const PackedTrace trace =
+        generatePacked(profile, CoherenceOptions::none());
     const std::string key =
         TraceStore::keyFor(profile, CoherenceOptions::none());
 
@@ -300,9 +301,11 @@ TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)
     int alive = 2;
     int reaped_ok = 0;
     while (alive > 0) {
-        const auto loaded = reader.load(key);
-        if (loaded.has_value()) {
-            EXPECT_EQ(loaded->totalRecords(), trace.totalRecords());
+        if (const auto loaded = reader.openSource(key)) {
+            std::size_t records = 0;
+            for (CpuId cpu = 0; cpu < loaded->numCpus(); ++cpu)
+                records += loaded->knownRecords(cpu).value_or(0);
+            EXPECT_EQ(records, trace.totalRecords());
         }
         for (const pid_t w : writers) {
             int status = 0;
@@ -316,7 +319,7 @@ TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)
     EXPECT_EQ(reaped_ok, 2);
     EXPECT_EQ(reader.rejected(), 0u)
         << "a reader saw a torn artifact";
-    ASSERT_TRUE(reader.load(key).has_value());
+    ASSERT_NE(reader.openSource(key), nullptr);
 }
 
 // -------------------------------------------------------- trace cache
@@ -327,7 +330,7 @@ TEST(ExpTraceCache, ConcurrentRequestsGenerateOnce)
     const WorkloadProfile profile =
         WorkloadProfile::forKind(WorkloadKind::Trfd4);
     constexpr int kThreads = 8;
-    std::vector<std::shared_ptr<const Trace>> seen(kThreads);
+    std::vector<std::shared_ptr<const PackedTrace>> seen(kThreads);
     {
         std::vector<std::thread> threads;
         for (int t = 0; t < kThreads; ++t)
@@ -566,6 +569,37 @@ TEST(ExpScheduler, TraceStatsCountOnlyThisCall)
     EXPECT_EQ(warm.traceStats.generated, 0u);
     EXPECT_GT(warm.traceStats.memoryHits, 0u);
     EXPECT_EQ(cache.stats().generated, generated);
+}
+
+TEST(ExpScheduler, StreamedCalibrateSynthesizesItsTraceOnce)
+{
+    // Calibrate's block-op census reads the table of the source its run
+    // replayed, so a streamed call synthesizes its one trace once, and
+    // counts the census the default mode counts.
+    TraceCache cache;
+    DriverOptions options;
+    options.smoke = true;
+    options.stream = true;
+    options.cache = &cache;
+    const std::vector<const Experiment *> calibrate =
+        resolveExperiments({"calibrate"});
+    const DriverReport streamed = runExperiments(calibrate, options);
+    EXPECT_EQ(streamed.traceStats.streamedSynthesized, 1u);
+    EXPECT_EQ(streamed.traceStats.streamedStored, 0u);
+    EXPECT_EQ(streamed.traceStats.generated, 0u);
+
+    options.stream = false;
+    const DriverReport packed = runExperiments(calibrate, options);
+    EXPECT_EQ(packed.traceStats.generated, 1u);
+    EXPECT_EQ(packed.traceStats.streamedSynthesized, 0u);
+    ASSERT_EQ(streamed.experiments.size(), 1u);
+    ASSERT_EQ(packed.experiments.size(), 1u);
+    const auto &want = packed.experiments[0].outcomes;
+    const auto &got = streamed.experiments[0].outcomes;
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(want.size(), 1u);
+    EXPECT_EQ(got.begin()->second.extra, want.begin()->second.extra);
+    EXPECT_GT(got.begin()->second.extra.at("copies_page"), 0.0);
 }
 
 TEST(ExpScheduler, ConcurrentCallsOnOwnCachesReportTheirSoloTraceStats)

@@ -23,7 +23,10 @@
  *  - MarkTable behaves exactly like the three unordered sets it
  *    replaced (flags, populations, sorted snapshots, class clears,
  *    probe-chain integrity across backward-shift deletions and
- *    growth).
+ *    growth);
+ *  - a packed trace (PackedTraceSource, what the trace cache holds)
+ *    replays exactly like its 24-byte records, on every system, flat
+ *    and on two sockets, in full and sampled.
  */
 
 #include <gtest/gtest.h>
@@ -54,6 +57,7 @@
 #include "synth/generator.hh"
 #include "synth/profile.hh"
 #include "synth/stream_source.hh"
+#include "trace/packed.hh"
 
 // ---------------------------------------------------------------------
 // Global allocation counter for the zero-allocation test.  Counting
@@ -497,6 +501,70 @@ TEST(SampledBatchedEquivalence, StrandedSpinsBreakInClosedForm)
         EXPECT_GT(batched.stats.osSpin, 0u);
         EXPECT_GT(batched.warm.osSpin, 0u);
     }
+}
+
+// ---------------------------------------------------------------------
+// Packed vs 24-byte replay
+// ---------------------------------------------------------------------
+
+TEST(PackedReplay, EveryPaperCellMatchesTheRecords)
+{
+    // All eight systems on the four paper workloads, flat and on two
+    // sockets, at reduced quanta: the same stats, bus snapshot and
+    // hot-spot plan as a replay of the 24-byte records.
+    for (const WorkloadKind kind : allWorkloads) {
+        WorkloadProfile profile = WorkloadProfile::forKind(kind);
+        profile.quanta = 2;
+        const SimOptions opts = profile.simOptions();
+        for (const SystemKind system : allSystems) {
+            const SystemSetup setup = SystemSetup::forKind(system);
+            const Trace trace = generateTrace(profile, setup.coherence);
+            const auto packed = std::make_shared<const PackedTrace>(
+                generatePacked(profile, setup.coherence));
+            for (const MachineConfig &machine :
+                 {MachineConfig::base(), MachineConfig::numa(2, 2)}) {
+                SCOPED_TRACE(std::string(toString(kind)) + " " +
+                             toString(system) + " on " +
+                             std::to_string(machine.numSockets) +
+                             " socket(s)");
+                const RunResult want =
+                    runOnTrace(trace, machine, opts, setup);
+                const RunResult got = runOnSource(
+                    [&] { return std::make_unique<PackedTraceSource>(packed); },
+                    machine, opts, setup);
+                EXPECT_TRUE(got.stats == want.stats);
+                EXPECT_EQ(got.bus, want.bus);
+                EXPECT_EQ(got.hotspots.hotBlocks, want.hotspots.hotBlocks);
+                EXPECT_EQ(got.hotspots.lookahead, want.hotspots.lookahead);
+                EXPECT_EQ(got.traceMode, want.traceMode);
+            }
+        }
+    }
+}
+
+TEST(PackedReplay, SampledRunMatchesTheRecords)
+{
+    // A sampled replay skips by block-index arithmetic and reads spans
+    // that end at block edges; it must report what a sampled replay of
+    // the 24-byte records reports.
+    const WorkloadProfile profile = sampledProfile();
+    const SystemSetup setup = SystemSetup::forKind(SystemKind::BlkDma);
+    const auto trace = std::make_shared<const Trace>(
+        generateTrace(profile, setup.coherence));
+    const auto packed = std::make_shared<const PackedTrace>(
+        generatePacked(profile, setup.coherence));
+    sample::SampleRunOptions run;
+    run.plan = sampledPlan(20'000, sample::SamplingPlan{}.spinBreak);
+    const auto sampled = [&](const TraceSourceFactory &open) {
+        return sample::runSampled(open, MachineConfig::base(),
+                                  profile.simOptions(), setup.blockScheme,
+                                  run);
+    };
+    expectSameSampledRun(
+        sampled([&] { return std::make_unique<PackedTraceSource>(packed); }),
+        sampled([&] {
+            return std::make_unique<MaterializedTraceSource>(trace);
+        }));
 }
 
 // ---------------------------------------------------------------------

@@ -1047,10 +1047,11 @@ TEST(StreamStore, StreamedArtifactMatchesMaterialized)
     EXPECT_GE(store.hits(), 1u);
     EXPECT_GE(store.misses(), 1u);
 
-    // A materialized run loads the same artifact whole.
-    const auto loaded = store.load(key);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(streamsOf(*loaded), streamsOf(trace));
+    // A cache packs the same artifact from a source of its own.
+    const auto again = store.openSource(key);
+    ASSERT_NE(again, nullptr);
+    EXPECT_EQ(streamsOf(PackedTrace::pack(*again).unpack()),
+              streamsOf(trace));
 
     // A corrupt artifact is deleted and reported as a miss.
     {
@@ -1069,16 +1070,15 @@ TEST(StreamStore, StreamedArtifactMatchesMaterialized)
 
 TEST(StreamCache, LruEvictsUnderByteCap)
 {
-    // One trace's footprint, measured on a cache at the default cap.
+    // One trace's footprint, as a cache at the default cap counts it.
     const WorkloadProfile profile =
         WorkloadProfile::forKind(WorkloadKind::Trfd4);
     const CoherenceOptions base = CoherenceOptions::none();
     TraceCache probe;
     const auto first = probe.trace(profile, base);
-    const std::size_t oneTrace =
-        first->totalRecords() * sizeof(TraceRecord) +
-        first->blockOps().size() * sizeof(BlockOp) +
-        first->updatePages().size() * sizeof(Addr);
+    const std::size_t oneTrace = probe.heldBytes();
+    EXPECT_EQ(oneTrace, first->bytes());
+    EXPECT_EQ(probe.peakBytes(), oneTrace);
 
     // A cache where roughly one trace fits, pulling in several
     // distinct coherence variants of the same workload.
@@ -1094,6 +1094,7 @@ TEST(StreamCache, LruEvictsUnderByteCap)
     const TraceCacheStats stats = cache.stats();
     EXPECT_EQ(stats.generated, 3u);
     EXPECT_GE(stats.evictions, 1u);
+    EXPECT_LE(cache.heldBytes(), oneTrace + oneTrace / 2);
 
     // Evicted pointers stay alive for their holders.
     EXPECT_EQ(held->totalRecords(), first->totalRecords());
@@ -1122,7 +1123,10 @@ TEST(StreamCache, StreamedModeBypassesMaterialization)
     EXPECT_EQ(streamed.stats, materialized.stats);
     EXPECT_EQ(streamed.traceMode, "synth");
     EXPECT_EQ(materialized.traceMode, "materialized");
-    // The streamed run never touched the materialized cache.
+    // The streamed run synthesized its one pass and never touched the
+    // cached traces.
+    EXPECT_EQ(cache.stats().streamedSynthesized, 1u);
+    EXPECT_EQ(cache.stats().streamedStored, 0u);
     EXPECT_EQ(cache.stats().generated, 1u);
     EXPECT_EQ(cache.stats().memoryHits, 0u);
 }

@@ -210,12 +210,19 @@ main(int argc, char **argv)
     if (!sample_plan.empty())
         std::printf("sampling:        %s\n",
                     options.samplePlan->describe().c_str());
+    const TraceCacheStats &traces = report.traceStats;
     std::printf("traces:          %llu generated, %llu loaded from disk, "
                 "%llu in-memory hits, %llu evicted\n",
-                (unsigned long long)report.traceStats.generated,
-                (unsigned long long)report.traceStats.persistentHits,
-                (unsigned long long)report.traceStats.memoryHits,
-                (unsigned long long)report.traceStats.evictions);
+                (unsigned long long)traces.generated,
+                (unsigned long long)traces.persistentHits,
+                (unsigned long long)traces.memoryHits,
+                (unsigned long long)traces.evictions);
+    std::printf("streamed:        %llu synthesized, %llu opened from disk\n",
+                (unsigned long long)traces.streamedSynthesized,
+                (unsigned long long)traces.streamedStored);
+    std::printf("trace cache:     %.1f MB packed held, %.1f MB peak\n",
+                double(cache.heldBytes()) / 1e6,
+                double(cache.peakBytes()) / 1e6);
     if (store)
         std::printf("artifact cache:  %s (%llu hits, %llu misses, "
                     "%llu rejected)\n",

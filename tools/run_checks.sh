@@ -89,7 +89,7 @@ echo "== dft fuzz (tsan, deadline stops every worker) =="
 # pass through the prefetch adapter, so the ceiling also bounds the
 # adapter's buffers; the linter's one walk also keeps the lockset
 # state of every written shared address.
-echo "== memory ceiling (chunked long trace) =="
+echo "== memory ceiling (chunked long trace, packed trace cache) =="
 memdir=$(mktemp -d)
 rss_limit_kb=262144
 "$build/tools/oscache" generate --workload shell --quanta 360 \
@@ -120,6 +120,13 @@ for system in base bcpref; do
         --trace "$memdir/long.otc" --system "$system"
 done
 ceiling "lint" "$build/tools/oscache-lint" trace --trace "$memdir/long.otc"
+# A default-mode registry run holds each trace whole in the trace
+# cache, packed at a few bytes a record.  On this build `figure1`
+# (4 traces, 4 jobs) peaks near 140 MB with packed traces, and peaked
+# near 444 MB while the cache held them as 24-byte records, so the
+# same ceiling fails a cache that regresses to whole 24-byte traces.
+ceiling "figure1 sweep" "$build/tools/oscache-bench" --no-cache --quiet \
+    --jobs 4 --results - figure1
 rm -rf "$memdir"
 
 tracedir=$(mktemp -d)
