@@ -5,15 +5,16 @@
  * census, and the busiest basic blocks.  The same first look one
  * would take at a freshly captured monitor trace.
  *
- * Saved traces are walked through streaming cursors, so inspecting
- * (or re-encoding) a file never materializes it: memory stays at
- * O(cpus x read-ahead buffer) however large the trace.
+ * A saved trace is opened with openTraceFile(): a chunked file is
+ * walked through streaming cursors, so inspecting (or re-encoding)
+ * it never materializes it and memory stays at O(cpus x block)
+ * however large the trace; a text file is read once into memory.
  *
  * Usage:
  *   trace_inspect                 # inspect the TRFD_4 synthetic trace
  *   trace_inspect file.trace      # inspect a saved trace (any format)
  *   trace_inspect file.trace --convert out.otb --chunked
- *                                 # stream-re-encode as chunked v3
+ *                                 # stream-re-encode as chunked v4
  *   trace_inspect file.otb --convert out.trace --text
  *                                 # back to the greppable text format
  */
@@ -39,9 +40,9 @@ namespace
 {
 
 /**
- * Stream-re-encode @p source as chunked v3: each cursor is drained in
- * read-ahead-sized batches straight into the writer, so conversion
- * memory is one batch regardless of trace length.
+ * Stream-re-encode @p source as chunked v4: each cursor's spans go
+ * straight into the writer, so conversion memory is one block per
+ * cpu regardless of trace length.
  */
 std::size_t
 convertChunked(TraceSource &source, const std::string &out)
@@ -52,45 +53,19 @@ convertChunked(TraceSource &source, const std::string &out)
         fatal("cannot open '", out, "' for writing");
     ChunkedTraceWriter writer(os, source.numCpus(), source.updatePages());
     std::size_t total = 0;
-    RecordStream batch;
-    batch.reserve(defaultStreamReadAhead);
     for (CpuId c = 0; c < source.numCpus(); ++c) {
         auto cursor = source.cursor(c);
-        while (const TraceRecord *rec = cursor->peek()) {
-            batch.push_back(*rec);
-            cursor->advance();
-            if (batch.size() >= defaultStreamReadAhead) {
-                writer.writeChunk(c, batch);
-                total += batch.size();
-                batch.clear();
-            }
+        const TraceRecord *first = nullptr;
+        while (const std::size_t n = cursor->peekRun(first)) {
+            writer.writeChunk(c, first, n);
+            cursor->advanceRun(n);
+            total += n;
         }
-        writer.writeChunk(c, batch);
-        total += batch.size();
-        batch.clear();
     }
     writer.finish(source.blockOps());
     if (!os)
         fatal("error writing '", out, "'");
     return total;
-}
-
-/** Rebuild a materialized Trace by draining @p source's cursors. */
-Trace
-materialize(TraceSource &source)
-{
-    Trace trace(source.numCpus());
-    for (CpuId c = 0; c < source.numCpus(); ++c) {
-        auto cursor = source.cursor(c);
-        while (const TraceRecord *rec = cursor->peek()) {
-            trace.stream(c).push_back(*rec);
-            cursor->advance();
-        }
-    }
-    for (const BlockOp &op : source.blockOps())
-        trace.blockOps().add(op);
-    trace.updatePages() = source.updatePages();
-    return trace;
 }
 
 } // namespace
@@ -120,31 +95,33 @@ main(int argc, char **argv)
         }
     }
 
-    // A file input streams through bounded cursors; the demo trace is
-    // synthesized in memory and wrapped in the same interface.
-    std::unique_ptr<Trace> generated;
-    std::unique_ptr<TraceSource> source;
+    // A chunked file streams through bounded cursors; the demo trace
+    // is synthesized in memory and wrapped in the same interface.
+    std::shared_ptr<const Trace> generated;
+    TraceSourceFactory open;
     if (!input.empty()) {
-        source = std::make_unique<FileTraceSource>(input);
-        std::printf("source: %s, read-ahead %zu records/cpu\n",
-                    source->mode(), defaultStreamReadAhead);
+        open = openTraceFile(input);
     } else {
-        generated = std::make_unique<Trace>(generateTrace(
+        generated = std::make_shared<const Trace>(generateTrace(
             WorkloadKind::Trfd4, CoherenceOptions::none()));
-        source = std::make_unique<MaterializedTraceSource>(*generated);
+        open = [generated] {
+            return std::make_unique<MaterializedTraceSource>(generated);
+        };
     }
+    const std::unique_ptr<TraceSource> source = open();
+    if (!input.empty())
+        std::printf("source: %s\n", source->mode());
 
     if (!convert_out.empty()) {
         if (convert_format == TraceFormat::Chunked) {
             const std::size_t total = convertChunked(*source, convert_out);
-            std::printf("streamed %zu records to %s (chunked format, "
-                        "%zu-record batches)\n",
-                        total, convert_out.c_str(), defaultStreamReadAhead);
+            std::printf("streamed %zu records to %s (chunked format)\n",
+                        total, convert_out.c_str());
             return 0;
         }
         // The text writer takes a whole Trace, so the output (not
         // the input) must materialize.
-        const Trace trace = materialize(*source);
+        const Trace trace = generated ? *generated : readTraceFile(input);
         writeTraceFile(convert_out, trace, TraceFormat::Text);
         std::printf("wrote %zu records to %s (text format)\n",
                     trace.totalRecords(), convert_out.c_str());

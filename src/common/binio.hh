@@ -1,7 +1,7 @@
 /**
  * @file
  * Checksummed binary stream primitives shared by every on-disk
- * format in the repo: the trace serializers (v2/v3, src/trace) and
+ * format in the repo: the trace serializers (v4, src/trace) and
  * the live-points checkpoint store (v1, src/sample).
  *
  * A writer mixes every byte it emits into a streaming FNV-1a sum so
@@ -58,6 +58,14 @@ class BinaryWriter
         std::memcpy(buf, &value, sizeof(T));
         os.write(buf, sizeof(T));
         sum.mix(buf, sizeof(T));
+    }
+
+    /** Write @p size raw bytes from @p data. */
+    void
+    putBytes(const void *data, std::size_t size)
+    {
+        os.write(static_cast<const char *>(data), std::streamsize(size));
+        sum.mix(data, size);
     }
 
     std::uint64_t checksum() const { return sum.value(); }

@@ -118,8 +118,7 @@ TraceStore::openSource(const std::string &key)
         return nullptr;
     }
     std::string why;
-    auto source =
-        FileTraceSource::tryOpen(path, defaultStreamReadAhead, &why);
+    auto source = FileTraceSource::tryOpen(path, &why);
     if (!source) {
         warn("artifact cache: rejecting corrupt '", path, "' (", why,
              "); will regenerate");
@@ -159,24 +158,8 @@ TraceStore::storeStreaming(const std::string &key,
 void
 TraceStore::store(const std::string &key, const PackedTrace &trace)
 {
-    writeArtifact(pathFor(key), [&](std::ostream &os) {
-        ChunkedTraceWriter writer(os, trace.numCpus(), trace.updatePages());
-        constexpr std::size_t blockRecords = PackedTrace::blockRecords;
-        std::vector<TraceRecord> chunk(16 * blockRecords);
-        for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
-            std::size_t fill = 0;
-            for (std::size_t at = 0; at < trace.records(cpu);
-                 at += blockRecords) {
-                fill += trace.decodeBlock(cpu, at / blockRecords,
-                                          chunk.data() + fill);
-                if (fill == chunk.size()) {
-                    writer.writeChunk(cpu, chunk.data(), fill);
-                    fill = 0;
-                }
-            }
-            writer.writeChunk(cpu, chunk.data(), fill);
-        }
-        writer.finish(trace.blockOps());
+    writeArtifact(pathFor(key), [&trace](std::ostream &os) {
+        writeTraceChunked(os, trace);
     });
 }
 

@@ -8,11 +8,13 @@
  * maps a content key — a hash of every generation input: the full
  * workload profile, the coherence options, the cpu count, and the
  * binary trace-format version — to a file in the chunked binary
- * format (trace/io v3), whether the trace was packed in memory
- * (store()) or generated straight to disk (storeStreaming()), and
- * openSource() reads either.  A warm directory turns a sweep's
- * generation phase into pure reloads; the acceptance bar is a rerun
- * with zero regenerations.
+ * format (trace/io v4), whose records are the trace cache's own
+ * PackedTrace blocks at two to three bytes a record.  store() writes
+ * a cached trace's blocks as they are, storeStreaming() packs a
+ * generation straight to disk, and openSource() reads either.  A
+ * warm directory turns a sweep's generation phase into pure reloads;
+ * the acceptance bar is a rerun with zero regenerations.  Files of an
+ * older format version sit under other keys and are never opened.
  *
  * Robustness: files are written to a temp name and renamed into
  * place so readers never see a half-written artifact, and any file
@@ -57,8 +59,8 @@ class TraceStore
                               unsigned num_cpus = 4);
 
     /**
-     * Store @p trace under @p key in the chunked format (atomic
-     * rename into place), decoding its blocks a chunk at a time.
+     * Store @p trace under @p key in the chunked format, its blocks
+     * unchanged (atomic rename into place).
      */
     void store(const std::string &key, const PackedTrace &trace);
 
@@ -66,17 +68,17 @@ class TraceStore
      * Open a streaming cursor source over the artifact stored under
      * @p key, or nullptr if absent or corrupt (corrupt files are
      * removed so the regenerated artifact can take their place).
-     * The returned source reads the file incrementally, with
-     * defaultStreamReadAhead records of buffer per processor.
+     * The returned source reads the file incrementally, one block per
+     * processor at a time.
      */
     std::unique_ptr<TraceSource> openSource(const std::string &key);
 
     /**
      * Generate the trace for (@p profile, @p options, @p num_cpus)
      * and stream it straight to disk under @p key in the chunked
-     * format — one quantum of records per processor per chunk —
-     * without ever materializing the whole trace.  Atomic rename
-     * into place, like store().
+     * format — each quantum's completed blocks per processor as one
+     * chunk — without ever materializing the whole trace.  Atomic
+     * rename into place, like store().
      */
     void storeStreaming(const std::string &key,
                         const WorkloadProfile &profile,
@@ -104,10 +106,10 @@ class TraceStore
 /**
  * A TraceCache's hooks over @p store: the cache packs a stored trace
  * from its openSource() and stores the traces it generates, and a
- * streamed source reads the chunked artifact incrementally, with
- * defaultStreamReadAhead records of buffer per processor, after
- * generating a missing one straight to disk.  The store must outlive
- * every cache built with the hooks.
+ * streamed source reads the chunked artifact incrementally, one
+ * block per processor at a time, after generating a missing one
+ * straight to disk.  The store must outlive every cache built with
+ * the hooks.
  */
 TraceCacheHooks traceStoreHooks(TraceStore &store);
 

@@ -4,17 +4,18 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
+#include "common/binio.hh"
 #include "common/log.hh"
 #include "trace/io_detail.hh"
+#include "trace/packed.hh"
+#include "trace/source.hh"
 
 namespace oscache
-{
-
-namespace iodetail
 {
 
 namespace
@@ -62,7 +63,7 @@ tryParseCategory(const std::string &code, DataCategory &out)
 
 /** Append @p rec to @p os as one text-format record line. */
 void
-putRecordText(std::ostream &os, const TraceRecord &rec)
+putTextRecord(std::ostream &os, const TraceRecord &rec)
 {
     switch (rec.type) {
       case RecordType::Exec:
@@ -103,8 +104,11 @@ putRecordText(std::ostream &os, const TraceRecord &rec)
     }
 }
 
-} // namespace
-
+/**
+ * Parse one text-format record line ('x', 'i', 'r', 'w', 'p', 'B',
+ * 'E', 'L', 'U', 'A') into @p rec.  On failure returns false with
+ * the reason in @p why.
+ */
 bool
 tryParseRecordLine(const std::string &line, TraceRecord &rec,
                    const char **why)
@@ -170,18 +174,20 @@ tryParseRecordLine(const std::string &line, TraceRecord &rec,
     return true;
 }
 
+/**
+ * The one walker of the text format: the header, the `cpus` line,
+ * the `updatepage`, `blockop` and `stream` directives, every record
+ * line, and block-op references against the table, into @p out.
+ * False with the reason in @p error on malformed input.
+ */
 bool
-walkText(std::istream &is, TraceSink &sink, std::string *error)
+walkText(std::istream &is, Trace &out, std::string *error)
 {
     std::string line;
     std::uint64_t line_no = 0; // Of the line last read, or tried.
-    std::uint64_t next_at = 0; // File offset of the next line.
     const auto read_line = [&] {
         ++line_no;
-        if (!std::getline(is, line))
-            return false;
-        next_at += line.size() + (is.eof() ? 0 : 1);
-        return true;
+        return bool(std::getline(is, line));
     };
     const auto fail = [&](const char *why) {
         if (error != nullptr)
@@ -203,26 +209,11 @@ walkText(std::istream &is, TraceSink &sink, std::string *error)
         if (ls.fail() || kw != "cpus" || cpus == 0 || cpus > maxTraceCpus)
             return fail("bad cpus line");
     }
-    sink.begin(cpus, true);
+    out = Trace(cpus);
 
-    // The open run: consecutive record lines of the current cpu, up
-    // to the next directive.
-    int cpu = -1;
-    RecordStream *dst = nullptr;
-    std::uint64_t run_start = 0;
-    std::uint64_t run_end = 0;
-    std::uint64_t run_records = 0;
-    const auto close_run = [&] {
-        if (run_records > 0)
-            sink.segment(CpuId(cpu), run_start, run_end, run_records);
-        run_records = 0;
-    };
-    std::uint64_t op_bound = 0; // One past the largest op id named.
-
-    while (true) {
-        const std::uint64_t start = next_at;
-        if (!read_line())
-            break;
+    RecordStream *dst = nullptr; // The current stream directive's.
+    std::uint64_t op_bound = 0;  // One past the largest op id named.
+    while (read_line()) {
         if (line.empty() || line[0] == '#')
             continue;
 
@@ -231,14 +222,12 @@ walkText(std::istream &is, TraceSink &sink, std::string *error)
         ls >> kw;
 
         if (kw == "updatepage") {
-            close_run();
             Addr page = 0;
             ls >> std::hex >> page;
             if (ls.fail())
                 return fail("bad updatepage line");
-            sink.updatePages().insert(page);
+            out.updatePages().insert(page);
         } else if (kw == "blockop") {
-            close_run();
             std::size_t id = 0;
             std::string kind, ro;
             BlockOp op;
@@ -249,44 +238,42 @@ walkText(std::istream &is, TraceSink &sink, std::string *error)
             op.kind =
                 kind == "copy" ? BlockOpKind::Copy : BlockOpKind::Zero;
             op.readOnlyAfter = (ro == "ro");
-            if (sink.blockOps().add(op) != id)
+            if (out.blockOps().add(op) != id)
                 return fail("blockop ids must be dense and in order");
         } else if (kw == "stream") {
-            close_run();
             unsigned n = 0;
             ls >> n;
             if (ls.fail() || n >= cpus)
                 return fail("bad stream line");
-            cpu = int(n);
-            dst = sink.records(CpuId(n));
+            dst = &out.stream(CpuId(n));
         } else {
-            if (cpu < 0)
+            if (dst == nullptr)
                 return fail("record before any stream directive");
             TraceRecord rec;
             const char *why = nullptr;
             if (!tryParseRecordLine(line, rec, &why))
                 return fail(why);
-            if (namesBlockOp(rec))
+            if (rec.type == RecordType::BlockOpBegin ||
+                rec.type == RecordType::BlockOpEnd)
                 op_bound = std::max<std::uint64_t>(op_bound, rec.aux + 1ull);
-            if (dst != nullptr)
-                dst->push_back(rec);
-            if (run_records == 0)
-                run_start = start;
-            run_end = next_at;
-            ++run_records;
+            dst->push_back(rec);
         }
     }
-    close_run();
 
     line_no = 0;
-    if (op_bound > sink.blockOps().size())
+    if (op_bound > out.blockOps().size())
         return fail("record references unknown block op");
     return true;
 }
 
+} // namespace
+
+namespace iodetail
+{
+
 bool
-walkBinary(std::istream &is, TraceSink &sink, bool payloads,
-           std::string *error)
+walkChunked(std::istream &is, ChunkIndex &index, bool payloads,
+            std::string *error)
 {
     const auto fail = [error](const char *why) {
         if (error != nullptr)
@@ -300,14 +287,15 @@ walkBinary(std::istream &is, TraceSink &sink, bool payloads,
         std::memcmp(magic, binaryMagic, sizeof(magic)) != 0)
         return fail("bad magic");
 
-    BinaryReader r(is);
+    binio::BinaryReader r(is);
     std::uint32_t version = 0;
     if (!r.get(version) || version != traceFormatVersion)
         return fail("unsupported version");
     std::uint32_t cpus = 0;
     if (!r.get(cpus) || cpus == 0 || cpus > maxTraceCpus)
         return fail("bad cpu count");
-    sink.begin(cpus, false);
+    index.blocks.assign(cpus, {});
+    index.records.assign(cpus, 0);
     std::uint64_t page_count = 0;
     if (!r.get(page_count) || page_count > (1u << 20))
         return fail("bad update-page count");
@@ -315,55 +303,74 @@ walkBinary(std::istream &is, TraceSink &sink, bool payloads,
         Addr page = 0;
         if (!r.get(page))
             return fail("truncated update pages");
-        sink.updatePages().insert(page);
+        index.pages.insert(page);
     }
 
     // Record chunks first; the table only arrives afterwards, so
     // block-op references are bounded at the end by the largest seen.
+    constexpr std::size_t blockRecords = PackedTrace::blockRecords;
     std::uint64_t op_bound = 0; // One past the largest op id named.
-    std::vector<char> raw;
+    std::vector<std::uint8_t> block(
+        blockRecords * PackedTrace::maxRecordBytes + PackedTrace::loadPadding);
+    std::vector<TraceRecord> records(blockRecords);
     while (true) {
         std::uint32_t cpu = 0;
         if (!r.get(cpu))
             return fail("truncated chunk header");
         if (cpu == chunkEndMarker)
             break;
+        // Only a stream's last block may be partial, so a chunk that
+        // ends in one is its stream's last.
         std::uint32_t count = 0;
-        if (cpu >= cpus || !r.get(count))
+        if (cpu >= cpus || !r.get(count) || count == 0 ||
+            index.records[cpu] % blockRecords != 0)
             return fail("bad chunk header");
-        const std::uint64_t offset = std::uint64_t(is.tellg());
-        const std::uint64_t bytes = std::uint64_t(count) * recordWireBytes;
-        if (!payloads) {
-            is.seekg(std::streamoff(bytes), std::ios::cur);
-            if (!is || is.peek() == std::istream::traits_type::eof())
-                return fail("truncated record stream");
-        } else {
-            RecordStream *dst = sink.records(CpuId(cpu));
-            // Bounded pieces, so a corrupt count fails as truncation
-            // instead of allocating for it.
-            for (std::uint32_t done = 0; done < count;) {
-                const std::uint32_t n =
-                    std::min<std::uint32_t>(count - done, 4096);
-                raw.resize(n * recordWireBytes);
-                if (!r.getBytes(raw.data(), raw.size()))
-                    return fail("truncated record stream");
-                for (std::uint32_t i = 0; i < n; ++i) {
-                    TraceRecord rec;
-                    const char *why = nullptr;
-                    if (!decodeWireRecord(raw.data() + i * recordWireBytes,
-                                          rec, &why))
-                        return fail(why);
-                    if (namesBlockOp(rec))
-                        op_bound =
-                            std::max<std::uint64_t>(op_bound, rec.aux + 1ull);
-                    if (dst != nullptr)
-                        dst->push_back(rec);
-                }
-                done += n;
+        std::vector<ChunkIndex::Block> &blocks = index.blocks[cpu];
+        const std::size_t first = blocks.size();
+        std::uint64_t payload = 0;
+        // The block lengths, read in bounded pieces, so a corrupt
+        // count fails as truncation instead of allocating for it.
+        std::uint32_t lengths[1024];
+        for (std::uint64_t done = 0; done < count;) {
+            const std::size_t piece = std::min<std::uint64_t>(
+                std::size(lengths),
+                (count - done + blockRecords - 1) / blockRecords);
+            if (!r.getBytes(reinterpret_cast<char *>(lengths),
+                            piece * sizeof(lengths[0])))
+                return fail("truncated chunk header");
+            for (std::size_t i = 0; i < piece; ++i, done += blockRecords) {
+                const std::uint64_t n =
+                    std::min<std::uint64_t>(blockRecords, count - done);
+                if (lengths[i] < n ||
+                    lengths[i] > n * PackedTrace::maxRecordBytes)
+                    return fail("bad block length");
+                blocks.push_back({payload, lengths[i]});
+                payload += lengths[i];
             }
         }
-        if (count > 0)
-            sink.segment(CpuId(cpu), offset, offset + bytes, count);
+        const auto at = std::uint64_t(is.tellg());
+        for (std::size_t b = first; b < blocks.size(); ++b)
+            blocks[b].offset += at;
+        index.records[cpu] += count;
+        if (!payloads) {
+            is.seekg(std::streamoff(payload), std::ios::cur);
+            if (!is || is.peek() == std::istream::traits_type::eof())
+                return fail("truncated record stream");
+            continue;
+        }
+        for (std::size_t b = first; b < blocks.size(); ++b) {
+            const std::size_t n =
+                std::min(blockRecords, index.records[cpu] - b * blockRecords);
+            if (!r.getBytes(reinterpret_cast<char *>(block.data()),
+                            blocks[b].bytes))
+                return fail("truncated record stream");
+            const char *why = PackedTrace::decode(
+                block.data(), blocks[b].bytes, n, records.data());
+            if (why == nullptr)
+                why = checkRecords(records.data(), n, op_bound);
+            if (why != nullptr)
+                return fail(why);
+        }
     }
 
     std::uint64_t op_count = 0;
@@ -380,9 +387,9 @@ walkBinary(std::istream &is, TraceSink &sink, bool payloads,
             return fail("bad block-op encoding");
         op.kind = BlockOpKind(kind);
         op.readOnlyAfter = ro != 0;
-        sink.blockOps().add(op);
+        index.ops.add(op);
     }
-    if (op_bound > sink.blockOps().size())
+    if (op_bound > index.ops.size())
         return fail("record references unknown block op");
 
     const std::uint64_t expected = r.checksum();
@@ -416,42 +423,79 @@ startsBinary(std::istream &is)
     return binary;
 }
 
-bool
-walkTrace(std::istream &is, TraceSink &sink, bool payloads,
-          std::string *error)
-{
-    return startsBinary(is) ? walkBinary(is, sink, payloads, error)
-                            : walkText(is, sink, error);
-}
-
 } // namespace iodetail
-
-using iodetail::BinaryReader;
-using iodetail::BinaryWriter;
-using iodetail::binaryMagic;
-using iodetail::chunkEndMarker;
-using iodetail::recordWireBytes;
 
 namespace
 {
 
-/** The whole-trace readers' sink: every record, into one Trace. */
-class TraceBuilder final : public iodetail::TraceSink
-{
-  public:
-    void begin(unsigned cpus, bool) override { trace = Trace(cpus); }
-    std::unordered_set<Addr> &
-    updatePages() override
-    {
-        return trace.updatePages();
-    }
-    BlockOpTable &blockOps() override { return trace.blockOps(); }
-    RecordStream *records(CpuId cpu) override { return &trace.stream(cpu); }
-    void segment(CpuId, std::uint64_t, std::uint64_t, std::uint64_t) override
-    {}
+using binio::BinaryWriter;
 
-    Trace trace{1};
-};
+/**
+ * Emit the magic, the version word, the cpu count and the update
+ * pages, sorted so equal traces serialize to equal bytes; fatal()
+ * unless 1 <= @p cpus <= maxTraceCpus.
+ */
+void
+putHeader(std::ostream &os, BinaryWriter &w, unsigned cpus,
+          const std::unordered_set<Addr> &update_pages)
+{
+    if (cpus == 0 || cpus > maxTraceCpus)
+        fatal("trace: cannot write ", cpus, " cpus (1 to ", maxTraceCpus,
+              ")");
+    os.write(iodetail::binaryMagic, sizeof(iodetail::binaryMagic));
+    w.put(traceFormatVersion);
+    w.put(std::uint32_t(cpus));
+    std::vector<Addr> pages(update_pages.begin(), update_pages.end());
+    std::sort(pages.begin(), pages.end());
+    w.put(std::uint64_t(pages.size()));
+    for (const Addr page : pages)
+        w.put(page);
+}
+
+/** Blocks per chunk, so a chunk header stays small. */
+constexpr std::size_t chunkBlocks = 4096;
+
+/**
+ * Emit @p run, a run of @p cpu's blocks, as chunks: [u32 cpu]
+ * [u32 records][u32 byte length per block], then the blocks as they
+ * are.
+ */
+void
+putChunks(BinaryWriter &w, CpuId cpu, const PackedTrace::Blocks &run)
+{
+    for (std::size_t b = 0; b < run.count(); b += chunkBlocks) {
+        const std::size_t end = std::min(run.count(), b + chunkBlocks);
+        const std::size_t first = b * PackedTrace::blockRecords;
+        w.put(std::uint32_t(cpu));
+        w.put(std::uint32_t(std::min(run.records - first,
+                                     (end - b) * PackedTrace::blockRecords)));
+        for (std::size_t i = b; i < end; ++i)
+            w.put(std::uint32_t(run.starts[i + 1] - run.starts[i]));
+        w.putBytes(run.bytes + run.starts[b], run.starts[end] - run.starts[b]);
+    }
+}
+
+/**
+ * Terminate the chunk sequence, then emit the block-op table and the
+ * checksum of everything after the magic.
+ */
+void
+putTrailer(std::ostream &os, BinaryWriter &w, const BlockOpTable &ops)
+{
+    w.put(iodetail::chunkEndMarker);
+    w.put(std::uint64_t(ops.size()));
+    for (const BlockOp &op : ops) {
+        w.put(op.src);
+        w.put(op.dst);
+        w.put(op.size);
+        w.put(std::uint8_t(op.kind));
+        w.put(std::uint8_t(op.readOnlyAfter ? 1 : 0));
+    }
+    const std::uint64_t sum = w.checksum();
+    char buf[sizeof(sum)];
+    std::memcpy(buf, &sum, sizeof(sum));
+    os.write(buf, sizeof(sum));
+}
 
 } // namespace
 
@@ -475,101 +519,43 @@ writeTrace(std::ostream &os, const Trace &trace)
     for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
         os << "stream " << unsigned(cpu) << "\n";
         for (const TraceRecord &rec : trace.stream(cpu))
-            iodetail::putRecordText(os, rec);
+            putTextRecord(os, rec);
     }
 }
 
 Trace
 readTrace(std::istream &is)
 {
-    TraceBuilder sink;
-    std::string why;
-    if (!iodetail::walkText(is, sink, &why))
-        fatal("trace: ", why);
-    return std::move(sink.trace);
-}
-
-namespace
-{
-
-/** Serialize the update pages sorted: equal traces, equal bytes. */
-void
-putUpdatePages(BinaryWriter &w, const std::unordered_set<Addr> &set)
-{
-    std::vector<Addr> pages(set.begin(), set.end());
-    std::sort(pages.begin(), pages.end());
-    w.put(std::uint64_t(pages.size()));
-    for (const Addr page : pages)
-        w.put(page);
-}
-
-void
-putBlockOps(BinaryWriter &w, const BlockOpTable &ops)
-{
-    w.put(std::uint64_t(ops.size()));
-    for (const BlockOp &op : ops) {
-        w.put(op.src);
-        w.put(op.dst);
-        w.put(op.size);
-        w.put(std::uint8_t(op.kind));
-        w.put(std::uint8_t(op.readOnlyAfter ? 1 : 0));
-    }
-}
-
-/** Write the raw (not-yet-checksummed) trailing checksum word. */
-void
-putChecksum(std::ostream &os, std::uint64_t sum)
-{
-    char buf[sizeof(sum)];
-    std::memcpy(buf, &sum, sizeof(sum));
-    os.write(buf, sizeof(sum));
-}
-
-} // namespace
-
-bool
-tryReadTraceBinary(std::istream &is, Trace &out, std::string *error)
-{
-    TraceBuilder sink;
-    if (!iodetail::walkBinary(is, sink, true, error))
-        return false;
-    out = std::move(sink.trace);
-    return true;
-}
-
-Trace
-readTraceBinary(std::istream &is)
-{
     Trace trace(1);
     std::string why;
-    if (!tryReadTraceBinary(is, trace, &why))
-        fatal("trace: malformed binary trace (", why, ")");
+    if (!walkText(is, trace, &why))
+        fatal("trace: ", why);
     return trace;
 }
 
 struct ChunkedTraceWriter::Impl
 {
-    Impl(std::ostream &out) : os(out), w(out) {}
+    Impl(std::ostream &out, unsigned num_cpus)
+        : os(out), w(out), builder(num_cpus), cpus(num_cpus)
+    {}
 
     std::ostream &os;
     BinaryWriter w;
-    unsigned cpus = 0;
+    PackedTrace::Builder builder;
+    unsigned cpus;
     bool finished = false;
 };
 
 ChunkedTraceWriter::ChunkedTraceWriter(
     std::ostream &os, unsigned num_cpus,
     const std::unordered_set<Addr> &update_pages)
-    : impl(std::make_unique<Impl>(os))
 {
+    // Checked before the builder sizes a lane per cpu.
     if (num_cpus == 0 || num_cpus > maxTraceCpus)
         fatal("trace: cannot write ", num_cpus, " cpus (1 to ",
               maxTraceCpus, ")");
-    impl->cpus = num_cpus;
-    os.write(binaryMagic, sizeof(binaryMagic));
-    impl->w.put(traceFormatVersion);
-    impl->w.put(std::uint32_t(num_cpus));
-    putUpdatePages(impl->w, update_pages);
+    impl = std::make_unique<Impl>(os, num_cpus);
+    putHeader(os, impl->w, num_cpus, update_pages);
 }
 
 ChunkedTraceWriter::~ChunkedTraceWriter() = default;
@@ -582,17 +568,10 @@ ChunkedTraceWriter::writeChunk(CpuId cpu, const TraceRecord *records,
         panic("chunked trace: writeChunk after finish");
     if (cpu >= impl->cpus)
         panic("chunked trace: bad cpu ", int(cpu));
-    while (count > 0) {
-        // Chunks carry a u32 count; split absurdly large ones.
-        const std::size_t n =
-            std::min<std::size_t>(count, chunkEndMarker - 1);
-        impl->w.put(std::uint32_t(cpu));
-        impl->w.put(std::uint32_t(n));
-        for (std::size_t i = 0; i < n; ++i)
-            iodetail::putRecord(impl->w, records[i]);
-        records += n;
-        count -= n;
-    }
+    impl->builder.append(cpu, records, count);
+    impl->builder.take(cpu, [this, cpu](const PackedTrace::Blocks &run) {
+        putChunks(impl->w, cpu, run);
+    });
 }
 
 void
@@ -601,26 +580,30 @@ ChunkedTraceWriter::finish(const BlockOpTable &block_ops)
     if (impl->finished)
         panic("chunked trace: finish called twice");
     impl->finished = true;
-    impl->w.put(chunkEndMarker);
-    putBlockOps(impl->w, block_ops);
-    putChecksum(impl->os, impl->w.checksum());
+    // What is left: each stream's partial last block.
+    const PackedTrace rest = std::move(impl->builder).finish({}, {});
+    for (CpuId cpu = 0; cpu < impl->cpus; ++cpu)
+        putChunks(impl->w, cpu, rest.blocks(cpu));
+    putTrailer(impl->os, impl->w, block_ops);
 }
 
 void
-writeTraceChunked(std::ostream &os, const Trace &trace,
-                  std::size_t chunk_records)
+writeTraceChunked(std::ostream &os, const Trace &trace)
 {
-    if (chunk_records == 0)
-        chunk_records = 1;
     ChunkedTraceWriter writer(os, trace.numCpus(), trace.updatePages());
-    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
-        const RecordStream &stream = trace.stream(cpu);
-        for (std::size_t i = 0; i < stream.size(); i += chunk_records)
-            writer.writeChunk(
-                cpu, stream.data() + i,
-                std::min(chunk_records, stream.size() - i));
-    }
+    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu)
+        writer.writeChunk(cpu, trace.stream(cpu));
     writer.finish(trace.blockOps());
+}
+
+void
+writeTraceChunked(std::ostream &os, const PackedTrace &trace)
+{
+    BinaryWriter w(os);
+    putHeader(os, w, trace.numCpus(), trace.updatePages());
+    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu)
+        putChunks(w, cpu, trace.blocks(cpu));
+    putTrailer(os, w, trace.blockOps());
 }
 
 void
@@ -646,11 +629,17 @@ readTraceFile(const std::string &path)
     std::ifstream is(path, std::ios::in | std::ios::binary);
     if (!is)
         fatal("cannot open '", path, "' for reading");
-    TraceBuilder sink;
     std::string why;
-    if (!iodetail::walkTrace(is, sink, true, &why))
+    if (!iodetail::startsBinary(is)) {
+        Trace trace(1);
+        if (!walkText(is, trace, &why))
+            fatal("trace: malformed trace '", path, "' (", why, ")");
+        return trace;
+    }
+    const auto source = FileTraceSource::tryOpen(path, &why);
+    if (source == nullptr)
         fatal("trace: malformed trace '", path, "' (", why, ")");
-    return std::move(sink.trace);
+    return PackedTrace::pack(*source).unpack();
 }
 
 } // namespace oscache

@@ -27,26 +27,32 @@
  *   U <hex-addr>                 # LockRelease
  *   A <hex-addr> <parties>       # BarrierArrive
  *
- * The one binary encoding, format version 3, is *chunked*, so a
+ * The one binary encoding, format version 4, is *chunked*, so a
  * trace can be written while it is being generated, without ever
- * materializing it: the magic "OSTR" + a version word, the cpu
- * count, the update pages (sorted, so identical traces serialize to
- * identical bytes), then interleaved record chunks — [u32 cpu]
- * [u32 count][count packed fixed-width records] — terminated by a
- * cpu sentinel of 0xffffffff, and only then the block-op table (it
- * grows during generation, so it must trail the records) and a
- * trailing FNV-1a checksum of everything after the magic.  Because
- * nothing is back-patched, the checksum streams, and a reader can
- * index the chunks in one O(1)-memory pass (FileTraceSource in
- * source.hh does exactly that).  The artifact cache stores it, and
+ * materializing it, and its records are PackedTrace blocks
+ * (trace/packed.hh), the encoding the trace cache holds, at two to
+ * three bytes a record.  The file is the magic "OSTR" + a version
+ * word, the cpu count, the update pages (sorted, so identical traces
+ * serialize to identical bytes), then interleaved record chunks —
+ * [u32 cpu][u32 records][u32 byte length of each of its blocks][the
+ * blocks] — terminated by a cpu sentinel of 0xffffffff, and only then
+ * the block-op table (it grows during generation, so it must trail
+ * the records) and a trailing FNV-1a checksum of everything after
+ * the magic.  A chunk holds a run of one cpu's blocks, every one of
+ * PackedTrace::blockRecords records but the stream's last, so a
+ * chunk with a partial block is its cpu's last.  Because nothing is
+ * back-patched, the checksum streams, and a reader can index every
+ * block from the chunk headers alone (FileTraceSource in source.hh
+ * does exactly that).  The artifact cache stores it, and
  * readTraceFile() auto-detects text or binary from the leading
- * bytes.  Version 2, an earlier unchunked layout, is rejected as an
- * unsupported version.
+ * bytes.  Every other version word (2 was unchunked, 3 had fixed
+ * 20-byte records) is rejected as an unsupported version.
  *
- * Each format has one walker that performs every structural check;
- * the whole-trace readers here and FileTraceSource are two sinks of
- * it, so they accept and reject exactly the same files, for the same
- * reasons.
+ * Each format has one walker that performs every structural check:
+ * readTrace() and readTraceFile() read text through the text walker,
+ * and FileTraceSource, which readTraceFile() reads a chunked file
+ * through, runs the chunked one, so every reader of a file accepts
+ * and rejects the same files, for the same reasons.
  */
 
 #ifndef OSCACHE_TRACE_IO_HH
@@ -61,11 +67,13 @@
 namespace oscache
 {
 
+class PackedTrace;
+
 /** On-disk trace encodings. */
 enum class TraceFormat
 {
     Text,    ///< Line-oriented, greppable (format version 1).
-    Chunked, ///< Streamable interleaved chunks (format version 3).
+    Chunked, ///< Streamable interleaved chunks (format version 4).
 };
 
 /**
@@ -74,7 +82,7 @@ enum class TraceFormat
  * structure changes; the artifact cache keys mix this in, so stale
  * files are never opened.
  */
-inline constexpr std::uint32_t traceFormatVersion = 3;
+inline constexpr std::uint32_t traceFormatVersion = 4;
 
 /**
  * Most processors a trace file may hold, in either format: both
@@ -91,31 +99,19 @@ void writeTrace(std::ostream &os, const Trace &trace);
 /**
  * Parse a text-format trace from @p is.
  * Calls fatal() on malformed input (a user error), with the reason
- * FileTraceSource::tryOpen() gives for the same file.
+ * readTraceFile() gives for the same file.
  */
 Trace readTrace(std::istream &is);
 
 /**
- * Parse a binary-format (chunked v3) trace from @p is into @p out.
- *
- * Unlike readTrace() this never exits: a truncated, corrupt, or
- * wrong-version stream returns false (with the reason in @p error
- * when non-null), so callers like the artifact cache can discard the
- * file and regenerate.
- */
-bool tryReadTraceBinary(std::istream &is, Trace &out,
-                        std::string *error = nullptr);
-
-/** As tryReadTraceBinary(), but fatal() on malformed input. */
-Trace readTraceBinary(std::istream &is);
-
-/**
- * Incremental writer of the chunked v3 format.  The header is
- * emitted on construction; record chunks stream out as the caller
- * produces them (any cpu order, any chunk sizes, empty chunks
- * skipped); finish() appends the block-op table and checksum.
- * Nothing is buffered beyond the caller's chunks and nothing is
- * back-patched, so memory stays O(chunk) however long the trace is.
+ * Incremental writer of the chunked v4 format.  The header is
+ * emitted on construction; records arrive in any cpu order and any
+ * batch sizes, and each call writes the blocks its records complete
+ * as one chunk; finish() writes every stream's partial last block,
+ * then the block-op table and checksum.  The blocks are sealed by a
+ * PackedTrace::Builder, whose one partial block per cpu is all that
+ * is held, and nothing is back-patched, so memory stays O(cpus x
+ * block) however long the trace is.
  */
 class ChunkedTraceWriter
 {
@@ -132,7 +128,7 @@ class ChunkedTraceWriter
     ChunkedTraceWriter(const ChunkedTraceWriter &) = delete;
     ChunkedTraceWriter &operator=(const ChunkedTraceWriter &) = delete;
 
-    /** Append one chunk of @p cpu's stream (no-op when count == 0). */
+    /** Append @p count records to @p cpu's stream. */
     void writeChunk(CpuId cpu, const TraceRecord *records,
                     std::size_t count);
 
@@ -144,9 +140,9 @@ class ChunkedTraceWriter
     }
 
     /**
-     * Terminate the chunk sequence and append the (now final)
-     * block-op table and the trailing checksum.  Must be called
-     * exactly once, after the last chunk.
+     * Write the partial last blocks, terminate the chunk sequence and
+     * append the (now final) block-op table and the trailing
+     * checksum.  Must be called exactly once, after the last chunk.
      */
     void finish(const BlockOpTable &block_ops);
 
@@ -155,17 +151,23 @@ class ChunkedTraceWriter
     std::unique_ptr<Impl> impl;
 };
 
+/** Serialize @p trace to @p os in the chunked v4 format. */
+void writeTraceChunked(std::ostream &os, const Trace &trace);
+
 /**
- * Serialize @p trace to @p os in the chunked v3 format, splitting
- * each stream into chunks of @p chunk_records.
+ * Serialize @p trace to @p os in the chunked v4 format, writing its
+ * blocks as they are.
  */
-void writeTraceChunked(std::ostream &os, const Trace &trace,
-                       std::size_t chunk_records = 65536);
+void writeTraceChunked(std::ostream &os, const PackedTrace &trace);
 
 /** Convenience: write to / read from a file path. */
 void writeTraceFile(const std::string &path, const Trace &trace,
                     TraceFormat format = TraceFormat::Text);
-/** Read a trace file in either format (detected from its magic). */
+/**
+ * Read a trace file in either format (detected from its magic);
+ * fatal() on a file that cannot be read or is malformed, with the
+ * reason FileTraceSource::tryOpen() gives for a chunked file.
+ */
 Trace readTraceFile(const std::string &path);
 
 } // namespace oscache

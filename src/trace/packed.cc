@@ -85,6 +85,7 @@ static_assert(dataHeader(2, 1, 1, 3, 2) < execHeader(0, 0, 0) &&
 
 /** The escape form's payload: a record's fields in its own layout. */
 constexpr std::size_t escapeBytes = 20;
+static_assert(PackedTrace::maxRecordBytes == 1 + escapeBytes);
 
 /** What a header's record carries, and what the rest of it holds. */
 struct FormSpec
@@ -423,9 +424,10 @@ getBytes(const std::uint8_t *q, unsigned bytes)
 
 /**
  * Decode the record of header @p h, whose payload is at @p q, field by
- * field: the forms the fast loop leaves, and the escape.
+ * field: the forms the fast loop leaves, and the escape.  Returns
+ * null, or why the header is not a record's.
  */
-void
+const char *
 decodeGeneral(std::uint8_t h, const std::uint8_t *q, Predictor &p,
               TraceRecord &r)
 {
@@ -437,11 +439,11 @@ decodeGeneral(std::uint8_t h, const std::uint8_t *q, Predictor &p,
         r.category = DataCategory(q[17]);
         r.size = q[18];
         r.flags = q[19];
-        return;
+        return nullptr;
     }
     const FormSpec &s = specs[h];
     if (!s.assigned)
-        panic("PackedTrace: header byte ", int(h), " names no form");
+        return "bad record header";
     if (s.categoryByte)
         p.category = *q++;
     p.addr += getBytes(q, s.addrWidth) - signBias(s.addrWidth);
@@ -455,6 +457,7 @@ decodeGeneral(std::uint8_t h, const std::uint8_t *q, Predictor &p,
     r.category = s.data ? DataCategory(p.category) : s.category;
     r.size = 4;
     r.flags = s.flags;
+    return nullptr;
 }
 
 } // namespace
@@ -465,13 +468,13 @@ PackedTrace::Builder::seal(Stream &stream, const TraceRecord *records,
 {
     // Every record's header, then at worst an escape per record, and
     // slack for the encoder's 8-byte stores.
-    std::uint8_t block[blockRecords * (1 + escapeBytes) + 8];
+    std::uint8_t block[blockRecords * maxRecordBytes + 8];
     std::uint8_t *payload = block + count;
     Predictor p;
     for (std::size_t i = 0; i < count; ++i)
         block[i] = encodeRecord(records[i], p, payload);
-    stream.starts.push_back(stream.bytes.size());
     stream.bytes.insert(stream.bytes.end(), block, payload);
+    stream.starts.push_back(stream.bytes.size());
     stream.records += count;
 }
 
@@ -507,6 +510,21 @@ PackedTrace::Builder::append(CpuId cpu, const TraceRecord *records,
     }
 }
 
+void
+PackedTrace::Builder::take(CpuId cpu,
+                           const std::function<void(const Blocks &)> &write)
+{
+    if (cpu >= lanes.size())
+        panic("PackedTrace::Builder: bad cpu ", int(cpu));
+    Stream &s = lanes[cpu].stream;
+    if (s.records == 0)
+        return;
+    write(s.view());
+    s.bytes.clear();
+    s.starts.assign(1, 0);
+    s.records = 0;
+}
+
 PackedTrace
 PackedTrace::Builder::finish(const BlockOpTable &block_ops,
                              const std::unordered_set<Addr> &update_pages) &&
@@ -517,7 +535,6 @@ PackedTrace::Builder::finish(const BlockOpTable &block_ops,
         Stream &s = lane.stream;
         if (!lane.pending.empty())
             seal(s, lane.pending.data(), lane.pending.size());
-        s.starts.push_back(s.bytes.size());
         s.bytes.resize(s.bytes.size() + loadPadding, 0);
         s.bytes.shrink_to_fit();
         s.starts.shrink_to_fit();
@@ -554,30 +571,24 @@ PackedTrace::totalRecords() const
     return n;
 }
 
-std::size_t
-PackedTrace::decodeBlock(CpuId cpu, std::size_t block,
-                         TraceRecord *out) const
+const char *
+PackedTrace::decode(const std::uint8_t *block, std::size_t size,
+                    std::size_t records, TraceRecord *out)
 {
-    const Stream &s = stream(cpu);
-    if (block + 1 >= s.starts.size())
-        panic("PackedTrace: cpu ", int(cpu), " has no block ", block);
-    const std::size_t n =
-        std::min(blockRecords, s.records - block * blockRecords);
-    const std::uint8_t *head = s.bytes.data() + s.starts[block];
-    const std::uint8_t *payload = head + n;
-    const std::size_t payload_bytes =
-        s.starts[block + 1] - s.starts[block] - n;
+    const std::uint8_t *head = block;
+    const std::uint8_t *payload = head + records;
 
     Predictor p;
     std::size_t at = 0;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < records; ++i) {
         const std::uint8_t h = head[i];
         const Form &f = forms[h];
         const std::uint8_t *q = payload + at;
         at += f.len;
         TraceRecord &r = out[i];
         if (f.general) [[unlikely]] {
-            decodeGeneral(h, q, p, r);
+            if (const char *why = decodeGeneral(h, q, p, r))
+                return why;
             continue;
         }
         const std::uint64_t v = (load64(q) & f.mask) - f.bias;
@@ -592,10 +603,9 @@ PackedTrace::decodeBlock(CpuId cpu, std::size_t block,
                         offsetof(TraceRecord, type),
                     &tail, sizeof(tail));
     }
-    if (at != payload_bytes)
-        panic("PackedTrace: block ", block, " of cpu ", int(cpu),
-              " decodes to ", at, " payload bytes, not ", payload_bytes);
-    return n;
+    if (records + at != size)
+        return "block length disagrees with its headers";
+    return nullptr;
 }
 
 std::size_t
@@ -614,78 +624,83 @@ PackedTrace::unpack() const
     for (CpuId cpu = 0; cpu < numCpus(); ++cpu) {
         RecordStream &out = trace.stream(cpu);
         out.resize(records(cpu));
-        for (std::size_t b = 0; b + 1 < streams[cpu].starts.size(); ++b)
-            decodeBlock(cpu, b, out.data() + b * blockRecords);
+        const Blocks run = blocks(cpu);
+        for (std::size_t b = 0; b < run.count(); ++b) {
+            const std::size_t first = b * blockRecords;
+            if (const char *why =
+                    decode(run.bytes + run.starts[b],
+                           run.starts[b + 1] - run.starts[b],
+                           std::min(blockRecords, run.records - first),
+                           out.data() + first))
+                panic("PackedTrace: block ", b, " of cpu ", int(cpu), ": ",
+                      why);
+        }
     }
     trace.blockOps() = ops;
     trace.updatePages() = pages;
     return trace;
 }
 
-/**
- * Decodes one block at a time into a buffer it owns; records
- * [base, base + filled) of the stream are buffered, and next is the
- * cursor's position.
- */
-class PackedTraceSource::Cursor final : public RecordCursor
+void
+PackedBlockCursor::load(std::size_t block)
+{
+    base = block * PackedTrace::blockRecords;
+    filled = std::min(PackedTrace::blockRecords, total - base);
+    std::size_t size = 0;
+    const std::uint8_t *bytes = blockBytes(block, size);
+    const char *why = PackedTrace::decode(bytes, size, filled, buf.data());
+    if (why == nullptr && checked != nullptr) {
+        why = checkRecords(buf.data(), filled, opBound);
+        if (why == nullptr && opBound > checked->size())
+            why = "record references unknown block op";
+    }
+    if (why != nullptr)
+        reject(why);
+}
+
+const char *
+checkRecords(const TraceRecord *records, std::size_t count,
+             std::uint64_t &op_bound)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        const TraceRecord &r = records[i];
+        if (std::uint8_t(r.type) > std::uint8_t(RecordType::BarrierArrive))
+            return "bad record type";
+        if (std::uint8_t(r.category) >=
+            std::uint8_t(DataCategory::NumCategories))
+            return "bad data category";
+        if (r.type == RecordType::BlockOpBegin ||
+            r.type == RecordType::BlockOpEnd)
+            op_bound = std::max<std::uint64_t>(op_bound, r.aux + 1ull);
+    }
+    return nullptr;
+}
+
+/** A cursor over one stream of a PackedTrace, in memory. */
+class PackedTraceSource::Cursor final : public PackedBlockCursor
 {
   public:
     Cursor(const PackedTrace &trace, CpuId cpu_id)
-        : packed(&trace), cpu(cpu_id), total(trace.records(cpu_id))
+        : PackedBlockCursor(trace.records(cpu_id), nullptr),
+          run(trace.blocks(cpu_id)), cpu(cpu_id)
     {}
 
-    const TraceRecord *
-    peek() override
-    {
-        return buffered() ? &buf[next - base] : nullptr;
-    }
-
-    void advance() override { ++next; }
-
-    /** Position arithmetic: the next read decodes the block it lands in. */
-    std::size_t
-    skip(std::size_t n) override
-    {
-        const std::size_t done = std::min(n, total - next);
-        next += done;
-        return done;
-    }
-
-    std::size_t
-    peekRun(const TraceRecord *&first) override
-    {
-        if (!buffered()) {
-            first = nullptr;
-            return 0;
-        }
-        first = &buf[next - base];
-        return filled - (next - base);
-    }
-
-    void advanceRun(std::size_t n) override { next += n; }
-
   private:
-    /** True once the record at next is in buf; false at the end. */
-    bool
-    buffered()
+    const std::uint8_t *
+    blockBytes(std::size_t block, std::size_t &size) override
     {
-        if (next - base < filled)
-            return true;
-        if (next >= total)
-            return false;
-        const std::size_t block = next / PackedTrace::blockRecords;
-        filled = packed->decodeBlock(cpu, block, buf.data());
-        base = block * PackedTrace::blockRecords;
-        return true;
+        size = run.starts[block + 1] - run.starts[block];
+        return run.bytes + run.starts[block];
     }
 
-    const PackedTrace *packed;
+    [[noreturn]] void
+    reject(const char *why) override
+    {
+        panic("PackedTrace: cpu ", int(cpu), ": ", why);
+    }
+
+    PackedTrace::Blocks run;
     CpuId cpu;
-    std::size_t total;
-    std::size_t next = 0;
-    std::size_t base = 0;
-    std::size_t filled = 0;
-    std::array<TraceRecord, PackedTrace::blockRecords> buf;
 };
 
 std::unique_ptr<RecordCursor>

@@ -30,14 +30,26 @@
  * payload, so finding the next record waits on no load.  A per-stream
  * block index lets a cursor decode one block at a time and skip by
  * arithmetic.
+ *
+ * The blocks are also what a chunked trace file holds (trace/io.hh,
+ * format v4): the file stores a cached trace's blocks unchanged, its
+ * writer seals blocks with the Builder below, and its cursor is the
+ * same PackedBlockCursor, reading a block's bytes from the file
+ * instead of memory.  decode() is the one decoder of binary records,
+ * and since a file's bytes come from outside, it rejects any block
+ * whose headers name no form or disagree with its length.
  */
 
 #ifndef OSCACHE_TRACE_PACKED_HH
 #define OSCACHE_TRACE_PACKED_HH
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -53,6 +65,30 @@ class PackedTrace
     /** Records per block; every block but a stream's last is full. */
     static constexpr std::size_t blockRecords = 256;
 
+    /**
+     * Most bytes one record takes: its header and the escape form's
+     * payload.  A block of n records takes n to n * maxRecordBytes.
+     */
+    static constexpr std::size_t maxRecordBytes = 1 + 20;
+
+    /**
+     * Bytes decode() may read past a well-formed block, so a buffer
+     * holding one ends with this many readable bytes.
+     */
+    static constexpr std::size_t loadPadding = 8;
+
+    /** A run of one stream's blocks, back to back. */
+    struct Blocks
+    {
+        const std::uint8_t *bytes = nullptr;
+        /** Where each block starts, then where the last one ends. */
+        std::span<const std::uint64_t> starts;
+        /** Records in the run; all its blocks but the last are full. */
+        std::size_t records = 0;
+
+        std::size_t count() const { return starts.size() - 1; }
+    };
+
     class Builder;
 
     /**
@@ -65,6 +101,20 @@ class PackedTrace
      */
     static PackedTrace pack(TraceSource &source);
 
+    /**
+     * The one decoder of a block: the @p size bytes at @p block hold
+     * @p records records (1 to blockRecords), which it writes to
+     * @p out.  Returns null, or why the bytes are not such a block: a
+     * header byte that names no form, or headers whose payloads do not
+     * add up to @p size.  It reads only the bytes before
+     * block + max(size + loadPadding, records * maxRecordBytes),
+     * whatever they hold.  Fields are decoded as stored: an escaped
+     * type byte or any category byte may lie outside its enum, so a
+     * reader of outside bytes checks the records too.
+     */
+    static const char *decode(const std::uint8_t *block, std::size_t size,
+                              std::size_t records, TraceRecord *out);
+
     unsigned numCpus() const { return unsigned(streams.size()); }
 
     /** Records of @p cpu's stream. */
@@ -73,16 +123,11 @@ class PackedTrace
     /** Records across all streams. */
     std::size_t totalRecords() const;
 
+    /** Every block of @p cpu's stream. */
+    Blocks blocks(CpuId cpu) const { return stream(cpu).view(); }
+
     const BlockOpTable &blockOps() const { return ops; }
     const std::unordered_set<Addr> &updatePages() const { return pages; }
-
-    /**
-     * Decode block @p block of @p cpu's stream into @p out, which
-     * holds blockRecords; returns the block's record count.  Panics
-     * unless the block decodes to exactly its byte range.
-     */
-    std::size_t decodeBlock(CpuId cpu, std::size_t block,
-                            TraceRecord *out) const;
 
     /**
      * Heap bytes held: the capacity of every buffer, and the
@@ -97,18 +142,21 @@ class PackedTrace
     /** One processor's blocks. */
     struct Stream
     {
-        /** The blocks back to back, then loadPadding zero bytes. */
+        /**
+         * The blocks back to back; in a finished trace, then
+         * loadPadding zero bytes.
+         */
         std::vector<std::uint8_t> bytes;
-        /** Where each block starts, and where the last one ends. */
-        std::vector<std::uint64_t> starts;
+        /** Where each block starts, then where the last one ends. */
+        std::vector<std::uint64_t> starts{0};
         std::size_t records = 0;
-    };
 
-    /**
-     * Zero bytes after a stream's last block, so the decoder's 8-byte
-     * loads at a field near the end stay inside the buffer.
-     */
-    static constexpr std::size_t loadPadding = 8;
+        Blocks
+        view() const
+        {
+            return {bytes.data(), starts, records};
+        }
+    };
 
     const Stream &
     stream(CpuId cpu) const
@@ -137,8 +185,15 @@ class PackedTrace::Builder
     void append(CpuId cpu, const TraceRecord *records, std::size_t count);
 
     /**
+     * Hand @p cpu's blocks sealed since the last take() to @p write
+     * (unless there are none), then drop them, so a writer streaming
+     * the blocks out holds only the block being filled.
+     */
+    void take(CpuId cpu, const std::function<void(const Blocks &)> &write);
+
+    /**
      * Encode the partial blocks and hand over the trace, with the
-     * final block-op table and update pages.
+     * final block-op table and update pages: every block not taken.
      */
     PackedTrace finish(const BlockOpTable &block_ops,
                        const std::unordered_set<Addr> &update_pages) &&;
@@ -159,12 +214,108 @@ class PackedTrace::Builder
 };
 
 /**
+ * Reads one processor's stream of packed blocks: decodes one block at
+ * a time into a buffer it owns and hands the block's unread records
+ * out as one peekRun() span.  skip() is position arithmetic; the next
+ * read decodes the block it lands in.  Both packed sources read
+ * through it and differ only in where a block's bytes come from: a
+ * PackedTraceSource's are in memory, a FileTraceSource's are read
+ * from the file.
+ */
+class PackedBlockCursor : public RecordCursor
+{
+  public:
+    const TraceRecord *
+    peek() final
+    {
+        return buffered() ? &buf[next - base] : nullptr;
+    }
+
+    void advance() final { ++next; }
+
+    std::size_t
+    skip(std::size_t n) final
+    {
+        const std::size_t done = std::min(n, total - next);
+        next += done;
+        return done;
+    }
+
+    std::size_t
+    peekRun(const TraceRecord *&first) final
+    {
+        if (!buffered()) {
+            first = nullptr;
+            return 0;
+        }
+        first = &buf[next - base];
+        return filled - (next - base);
+    }
+
+    void advanceRun(std::size_t n) final { next += n; }
+
+  protected:
+    /**
+     * A cursor over a stream of @p records records.  With @p ops, the
+     * blocks are outside bytes: every decoded record is checked by
+     * checkRecords(), and the block-op ids it names against @p ops
+     * (which must outlive the cursor).
+     */
+    PackedBlockCursor(std::size_t records, const BlockOpTable *ops)
+        : total(records), checked(ops)
+    {}
+
+    /**
+     * Block @p block's bytes, with their count in @p size, readable
+     * as far as PackedTrace::decode() may read.
+     */
+    virtual const std::uint8_t *blockBytes(std::size_t block,
+                                           std::size_t &size) = 0;
+
+    /** Report a block that does not decode, for @p why; never returns. */
+    [[noreturn]] virtual void reject(const char *why) = 0;
+
+  private:
+    /** True once the record at next is in buf; false at the end. */
+    bool
+    buffered()
+    {
+        if (next - base < filled)
+            return true;
+        if (next >= total)
+            return false;
+        load(next / PackedTrace::blockRecords);
+        return true;
+    }
+
+    /** Decode block @p block into buf. */
+    void load(std::size_t block);
+
+    std::size_t total;
+    const BlockOpTable *checked;
+    /** One past the largest block-op id read, when checked. */
+    std::uint64_t opBound = 0;
+    /** The cursor's position; records [base, base + filled) are in buf. */
+    std::size_t next = 0;
+    std::size_t base = 0;
+    std::size_t filled = 0;
+    std::array<TraceRecord, PackedTrace::blockRecords> buf;
+};
+
+/**
+ * Why @p count decoded records read from outside bytes are not a
+ * trace's records: a type or category byte outside its enum; null
+ * when they are.  Raises @p op_bound to one past the largest
+ * block-op id they name, for the caller to bound by its table.
+ */
+const char *checkRecords(const TraceRecord *records, std::size_t count,
+                         std::uint64_t &op_bound);
+
+/**
  * TraceSource over a shared PackedTrace.  Cursors may be opened any
- * number of times; each decodes one block at a time into a buffer it
- * owns and hands the block's unread records out as one peekRun()
- * span.  Its mode() is "materialized", like the in-memory trace it
- * replaces, so result rows do not depend on how the cache holds a
- * trace.
+ * number of times.  Its mode() is "materialized", like the in-memory
+ * trace it replaces, so result rows do not depend on how the cache
+ * holds a trace.
  */
 class PackedTraceSource final : public TraceSource
 {

@@ -14,9 +14,10 @@
  *
  *  - MaterializedTraceSource wraps an existing Trace (tests, small
  *    runs, trace-rewriting passes);
- *  - FileTraceSource (this header) reads the text and chunked
- *    binary on-disk formats incrementally with a bounded read-ahead
- *    buffer per processor;
+ *  - PackedTraceSource (trace/packed.hh) serves a trace held at a
+ *    few bytes a record, decoding one block at a time;
+ *  - FileTraceSource (this header) reads a chunked trace file the
+ *    same way, one block per processor in memory at a time;
  *  - SynthTraceSource (src/synth/stream_source.hh) generates records
  *    on demand, quantum by quantum, so no full trace is ever built;
  *    under a skip promise it never buffers the records a sampled
@@ -100,9 +101,8 @@ class RecordCursor
      * every processor's buffer as they refill one, but never move a
      * buffered record.  The base implementation degrades to a span of
      * one record; buffered implementations override to hand out their
-     * whole read-ahead window so the replay engine can consume
-     * record-batch-at-a-time with two virtual calls per batch instead
-     * of two per record.
+     * whole buffer so the replay engine can consume record-batch-at-a-
+     * time with two virtual calls per batch instead of two per record.
      */
     virtual std::size_t
     peekRun(const TraceRecord *&first)
@@ -277,27 +277,24 @@ class MaterializedTraceSource final : public TraceSource
     const Trace &traceRef;
 };
 
-/**
- * Default per-processor read-ahead of the streaming file reader, in
- * records.  4096 records × 24 bytes ≈ 96 KB per cpu — two orders of
- * magnitude below a full workload stream — while still amortizing
- * the per-refill parse/seek cost.
- */
-inline constexpr std::size_t defaultStreamReadAhead = 4096;
+namespace iodetail
+{
+struct ChunkIndex;
+}
 
 /**
- * Streaming reader of on-disk traces in either format (text v1 or
- * chunked binary v3, detected from the leading bytes).
+ * Streaming reader of a chunked trace file (trace/io.hh, format v4).
  *
- * Construction performs one O(1)-memory validation pass over the
- * whole file — the format's one walker, the same one readTrace() and
- * readTraceBinary() run, so all of them accept and reject the same
- * files for the same reasons — and indexes where each processor's
- * records live, so a truncated or corrupted file fails up front
- * rather than mid-simulation.  Each cursor then re-reads its
- * processor's byte ranges through its own stream with a bounded
- * read-ahead buffer.  A copy is another source over the same
- * validated file: it shares no state and scans nothing.
+ * Opening walks the file once, in O(1) memory beyond the index of its
+ * blocks, through the format's one walker (readTraceFile() reads a
+ * chunked file through this class too), so a truncated or corrupted
+ * file fails up front rather than mid-simulation.  Each cursor then
+ * reads its processor's blocks through its own stream, one block at a
+ * time, and decodes them like a PackedTraceSource's
+ * (PackedBlockCursor).  A copy is another source over the same
+ * validated file: it shares the index and scans nothing.  A text
+ * file is not chunked and is rejected ("bad magic");
+ * openTraceFile() reads either format.
  */
 class FileTraceSource final : public TraceSource
 {
@@ -305,25 +302,25 @@ class FileTraceSource final : public TraceSource
     /**
      * How much of the file the opening scan validates.
      *
-     * Full reads and validates every record byte and verifies the
-     * trailing checksum — the right default, and what the artifact
-     * cache relies on to discard corrupt artifacts.
+     * Full reads and decodes every block, checks every record, and
+     * verifies the trailing checksum — the right default, and what
+     * the artifact cache relies on to discard corrupt artifacts.
      *
-     * Index walks the binary format's structure by seek arithmetic:
-     * headers, chunk boundaries, the block-op table, and the end
-     * sentinel are validated, but record payloads are skipped on
-     * disk and the trailing checksum is not recomputed (verifying it
-     * would mean reading every byte).  Opening a multi-GB trace
-     * drops from a full-file read to a few thousand header seeks,
-     * which is what makes sampled replay's leap-over-99%-of-the-file
-     * profitable.  Records are validated when a cursor decodes them
-     * instead: a bad type or category byte, or a block-op id past
-     * the table, is a fatal() naming the file, the cpu and the
-     * reason at the first read of that record, not a clean open
-     * failure, and a corrupted byte the decoder cannot tell from a
-     * valid one goes unnoticed.  Use it only for artifacts validated
-     * when written (e.g. just-generated benchmarks).  Text files have
-     * no record index, so Index falls back to the full line walk.
+     * Index reads only the structure: the header, every chunk header
+     * with its block lengths, the block-op table, and the end
+     * sentinel are validated, but the blocks are skipped on disk and
+     * the trailing checksum is not recomputed (verifying it would
+     * mean reading every byte).  Opening a multi-GB trace drops from
+     * a full-file read to a few thousand header reads, which is what
+     * makes sampled replay's leap-over-99%-of-the-file profitable.
+     * Blocks are validated when a cursor decodes them instead: a
+     * block whose headers name no form or disagree with its length, a
+     * bad type or category byte, or a block-op id past the table, is
+     * a fatal() naming the file, the cpu and the reason at the first
+     * read of that block, not a clean open failure, and a corrupted
+     * byte the decoder cannot tell from a valid one goes unnoticed.
+     * Use it only for artifacts validated when written (e.g.
+     * just-generated benchmarks).
      */
     enum class ScanDepth
     {
@@ -334,18 +331,9 @@ class FileTraceSource final : public TraceSource
     /**
      * Open and validate @p path.  fatal()s on any malformed input;
      * use tryOpen() for the non-fatal variant.
-     *
-     * @param read_ahead Cursor buffer size in records (clamped to a
-     *        minimum of 1).  Every caller outside the tests takes
-     *        the default; the parameter is the seam the span-boundary
-     *        tests use to put refills at odd offsets (`file/1` and
-     *        `file/7` in the prefetch-adapter test, and
-     *        StreamFile.TinyReadAheadStillExact).
      */
-    explicit FileTraceSource(
-        const std::string &path,
-        std::size_t read_ahead = defaultStreamReadAhead,
-        ScanDepth depth = ScanDepth::Full);
+    explicit FileTraceSource(const std::string &path,
+                             ScanDepth depth = ScanDepth::Full);
 
     /**
      * As the constructor, but a malformed file returns nullptr with
@@ -353,17 +341,12 @@ class FileTraceSource final : public TraceSource
      * the artifact cache discards and regenerates.
      */
     static std::unique_ptr<FileTraceSource>
-    tryOpen(const std::string &path,
-            std::size_t read_ahead = defaultStreamReadAhead,
-            std::string *error = nullptr,
+    tryOpen(const std::string &path, std::string *error = nullptr,
             ScanDepth depth = ScanDepth::Full);
 
     unsigned numCpus() const override;
-    const BlockOpTable &blockOps() const override { return table; }
-    const std::unordered_set<Addr> &updatePages() const override
-    {
-        return pages;
-    }
+    const BlockOpTable &blockOps() const override;
+    const std::unordered_set<Addr> &updatePages() const override;
     std::unique_ptr<RecordCursor> cursor(CpuId cpu) override;
     std::optional<std::size_t> knownRecords(CpuId cpu) const override;
     const char *mode() const override { return "file"; }
@@ -371,43 +354,28 @@ class FileTraceSource final : public TraceSource
   private:
     FileTraceSource() = default;
 
-    /** One contiguous byte range of records belonging to a cpu. */
-    struct Segment
-    {
-        std::uint64_t offset = 0; ///< Absolute file offset.
-        std::uint64_t records = 0; ///< Record count (binary format).
-        std::uint64_t end = 0;     ///< End offset (text format).
-    };
-
     /** Validate + index; returns false with @p error on bad input. */
-    bool scan(std::string *error);
+    bool scan(ScanDepth depth, std::string *error);
 
-    class Indexer;
-    class FileCursor;
-    class TextCursor;
-    class BinaryCursor;
+    class Cursor;
 
     std::string path;
-    std::size_t bufferRecords = defaultStreamReadAhead; ///< Read-ahead.
-    ScanDepth depth = ScanDepth::Full;
-    bool text = false; ///< Text format (else chunked binary).
-    BlockOpTable table;
-    std::unordered_set<Addr> pages;
-    std::vector<std::vector<Segment>> segments; ///< Per cpu.
-    std::vector<std::size_t> recordCounts;      ///< Per cpu.
+    std::shared_ptr<const iodetail::ChunkIndex> index;
 };
 
 /**
  * The sources of the saved trace at @p path, for as many passes as
  * the caller opens; fatal() on a file that cannot be read or is
  * malformed.  The format decides how records are served.  A chunked
- * file is validated once and each source is a FileTraceSource copy of
- * that index (mode "file"), so memory stays bounded however long the
- * trace.  A text file is read once and each source serves that one
- * Trace (mode "materialized"): a text cursor would re-parse every
- * line on every pass.
+ * file is scanned once, to @p depth, and each source is a
+ * FileTraceSource copy of that index (mode "file"), so memory stays
+ * bounded however long the trace.  A text file is read once, in
+ * full whatever @p depth, and each source serves that one Trace
+ * (mode "materialized").
  */
-TraceSourceFactory openTraceFile(const std::string &path);
+TraceSourceFactory
+openTraceFile(const std::string &path,
+              FileTraceSource::ScanDepth depth = FileTraceSource::ScanDepth::Full);
 
 } // namespace oscache
 

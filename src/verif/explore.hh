@@ -127,7 +127,7 @@ struct ExploreResult
 ExploreResult explore(const SchemeSpec &spec, const ExploreConfig &cfg);
 
 /**
- * A violation path lowered to a concrete replayable system: a v3
+ * A violation path lowered to a concrete replayable system: a chunked
  * trace over a tiny direct-mapped machine, plus the block-operation
  * scheme the replay must use.
  */

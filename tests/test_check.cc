@@ -853,8 +853,7 @@ TEST(TraceLintMatrixTest, MatrixAgreesWithStreamingLinter)
         const Trace trace = row.build();
         writeTraceFile(path, trace, TraceFormat::Chunked);
         std::string why;
-        const auto source =
-            FileTraceSource::tryOpen(path, defaultStreamReadAhead, &why);
+        const auto source = FileTraceSource::tryOpen(path, &why);
         if (row.expected == CheckCode::UnknownBlockOp) {
             EXPECT_EQ(source, nullptr);
             EXPECT_NE(why.find("record references unknown block op"),

@@ -314,7 +314,7 @@ TEST(DftPropertyTest, DmaBypassesCachesAndCheapDmaNeverIncreasesBus)
     }
 }
 
-// P4: replaying a stored (chunked v3) trace is equivalent to
+// P4: replaying a stored (chunked v4) trace is equivalent to
 // consuming the materialized trace directly — same event count, no
 // divergence, identical miss totals.
 TEST(DftPropertyTest, StoredReplayEquivalentToDirectConsumption)

@@ -225,6 +225,12 @@ TEST(ExpArtifactCache, StoreLoadRoundTrip)
         }
         EXPECT_EQ(cursor->peek(), nullptr);
     }
+
+    // The file holds the cache's packed blocks, not 20-byte records.
+    const double bytes_per_record =
+        double(fs::file_size(store.pathFor(key))) /
+        double(trace.totalRecords());
+    EXPECT_LT(bytes_per_record, 4.0);
 }
 
 TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)

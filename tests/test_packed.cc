@@ -1,12 +1,15 @@
 /**
  * @file
  * PackedTrace: the block codec is lossless for every TraceRecord, its
- * cursor reads like a cursor over the 24-byte records, and packing as
- * the generator runs gives the generated trace.
+ * cursor reads like a cursor over the 24-byte records, packing as the
+ * generator runs gives the generated trace, and the decoder turns
+ * corrupt blocks into reasons without reading past its bounds.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -334,6 +337,74 @@ TEST(PackedTrace, CursorMatchesVectorCursor)
             }
         }
     }
+}
+
+TEST(PackedTrace, DecoderRejectsCorruptBlocksWithinItsBounds)
+{
+    // Trace files bring outside bytes to the decoder.  Every single
+    // byte flip, truncation or rewrite of header bytes of an encoded
+    // block must decode to records or come back with a reason, and
+    // read only the bytes decode() documents: each case gets a buffer
+    // of exactly that size, so the sanitizer build sees any read past
+    // it.
+    Rng rng = testutil::testRng(2901);
+    const Trace trace = randomTrace(rng, 4);
+    MaterializedTraceSource records(trace);
+    const PackedTrace packed = PackedTrace::pack(records);
+    std::array<TraceRecord, PackedTrace::blockRecords> out;
+    const auto decode = [&out](const std::vector<std::uint8_t> &bytes,
+                               std::size_t n) {
+        const std::size_t bound =
+            std::max(bytes.size() + PackedTrace::loadPadding,
+                     n * PackedTrace::maxRecordBytes);
+        const auto buf = std::make_unique<std::uint8_t[]>(bound);
+        std::copy(bytes.begin(), bytes.end(), buf.get());
+        return PackedTrace::decode(buf.get(), bytes.size(), n, out.data());
+    };
+    std::vector<std::vector<std::uint8_t>> blocks;
+    std::vector<std::size_t> counts;
+    for (CpuId cpu = 0; cpu < packed.numCpus(); ++cpu) {
+        const PackedTrace::Blocks run = packed.blocks(cpu);
+        for (std::size_t b = 0; b < run.count(); ++b) {
+            blocks.emplace_back(run.bytes + run.starts[b],
+                                run.bytes + run.starts[b + 1]);
+            counts.push_back(std::min(PackedTrace::blockRecords,
+                                      run.records -
+                                          b * PackedTrace::blockRecords));
+            ASSERT_EQ(decode(blocks.back(), counts.back()), nullptr);
+        }
+    }
+    ASSERT_FALSE(blocks.empty());
+
+    std::size_t rejected = 0;
+    const int iters = testutil::propIters(3000);
+    for (int iter = 0; iter < iters; ++iter) {
+        const std::size_t pick = rng.below(blocks.size());
+        const std::size_t n = counts[pick];
+        std::vector<std::uint8_t> bytes = blocks[pick];
+        switch (rng.below(3)) {
+          case 0:
+            bytes[rng.below(bytes.size())] ^=
+                std::uint8_t(1 + rng.below(255));
+            break;
+          case 1:
+            bytes.resize(rng.below(bytes.size()));
+            break;
+          default:
+            for (std::size_t k = 1 + rng.below(4); k > 0; --k)
+                bytes[rng.below(n)] = std::uint8_t(rng.below(256));
+            break;
+        }
+        const char *why = decode(bytes, n);
+        if (why == nullptr)
+            continue;
+        ++rejected;
+        EXPECT_TRUE(std::string(why) == "bad record header" ||
+                    std::string(why) ==
+                        "block length disagrees with its headers")
+            << why;
+    }
+    EXPECT_GT(rejected, std::size_t(iters) / 4);
 }
 
 } // namespace

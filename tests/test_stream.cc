@@ -1,16 +1,15 @@
 /**
  * @file
  * Streaming trace pipeline tests: streamed synthesis must reproduce
- * materialized generation bit-for-bit, file sources must replay both
- * on-disk formats through bounded cursors, openTraceFile must serve
- * each format its way and replay like the whole-trace reader, the
- * linter must find the same things in a chunked file as in memory,
- * corrupted chunked artifacts must fail cleanly, every cursor's
- * skip() must be exact (a synthesized cursor under the skip promise
- * too, which must also keep the sampled benchmark stream's buffer
- * small), a promised source's producer thread must not show in any
- * read order, must join wherever the source dies and must pass its
- * failures to the reader, the streaming prefetch adapter must match
+ * materialized generation bit-for-bit, openTraceFile must serve both
+ * on-disk formats, each its way, and replay like the whole-trace
+ * reader, the linter must find the same things in a chunked file as
+ * in memory, corrupted chunked artifacts must fail cleanly, every
+ * cursor's skip() must be exact (a synthesized cursor under the skip
+ * promise too, which must also keep the sampled benchmark stream's
+ * buffer small), a promised source's producer thread must not show
+ * in any read order, must join wherever the source dies and must pass
+ * its failures to the reader, the streaming prefetch adapter must match
  * the materializing rewrite, and the in-memory trace cache must
  * evict by LRU under its byte cap.
  */
@@ -272,11 +271,68 @@ drainSpans(TraceSource &source)
     return out;
 }
 
+/** Forwards to @p inner's cursor, clipping every peekRun() span. */
+class ClippedCursor final : public RecordCursor
+{
+  public:
+    ClippedCursor(std::unique_ptr<RecordCursor> inner, std::size_t most)
+        : cursor(std::move(inner)), limit(most)
+    {}
+
+    const TraceRecord *peek() override { return cursor->peek(); }
+    void advance() override { cursor->advance(); }
+    std::size_t skip(std::size_t n) override { return cursor->skip(n); }
+
+    std::size_t
+    peekRun(const TraceRecord *&first) override
+    {
+        return std::min(cursor->peekRun(first), limit);
+    }
+
+    void advanceRun(std::size_t n) override { cursor->advanceRun(n); }
+
+  private:
+    std::unique_ptr<RecordCursor> cursor;
+    std::size_t limit;
+};
+
+/**
+ * A source whose cursors hand out spans of at most @p most records,
+ * so span boundaries fall at odd offsets of the inner source's.
+ */
+class ClippedSource final : public TraceSource
+{
+  public:
+    ClippedSource(std::unique_ptr<TraceSource> source, std::size_t most)
+        : inner(std::move(source)), limit(most)
+    {}
+
+    unsigned numCpus() const override { return inner->numCpus(); }
+    const BlockOpTable &blockOps() const override
+    {
+        return inner->blockOps();
+    }
+    const std::unordered_set<Addr> &updatePages() const override
+    {
+        return inner->updatePages();
+    }
+    std::unique_ptr<RecordCursor>
+    cursor(CpuId cpu) override
+    {
+        return std::make_unique<ClippedCursor>(inner->cursor(cpu), limit);
+    }
+    const char *mode() const override { return inner->mode(); }
+
+  private:
+    std::unique_ptr<TraceSource> inner;
+    std::size_t limit;
+};
+
 TEST(StreamPrefetch, AdapterMatchesInsertPrefetches)
 {
-    // Every inner span shape (one whole-stream span, file read-ahead
-    // of 1, 7 and 4096 records, synthesized lanes) under every kind
-    // of lookahead, drained record by record and span by span.
+    // Every inner span shape (one whole-stream span, a file's blocks,
+    // spans clipped to 1 and 7 records, synthesized lanes) under every
+    // kind of lookahead, drained record by record and span by span.
     const WorkloadProfile profile = smallProfile(WorkloadKind::Shell, 4);
     const Trace trace =
         generateTrace(profile, CoherenceOptions::none());
@@ -297,13 +353,18 @@ TEST(StreamPrefetch, AdapterMatchesInsertPrefetches)
     for (CpuId c = 0; c < trace.numCpus(); ++c)
         longest = std::max(longest, trace.stream(c).size());
 
+    const auto clipped = [&path](std::size_t most) {
+        return [&path, most] {
+            return std::make_unique<ClippedSource>(
+                std::make_unique<FileTraceSource>(path), most);
+        };
+    };
     const std::pair<const char *, TraceSourceFactory> inners[] = {
         {"materialized",
          [&] { return std::make_unique<MaterializedTraceSource>(trace); }},
-        {"file/1", [&] { return std::make_unique<FileTraceSource>(path, 1); }},
-        {"file/7", [&] { return std::make_unique<FileTraceSource>(path, 7); }},
-        {"file/4096",
-         [&] { return std::make_unique<FileTraceSource>(path, 4096); }},
+        {"file/1", clipped(1)},
+        {"file/7", clipped(7)},
+        {"file", [&] { return std::make_unique<FileTraceSource>(path); }},
         {"synth",
          [&] {
              return std::make_unique<SynthTraceSource>(
@@ -344,44 +405,32 @@ TEST(StreamFile, AllFormatsRoundTrip)
     {
         TraceFormat format;
         const char *name;
+        const char *mode;
     } cases[] = {
-        {TraceFormat::Text, "roundtrip.trace"},
-        {TraceFormat::Chunked, "roundtrip.otc"},
+        {TraceFormat::Text, "roundtrip.trace", "materialized"},
+        {TraceFormat::Chunked, "roundtrip.otc", "file"},
     };
     for (const auto &c : cases) {
         const std::string path = scratchPath(c.name);
         writeTraceFile(path, trace, c.format);
 
-        FileTraceSource source(path, 64);
-        EXPECT_STREQ(source.mode(), "file");
-        ASSERT_EQ(source.numCpus(), trace.numCpus()) << c.name;
+        const std::unique_ptr<TraceSource> source = openTraceFile(path)();
+        EXPECT_STREQ(source->mode(), c.mode);
+        ASSERT_EQ(source->numCpus(), trace.numCpus()) << c.name;
         for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
-            ASSERT_TRUE(source.knownRecords(cpu).has_value());
-            EXPECT_EQ(*source.knownRecords(cpu),
+            ASSERT_TRUE(source->knownRecords(cpu).has_value());
+            EXPECT_EQ(*source->knownRecords(cpu),
                       trace.stream(cpu).size());
         }
-        expectSameBlockOps(source.blockOps(), trace.blockOps());
-        EXPECT_EQ(source.updatePages(), trace.updatePages());
-        EXPECT_EQ(drain(source), expected) << c.name;
+        expectSameBlockOps(source->blockOps(), trace.blockOps());
+        EXPECT_EQ(source->updatePages(), trace.updatePages());
+        EXPECT_EQ(drain(*source), expected) << c.name;
 
         // The materializing reader agrees on every format too.
         const Trace reread = readTraceFile(path);
         EXPECT_EQ(streamsOf(reread), expected) << c.name;
         fs::remove(path);
     }
-}
-
-TEST(StreamFile, TinyReadAheadStillExact)
-{
-    const WorkloadProfile profile = smallProfile(WorkloadKind::Shell, 2);
-    const Trace trace =
-        generateTrace(profile, CoherenceOptions::none());
-    const std::string path = scratchPath("tiny_buffer.otc");
-    writeTraceFile(path, trace, TraceFormat::Chunked);
-
-    FileTraceSource source(path, 1);
-    EXPECT_EQ(drain(source), streamsOf(trace));
-    fs::remove(path);
 }
 
 // ---------------------------------------------------------------------
@@ -441,10 +490,10 @@ TEST(StreamSkip, FileCursorSkipsExactlyAllFormats)
     for (const auto &c : cases) {
         const std::string path = scratchPath(c.name);
         writeTraceFile(path, trace, c.format);
-        // Small read-ahead so skips cross many refill boundaries.
-        FileTraceSource source(path, 64);
-        for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu) {
-            auto cursor = source.cursor(cpu);
+        // A chunked file's skips cross many block boundaries.
+        const std::unique_ptr<TraceSource> source = openTraceFile(path)();
+        for (CpuId cpu = 0; cpu < source->numCpus(); ++cpu) {
+            auto cursor = source->cursor(cpu);
             expectSkipExact(*cursor, trace.stream(cpu));
         }
         fs::remove(path);
@@ -873,7 +922,7 @@ TEST(StreamFile, ChunkedReplayMatchesMaterializedSim)
     const RunResult materialized =
         runOnTrace(trace, machine, profile.simOptions(), setup);
     const RunResult streamed = runOnSource(
-        [&path]() { return std::make_unique<FileTraceSource>(path, 128); },
+        [&path]() { return std::make_unique<FileTraceSource>(path); },
         machine, profile.simOptions(), setup);
 
     EXPECT_EQ(streamed.stats, materialized.stats);
@@ -949,7 +998,7 @@ TEST(StreamFile, TruncatedChunkedFailsCleanly)
         os.write(bytes.data(), std::streamsize(keep));
         os.close();
         std::string why;
-        EXPECT_EQ(FileTraceSource::tryOpen(path, 64, &why), nullptr)
+        EXPECT_EQ(FileTraceSource::tryOpen(path, &why), nullptr)
             << "keep=" << keep;
         EXPECT_FALSE(why.empty()) << "keep=" << keep;
     }
@@ -979,7 +1028,7 @@ TEST(StreamFile, CorruptedChunkedFailsCleanly)
         os.write(flipped.data(), std::streamsize(flipped.size()));
     }
     std::string why;
-    EXPECT_EQ(FileTraceSource::tryOpen(path, 64, &why), nullptr);
+    EXPECT_EQ(FileTraceSource::tryOpen(path, &why), nullptr);
     EXPECT_FALSE(why.empty());
 
     // Trailing garbage after the checksum is rejected too.
@@ -988,7 +1037,7 @@ TEST(StreamFile, CorruptedChunkedFailsCleanly)
         std::ofstream os(path, std::ios::binary | std::ios::trunc);
         os.write(padded.data(), std::streamsize(padded.size()));
     }
-    EXPECT_EQ(FileTraceSource::tryOpen(path, 64, &why), nullptr);
+    EXPECT_EQ(FileTraceSource::tryOpen(path, &why), nullptr);
     fs::remove(path);
 }
 

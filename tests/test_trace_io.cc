@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/binio.hh"
 #include "synth/generator.hh"
 #include "trace/io.hh"
+#include "trace/packed.hh"
 #include "trace/source.hh"
 
 namespace oscache
@@ -182,16 +186,60 @@ TEST(TraceIoTest, RejectsBadCategory)
     EXPECT_DEATH(readTrace(in), "unknown data category");
 }
 
+/**
+ * Write @p bytes to a scratch file named @p name, private to this
+ * process (ctest runs tests in parallel); returns its path.
+ */
+std::string
+writeBytesFile(const std::string &name, const std::string &bytes)
+{
+    const std::string path = "/tmp/oscache_trace_io_" +
+                             std::to_string(::getpid()) + "_" + name;
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), std::streamsize(bytes.size()));
+    return path;
+}
+
+/** The chunked v4 encoding of @p trace. */
+std::string
+chunkedBytes(const Trace &trace)
+{
+    std::stringstream buffer;
+    writeTraceChunked(buffer, trace);
+    return buffer.str();
+}
+
+/** Read chunked @p bytes back through a scratch file. */
+Trace
+readChunked(const std::string &bytes)
+{
+    return readTraceFile(writeBytesFile("roundtrip.otb", bytes));
+}
+
+/**
+ * Why a Full open rejects chunked @p bytes, or "" when it accepts
+ * them.
+ */
+std::string
+rejection(const std::string &bytes)
+{
+    const std::string path = writeBytesFile("rejected.otb", bytes);
+    std::string why;
+    if (FileTraceSource::tryOpen(path, &why) != nullptr)
+        return "";
+    EXPECT_FALSE(why.empty());
+    return why;
+}
+
 TEST(TraceIoTest, MaxCpusRoundTripAndWritersRefuseMore)
 {
     Trace wide(maxTraceCpus);
     wide.stream(0).push_back(TraceRecord::exec(5, 1, true));
     wide.stream(maxTraceCpus - 1).push_back(TraceRecord::idle(7));
-    std::stringstream text, binary;
+    std::stringstream text;
     writeTrace(text, wide);
-    writeTraceChunked(binary, wide);
     expectTracesEqual(wide, readTrace(text));
-    expectTracesEqual(wide, readTraceBinary(binary));
+    expectTracesEqual(wide, readChunked(chunkedBytes(wide)));
 
     const Trace too_wide(maxTraceCpus + 1);
     std::stringstream out;
@@ -208,22 +256,12 @@ TEST(TraceIoTest, FileRoundTrip)
     expectTracesEqual(original, restored);
 }
 
-// ----------------------------------------- binary format (chunked v3)
-
-std::string
-chunkedBytes(const Trace &trace)
-{
-    std::stringstream buffer;
-    writeTraceChunked(buffer, trace, 3);
-    return buffer.str();
-}
+// ----------------------------------------- binary format (chunked v4)
 
 TEST(TraceIoBinaryTest, RoundTripsSampleTrace)
 {
     const Trace original = sampleTrace();
-    std::stringstream buffer(chunkedBytes(original));
-    const Trace restored = readTraceBinary(buffer);
-    expectTracesEqual(original, restored);
+    expectTracesEqual(original, readChunked(chunkedBytes(original)));
 }
 
 TEST(TraceIoBinaryTest, RoundTripsSyntheticWorkload)
@@ -232,18 +270,52 @@ TEST(TraceIoBinaryTest, RoundTripsSyntheticWorkload)
     p.quanta = 2;
     const Trace original =
         generateTrace(p, CoherenceOptions::relocUpdate());
-    std::stringstream buffer;
-    writeTraceChunked(buffer, original);
-    const Trace restored = readTraceBinary(buffer);
-    expectTracesEqual(original, restored);
+    expectTracesEqual(original, readChunked(chunkedBytes(original)));
+}
+
+TEST(TraceIoBinaryTest, WritersAgreeOnRecords)
+{
+    // The streaming writer, fed any interleaving of batch sizes, and
+    // a packed trace's blocks written as they are, both read back as
+    // the trace; only full blocks precede a stream's last chunk.
+    WorkloadProfile p = WorkloadProfile::forKind(WorkloadKind::Trfd4);
+    p.quanta = 2;
+    const Trace original = generateTrace(p, CoherenceOptions::none());
+
+    std::stringstream streamed;
+    {
+        ChunkedTraceWriter writer(streamed, original.numCpus(),
+                                  original.updatePages());
+        std::vector<std::size_t> at(original.numCpus(), 0);
+        const std::size_t batches[] = {1, 7, 300, 256, 1000};
+        for (std::size_t round = 0, left = 1; left > 0; ++round) {
+            left = 0;
+            for (CpuId cpu = 0; cpu < original.numCpus(); ++cpu) {
+                const RecordStream &s = original.stream(cpu);
+                const std::size_t n = std::min(
+                    batches[(round + cpu) % std::size(batches)],
+                    s.size() - at[cpu]);
+                writer.writeChunk(cpu, s.data() + at[cpu], n);
+                at[cpu] += n;
+                left += s.size() - at[cpu];
+            }
+        }
+        writer.finish(original.blockOps());
+    }
+    expectTracesEqual(original, readChunked(streamed.str()));
+
+    MaterializedTraceSource source(original);
+    std::stringstream stored;
+    writeTraceChunked(stored, PackedTrace::pack(source));
+    expectTracesEqual(original, readChunked(stored.str()));
 }
 
 TEST(TraceIoBinaryTest, MatchesTextSemantics)
 {
     const Trace original = sampleTrace();
-    std::stringstream text, binary(chunkedBytes(original));
+    std::stringstream text;
     writeTrace(text, original);
-    expectTracesEqual(readTrace(text), readTraceBinary(binary));
+    expectTracesEqual(readTrace(text), readChunked(chunkedBytes(original)));
 }
 
 TEST(TraceIoBinaryTest, StartsWithMagicAndVersion)
@@ -254,25 +326,18 @@ TEST(TraceIoBinaryTest, StartsWithMagicAndVersion)
     std::uint32_t version = 0;
     std::memcpy(&version, bytes.data() + 4, sizeof(version));
     EXPECT_EQ(version, traceFormatVersion);
-    EXPECT_EQ(version, 3u);
+    EXPECT_EQ(version, 4u);
 }
 
 TEST(TraceIoBinaryTest, TryReadRejectsBadMagic)
 {
-    std::stringstream in("NOPE....garbage");
-    Trace trace(1);
-    std::string why;
-    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
-    EXPECT_NE(why.find("magic"), std::string::npos);
+    EXPECT_EQ(rejection("NOPE....garbage"), "bad magic");
 }
 
 TEST(TraceIoBinaryTest, TryReadRejectsTruncation)
 {
     const std::string bytes = chunkedBytes(sampleTrace());
-    std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-    Trace trace(1);
-    std::string why;
-    EXPECT_FALSE(tryReadTraceBinary(truncated, trace, &why));
+    EXPECT_NE(rejection(bytes.substr(0, bytes.size() / 2)), "");
 }
 
 TEST(TraceIoBinaryTest, TryReadRejectsBitFlip)
@@ -281,17 +346,13 @@ TEST(TraceIoBinaryTest, TryReadRejectsBitFlip)
     // Flip a payload byte past the header; the checksum (or the
     // structure it lands in) must notice.
     bytes[bytes.size() / 2] ^= 0x40;
-    std::stringstream corrupt(bytes);
-    Trace trace(1);
-    std::string why;
-    EXPECT_FALSE(tryReadTraceBinary(corrupt, trace, &why));
+    EXPECT_NE(rejection(bytes), "");
 }
 
 TEST(TraceIoBinaryTest, TryReadRejectsTrailingGarbage)
 {
-    std::stringstream in(chunkedBytes(sampleTrace()) + "x");
-    Trace trace(1);
-    EXPECT_FALSE(tryReadTraceBinary(in, trace, nullptr));
+    EXPECT_EQ(rejection(chunkedBytes(sampleTrace()) + "x"),
+              "trailing garbage");
 }
 
 TEST(TraceIoBinaryTest, DeterministicBytes)
@@ -315,15 +376,6 @@ TEST(TraceIoBinaryTest, FileRoundTripAutodetects)
 }
 
 // ------------------------------------------------------- error paths
-
-std::string
-writeCorruptFile(const std::string &name, const std::string &bytes)
-{
-    const std::string path = "/tmp/oscache_trace_io_" + name;
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), std::streamsize(bytes.size()));
-    return path;
-}
 
 /** A malformed text trace and the reason every reader must give. */
 struct MalformedText
@@ -361,61 +413,88 @@ const MalformedText malformedTexts[] = {
 
 TEST(TraceIoErrorTest, TextReadersRejectMalformedInputAlike)
 {
-    // readTrace() and FileTraceSource walk text with the same walker,
-    // so one file gets one verdict and one reason from both.
+    // readTrace(), readTraceFile() and openTraceFile() walk text with
+    // the same walker, so one file gets one verdict and one reason
+    // from all three; FileTraceSource reads only chunked files.
     for (const MalformedText &row : malformedTexts) {
         SCOPED_TRACE(row.text);
-        const std::string path = writeCorruptFile("malformed.trace", row.text);
-        std::string why;
-        EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
-        EXPECT_EQ(why.rfind(row.reason, 0), 0u) << why;
-        std::string index_why;
-        EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &index_why,
-                                           FileTraceSource::ScanDepth::Index),
-                  nullptr);
-        EXPECT_EQ(index_why, why);
+        const std::string path = writeBytesFile("malformed.trace", row.text);
+        const std::string reason = std::string("\\(") + row.reason;
+        EXPECT_DEATH(readTraceFile(path), "malformed trace '.*' " + reason);
+        EXPECT_DEATH(openTraceFile(path), "malformed trace '.*' " + reason);
         std::stringstream in(row.text);
-        EXPECT_DEATH(readTrace(in), "trace: " + why);
+        EXPECT_DEATH(readTrace(in), std::string("trace: ") + row.reason);
+        std::string why;
+        EXPECT_EQ(FileTraceSource::tryOpen(path, &why), nullptr);
+        EXPECT_EQ(why, "bad magic");
     }
+}
+
+/** Rewrite the trailing checksum of chunked @p bytes to match them. */
+void
+resum(std::string &bytes)
+{
+    binio::ChecksumStream sum;
+    sum.mix(bytes.data() + 4, bytes.size() - 4 - 8);
+    const std::uint64_t value = sum.value();
+    std::memcpy(bytes.data() + bytes.size() - 8, &value, sizeof(value));
 }
 
 TEST(TraceIoErrorTest, IndexOpenCursorRejectsCorruptRecords)
 {
-    // An Index-depth open seeks over record payloads, so the cursor
-    // must decode through the validating decoder and bound block-op
-    // ids itself.  sampleTrace() in chunks of 3: the header is
-    // magic(4) + version(4) + cpus(4) + page count(8) + one page(8),
-    // and each 20-byte record follows an 8-byte chunk header.  cpu
-    // 0's record 1 is a PageTable read; its record 4, in the second
-    // chunk, begins block op 0.
-    const std::string bytes = chunkedBytes(sampleTrace());
-    const std::size_t read_at = 28 + 8 + 20;
-    const std::size_t begin_at = 28 + 8 + 3 * 20 + 8 + 20;
-    ASSERT_EQ(bytes[read_at + 16], char(RecordType::Read));
-    ASSERT_EQ(bytes[read_at + 17], char(DataCategory::PageTable));
-    ASSERT_EQ(bytes[begin_at + 16], char(RecordType::BlockOpBegin));
-    ASSERT_EQ(bytes[begin_at + 8], 0);
+    // One cpu, one block: an escaped write (its size is not 4), a
+    // PageTable read (a category byte, since the block starts at
+    // User), and the begin of block op 0 (a one-byte aux).  The file
+    // is magic(4) + version(4) + cpus(4) + page count(8), then the
+    // chunk header cpu(4) + records(4) + block length(4), so the
+    // block's three header bytes start at 32 and its payload at 35:
+    // the escape's 20 bytes (type at +16), then the read's category
+    // byte; the op id is the block's last byte.  Each case corrupts
+    // one byte and rewrites the checksum, so only the decoder and
+    // the record checks can tell.
+    Trace trace(1);
+    trace.blockOps().add(BlockOp{});
+    RecordStream &s = trace.stream(0);
+    s.push_back(TraceRecord::write(0x1234, DataCategory::User, 8, false, 8));
+    s.push_back(TraceRecord::read(0x1240, DataCategory::PageTable, 8, true));
+    TraceRecord begin;
+    begin.type = RecordType::BlockOpBegin;
+    begin.flags = flagOs;
+    s.push_back(begin);
+    const std::string bytes = chunkedBytes(trace);
+    std::uint32_t block_bytes = 0;
+    std::memcpy(&block_bytes, bytes.data() + 28, sizeof(block_bytes));
+    const std::size_t block = 32;
+    const std::size_t op_at = block + block_bytes - 1;
+    ASSERT_EQ(bytes[block + 3 + 16], char(RecordType::Write));
+    ASSERT_EQ(bytes[block + 3 + 20], char(DataCategory::PageTable));
+    ASSERT_EQ(bytes[op_at], 0);
 
     const struct
     {
         std::size_t at;
+        char value;
         const char *reason;
     } cases[] = {
-        {read_at + 17, "bad data category"},
-        {read_at + 16, "bad record type"},
-        {begin_at + 8, "record references unknown block op"},
+        {block + 3 + 16, char(200), "bad record type"},
+        {block + 3 + 20, char(200), "bad data category"},
+        {block + 2, char(200), "bad record header"},
+        // Another block-op form, with a two-byte aux.
+        {block + 2, char(bytes[block + 2] + 1),
+         "block length disagrees with its headers"},
+        {op_at, char(1), "record references unknown block op"},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.reason);
         std::string corrupt = bytes;
-        corrupt[c.at] = char(200);
-        const std::string path = writeCorruptFile("index.otb", corrupt);
-        std::string why;
-        EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
-        EXPECT_EQ(why, c.reason);
+        corrupt[c.at] = c.value;
+        resum(corrupt);
+        EXPECT_EQ(rejection(corrupt), c.reason);
 
+        const std::string path = writeBytesFile("index.otb", corrupt);
+        std::string why;
         const auto source = FileTraceSource::tryOpen(
-            path, 16, &why, FileTraceSource::ScanDepth::Index);
+            path, &why, FileTraceSource::ScanDepth::Index);
         ASSERT_NE(source, nullptr) << why;
         const auto drain = [&source] {
             auto cursor = source->cursor(0);
@@ -426,94 +505,66 @@ TEST(TraceIoErrorTest, IndexOpenCursorRejectsCorruptRecords)
     }
 }
 
-TEST(TraceIoErrorTest, RejectsCorruptV3VersionWord)
+TEST(TraceIoErrorTest, RejectsCorruptVersionWord)
 {
     std::string bytes = chunkedBytes(sampleTrace());
     bytes[4] = char(0x7f); // Version word follows the 4-byte magic.
-    const std::string path = writeCorruptFile("v3_badver.otb", bytes);
-    std::string why;
-    EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
-    EXPECT_NE(why.find("version"), std::string::npos) << why;
-
-    std::stringstream in(bytes);
-    Trace trace(1);
-    why.clear();
-    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
-    EXPECT_NE(why.find("version"), std::string::npos) << why;
+    EXPECT_EQ(rejection(bytes), "unsupported version");
 }
 
 TEST(TraceIoErrorTest, RejectsRetiredVersion2)
 {
-    // Files of the retired unchunked encoding carry version word 2;
-    // every reader refuses them before looking past the header.
-    std::string bytes = chunkedBytes(sampleTrace());
-    const std::uint32_t retired = 2;
-    std::memcpy(bytes.data() + 4, &retired, sizeof(retired));
-    const std::string path = writeCorruptFile("v2.otb", bytes);
-
-    std::stringstream in(bytes);
-    Trace trace(1);
-    std::string why;
-    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
-    EXPECT_EQ(why, "unsupported version");
-
-    why.clear();
-    EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
-    EXPECT_EQ(why, "unsupported version");
-
-    EXPECT_DEATH(readTraceFile(path), "unsupported version");
+    // Files of the retired encodings carry version word 2 (unchunked)
+    // or 3 (fixed 20-byte records); every reader refuses them before
+    // looking past the header.
+    for (const std::uint32_t retired : {2u, 3u}) {
+        SCOPED_TRACE(retired);
+        std::string bytes = chunkedBytes(sampleTrace());
+        std::memcpy(bytes.data() + 4, &retired, sizeof(retired));
+        EXPECT_EQ(rejection(bytes), "unsupported version");
+        const std::string path = writeBytesFile("retired.otb", bytes);
+        std::string why;
+        EXPECT_EQ(FileTraceSource::tryOpen(path, &why,
+                                           FileTraceSource::ScanDepth::Index),
+                  nullptr);
+        EXPECT_EQ(why, "unsupported version");
+        EXPECT_DEATH(readTraceFile(path), "unsupported version");
+    }
 }
 
-TEST(TraceIoErrorTest, RejectsBadChecksumV3)
+TEST(TraceIoErrorTest, RejectsBadChecksum)
 {
     std::string bytes = chunkedBytes(sampleTrace());
     // The trailing 8 bytes are the FNV-1a checksum; corrupt only them
     // so every payload byte is intact and the mismatch is
     // unambiguously the checksum's.
     bytes[bytes.size() - 1] ^= 0x01;
-    const std::string path = writeCorruptFile("v3_badsum.otb", bytes);
-    std::string why;
-    EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
-    EXPECT_NE(why.find("checksum"), std::string::npos) << why;
-
-    std::stringstream in(bytes);
-    Trace trace(1);
-    why.clear();
-    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why));
-    EXPECT_NE(why.find("checksum"), std::string::npos) << why;
+    EXPECT_EQ(rejection(bytes), "checksum mismatch");
 }
 
 TEST(TraceIoErrorTest, RejectsChunkTruncatedMidRecord)
 {
     const std::string bytes = chunkedBytes(sampleTrace());
-    // Cut inside the first chunk's record payload: magic(4) +
-    // version(4) + cpus(4) + page count(8) + one page(8) + chunk
-    // header(8), then 9 bytes into the first packed record.
-    const std::size_t cut = (4 + 4 + 4) + (8 + 8) + (4 + 4) + 9;
+    // Cut inside cpu 0's block: magic(4) + version(4) + cpus(4) +
+    // page count(8) + one page(8) + chunk header(12), then 9 bytes
+    // into the block.
+    const std::size_t cut = (4 + 4 + 4) + (8 + 8) + (4 + 4 + 4) + 9;
     ASSERT_LT(cut, bytes.size());
+    EXPECT_EQ(rejection(bytes.substr(0, cut)), "truncated record stream");
     const std::string path =
-        writeCorruptFile("v3_midrec.otb", bytes.substr(0, cut));
+        writeBytesFile("midrec.otb", bytes.substr(0, cut));
     std::string why;
-    EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
-    EXPECT_FALSE(why.empty());
-
-    std::stringstream in(bytes.substr(0, cut));
-    Trace trace(1);
-    EXPECT_FALSE(tryReadTraceBinary(in, trace, nullptr));
+    EXPECT_EQ(FileTraceSource::tryOpen(path, &why,
+                                       FileTraceSource::ScanDepth::Index),
+              nullptr);
+    EXPECT_EQ(why, "truncated record stream");
 }
 
 TEST(TraceIoErrorTest, RejectsZeroLengthFile)
 {
-    const std::string path = writeCorruptFile("empty.otb", "");
-    std::string why;
-    EXPECT_EQ(FileTraceSource::tryOpen(path, 16, &why), nullptr);
-    EXPECT_FALSE(why.empty());
-
-    std::stringstream in("");
-    Trace trace(1);
-    std::string why2;
-    EXPECT_FALSE(tryReadTraceBinary(in, trace, &why2));
-    EXPECT_FALSE(why2.empty());
+    EXPECT_EQ(rejection(""), "bad magic");
+    const std::string path = writeBytesFile("empty.otb", "");
+    EXPECT_DEATH(readTraceFile(path), "missing or unsupported header");
 }
 
 } // namespace

@@ -186,20 +186,14 @@ targetFor(const Args &args)
         fatal("hot-spot prefetch systems need complete profiles; "
               "sampled replay does not support them");
     if (!args.traceFile.empty()) {
-        // Index-depth opens: structure is still validated, and each
-        // record as a cursor decodes it, but multi-GB files are not
-        // checksummed end-to-end on every open — that full read
-        // would dwarf the sampled replay itself.  `oscache replay`
-        // remains the fully-verifying path.
-        const auto index = FileTraceSource::ScanDepth::Index;
-        const FileTraceSource probe(args.traceFile, defaultStreamReadAhead,
-                                    index);
-        t.machine.numCpus = probe.numCpus();
-        const std::string path = args.traceFile;
-        t.open = [path, index]() -> std::unique_ptr<TraceSource> {
-            return std::make_unique<FileTraceSource>(
-                path, defaultStreamReadAhead, index);
-        };
+        // An Index-depth open: structure is still validated, and each
+        // block as a cursor decodes it, but multi-GB files are not
+        // checksummed end-to-end — that full read would dwarf the
+        // sampled replay itself.  Every pass shares the one index
+        // walk.  `oscache replay` remains the fully-verifying path.
+        t.open = openTraceFile(args.traceFile,
+                               FileTraceSource::ScanDepth::Index);
+        t.machine.numCpus = t.open()->numCpus();
         t.label = args.traceFile;
         return t;
     }

@@ -11,7 +11,7 @@
  *       the safety invariants (SWMR, data value, write-buffer
  *       consistency, no stuck states) at each one.  On a violation
  *       the initiating-event path is printed and, with
- *       --counterexample, lowered to a replayable v3 trace.
+ *       --counterexample, lowered to a replayable chunked trace.
  *
  *   oscache-verify conform [--scheme S|all] [--quanta N]
  *                          [--min-coverage PCT]
@@ -65,7 +65,7 @@ usage()
         "  --sets N           cache sets (1..2, default 1)\n"
         "  --wb N             bypass write-buffer depth (0..2,\n"
         "                     default 2)\n"
-        "  --counterexample F write a violation's replayable v3 trace\n"
+        "  --counterexample F write a violation's replayable chunked trace\n"
         "                     to F\n"
         "\n"
         "conform options:\n"

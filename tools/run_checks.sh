@@ -81,19 +81,35 @@ echo "== dft fuzz (tsan, deadline stops every worker) =="
 # a fixed RSS ceiling.  The file is chunked, so its format alone makes
 # both tools read it through bounded file cursors, never whole.  This
 # runs against the ASan build, whose shadow memory and redzones add to
-# the footprint: the Base replay peaks near 45 MB and the BCPref one
-# near 70 MB, while holding the same 18.6M records in memory peaks
-# near 770 MB.  The 256 MiB ceiling sits well above the cursor peaks
-# and far below the whole trace, so a tool that regresses to reading
-# the file whole fails.  BCPref replays the file twice, its second
-# pass through the prefetch adapter, so the ceiling also bounds the
-# adapter's buffers; the linter's one walk also keeps the lockset
-# state of every written shared address.
+# the footprint: the Base replay peaks near 61 MB, the BCPref one near
+# 78 MB and the lint near 47 MB, while holding the same 18.6M records
+# in memory peaks near 770 MB.  The 256 MiB ceiling sits well above
+# the cursor peaks and far below the whole trace, so a tool that
+# regresses to reading the file whole fails.  BCPref replays the file
+# twice, its second pass through the prefetch adapter, so the ceiling
+# also bounds the adapter's buffers; the linter's one walk also keeps
+# the lockset state of every written shared address.  The file holds
+# PackedTrace blocks at 2.13 bytes a record (fixed-width records took
+# 20), so a writer that falls back to wide records fails the
+# 4-bytes-a-record check first.
 echo "== memory ceiling (chunked long trace, packed trace cache) =="
 memdir=$(mktemp -d)
 rss_limit_kb=262144
 "$build/tools/oscache" generate --workload shell --quanta 360 \
-    --format chunked --out "$memdir/long.otc"
+    --format chunked --out "$memdir/long.otc" > "$memdir/generate.out"
+cat "$memdir/generate.out"
+records=$(sed -n 's/^streamed \([0-9]*\) records.*/\1/p' \
+    "$memdir/generate.out")
+bytes=$(wc -c < "$memdir/long.otc")
+awk -v b="$bytes" -v r="$records" 'BEGIN {
+    printf "long trace: %d bytes, %d records, %.2f bytes a record" \
+        " (limit 4)\n", b, r, b / r }'
+[ -n "$records" ] && [ "$bytes" -le $((4 * records)) ] || {
+    echo "memory check failed: long trace takes more than 4 bytes a" \
+        "record" >&2
+    rm -rf "$memdir"
+    exit 1
+}
 # Run "$@" (it must succeed) and fail the sweep unless its peak RSS,
 # as the kernel accounts it for a waited-for child, is under the
 # ceiling.
