@@ -91,43 +91,49 @@ TraceStore::TraceStore(std::string directory) : root(std::move(directory))
 }
 
 std::string
-TraceStore::keyFor(const WorkloadProfile &profile,
-                   const CoherenceOptions &options, unsigned num_cpus)
-{
-    ContentHash h;
-    h.mix(traceFormatVersion);
-    h.mix(num_cpus);
-    mixProfile(h, profile);
-    mixCoherence(h, options);
-    return h.hex();
-}
-
-std::string
 TraceStore::pathFor(const std::string &key) const
 {
     return root + "/trace_" + key + ".otb";
 }
 
-std::unique_ptr<TraceSource>
-TraceStore::openSource(const std::string &key)
+void
+TraceStore::fetch(const std::string &key,
+                  const std::function<bool(const std::string &path,
+                                           std::string &why)> &open)
 {
     const std::string path = pathFor(key);
     std::error_code ec;
+    std::string why;
     if (!fs::exists(path, ec)) {
         missCount.fetch_add(1);
-        return nullptr;
-    }
-    std::string why;
-    auto source = FileTraceSource::tryOpen(path, &why);
-    if (!source) {
+    } else if (open(path, why)) {
+        hitCount.fetch_add(1);
+    } else {
         warn("artifact cache: rejecting corrupt '", path, "' (", why,
              "); will regenerate");
         fs::remove(path, ec);
         rejectCount.fetch_add(1);
         missCount.fetch_add(1);
-        return nullptr;
     }
-    hitCount.fetch_add(1);
+}
+
+std::optional<PackedTrace>
+TraceStore::load(const std::string &key)
+{
+    std::optional<PackedTrace> trace;
+    fetch(key, [&trace](const std::string &path, std::string &why) {
+        return (trace = readPackedTrace(path, &why)).has_value();
+    });
+    return trace;
+}
+
+std::unique_ptr<TraceSource>
+TraceStore::openSource(const std::string &key)
+{
+    std::unique_ptr<TraceSource> source;
+    fetch(key, [&source](const std::string &path, std::string &why) {
+        return (source = FileTraceSource::tryOpen(path, &why)) != nullptr;
+    });
     return source;
 }
 
@@ -169,16 +175,16 @@ traceStoreHooks(TraceStore &store)
     TraceCacheHooks hooks;
     hooks.load = [&store](const WorkloadProfile &p, const CoherenceOptions &o,
                           unsigned cpus) {
-        return store.openSource(TraceStore::keyFor(p, o, cpus));
+        return store.load(traceKey(p, o, cpus));
     };
     hooks.store = [&store](const WorkloadProfile &p,
                            const CoherenceOptions &o, unsigned cpus,
                            const PackedTrace &t) {
-        store.store(TraceStore::keyFor(p, o, cpus), t);
+        store.store(traceKey(p, o, cpus), t);
     };
     hooks.open = [&store](const WorkloadProfile &p, const CoherenceOptions &o,
                           unsigned cpus) -> std::unique_ptr<TraceSource> {
-        const std::string key = TraceStore::keyFor(p, o, cpus);
+        const std::string key = traceKey(p, o, cpus);
         if (auto source = store.openSource(key))
             return source;
         store.storeStreaming(key, p, o, cpus);

@@ -5,16 +5,17 @@
  * Trace generation dominates a cold experiment sweep, and the same
  * trace is an input to many cells (every system with the same
  * coherence options on the same workload replays it).  The store
- * maps a content key — a hash of every generation input: the full
- * workload profile, the coherence options, the cpu count, and the
- * binary trace-format version — to a file in the chunked binary
- * format (trace/io v4), whose records are the trace cache's own
- * PackedTrace blocks at two to three bytes a record.  store() writes
- * a cached trace's blocks as they are, storeStreaming() packs a
- * generation straight to disk, and openSource() reads either.  A
- * warm directory turns a sweep's generation phase into pure reloads;
- * the acceptance bar is a rerun with zero regenerations.  Files of an
- * older format version sit under other keys and are never opened.
+ * maps a content key, traceKey() — a hash of every generation input:
+ * the full workload profile, the coherence options, the cpu count,
+ * and the binary trace-format version — to a file in the chunked
+ * binary format (trace/io v4), whose records are the trace cache's
+ * own PackedTrace blocks at two to three bytes a record.  store()
+ * writes a cached trace's blocks as they are, storeStreaming() packs
+ * a generation straight to disk, and load() and openSource() read
+ * either.  A warm directory turns a sweep's generation phase into
+ * pure reloads; the acceptance bar is a rerun with zero
+ * regenerations.  Files of an older format version sit under other
+ * keys and are never opened.
  *
  * Robustness: files are written to a temp name and renamed into
  * place so readers never see a half-written artifact, and any file
@@ -27,7 +28,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/cohopt.hh"
@@ -50,26 +53,22 @@ class TraceStore
     explicit TraceStore(std::string directory);
 
     /**
-     * Content key for a trace generated from (@p profile,
-     * @p options, @p num_cpus).  Stable across processes; changes
-     * whenever any generation input or the binary format changes.
-     */
-    static std::string keyFor(const WorkloadProfile &profile,
-                              const CoherenceOptions &options,
-                              unsigned num_cpus = 4);
-
-    /**
      * Store @p trace under @p key in the chunked format, its blocks
      * unchanged (atomic rename into place).
      */
     void store(const std::string &key, const PackedTrace &trace);
 
     /**
-     * Open a streaming cursor source over the artifact stored under
-     * @p key, or nullptr if absent or corrupt (corrupt files are
+     * The trace stored under @p key, its blocks as the file holds
+     * them, or nullopt if absent or corrupt (corrupt files are
      * removed so the regenerated artifact can take their place).
-     * The returned source reads the file incrementally, one block per
-     * processor at a time.
+     */
+    std::optional<PackedTrace> load(const std::string &key);
+
+    /**
+     * Open a streaming cursor source over the artifact stored under
+     * @p key, or nullptr if absent or corrupt, as load() does.  It
+     * reads the file incrementally, one block per processor at a time.
      */
     std::unique_ptr<TraceSource> openSource(const std::string &key);
 
@@ -97,6 +96,14 @@ class TraceStore
     /** @} */
 
   private:
+    /**
+     * Read @p key's artifact through @p open (false: rejected, and
+     * why), counting a hit or a miss; a rejected file is deleted.
+     */
+    void fetch(const std::string &key,
+               const std::function<bool(const std::string &path,
+                                        std::string &why)> &open);
+
     std::string root;
     std::atomic<std::uint64_t> hitCount{0};
     std::atomic<std::uint64_t> missCount{0};
@@ -104,8 +111,8 @@ class TraceStore
 };
 
 /**
- * A TraceCache's hooks over @p store: the cache packs a stored trace
- * from its openSource() and stores the traces it generates, and a
+ * A TraceCache's hooks over @p store: the cache takes a stored trace
+ * from its load() and stores the traces it generates, and a
  * streamed source reads the chunked artifact incrementally, one
  * block per processor at a time, after generating a missing one
  * straight to disk.  The store must outlive every cache built with

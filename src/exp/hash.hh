@@ -23,6 +23,7 @@
 #include "core/cohopt.hh"
 #include "mem/config.hh"
 #include "synth/profile.hh"
+#include "trace/io.hh"
 
 namespace oscache
 {
@@ -79,10 +80,26 @@ class ContentHash
     std::uint64_t state = 0xcbf29ce484222325ull;
 };
 
-/** Mix every generation-relevant field of a workload profile. */
+/** Mix the coherence (trace-layout) options. */
 inline ContentHash &
-mixProfile(ContentHash &h, const WorkloadProfile &profile)
+mixCoherence(ContentHash &h, const CoherenceOptions &options)
 {
+    h.mix(options.privatizeCounters).mix(options.relocate);
+    h.mix(options.selectiveUpdate);
+    return h;
+}
+
+/**
+ * Key of the trace generated from (@p profile, @p options, @p num_cpus)
+ * in the trace cache and the artifact store: the binary trace format
+ * and every generation input.
+ */
+inline std::string
+traceKey(const WorkloadProfile &profile, const CoherenceOptions &options,
+         unsigned num_cpus)
+{
+    ContentHash h;
+    h.mix(traceFormatVersion).mix(num_cpus);
     h.mix(std::string(profile.name));
     h.mix(profile.kind).mix(profile.seed).mix(profile.quanta);
     h.mix(profile.numProcs).mix(profile.barrierEpisodes);
@@ -100,16 +117,7 @@ mixProfile(ContentHash &h, const WorkloadProfile &profile)
     h.mix(profile.idleFraction);
     h.mix(profile.osExecScale).mix(profile.osImissCpi);
     h.mix(profile.userImissCpi);
-    return h;
-}
-
-/** Mix the coherence (trace-layout) options. */
-inline ContentHash &
-mixCoherence(ContentHash &h, const CoherenceOptions &options)
-{
-    h.mix(options.privatizeCounters).mix(options.relocate);
-    h.mix(options.selectiveUpdate);
-    return h;
+    return mixCoherence(h, options).hex();
 }
 
 /** Mix every field of a machine configuration. */

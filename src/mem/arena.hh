@@ -81,9 +81,6 @@ class SimArena
         return span;
     }
 
-    std::size_t reserved() const { return capacity; }
-    std::size_t consumed() const { return used; }
-
   private:
     std::unique_ptr<std::byte[]> storage;
     std::size_t capacity = 0;

@@ -181,7 +181,6 @@ class SetAssocTags
             tags[i] = invalidAddr;
     }
 
-    std::uint32_t getLineSize() const { return lineSize; }
     std::uint32_t sets() const { return numSets; }
     std::uint32_t ways() const { return numWays; }
 

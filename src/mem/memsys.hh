@@ -248,9 +248,6 @@ class MemorySystem
      */
     const ObserverFanout &observers() const { return fan; }
 
-    /** The sole attached observer, or nullptr (compat accessor). */
-    MemEventObserver *eventObserver() const { return fan.single(); }
-
     /** Read-only views for invariant audits. */
     const L1Cache &l1Cache(CpuId cpu) const { return cpus[cpu].l1; }
     const L2Cache &l2Cache(CpuId cpu) const { return cpus[cpu].l2; }

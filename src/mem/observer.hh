@@ -290,13 +290,6 @@ class ObserverFanout
     /** Cached any-tap wantsAccessEvents() (hot-path gate). */
     bool wantsAccessEvents() const { return accessCount != 0; }
 
-    /** The sole tap when exactly one is attached, else nullptr. */
-    MemEventObserver *
-    single() const
-    {
-        return count == 1 ? taps[0] : nullptr;
-    }
-
     void
     onAccess(const MemAccessEvent &event) const
     {

@@ -94,13 +94,6 @@ class MissProfiler
     /** Attribute one completed access. */
     void record(const MemAccessEvent &event);
 
-    /** The per-DataCategory table. */
-    const std::array<SiteProfile, numDataCategories> &
-    perCategory() const
-    {
-        return byCategory;
-    }
-
     /**
      * Per-block OS "other" miss counts — the same population SimStats
      * feeds to selectHotspots(), for mechanical cross-checking.

@@ -22,20 +22,6 @@ namespace
 
 using TracePtr = std::shared_ptr<const PackedTrace>;
 
-/** Content-hash key for (profile, coherence options, cpu count). */
-std::string
-traceKey(const WorkloadProfile &profile, const CoherenceOptions &options,
-         unsigned num_cpus)
-{
-    ContentHash h;
-    mixProfile(h, profile);
-    mixCoherence(h, options);
-    // The historical keys were implicitly 4-cpu; keep them stable.
-    if (num_cpus != 4)
-        h.mix(num_cpus);
-    return h.hex();
-}
-
 /**
  * One cache entry.  Its shared future is the per-key generation
  * latch: the first requester inserts the future and generates
@@ -136,14 +122,13 @@ TraceCache::trace(const WorkloadProfile &profile,
 
     if (creator) {
         try {
-            std::unique_ptr<TraceSource> stored;
+            std::optional<PackedTrace> stored;
             if (hooks.load)
                 stored = hooks.load(profile, options, num_cpus);
-            const bool fresh = stored == nullptr;
+            const bool fresh = !stored;
             TracePtr ptr = std::make_shared<const PackedTrace>(
                 fresh ? generatePacked(profile, options, num_cpus)
-                      : PackedTrace::pack(*stored));
-            stored.reset();
+                      : std::move(*stored));
             std::vector<std::shared_ptr<Entry>> evicted;
             {
                 std::lock_guard<std::mutex> lock(s.mutex);
@@ -323,12 +308,10 @@ setTraceCacheHooks(TraceLoadHook load, TraceStoreHook store)
     if (load)
         hooks.load = [load = std::move(load)](
                          const WorkloadProfile &p, const CoherenceOptions &o,
-                         unsigned cpus) -> std::unique_ptr<TraceSource> {
-            std::optional<Trace> trace = load(p.kind, o, cpus);
-            if (!trace)
-                return nullptr;
-            return std::make_unique<MaterializedTraceSource>(
-                std::make_shared<const Trace>(std::move(*trace)));
+                         unsigned cpus) -> std::optional<PackedTrace> {
+            if (const std::optional<Trace> trace = load(p.kind, o, cpus))
+                return PackedTrace::pack(*trace);
+            return std::nullopt;
         };
     if (store)
         hooks.store = [store = std::move(store)](const WorkloadProfile &p,

@@ -47,7 +47,7 @@ struct TraceCacheStats
 {
     /** Requests satisfied by the in-memory map (or its latches). */
     std::uint64_t memoryHits = 0;
-    /** Traces packed from the load hook's source. */
+    /** Traces the load hook returned. */
     std::uint64_t persistentHits = 0;
     /** Traces generated from scratch. */
     std::uint64_t generated = 0;
@@ -78,11 +78,8 @@ struct TraceCacheStats
  */
 struct TraceCacheHooks
 {
-    /**
-     * A source over the stored trace, which the cache packs and then
-     * drops; nullptr means "not available".
-     */
-    std::function<std::unique_ptr<TraceSource>(
+    /** The stored trace; nullopt means "not available". */
+    std::function<std::optional<PackedTrace>(
         const WorkloadProfile &, const CoherenceOptions &, unsigned)>
         load;
     /** Offers a freshly generated trace for storage. */
@@ -116,9 +113,9 @@ inline constexpr std::size_t defaultTraceCacheBytes =
 /**
  * In-memory cache of packed traces, with an LRU byte cap.
  *
- * Every fill packs from a source: a fresh trace is generated straight
- * into blocks (generatePacked), a stored one is packed from the load
- * hook's source, and no whole 24-byte trace is built on the way.
+ * No fill builds a whole 24-byte trace: a fresh one is generated
+ * straight into blocks (generatePacked), a stored one is the load
+ * hook's PackedTrace, and the map is keyed by traceKey().
  * When an insert pushes the held bytes (PackedTrace::bytes(), buffer
  * capacity) over the cap, least-recently-used *completed* entries are
  * dropped from the map (0 = unbounded).  Holders of a returned
@@ -137,9 +134,9 @@ class TraceCache
 
     /**
      * The trace of (@p profile, @p options, @p num_cpus): from the
-     * map, else packed from the load hook's source, else generated
-     * (and offered to the store hook).  The returned pointer stays
-     * valid across clear() and eviction.
+     * map, else the load hook's, else generated (and offered to the
+     * store hook).  The returned pointer stays valid across clear()
+     * and eviction.
      */
     std::shared_ptr<const PackedTrace> trace(const WorkloadProfile &profile,
                                              const CoherenceOptions &options,

@@ -224,8 +224,6 @@ class SampledTraceSource final : public TraceSource
         return open[cpu];
     }
 
-    const SamplingPlan &samplingPlan() const { return plan; }
-
   private:
     TraceSource *inner;
     SamplingPlan plan;

@@ -29,16 +29,6 @@ System::setSampling(SampleController *controller, SimStats *warm_sink)
         cur = &simStats;
 }
 
-bool
-System::quiescent() const
-{
-    for (const CpuState &cs : cpus)
-        if (cs.state == CpuRunState::SpinLock ||
-            cs.state == CpuRunState::SpinBarrier)
-            return false;
-    return true;
-}
-
 void
 System::attach()
 {

@@ -95,9 +95,6 @@ class System
      */
     void setSampling(SampleController *controller, SimStats *warm_sink);
 
-    /** True when no processor is mid-spin (clean checkpoint state). */
-    bool quiescent() const;
-
     /** Sync repairs performed under sampling (see sim/sampling.hh). */
     std::uint64_t syncBreaks() const { return syncBreakCount; }
 

@@ -718,20 +718,6 @@ Activities::gangBarrier(Emitter &em, Rng &rng, CpuId cpu, unsigned episode,
 }
 
 void
-Activities::userExchange(Emitter &em, Rng &rng, unsigned proc)
-{
-    const Addr region = layout.userRegion(proc);
-    constexpr Addr chunk_bytes = 8 * 1024;
-    const Addr offset = 96 * 1024 +
-        chunk_bytes * rng.below(8) + 4096 * rng.below(2);
-    for (Addr a = 0; a < chunk_bytes; a += 32) {
-        if ((a & 127) == 0)
-            em.userExec(12, bb::userNumeric);
-        em.userRead(region + offset + a, bb::userNumeric);
-    }
-}
-
-void
 Activities::userCompute(Emitter &em, Rng &rng, CpuId cpu, unsigned proc)
 {
     (void)cpu;

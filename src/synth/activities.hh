@@ -125,13 +125,6 @@ class Activities
     /** One user-level compute slice for @p proc. */
     void userCompute(Emitter &em, Rng &rng, CpuId cpu, unsigned proc);
 
-    /**
-     * A streaming pass over a rotating 8-KB chunk of the process's
-     * data (the numeric codes' data-exchange phases); cools whatever
-     * else the processor has cached.
-     */
-    void userExchange(Emitter &em, Rng &rng, unsigned proc);
-
     /** The machine regime changed: the scheduler master records it. */
     void regimeChange(Emitter &em, Rng &rng, CpuId cpu);
 

@@ -13,7 +13,6 @@
 #include "common/log.hh"
 #include "trace/io_detail.hh"
 #include "trace/packed.hh"
-#include "trace/source.hh"
 
 namespace oscache
 {
@@ -273,7 +272,7 @@ namespace iodetail
 
 bool
 walkChunked(std::istream &is, ChunkIndex &index, bool payloads,
-            std::string *error)
+            std::string *error, std::optional<PackedTrace::Builder> *keep)
 {
     const auto fail = [error](const char *why) {
         if (error != nullptr)
@@ -296,6 +295,8 @@ walkChunked(std::istream &is, ChunkIndex &index, bool payloads,
         return fail("bad cpu count");
     index.blocks.assign(cpus, {});
     index.records.assign(cpus, 0);
+    if (keep != nullptr)
+        keep->emplace(cpus);
     std::uint64_t page_count = 0;
     if (!r.get(page_count) || page_count > (1u << 20))
         return fail("bad update-page count");
@@ -370,6 +371,8 @@ walkChunked(std::istream &is, ChunkIndex &index, bool payloads,
                 why = checkRecords(records.data(), n, op_bound);
             if (why != nullptr)
                 return fail(why);
+            if (keep != nullptr)
+                (*keep)->adopt(cpu, block.data(), blocks[b].bytes, n);
         }
     }
 
@@ -630,16 +633,29 @@ readTraceFile(const std::string &path)
     if (!is)
         fatal("cannot open '", path, "' for reading");
     std::string why;
-    if (!iodetail::startsBinary(is)) {
-        Trace trace(1);
-        if (!walkText(is, trace, &why))
-            fatal("trace: malformed trace '", path, "' (", why, ")");
+    if (iodetail::startsBinary(is)) {
+        if (const auto packed = readPackedTrace(path, &why))
+            return packed->unpack();
+    } else if (Trace trace(1); walkText(is, trace, &why)) {
         return trace;
     }
-    const auto source = FileTraceSource::tryOpen(path, &why);
-    if (source == nullptr)
-        fatal("trace: malformed trace '", path, "' (", why, ")");
-    return PackedTrace::pack(*source).unpack();
+    fatal("trace: malformed trace '", path, "' (", why, ")");
+}
+
+std::optional<PackedTrace>
+readPackedTrace(const std::string &path, std::string *error)
+{
+    std::ifstream is(path, std::ios::in | std::ios::binary);
+    if (!is) {
+        if (error != nullptr)
+            *error = "cannot open file";
+        return std::nullopt;
+    }
+    iodetail::ChunkIndex index;
+    std::optional<PackedTrace::Builder> blocks;
+    if (!iodetail::walkChunked(is, index, true, error, &blocks))
+        return std::nullopt;
+    return std::move(*blocks).finish(index.ops, index.pages);
 }
 
 } // namespace oscache

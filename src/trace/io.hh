@@ -50,9 +50,10 @@
  *
  * Each format has one walker that performs every structural check:
  * readTrace() and readTraceFile() read text through the text walker,
- * and FileTraceSource, which readTraceFile() reads a chunked file
- * through, runs the chunked one, so every reader of a file accepts
- * and rejects the same files, for the same reasons.
+ * and FileTraceSource and readPackedTrace() run the chunked one, so
+ * every reader of a file accepts and rejects the same files, for the
+ * same reasons.  readPackedTrace() keeps the blocks it checked as
+ * they are, and readTraceFile() decodes the trace they make.
  */
 
 #ifndef OSCACHE_TRACE_IO_HH
@@ -60,6 +61,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "trace/trace.hh"
@@ -169,6 +171,15 @@ void writeTraceFile(const std::string &path, const Trace &trace,
  * reason FileTraceSource::tryOpen() gives for a chunked file.
  */
 Trace readTraceFile(const std::string &path);
+
+/**
+ * The chunked file at @p path as the PackedTrace of its blocks, kept
+ * byte for byte after every check a Full FileTraceSource::tryOpen()
+ * makes; nullopt with tryOpen()'s reason in @p error (when non-null)
+ * on a file tryOpen() rejects.
+ */
+std::optional<PackedTrace> readPackedTrace(const std::string &path,
+                                           std::string *error = nullptr);
 
 } // namespace oscache
 

@@ -13,10 +13,12 @@
 
 #include <cstdint>
 #include <istream>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "trace/packed.hh"
 #include "trace/trace.hh"
 
 namespace oscache
@@ -56,11 +58,14 @@ struct ChunkIndex
  * PackedTrace::decode(), checks its records with checkRecords() and
  * verifies the checksum; without, it seeks over the blocks, so their
  * records and the checksum go unchecked (the file's cursors decode
- * and check every block later).  Fills @p index; false with the
- * reason in @p error on malformed input.
+ * and check every block later).  With @p keep too, it builds a
+ * Builder there and hands it each checked block's bytes unchanged.
+ * Fills @p index; false with the reason in @p error on malformed
+ * input.
  */
 bool walkChunked(std::istream &is, ChunkIndex &index, bool payloads,
-                 std::string *error);
+                 std::string *error,
+                 std::optional<PackedTrace::Builder> *keep = nullptr);
 
 /**
  * True when @p is starts with binaryMagic; rewinds @p is to its

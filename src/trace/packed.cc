@@ -546,20 +546,30 @@ PackedTrace::Builder::finish(const BlockOpTable &block_ops,
     return trace;
 }
 
-PackedTrace
-PackedTrace::pack(TraceSource &source)
+void
+PackedTrace::Builder::adopt(CpuId cpu, const std::uint8_t *block,
+                            std::size_t size, std::size_t records)
 {
-    Builder builder(source.numCpus());
-    for (CpuId cpu = 0; cpu < source.numCpus(); ++cpu) {
-        const std::unique_ptr<RecordCursor> cursor = source.cursor(cpu);
-        const TraceRecord *first = nullptr;
-        while (const std::size_t n = cursor->peekRun(first)) {
-            builder.append(cpu, first, n);
-            cursor->advanceRun(n);
-        }
-    }
-    return std::move(builder).finish(source.blockOps(),
-                                     source.updatePages());
+    if (cpu >= lanes.size())
+        panic("PackedTrace::Builder: bad cpu ", int(cpu));
+    Stream &s = lanes[cpu].stream;
+    if (!lanes[cpu].pending.empty() || s.records % blockRecords != 0 ||
+        records == 0 || records > blockRecords)
+        panic("PackedTrace::Builder: cpu ", int(cpu), " cannot adopt a ",
+              records, "-record block after ", s.records, " records");
+    s.bytes.insert(s.bytes.end(), block, block + size);
+    s.starts.push_back(s.bytes.size());
+    s.records += records;
+}
+
+PackedTrace
+PackedTrace::pack(const Trace &trace)
+{
+    Builder builder(trace.numCpus());
+    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu)
+        builder.append(cpu, trace.stream(cpu).data(),
+                       trace.stream(cpu).size());
+    return std::move(builder).finish(trace.blockOps(), trace.updatePages());
 }
 
 std::size_t

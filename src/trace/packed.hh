@@ -33,11 +33,13 @@
  *
  * The blocks are also what a chunked trace file holds (trace/io.hh,
  * format v4): the file stores a cached trace's blocks unchanged, its
- * writer seals blocks with the Builder below, and its cursor is the
- * same PackedBlockCursor, reading a block's bytes from the file
- * instead of memory.  decode() is the one decoder of binary records,
- * and since a file's bytes come from outside, it rejects any block
- * whose headers name no form or disagree with its length.
+ * writer seals blocks with the Builder below, its loader hands the
+ * blocks it has checked back to a Builder unchanged (adopt()), and
+ * its cursor is the same PackedBlockCursor, reading a block's bytes
+ * from the file instead of memory.  decode() is the one decoder of
+ * binary records, and since a file's bytes come from outside, it
+ * rejects any block whose headers name no form or disagree with its
+ * length.
  */
 
 #ifndef OSCACHE_TRACE_PACKED_HH
@@ -91,15 +93,8 @@ class PackedTrace
 
     class Builder;
 
-    /**
-     * Pack @p source, reading each processor's cursor to its end in
-     * turn, then taking the block-op table (it may grow while the
-     * cursors are read).  Only for sources whose cursors buffer
-     * nothing for the processors not being read (files, in-memory
-     * traces); synthesis buffers them, so generatePacked() drives the
-     * generator one quantum at a time instead.
-     */
-    static PackedTrace pack(TraceSource &source);
+    /** Pack the whole @p trace. */
+    static PackedTrace pack(const Trace &trace);
 
     /**
      * The one decoder of a block: the @p size bytes at @p block hold
@@ -183,6 +178,14 @@ class PackedTrace::Builder
 
     /** Append @p count records to @p cpu's stream. */
     void append(CpuId cpu, const TraceRecord *records, std::size_t count);
+
+    /**
+     * Append the @p size bytes at @p block, an encoded block of
+     * @p records records the caller has checked, to @p cpu's stream
+     * as they are; panic()s after a partial block.
+     */
+    void adopt(CpuId cpu, const std::uint8_t *block, std::size_t size,
+               std::size_t records);
 
     /**
      * Hand @p cpu's blocks sealed since the last take() to @p write

@@ -21,13 +21,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <latch>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -42,6 +46,7 @@
 #include "report/experiment.hh"
 #include "sample/plan.hh"
 #include "synth/generator.hh"
+#include "trace/io.hh"
 
 namespace oscache
 {
@@ -180,15 +185,14 @@ TEST(ExpArtifactCache, KeyIsStableAndSensitive)
 {
     const WorkloadProfile p = WorkloadProfile::forKind(WorkloadKind::Trfd4);
     const CoherenceOptions none = CoherenceOptions::none();
-    EXPECT_EQ(TraceStore::keyFor(p, none), TraceStore::keyFor(p, none));
+    EXPECT_EQ(traceKey(p, none, 4), traceKey(p, none, 4));
 
     WorkloadProfile p2 = p;
     p2.seed += 1;
-    EXPECT_NE(TraceStore::keyFor(p, none), TraceStore::keyFor(p2, none));
-    EXPECT_NE(TraceStore::keyFor(p, none),
-              TraceStore::keyFor(p, CoherenceOptions::relocUpdate()));
-    EXPECT_NE(TraceStore::keyFor(p, none, 4),
-              TraceStore::keyFor(p, none, 8));
+    EXPECT_NE(traceKey(p, none, 4), traceKey(p2, none, 4));
+    EXPECT_NE(traceKey(p, none, 4),
+              traceKey(p, CoherenceOptions::relocUpdate(), 4));
+    EXPECT_NE(traceKey(p, none, 4), traceKey(p, none, 8));
 }
 
 TEST(ExpArtifactCache, StoreLoadRoundTrip)
@@ -200,15 +204,15 @@ TEST(ExpArtifactCache, StoreLoadRoundTrip)
     WorkloadProfile p = WorkloadProfile::forKind(WorkloadKind::Trfd4);
     p.quanta = 2;
     const Trace trace = generateTrace(p, CoherenceOptions::none());
-    const std::string key =
-        TraceStore::keyFor(p, CoherenceOptions::none());
+    const std::string key = traceKey(p, CoherenceOptions::none(), 4);
 
     EXPECT_EQ(store.openSource(key), nullptr);
-    store.store(key, generatePacked(p, CoherenceOptions::none()));
+    const PackedTrace stored = generatePacked(p, CoherenceOptions::none());
+    store.store(key, stored);
 
     // store() writes the same chunked encoding storeStreaming() does,
-    // so a streamed run replays it from disk and a cache packs it back
-    // from the same source.
+    // so a streamed run replays it from disk, and a cache loads it
+    // back as the blocks it stored.
     auto source = store.openSource(key);
     ASSERT_NE(source, nullptr);
     EXPECT_EQ(store.hits(), 1u);
@@ -231,6 +235,33 @@ TEST(ExpArtifactCache, StoreLoadRoundTrip)
         double(fs::file_size(store.pathFor(key))) /
         double(trace.totalRecords());
     EXPECT_LT(bytes_per_record, 4.0);
+
+    // load() hands back those blocks byte for byte, so a warm cache
+    // holds the bytes a cold one does, and they decode to the trace
+    // and write back to the same file.
+    const std::optional<PackedTrace> loaded = store.load(key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(store.hits(), 2u);
+    ASSERT_EQ(loaded->numCpus(), stored.numCpus());
+    for (CpuId cpu = 0; cpu < stored.numCpus(); ++cpu) {
+        const PackedTrace::Blocks want = stored.blocks(cpu);
+        const PackedTrace::Blocks got = loaded->blocks(cpu);
+        EXPECT_EQ(got.records, want.records);
+        ASSERT_TRUE(std::ranges::equal(got.starts, want.starts));
+        EXPECT_EQ(std::memcmp(got.bytes, want.bytes, want.starts.back()), 0);
+    }
+    EXPECT_EQ(loaded->bytes(), stored.bytes());
+    EXPECT_EQ(loaded->blockOps().size(), stored.blockOps().size());
+    EXPECT_EQ(loaded->updatePages(), stored.updatePages());
+    const Trace unpacked = loaded->unpack();
+    for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu)
+        EXPECT_EQ(unpacked.stream(cpu), trace.stream(cpu));
+    std::ostringstream rewritten;
+    writeTraceChunked(rewritten, *loaded);
+    std::ifstream file(store.pathFor(key), std::ios::binary);
+    const std::string on_disk{std::istreambuf_iterator<char>(file),
+                              std::istreambuf_iterator<char>()};
+    EXPECT_EQ(rewritten.str(), on_disk);
 }
 
 TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
@@ -242,8 +273,7 @@ TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
     WorkloadProfile p = WorkloadProfile::forKind(WorkloadKind::Shell);
     p.quanta = 2;
     const Trace trace = generateTrace(p, CoherenceOptions::none());
-    const std::string key =
-        TraceStore::keyFor(p, CoherenceOptions::none());
+    const std::string key = traceKey(p, CoherenceOptions::none(), 4);
     const PackedTrace packed = generatePacked(p, CoherenceOptions::none());
     store.store(key, packed);
 
@@ -260,6 +290,29 @@ TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
     store.store(key, packed);
     EXPECT_NE(store.openSource(key), nullptr);
 
+    // load() rejects a torn artifact the same way.
+    fs::resize_file(path, size / 2);
+    EXPECT_FALSE(store.load(key).has_value());
+    EXPECT_EQ(store.rejected(), 2u);
+    EXPECT_FALSE(fs::exists(path)) << "corrupt artifact must be deleted";
+    EXPECT_FALSE(store.load(key).has_value()) << "now a plain miss";
+    EXPECT_EQ(store.rejected(), 2u);
+    store.store(key, packed);
+    ASSERT_TRUE(store.load(key).has_value());
+
+    // A cache over the store regenerates the trace a corrupt artifact
+    // held, and stores it again.
+    fs::resize_file(path, size / 2);
+    {
+        TraceCache cache(traceStoreHooks(store));
+        const auto regenerated = cache.trace(p, CoherenceOptions::none(), 4);
+        EXPECT_EQ(cache.stats().generated, 1u);
+        EXPECT_EQ(cache.stats().persistentHits, 0u);
+        EXPECT_EQ(regenerated->unpack().stream(0), trace.stream(0));
+    }
+    EXPECT_EQ(store.rejected(), 3u);
+    ASSERT_TRUE(store.load(key).has_value());
+
     // So does an artifact of the retired binary version 2.
     {
         std::fstream f(path, std::ios::in | std::ios::out |
@@ -269,7 +322,7 @@ TEST(ExpArtifactCache, CorruptFileRejectedAndRemoved)
         f.write(reinterpret_cast<const char *>(&retired), sizeof(retired));
     }
     EXPECT_EQ(store.openSource(key), nullptr);
-    EXPECT_EQ(store.rejected(), 2u);
+    EXPECT_EQ(store.rejected(), 4u);
     EXPECT_FALSE(fs::exists(path));
     store.store(key, packed);
     EXPECT_NE(store.openSource(key), nullptr);
@@ -289,7 +342,7 @@ TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)
     const PackedTrace trace =
         generatePacked(profile, CoherenceOptions::none());
     const std::string key =
-        TraceStore::keyFor(profile, CoherenceOptions::none());
+        traceKey(profile, CoherenceOptions::none(), 4);
 
     pid_t writers[2];
     for (int w = 0; w < 2; ++w) {
@@ -303,14 +356,19 @@ TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)
         }
     }
 
+    // The reader alternates the streamed opener and the loader.
     TraceStore reader(dir);
     int alive = 2;
     int reaped_ok = 0;
-    while (alive > 0) {
-        if (const auto loaded = reader.openSource(key)) {
+    for (bool stream = true; alive > 0; stream = !stream) {
+        if (!stream) {
+            if (const auto loaded = reader.load(key)) {
+                EXPECT_EQ(loaded->totalRecords(), trace.totalRecords());
+            }
+        } else if (const auto opened = reader.openSource(key)) {
             std::size_t records = 0;
-            for (CpuId cpu = 0; cpu < loaded->numCpus(); ++cpu)
-                records += loaded->knownRecords(cpu).value_or(0);
+            for (CpuId cpu = 0; cpu < opened->numCpus(); ++cpu)
+                records += opened->knownRecords(cpu).value_or(0);
             EXPECT_EQ(records, trace.totalRecords());
         }
         for (const pid_t w : writers) {
@@ -326,6 +384,7 @@ TEST(ExpArtifactCache, ConcurrentSameKeyTraceWritersNeverTear)
     EXPECT_EQ(reader.rejected(), 0u)
         << "a reader saw a torn artifact";
     ASSERT_NE(reader.openSource(key), nullptr);
+    ASSERT_TRUE(reader.load(key).has_value());
 }
 
 // -------------------------------------------------------- trace cache

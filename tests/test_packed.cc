@@ -323,9 +323,8 @@ TEST(PackedTrace, CursorMatchesVectorCursor)
     for (int iter = 0; iter < iters; ++iter) {
         SCOPED_TRACE(iter);
         const Trace trace = randomTrace(rng, 3);
-        MaterializedTraceSource records(trace);
         PackedTraceSource source(
-            std::make_shared<const PackedTrace>(PackedTrace::pack(records)));
+            std::make_shared<const PackedTrace>(PackedTrace::pack(trace)));
         EXPECT_STREQ(source.mode(), "materialized");
         for (CpuId cpu = 0; cpu < trace.numCpus(); ++cpu) {
             SCOPED_TRACE(int(cpu));
@@ -349,8 +348,7 @@ TEST(PackedTrace, DecoderRejectsCorruptBlocksWithinItsBounds)
     // it.
     Rng rng = testutil::testRng(2901);
     const Trace trace = randomTrace(rng, 4);
-    MaterializedTraceSource records(trace);
-    const PackedTrace packed = PackedTrace::pack(records);
+    const PackedTrace packed = PackedTrace::pack(trace);
     std::array<TraceRecord, PackedTrace::blockRecords> out;
     const auto decode = [&out](const std::vector<std::uint8_t> &bytes,
                                std::size_t n) {
@@ -405,6 +403,64 @@ TEST(PackedTrace, DecoderRejectsCorruptBlocksWithinItsBounds)
             << why;
     }
     EXPECT_GT(rejected, std::size_t(iters) / 4);
+}
+
+TEST(PackedTrace, AdoptedBlocksAreKeptAsTheyAre)
+{
+    // A trace file's blocks reach the cache through adopt(): the
+    // built trace holds the very bytes it was handed.
+    Rng rng = testutil::testRng(2902);
+    const Trace trace = randomTrace(rng, 4);
+    const PackedTrace packed = PackedTrace::pack(trace);
+    PackedTrace::Builder builder(packed.numCpus());
+    for (CpuId cpu = 0; cpu < packed.numCpus(); ++cpu) {
+        const PackedTrace::Blocks run = packed.blocks(cpu);
+        for (std::size_t b = 0; b < run.count(); ++b)
+            builder.adopt(cpu, run.bytes + run.starts[b],
+                          run.starts[b + 1] - run.starts[b],
+                          std::min(PackedTrace::blockRecords,
+                                   run.records -
+                                       b * PackedTrace::blockRecords));
+    }
+    const PackedTrace adopted =
+        std::move(builder).finish(trace.blockOps(), trace.updatePages());
+    EXPECT_EQ(adopted.bytes(), packed.bytes());
+    for (CpuId cpu = 0; cpu < packed.numCpus(); ++cpu) {
+        const PackedTrace::Blocks want = packed.blocks(cpu);
+        const PackedTrace::Blocks got = adopted.blocks(cpu);
+        EXPECT_EQ(got.records, want.records);
+        ASSERT_TRUE(std::ranges::equal(got.starts, want.starts));
+        EXPECT_TRUE(std::equal(want.bytes, want.bytes + want.starts.back(),
+                               got.bytes));
+    }
+    EXPECT_EQ(adopted.unpack().stream(0), trace.stream(0));
+}
+
+TEST(PackedTraceDeathTest, AdoptAfterPartialBlockPanics)
+{
+    // Only a stream's last block may be partial, so a block after a
+    // partial one, adopted or appended, is a caller's error.
+    Trace trace(1);
+    for (unsigned i = 0; i < PackedTrace::blockRecords + 3; ++i)
+        trace.stream(0).push_back(TraceRecord::idle(i));
+    const PackedTrace packed = PackedTrace::pack(trace);
+    const PackedTrace::Blocks run = packed.blocks(0);
+    ASSERT_EQ(run.count(), 2u);
+    const std::uint8_t *full = run.bytes;
+    const std::size_t full_size = run.starts[1];
+    const std::uint8_t *partial = run.bytes + run.starts[1];
+    const std::size_t partial_size = run.starts[2] - run.starts[1];
+
+    PackedTrace::Builder adopted(1);
+    adopted.adopt(0, full, full_size, PackedTrace::blockRecords);
+    adopted.adopt(0, partial, partial_size, 3);
+    EXPECT_DEATH(adopted.adopt(0, full, full_size, PackedTrace::blockRecords),
+                 "cannot adopt");
+
+    PackedTrace::Builder appended(1);
+    appended.append(0, trace.stream(0).data(), 3);
+    EXPECT_DEATH(appended.adopt(0, full, full_size, PackedTrace::blockRecords),
+                 "cannot adopt");
 }
 
 } // namespace

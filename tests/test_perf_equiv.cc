@@ -591,7 +591,6 @@ TEST(NullObserver, FanoutIsInactiveByDefault)
     EXPECT_TRUE(mem.observers().empty());
     EXPECT_FALSE(mem.observers().active());
     EXPECT_FALSE(mem.observers().wantsAccessEvents());
-    EXPECT_EQ(mem.observers().single(), nullptr);
 }
 
 TEST(NullObserver, AttachedObserverSeesDispatch)

@@ -31,6 +31,7 @@
 #include "core/hotspot/hotspot.hh"
 #include "core/runner.hh"
 #include "exp/artifact_cache.hh"
+#include "exp/hash.hh"
 #include "report/experiment.hh"
 #include "sample/run.hh"
 #include "synth/generator.hh"
@@ -1082,7 +1083,7 @@ TEST(StreamStore, StreamedArtifactMatchesMaterialized)
 
     const WorkloadProfile profile = smallProfile(WorkloadKind::Shell, 3);
     const CoherenceOptions options = CoherenceOptions::none();
-    const std::string key = TraceStore::keyFor(profile, options);
+    const std::string key = traceKey(profile, options, 4);
 
     EXPECT_EQ(store.openSource(key), nullptr); // cold: miss
     store.storeStreaming(key, profile, options);
@@ -1096,11 +1097,10 @@ TEST(StreamStore, StreamedArtifactMatchesMaterialized)
     EXPECT_GE(store.hits(), 1u);
     EXPECT_GE(store.misses(), 1u);
 
-    // A cache packs the same artifact from a source of its own.
-    const auto again = store.openSource(key);
-    ASSERT_NE(again, nullptr);
-    EXPECT_EQ(streamsOf(PackedTrace::pack(*again).unpack()),
-              streamsOf(trace));
+    // A cache loads the same artifact as the blocks it holds.
+    const auto again = store.load(key);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(streamsOf(again->unpack()), streamsOf(trace));
 
     // A corrupt artifact is deleted and reported as a miss.
     {

@@ -218,14 +218,18 @@ readChunked(const std::string &bytes)
 
 /**
  * Why a Full open rejects chunked @p bytes, or "" when it accepts
- * them.
+ * them; readPackedTrace() must give the same verdict and reason.
  */
 std::string
 rejection(const std::string &bytes)
 {
     const std::string path = writeBytesFile("rejected.otb", bytes);
     std::string why;
-    if (FileTraceSource::tryOpen(path, &why) != nullptr)
+    const bool opened = FileTraceSource::tryOpen(path, &why) != nullptr;
+    std::string load_why;
+    EXPECT_EQ(readPackedTrace(path, &load_why).has_value(), opened);
+    EXPECT_EQ(load_why, why);
+    if (opened)
         return "";
     EXPECT_FALSE(why.empty());
     return why;
@@ -304,9 +308,8 @@ TEST(TraceIoBinaryTest, WritersAgreeOnRecords)
     }
     expectTracesEqual(original, readChunked(streamed.str()));
 
-    MaterializedTraceSource source(original);
     std::stringstream stored;
-    writeTraceChunked(stored, PackedTrace::pack(source));
+    writeTraceChunked(stored, PackedTrace::pack(original));
     expectTracesEqual(original, readChunked(stored.str()));
 }
 
